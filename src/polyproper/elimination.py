@@ -75,15 +75,6 @@ def as_univariate(p: Polynomial, var: str) -> dict[int, Polynomial]:
     return {k: Polynomial(p.vars, t) for k, t in buckets.items()}
 
 
-def from_univariate(coeffs: dict[int, Polynomial], var: str, variables) -> Polynomial:
-    i = list(variables).index(var)
-    total = Polynomial.zero(variables)
-    for k, cp in coeffs.items():
-        shifted = {e[:i] + (k,) + e[i + 1 :]: c for e, c in cp.terms.items()}
-        total = total + Polynomial(variables, shifted)
-    return total
-
-
 def degree_in(p: Polynomial, var: str) -> int:
     """Degree of p in one variable; -1 for the zero polynomial."""
     if p.is_zero():

@@ -20,8 +20,12 @@ from typing import Sequence
 
 import numpy as np
 
+from .numeric import EPS
 from .poly import Polynomial
 from .scalar import GaussianRational
+
+#: Root polishing stops once a Newton step is at most this many ulps of |z|.
+_POLISH_ULPS = 4
 
 
 def smallest_singular_value(matrix) -> float:
@@ -127,18 +131,25 @@ def univariate_roots(
 
 
 def _newton_polish(z: complex, coeffs: np.ndarray, dcoeffs: np.ndarray, iters: int = 12) -> complex:
+    """Newton on p from z; the iterate with the least |p|.
+
+    Stops at an exact zero or once a step is within a few ulps of |z|, the
+    round-off floor past which no step moves z.
+    """
     best = z
-    best_val = abs(np.polynomial.polynomial.polyval(z, coeffs))
+    fz = np.polynomial.polynomial.polyval(z, coeffs)
+    best_val = abs(fz)
     for _ in range(iters):
-        fz = np.polynomial.polynomial.polyval(z, coeffs)
         dz = np.polynomial.polynomial.polyval(z, dcoeffs)
         if dz == 0 or not np.isfinite(dz) or not np.isfinite(fz):
             break
-        z = z - fz / dz
-        val = abs(np.polynomial.polynomial.polyval(z, coeffs))
+        step = fz / dz
+        z = z - step
+        fz = np.polynomial.polynomial.polyval(z, coeffs)
+        val = abs(fz)
         if val < best_val:
             best, best_val = z, val
-        if val == 0.0:
+        if val == 0.0 or abs(step) <= _POLISH_ULPS * EPS * abs(z):
             break
     return complex(best)
 

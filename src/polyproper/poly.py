@@ -18,6 +18,9 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence, Union
 
+import numpy as np
+
+from .numeric import TermTable
 from .scalar import GaussianRational, ONE, ScalarLike, ZERO
 
 Exponents = tuple  # tuple[int, ...], one entry per variable
@@ -310,14 +313,12 @@ class Polynomial:
     # -- evaluation ---------------------------------------------------------
 
     def evaluate(self, point: Sequence[complex]) -> complex:
-        """Numeric evaluation by nested Horner recursion on the variables."""
+        """Numeric evaluation through the compiled kernel of :mod:`polyproper.numeric`."""
         values = [complex(p) for p in point]
         if len(values) != len(self.vars):
             raise ValueError(f"point has dimension {len(values)}, expected {len(self.vars)}")
-        if not self.terms:
-            return 0j
-        items = [(e, c.to_complex()) for e, c in self.terms.items()]
-        return _horner(items, 0, len(self.vars), values, 0j)
+        table = TermTable([self], len(self.vars))
+        return complex(table.evaluate(np.array([values]))[0, 0])
 
     def evaluate_exact(self, point: Sequence[ScalarLike]) -> GaussianRational:
         """Exact evaluation at Gaussian-rational coordinates."""
@@ -326,8 +327,7 @@ class Polynomial:
             raise ValueError(f"point has dimension {len(values)}, expected {len(self.vars)}")
         if not self.terms:
             return ZERO
-        items = list(self.terms.items())
-        return _horner(items, 0, len(self.vars), values, ZERO)
+        return _horner(list(self.terms.items()), 0, len(self.vars), values)
 
     # -- comparison and printing --------------------------------------------
 
@@ -371,10 +371,10 @@ class Polynomial:
         return "*".join(parts)
 
 
-def _horner(items, vi, nvars, values, zero):
-    """Evaluate grouped terms by Horner's rule, one variable at a time."""
+def _horner(items, vi, nvars, values):
+    """Evaluate grouped terms exactly by Horner's rule, one variable at a time."""
     if vi == nvars:
-        acc = zero
+        acc = ZERO
         for _, c in items:
             acc = acc + c
         return acc
@@ -383,10 +383,10 @@ def _horner(items, vi, nvars, values, zero):
         groups.setdefault(e[vi], []).append((e, c))
     exps = sorted(groups, reverse=True)
     v = values[vi]
-    acc = _horner(groups[exps[0]], vi + 1, nvars, values, zero)
+    acc = _horner(groups[exps[0]], vi + 1, nvars, values)
     prev = exps[0]
     for e in exps[1:]:
-        acc = acc * v ** (prev - e) + _horner(groups[e], vi + 1, nvars, values, zero)
+        acc = acc * v ** (prev - e) + _horner(groups[e], vi + 1, nvars, values)
         prev = e
     if prev:
         acc = acc * v**prev

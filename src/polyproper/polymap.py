@@ -3,6 +3,8 @@
 A ``PolyMap`` is an ordered tuple of polynomials over one shared source
 variable context.  The Jacobian determinant is computed fraction free
 (Bareiss), so statements like "the determinant is the constant 1" are exact.
+A map is immutable, so its Jacobian, its nonsingularity verdict and its
+compiled numeric evaluator are computed once, on first use, and kept.
 """
 
 from __future__ import annotations
@@ -10,7 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .elimination import poly_matrix_det
+from .numeric import MapEvaluator
 from .parser import parse_polynomial
 from .poly import Polynomial
 from .scalar import GaussianRational
@@ -19,7 +24,7 @@ from .scalar import GaussianRational
 class PolyMap:
     """Immutable polynomial mapping given by component polynomials."""
 
-    __slots__ = ("vars", "components")
+    __slots__ = ("vars", "components", "_jacobian", "_nonsingularity", "_evaluator")
 
     def __init__(self, variables: Sequence[str], components: Sequence[Polynomial]):
         vs = tuple(variables)
@@ -33,6 +38,9 @@ class PolyMap:
                 )
         object.__setattr__(self, "vars", vs)
         object.__setattr__(self, "components", comps)
+        object.__setattr__(self, "_jacobian", None)
+        object.__setattr__(self, "_nonsingularity", None)
+        object.__setattr__(self, "_evaluator", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyMap is immutable")
@@ -59,16 +67,32 @@ class PolyMap:
     def is_square(self) -> bool:
         return self.source_dim == self.target_dim
 
+    def evaluator(self) -> MapEvaluator:
+        """The map and its Jacobian compiled for batch evaluation (cached)."""
+        ev = self._evaluator
+        if ev is None:
+            ev = MapEvaluator(self.components, self.jacobian().entries, self.source_dim)
+            object.__setattr__(self, "_evaluator", ev)
+        return ev
+
     def evaluate(self, point: Sequence[complex]) -> tuple[complex, ...]:
-        return tuple(c.evaluate(point) for c in self.components)
+        values = [complex(p) for p in point]
+        if len(values) != self.source_dim:
+            raise ValueError(f"point has dimension {len(values)}, expected {self.source_dim}")
+        ev = self.evaluator()
+        vals, _ = ev.values(ev.powers(np.array([values])))
+        return tuple(complex(v) for v in vals[0])
 
     def evaluate_exact(self, point) -> tuple[GaussianRational, ...]:
         return tuple(c.evaluate_exact(point) for c in self.components)
 
     def jacobian(self) -> "PolyMatrix":
         """Matrix of partial derivatives, entry (i, j) = d components[i] / d vars[j]."""
-        rows = [[c.diff(v) for v in self.vars] for c in self.components]
-        return PolyMatrix(rows)
+        jac = self._jacobian
+        if jac is None:
+            jac = PolyMatrix([[c.diff(v) for v in self.vars] for c in self.components])
+            object.__setattr__(self, "_jacobian", jac)
+        return jac
 
     def jacobian_det(self) -> Polynomial:
         if not self.is_square:
@@ -77,10 +101,15 @@ class PolyMap:
 
     def nonsingularity(self) -> "NonsingularityVerdict":
         """Decide whether the Jacobian determinant is a nonzero constant."""
-        det = self.jacobian_det()
-        if det.is_constant() and not det.is_zero():
-            return NonsingularityVerdict(True, det.constant_value(), det)
-        return NonsingularityVerdict(False, None, det)
+        verdict = self._nonsingularity
+        if verdict is None:
+            det = self.jacobian_det()
+            if det.is_constant() and not det.is_zero():
+                verdict = NonsingularityVerdict(True, det.constant_value(), det)
+            else:
+                verdict = NonsingularityVerdict(False, None, det)
+            object.__setattr__(self, "_nonsingularity", verdict)
+        return verdict
 
     def drop_component(self, k: int) -> "PolyMap":
         """Delete the k-th component (1-based, matching the usual notation)."""
@@ -147,9 +176,6 @@ class PolyMatrix:
         if rows != cols:
             raise ValueError("determinant of a non-square matrix")
         return poly_matrix_det(self.entries)
-
-    def evaluate(self, point: Sequence[complex]) -> list[list[complex]]:
-        return [[p.evaluate(point) for p in row] for row in self.entries]
 
     def __repr__(self) -> str:
         body = "; ".join("[" + ", ".join(str(p) for p in row) + "]" for row in self.entries)

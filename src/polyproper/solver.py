@@ -7,6 +7,17 @@ and Newton refinement run in floating point.  Extraneous candidates that
 resultants introduce are killed by the final residual check against the full
 system.
 
+The floating-point steps work on batches.  Each back-substitution stage
+compiles its pivot, viewed as univariate in the stage variable, once and
+specializes it at all of the stage's candidates in one call.  Newton then
+runs on all candidates of the fiber at once, through the map's compiled
+evaluator (``PolyMap.evaluator()``, built once per map): each iteration is
+one evaluation of f at the live candidates and one of the Jacobian at those
+that step.  A candidate stops when its residual reaches the round-off floor
+of the evaluation, a small multiple of machine epsilon times its
+term-magnitude sum (see :mod:`polyproper.numeric`), or when its Jacobian is
+singular or its step is not finite; it keeps its best iterate either way.
+
 Scale contract: square maps with n <= 3 and component degrees <= 10.
 Targets for degree estimation are drawn from a box with re/im uniform in
 [-2, 2], snapped to a dyadic grid (multiples of 1/4096) so the exact
@@ -22,8 +33,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .elimination import EliminationStage, as_univariate, degree_in, eliminate
-from .numlin import norm2, poly_to_coeffs, univariate_roots
+from .elimination import as_univariate, degree_in, eliminate
+from .numeric import ROUNDOFF, MapEvaluator, TermTable, power_tables
+from .numlin import poly_to_coeffs, univariate_roots
 from .poly import Polynomial
 from .polymap import PolyMap
 from .scalar import GaussianRational
@@ -130,35 +142,82 @@ def solve_fiber(
 
     phi = min(res.finals, key=lambda p: degree_in(p, retained))
     roots = univariate_roots(poly_to_coeffs(phi), tol=tol)
-    candidates: list[tuple[dict[str, complex], int]] = [
-        ({retained: r.value}, r.multiplicity) for r in roots.roots
-    ]
+    column = {v: i for i, v in enumerate(f.vars)}
+    points = np.zeros((len(roots.roots), f.source_dim), dtype=complex)
+    points[:, column[retained]] = [r.value for r in roots.roots]
+    mults = [r.multiplicity for r in roots.roots]
 
     dead_degenerate = False
     for stage in reversed(res.stages):
-        new_candidates: list[tuple[dict[str, complex], int]] = []
-        for assignment, mult in candidates:
-            coeffs = _specialize(stage, assignment)
+        if not mults:
+            break
+        j = column[stage.var]
+        ext_points: list[np.ndarray] = []
+        ext_mults: list[int] = []
+        view = _UnivariateView(stage.pivot, stage.var)
+        for point, mult, coeffs in zip(points, mults, view.specialize(points)):
             if coeffs is None:
                 dead_degenerate = True
                 continue
             if len(coeffs) == 1:
                 continue  # nonzero constant: branch has no extension
             for r in univariate_roots(coeffs, tol=tol).roots:
-                ext = dict(assignment)
-                ext[stage.var] = r.value
-                new_candidates.append((ext, mult * r.multiplicity))
-        candidates = new_candidates
-        if len(candidates) > _CANDIDATE_CAP:
+                ext = point.copy()
+                ext[j] = r.value
+                ext_points.append(ext)
+                ext_mults.append(mult * r.multiplicity)
+        points = np.array(ext_points, dtype=complex).reshape(len(ext_points), f.source_dim)
+        mults = ext_mults
+        if len(mults) > _CANDIDATE_CAP:
             raise RuntimeError("candidate explosion; system outside desk scale")
 
-    target = [complex(v) for v in y]
-    solutions = _refine_and_filter(f, target, candidates, tol)
+    target = np.array([complex(v) for v in y])
+    solutions = _refine_and_filter(f, target, points, mults, tol)
     if not solutions and dead_degenerate:
         raise PositiveDimensionalFiberError(
             "all candidate branches degenerated during back-substitution"
         )
     return solutions
+
+
+class _UnivariateView:
+    """A polynomial viewed as univariate in ``var``, compiled once.
+
+    The coefficient polynomials of the powers of ``var`` form one term
+    table, so specializing the other variables at a batch of points costs
+    one kernel call.
+    """
+
+    __slots__ = ("table", "max_abs")
+
+    def __init__(self, p: Polynomial, var: str):
+        u = as_univariate(p, var)
+        zero = Polynomial.zero(p.vars)
+        self.table = TermTable([u.get(k, zero) for k in range(max(u) + 1)], len(p.vars))
+        self.max_abs = self.table.abs_coeffs.max(axis=1)
+
+    def specialize(self, points: np.ndarray) -> list[list[complex] | None]:
+        """Ascending coefficients in ``var`` at each row of a k x n batch.
+
+        Numerically-zero leading entries are trimmed; an entry is None when
+        the whole polynomial collapses to zero relative to the largest term
+        that was summed (a degenerate specialization).
+        """
+        mono = self.table.monomials(power_tables(points, self.table.degrees))
+        values = (mono @ self.table.coeffs).tolist()
+        bounds = (np.abs(mono) * self.max_abs).max(axis=1).tolist()
+        return [_trim(coeffs, bound) for coeffs, bound in zip(values, bounds)]
+
+
+def _trim(coeffs: list[complex], bound: float) -> list[complex] | None:
+    top = max(abs(c) for c in coeffs)
+    if top <= 1e-9 * max(bound, 1e-280):
+        return None
+    while coeffs and abs(coeffs[-1]) <= 1e-12 * top:
+        coeffs.pop()
+    if not coeffs:
+        return None
+    return coeffs
 
 
 def specialize_univariate(
@@ -171,50 +230,23 @@ def specialize_univariate(
     None when the whole polynomial collapses to zero relative to the
     magnitude of the terms that were summed (a degenerate specialization).
     """
-    u = as_univariate(p, var)
-    point = [assignment.get(v, 0j) for v in p.vars]
-    coeffs = []
-    bound = 0.0
-    for k in range(max(u) + 1):
-        cp = u.get(k)
-        if cp is None:
-            coeffs.append(0j)
-            continue
-        coeffs.append(cp.evaluate(point))
-        for e, c in cp.terms.items():
-            mag = abs(c.to_complex())
-            for vi, exp in enumerate(e):
-                if exp:
-                    mag *= abs(point[vi]) ** exp
-            bound = max(bound, mag)
-    top = max(abs(c) for c in coeffs)
-    if top <= 1e-9 * max(bound, 1e-280):
-        return None
-    while coeffs and abs(coeffs[-1]) <= 1e-12 * top:
-        coeffs.pop()
-    if not coeffs:
-        return None
-    return coeffs
-
-
-def _specialize(stage: EliminationStage, assignment: dict[str, complex]):
-    return specialize_univariate(stage.pivot, stage.var, assignment)
+    point = np.array([[assignment.get(v, 0j) for v in p.vars]], dtype=complex)
+    return _UnivariateView(p, var).specialize(point)[0]
 
 
 def _refine_and_filter(
     f: PolyMap,
-    y: list[complex],
-    candidates: list[tuple[dict[str, complex], int]],
+    y: np.ndarray,
+    points: np.ndarray,
+    mults: list[int],
     tol: float,
 ) -> list[FiberSolution]:
-    jac = f.jacobian()
-    y_arr = np.array(y, dtype=complex)
-    refined: list[tuple[tuple[complex, ...], float, int]] = []
-    for assignment, mult in candidates:
-        x = np.array([assignment[v] for v in f.vars], dtype=complex)
-        x, residual = _newton(f, jac, y_arr, x)
-        if residual < tol:
-            refined.append((tuple(complex(c) for c in x), residual, mult))
+    best, best_res = _newton_batch(f.evaluator(), y, points)
+    refined: list[tuple[tuple[complex, ...], float, int]] = [
+        (tuple(point), residual, mult)
+        for point, residual, mult in zip(best.tolist(), best_res.tolist(), mults)
+        if residual < tol
+    ]
 
     merged: list[list] = []  # [point, residual, total_mult, branches]
     for point, residual, mult in sorted(
@@ -236,31 +268,59 @@ def _refine_and_filter(
     ]
 
 
-def _newton(f: PolyMap, jac, y_arr, x, iters: int = 40):
-    best = x
-    best_res = norm2(np.array(f.evaluate(x)) - y_arr)
-    scale = 1.0 + norm2(y_arr)
-    for _ in range(iters):
-        r = np.array(f.evaluate(x)) - y_arr
-        res = norm2(r)
-        if res < best_res:
-            best, best_res = x, res
-        if res < 1e-15 * scale:
+def _newton_batch(ev: MapEvaluator, y: np.ndarray, x: np.ndarray, iters: int = 40):
+    """Newton's method on every candidate of a fiber at once.
+
+    Returns each candidate's best iterate and its residual ||f(x) - y||.  A
+    candidate stops once its residual is below 1e-15 * (1 + ||y||) or within
+    ROUNDOFF of its term-magnitude sum (the evaluation's round-off floor), or
+    when its Jacobian is singular or its step is not finite; the others go
+    on.  The Jacobian is evaluated only at candidates that take a step.
+    """
+    x = x.copy()
+    best = x.copy()
+    best_res = np.full(len(x), np.inf)
+    live = np.arange(len(x))
+    abs_y = np.abs(y)
+    exact_floor = 1e-15 * (1.0 + float(np.linalg.norm(y)))
+    for it in range(iters + 1):
+        if not live.size:
             break
-        a = np.array(jac.evaluate(x))
-        try:
-            step = np.linalg.solve(a, r)
-        except np.linalg.LinAlgError:
+        tables = ev.powers(x[live])
+        vals, sums = ev.values(tables)
+        r = vals - y
+        res = np.linalg.norm(r, axis=1)
+        better = res < best_res[live]
+        best[live[better]] = x[live[better]]
+        best_res[live[better]] = res[better]
+        if it == iters:
             break
-        x = x - step
-        if not np.all(np.isfinite(x)):
-            x = best
+        step = (res >= exact_floor) & (res > ROUNDOFF * np.linalg.norm(sums + abs_y, axis=1))
+        live, r = live[step], r[step]
+        if not live.size:
             break
-    r = np.array(f.evaluate(x)) - y_arr
-    res = norm2(r)
-    if res < best_res:
-        best, best_res = x, res
+        jac = ev.jacobian([t[step] for t in tables])
+        delta, solved = _solve_each(jac, r)
+        moved = x[live] - delta
+        ok = solved & np.isfinite(moved).all(axis=1)
+        x[live[ok]] = moved[ok]
+        live = live[ok]
     return best, best_res
+
+
+def _solve_each(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve a[i] @ s[i] = b[i] for each i; singular a[i] are flagged, not raised."""
+    try:
+        return np.linalg.solve(a, b[..., None])[..., 0], np.ones(len(a), dtype=bool)
+    except np.linalg.LinAlgError:
+        out = np.zeros_like(b)
+        solved = np.ones(len(a), dtype=bool)
+        for i in range(len(a)):
+            try:
+                out[i] = np.linalg.solve(a[i], b[i])
+            except np.linalg.LinAlgError:
+                solved[i] = False
+        return out, solved
 
 
 def fiber_count(f: PolyMap, y: Sequence[complex], tol: float = 1e-8) -> int:
