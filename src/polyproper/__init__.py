@@ -59,7 +59,6 @@ from .rabier import (
     check_rabier_witness,
     image_limit,
     path_diverges,
-    sigma_min_along_path,
     witness_grid,
 )
 
@@ -112,7 +111,6 @@ __all__ = [
     "check_rabier_witness",
     "image_limit",
     "path_diverges",
-    "sigma_min_along_path",
     "witness_grid",
     "__version__",
 ]

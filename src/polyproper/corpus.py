@@ -75,8 +75,7 @@ def example_3_6_inverse() -> PolyMap:
     return PolyMap.from_exprs(("p", "q", "r"), EXAMPLE_3_6_INVERSE_EXPRS)
 
 
-def _run_example_3_6(seed: int, tol: float) -> tuple[dict, list, list]:
-    f = example_3_6_map()
+def _run_example_3_6(f: PolyMap, seed: int, tol: float) -> tuple[dict, list, list]:
     certificates: list = []
     warnings: list[str] = []
     results: dict = {}
@@ -117,8 +116,7 @@ def _run_example_3_6(seed: int, tol: float) -> tuple[dict, list, list]:
     return results, certificates, warnings
 
 
-def _run_x_xy(seed: int, tol: float) -> tuple[dict, list, list]:
-    f = parse_map_text(X_XY_TEXT)
+def _run_x_xy(f: PolyMap, seed: int, tol: float) -> tuple[dict, list, list]:
     certificates: list = []
     warnings: list[str] = []
     results: dict = {}
@@ -147,8 +145,7 @@ def _run_x_xy(seed: int, tol: float) -> tuple[dict, list, list]:
     return results, certificates, warnings
 
 
-def _run_x2_y(seed: int, tol: float) -> tuple[dict, list, list]:
-    f = parse_map_text(X2_Y_TEXT)
+def _run_x2_y(f: PolyMap, seed: int, tol: float) -> tuple[dict, list, list]:
     results: dict = {}
     results["nonsingular"] = f.nonsingularity().is_nonsingular
     est = geometric_degree(f, n_samples=DEGREE_SAMPLES, seed=seed, tol=tol)
@@ -159,16 +156,11 @@ def _run_x2_y(seed: int, tol: float) -> tuple[dict, list, list]:
     return results, [], []
 
 
-_RUNNERS: dict[str, Callable[[int, float], tuple[dict, list, list]]] = {
-    "example-3-6": _run_example_3_6,
-    "x-xy": _run_x_xy,
-    "x2-y": _run_x2_y,
-}
-
-_MAP_TEXTS = {
-    "example-3-6": EXAMPLE_3_6_TEXT,
-    "x-xy": X_XY_TEXT,
-    "x2-y": X2_Y_TEXT,
+#: Each entry's map text and the runner of its fixed suite on the parsed map.
+_ENTRIES: dict[str, tuple[str, Callable[[PolyMap, int, float], tuple[dict, list, list]]]] = {
+    "example-3-6": (EXAMPLE_3_6_TEXT, _run_example_3_6),
+    "x-xy": (X_XY_TEXT, _run_x_xy),
+    "x2-y": (X2_Y_TEXT, _run_x2_y),
 }
 
 EXPECTATIONS: dict[str, dict] = {
@@ -210,27 +202,25 @@ EXPECTATIONS: dict[str, dict] = {
 
 
 def corpus_names() -> list[str]:
-    return sorted(_RUNNERS)
+    return sorted(_ENTRIES)
 
 
 def corpus_map(name: str) -> PolyMap:
-    if name not in _MAP_TEXTS:
+    if name not in _ENTRIES:
         raise KeyError(f"unknown corpus id {name!r}; known: {corpus_names()}")
-    return parse_map_text(_MAP_TEXTS[name])
+    return parse_map_text(_ENTRIES[name][0])
 
 
 def run_entry(name: str, seed: int = 0, tol: float = 1e-8) -> dict:
     """Run one corpus entry's fixed suite and diff against expectations."""
-    if name not in _RUNNERS:
-        raise KeyError(f"unknown corpus id {name!r}; known: {corpus_names()}")
-    results, certificates, warnings = _RUNNERS[name](seed, tol)
+    f = corpus_map(name)
+    results, certificates, warnings = _ENTRIES[name][1](f, seed, tol)
     expected = EXPECTATIONS[name]
     mismatches = []
     for fieldname, want in expected.items():
         got = results.get(fieldname, "<missing>")
         if got != want:
             mismatches.append({"field": fieldname, "expected": want, "actual": got})
-    f = corpus_map(name)
     return {
         "name": name,
         "map": {"vars": list(f.vars), "components": [str(c) for c in f.components]},

@@ -207,28 +207,6 @@ def _resultant_linear(lin: Polynomial, g: Polynomial, var: str) -> Polynomial:
     return total
 
 
-def sylvester_matrix(f: Polynomial, g: Polynomial, var: str) -> list[list[Polynomial]]:
-    """Sylvester matrix with polynomial entries; independent oracle for tests."""
-    fu, gu = as_univariate(f, var), as_univariate(g, var)
-    df, dg = max(fu), max(gu)
-    if df == 0 or dg == 0:
-        raise ValueError("Sylvester matrix needs positive degrees in the variable")
-    zero = Polynomial.zero(f.vars)
-    size = df + dg
-    rows = []
-    for shift in range(dg):
-        row = [zero] * size
-        for k, c in fu.items():
-            row[shift + df - k] = c
-        rows.append(row)
-    for shift in range(df):
-        row = [zero] * size
-        for k, c in gu.items():
-            row[shift + dg - k] = c
-        rows.append(row)
-    return rows
-
-
 def poly_matrix_det(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
     """Fraction-free Bareiss determinant of a square polynomial matrix."""
     n = len(rows)
@@ -277,8 +255,6 @@ def gcd_poly(p: Polynomial, q: Polynomial) -> Polynomial:
         return Polynomial.constant(p.vars, 1)
     support = [v for v in p.vars if v in set(p.support_vars()) | set(q.support_vars())]
     main = support[0]
-    if len(support) == 1:
-        return _gcd_univariate(p, q, main)
     cp, pp = _content_primitive(p, main)
     cq, pq = _content_primitive(q, main)
     cont = gcd_poly(cp, cq)
@@ -293,26 +269,6 @@ def gcd_poly(p: Polynomial, q: Polynomial) -> Polynomial:
             break
         a, b = b, _content_primitive(r, main)[1]
     return normalized(cont * prim)
-
-
-def _gcd_univariate(p: Polynomial, q: Polynomial, var: str) -> Polynomial:
-    a, b = p, q
-    while not b.is_zero():
-        a, b = b, _univariate_rem(a, b, var)
-    return normalized(a)
-
-
-def _univariate_rem(a: Polynomial, b: Polynomial, var: str) -> Polynomial:
-    db = degree_in(b, var)
-    lcb = leading_coeff_in(b, var).constant_value()
-    r = a
-    while not r.is_zero():
-        dr = degree_in(r, var)
-        if dr < db:
-            break
-        lcr = leading_coeff_in(r, var).constant_value()
-        r = r - _mul_power(b, var, dr - db).scale(lcr / lcb)
-    return r
 
 
 def _content_primitive(p: Polynomial, main: str) -> tuple[Polynomial, Polynomial]:

@@ -240,10 +240,8 @@ def gcd_free_basis(polys: Sequence[Polynomial]) -> list[Polynomial]:
     return seen
 
 
-def _points_on_zero_set(
-    poly: Polynomial, rng: np.random.Generator, max_points: int = 3
-) -> list[tuple[complex, ...]]:
-    """A few numeric points on the zero set of a nonconstant polynomial."""
+def _points_on_zero_set(poly: Polynomial, rng: np.random.Generator) -> list[tuple[complex, ...]]:
+    """Up to three numeric points on the zero set of a nonconstant polynomial."""
     support = poly.support_vars()
     v = max(support, key=lambda name: poly.degree_in(name))
     base = sample_target(rng, len(poly.vars))
@@ -252,7 +250,7 @@ def _points_on_zero_set(
     if coeffs is None or len(coeffs) < 2:
         return []
     points = []
-    for root in univariate_roots(coeffs).roots[:max_points]:
+    for root in univariate_roots(coeffs).roots[:3]:
         full = dict(assignment)
         full[v] = root.value
         points.append(tuple(full[name] for name in poly.vars))
@@ -427,19 +425,16 @@ def hyperplane_clearance(
     f: PolyMap,
     h: Polynomial,
     assert_biregular: bool = False,
-    mode: str = "symbolic",
     locus: Hypersurface | None = None,
     seed: int = 0,
-    samples: int = 20,
     tol: float = 1e-8,
 ) -> ClearanceVerdict:
     """Test whether the nonproperness locus misses the hypersurface {h = 0}.
 
-    In symbolic mode the locus is computed by elimination and intersected
+    The locus is computed by elimination (unless supplied) and intersected
     with {h = 0} exactly where possible (shared-variable resultants,
     univariate gcds), with numeric lifting of the elimination output
-    otherwise.  In sampling mode, points of {h = 0} are tested by
-    fiber-count diagnostics against the geometric degree.
+    otherwise.
 
     A "no" verdict yields an automorphism certificate only when the map has
     constant nonzero Jacobian determinant and the test set is biregular to
@@ -459,49 +454,24 @@ def hyperplane_clearance(
     graph_var = is_graph_hypersurface(h)
     biregular = assert_biregular or graph_var is not None
 
-    if mode == "symbolic":
-        if locus is None:
-            locus = nonproperness_set(f, seed=seed, samples=samples, tol=tol)
-        if h.vars != locus.target_vars:
-            raise ValueError(
-                f"test polynomial context {h.vars} does not match target context "
-                f"{locus.target_vars}"
-            )
-        if locus.is_unknown:
-            return ClearanceVerdict(
-                "undetermined", None, {"locus": str(locus)}, tuple(warnings)
-            )
-        if locus.is_empty:
-            verdict = "no"
-            evidence: dict[str, object] = {"locus": "empty", "mode": "symbolic"}
-        else:
-            verdict, evidence = _varieties_intersect(locus.poly, h, seed)
-            evidence["locus"] = str(locus.poly)
-            evidence["mode"] = "symbolic"
-    elif mode == "sampling":
-        est = geometric_degree(f, n_samples=samples, seed=seed, tol=tol)
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC1]))
-        verdicts = []
-        for _ in range(samples):
-            pts = _points_on_zero_set(h, rng, max_points=1)
-            if not pts:
-                continue
-            diag = fiber_count_diagnostic(f, pts[0], est.mu, tol)
-            if diag.verdict != "undetermined":
-                verdicts.append(diag.verdict)
-        if not verdicts:
-            return ClearanceVerdict(
-                "undetermined", None, {"mode": "sampling", "usable_samples": 0}, tuple(warnings)
-            )
-        verdict = "yes" if "in-locus" in verdicts else "no"
-        evidence = {
-            "mode": "sampling",
-            "usable_samples": len(verdicts),
-            "count_drops": sum(v == "in-locus" for v in verdicts),
-            "mu": est.mu,
-        }
+    if locus is None:
+        locus = nonproperness_set(f, seed=seed, tol=tol)
+    if h.vars != locus.target_vars:
+        raise ValueError(
+            f"test polynomial context {h.vars} does not match target context "
+            f"{locus.target_vars}"
+        )
+    if locus.is_unknown:
+        return ClearanceVerdict(
+            "undetermined", None, {"locus": str(locus)}, tuple(warnings)
+        )
+    if locus.is_empty:
+        verdict = "no"
+        evidence: dict[str, object] = {"locus": "empty", "mode": "symbolic"}
     else:
-        raise ValueError(f"unknown mode {mode!r}")
+        verdict, evidence = _varieties_intersect(locus.poly, h, seed)
+        evidence["locus"] = str(locus.poly)
+        evidence["mode"] = "symbolic"
 
     certificate = None
     if verdict == "no" and ns.is_nonsingular and biregular:

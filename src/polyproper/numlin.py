@@ -26,6 +26,10 @@ from .scalar import GaussianRational
 
 #: Root polishing stops once a Newton step is at most this many ulps of |z|.
 _POLISH_ULPS = 4
+#: Polished roots closer than this are one root with a multiplicity.
+CLUSTER_RADIUS = 1e-6
+#: Clusters closer than this are checked as one multiple root.
+MULTIPLE_ROOT_RADIUS = 1e-3
 
 
 def smallest_singular_value(matrix) -> float:
@@ -79,25 +83,16 @@ class RootSet:
         return out
 
 
-def univariate_roots(
-    coeffs: Sequence[complex],
-    tol: float = 1e-8,
-    cluster_radius: float = 1e-6,
-) -> RootSet:
+def univariate_roots(coeffs: Sequence[complex]) -> RootSet:
     """All complex roots of sum(coeffs[k] * z^k).
 
-    Parameters
-    ----------
-    coeffs : sequence of complex
-        Ascending-degree coefficients; the leading coefficient must be
-        nonzero after trimming trailing zeros.
-    tol : float
-        Residual quality target relative to the max coefficient magnitude.
-        Roots are never silently dropped (multiplicities always sum to the
-        degree); callers compare ``residual / coeff_norm`` against this.
-    cluster_radius : float
-        Roots closer than this merge into one root with a multiplicity
-        estimate.
+    ``coeffs`` are ascending-degree coefficients; the leading coefficient
+    must be nonzero after trimming trailing zeros.  Roots are never silently
+    dropped (multiplicities always sum to the degree); callers compare
+    ``residual / coeff_norm`` against their own tolerance.  Polished roots
+    closer than :data:`CLUSTER_RADIUS` merge into one root, and nearby
+    clusters merge as well when they fit one multiple root
+    (:func:`_merge_multiple`).
     """
     c = [complex(x) for x in coeffs]
     while c and c[-1] == 0:
@@ -120,7 +115,7 @@ def univariate_roots(
 
     dp = np.polynomial.polynomial.polyder(arr)
     polished = [_newton_polish(z, arr, dp) for z in raw]
-    clusters = _cluster(polished, cluster_radius)
+    clusters = _merge_multiple(_cluster(polished, CLUSTER_RADIUS), arr)
     roots = []
     for pts in clusters:
         center = sum(pts) / len(pts)
@@ -167,6 +162,44 @@ def _cluster(points: Sequence[complex], radius: float) -> list[list[complex]]:
         else:
             clusters.append([z])
     return clusters
+
+
+def _merge_multiple(clusters: list[list[complex]], coeffs: np.ndarray) -> list[list[complex]]:
+    """Merge nearby clusters that are the rounding spread of one multiple root.
+
+    An m-fold root is only determined to within its rounding radius: p is
+    within the evaluation's round-off EPS * S(c) of zero on a disk of
+    radius (EPS * S(c) / |p^(m)(c) / m!|)^(1/m) around the root c, where
+    S(c) = sum |a_k| |c|^k, so companion eigenvalues and Newton polish
+    (linear there) leave its copies up to about that far apart; for m >= 3
+    this exceeds CLUSTER_RADIUS.  Clusters whose centres lie within
+    MULTIPLE_ROOT_RADIUS of each other (transitively) merge when their
+    combined multiplicity m is at least 3 and all their points lie within
+    four rounding radii of the common centre.  Isolated clusters skip the
+    check, and distinct close roots, whose spread exceeds the radius, stay
+    apart.
+    """
+    centers = [sum(pts) / len(pts) for pts in clusters]
+    merged: list[list[complex]] = []
+    for group in _cluster(centers, MULTIPLE_ROOT_RADIUS):
+        members = [pts for pts, z in zip(clusters, centers) if z in group]
+        points = [z for pts in members for z in pts]
+        m = len(points)
+        if len(members) > 1 and m >= 3:
+            c = sum(points) / m
+            if max(abs(z - c) for z in points) <= 4.0 * _rounding_radius(coeffs, c, m):
+                merged.append(points)
+                continue
+        merged.extend(members)
+    return merged
+
+
+def _rounding_radius(coeffs: np.ndarray, c: complex, m: int) -> float:
+    """(EPS * S(c) / |p^(m)(c) / m!|)^(1/m): where an m-fold root at c is round-off."""
+    poly = np.polynomial.polynomial
+    scale = poly.polyval(abs(c), np.abs(coeffs))
+    lead = abs(poly.polyval(c, poly.polyder(coeffs, m))) / math.factorial(m)
+    return (EPS * scale / lead) ** (1.0 / m) if lead else math.inf
 
 
 def poly_to_coeffs(p: Polynomial) -> list[complex]:
@@ -219,13 +252,6 @@ def _fraction_shift_float(x: Fraction, shift: int) -> float:
     if shift >= 0:
         return float(Fraction(x.numerator << shift, x.denominator))
     return float(Fraction(x.numerator, x.denominator << (-shift)))
-
-
-def min_gram_eigenvalue(matrix) -> float:
-    """Least eigenvalue of A A^*; independent cross-check for sigma_min^2."""
-    a = np.asarray(matrix, dtype=complex)
-    gram = a @ a.conj().T
-    return float(np.min(np.linalg.eigvalsh(gram)))
 
 
 def norm2(vector) -> float:

@@ -15,6 +15,9 @@ Notes on the conventions:
 * ``/`` is division by a nonzero constant, which is how rational literals
   such as ``1/2`` enter; dividing by a non-constant is an error.
 * ``i`` is the imaginary unit and cannot be declared as a variable.
+* No product or power may have degree above :data:`MAX_PARSE_DEGREE`; the
+  check runs before the product is expanded, so ``(x+y+z)^200`` fails at
+  once instead of expanding for minutes.
 
 Laurent mode parses a single-variable expression where ``^`` may take a
 negative integer, e.g. ``t^-2``; a comma-separated list of these is a path
@@ -28,6 +31,10 @@ from typing import Sequence
 
 from .poly import IMAGINARY_UNIT, LaurentPoly, Polynomial
 from .scalar import GaussianRational
+
+
+#: Largest total degree (Laurent: largest |exponent|) a product or power may have.
+MAX_PARSE_DEGREE = 32
 
 
 class ParseError(ValueError):
@@ -68,9 +75,10 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 class _Parser:
     """Recursive-descent parser over an algebra of values.
 
-    The algebra argument supplies ``constant``, ``imaginary``, ``variable``
-    and whether negative exponents are legal, so one grammar serves both
-    multivariate polynomials and Laurent path coordinates.
+    The algebra argument supplies ``constant``, ``imaginary``, ``variable``,
+    ``divide``, the ``degree`` the parse budget counts, and whether negative
+    exponents are legal, so one grammar serves both multivariate
+    polynomials and Laurent path coordinates.
     """
 
     def __init__(self, text: str, algebra):
@@ -125,6 +133,7 @@ class _Parser:
                 self.advance()
                 rhs = self.factor()
                 if text == "*":
+                    self.check_degree(self.algebra.degree(value) + self.algebra.degree(rhs), pos)
                     value = value * rhs
                 else:
                     value = self.algebra.divide(value, rhs, pos)
@@ -133,11 +142,20 @@ class _Parser:
 
     def factor(self):
         value = self.atom()
-        kind, text, _ = self.peek()
+        kind, text, pos = self.peek()
         if kind == "op" and text == "^":
             self.advance()
-            value = value ** self.exponent()
+            exponent = self.exponent()
+            self.check_degree(self.algebra.degree(value) * abs(exponent), pos)
+            value = value**exponent
         return value
+
+    @staticmethod
+    def check_degree(degree: int, pos: int) -> None:
+        if degree > MAX_PARSE_DEGREE:
+            raise ParseError(
+                f"degree {degree} exceeds the parse limit {MAX_PARSE_DEGREE}", pos
+            )
 
     def exponent(self) -> int:
         sign = 1
@@ -186,6 +204,10 @@ class _PolynomialAlgebra:
         return Polynomial.variable(self.vars, name)
 
     @staticmethod
+    def degree(value: Polynomial) -> int:
+        return 0 if value.is_zero() else value.total_degree()
+
+    @staticmethod
     def divide(value: Polynomial, rhs: Polynomial, pos: int) -> Polynomial:
         if not rhs.is_constant():
             raise ParseError("division is only allowed by constants", pos)
@@ -211,6 +233,10 @@ class _LaurentAlgebra:
         if name != self.var:
             raise ParseError(f"unknown identifier {name!r}", pos)
         return LaurentPoly(self.var, {1: 1})
+
+    @staticmethod
+    def degree(value: LaurentPoly) -> int:
+        return max((abs(e) for e in value.terms), default=0)
 
     @staticmethod
     def divide(value: LaurentPoly, rhs: LaurentPoly, pos: int) -> LaurentPoly:

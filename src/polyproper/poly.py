@@ -257,29 +257,7 @@ class Polynomial:
         for img in images:
             if img.vars != target:
                 raise ValueError("assigned polynomials use inconsistent variable contexts")
-        return self._substitute_images(images, target)
-
-    def _substitute_images(self, images: Sequence["Polynomial"], target) -> "Polynomial":
-        # Power tables keep the degree-7 compositions in the verification
-        # corpus cheap: each image power is computed once.
-        powers: list[dict[int, Polynomial]] = [
-            {0: Polynomial.constant(target, 1)} for _ in images
-        ]
-
-        def image_pow(i: int, k: int) -> Polynomial:
-            table = powers[i]
-            if k not in table:
-                table[k] = image_pow(i, k - 1) * images[i]
-            return table[k]
-
-        result = Polynomial.zero(target)
-        for e, c in self.terms.items():
-            term = Polynomial.constant(target, c)
-            for idx, exp in enumerate(e):
-                if exp:
-                    term = term * image_pow(idx, exp)
-            result = result + term
-        return result
+        return _compose(self.terms, images, lambda c: Polynomial.constant(target, c))
 
     def substitute_path(self, path: Sequence["LaurentPoly"]) -> "LaurentPoly":
         """Compose with a curve whose coordinates are Laurent polynomials.
@@ -293,22 +271,7 @@ class Polynomial:
                 f"path has {len(coords)} coordinates for {len(self.vars)} variables"
             )
         t_var = coords[0].var if coords else "t"
-        powers: list[dict[int, LaurentPoly]] = [{0: LaurentPoly.one(t_var)} for _ in coords]
-
-        def coord_pow(i: int, k: int) -> "LaurentPoly":
-            table = powers[i]
-            if k not in table:
-                table[k] = coord_pow(i, k - 1) * coords[i]
-            return table[k]
-
-        result = LaurentPoly(t_var, {})
-        for e, c in self.terms.items():
-            term = LaurentPoly(t_var, {0: c})
-            for idx, exp in enumerate(e):
-                if exp:
-                    term = term * coord_pow(idx, exp)
-            result = result + term
-        return result
+        return _compose(self.terms, coords, lambda c: LaurentPoly(t_var, {0: c}))
 
     # -- evaluation ---------------------------------------------------------
 
@@ -369,6 +332,28 @@ class Polynomial:
             elif e > 1:
                 parts.append(f"{v}^{e}")
         return "*".join(parts)
+
+
+def _compose(terms: Mapping[Exponents, GaussianRational], images: Sequence, constant):
+    """The exact sum of c * prod_i images[i]^e[i] over the terms {e: c}.
+
+    ``images`` are polynomials of one ring (Polynomial or LaurentPoly) and
+    ``constant`` makes a constant of that ring.  Each power of an image is
+    computed once, which keeps the degree-7 compositions of the
+    verification corpus cheap.
+    """
+    powers = [[constant(1)] for _ in images]
+    result = constant(0)
+    for e, c in terms.items():
+        term = constant(c)
+        for i, k in enumerate(e):
+            if k:
+                table = powers[i]
+                while len(table) <= k:
+                    table.append(table[-1] * images[i])
+                term = term * table[k]
+        result = result + term
+    return result
 
 
 def _horner(items, vi, nvars, values):

@@ -32,6 +32,8 @@ from .scalar import GaussianRational
 
 DEFAULT_TOL = 1e-3
 DEFAULT_T_MAX = 1e4
+#: Ratio of consecutive t values on the witness grid, and its first value.
+GRID_RATIO = 10.0
 #: Relative slack for the strict-decrease test on sampled singular values.
 DECREASE_SLACK = 1e-9
 
@@ -136,15 +138,15 @@ def image_limit(g: PolyMap, path: LaurentPath) -> ImageLimit:
     return ImageLimit(True, limit, None, comps, decay)
 
 
-def witness_grid(t_max: float = DEFAULT_T_MAX, base: float = 10.0) -> list[float]:
+def witness_grid(t_max: float = DEFAULT_T_MAX) -> list[float]:
     """Geometric sample grid 10, 100, ... capped at t_max."""
-    if t_max < base:
-        raise ValueError(f"t_max must be at least {base}")
+    if t_max < GRID_RATIO:
+        raise ValueError(f"t_max must be at least {GRID_RATIO}")
     ts = []
-    t = base
+    t = GRID_RATIO
     while t <= t_max * (1 + 1e-12):
         ts.append(float(t))
-        t *= base
+        t *= GRID_RATIO
     if ts[-1] < t_max * (1 - 1e-12):
         ts.append(float(t_max))
     return ts
@@ -176,22 +178,6 @@ def _sample_sigma(entries, t: float) -> tuple[float, float]:
     return smallest_singular_value(matrix), 20.0 * math.ulp(1.0) * scale
 
 
-def sigma_min_along_path(
-    g: PolyMap, path: LaurentPath, t_values: Sequence[float]
-) -> list[tuple[float, float]]:
-    """Smallest singular value of Jac(g) at path(t) for each t.
-
-    The Jacobian entries are simplified exactly along the path first, so no
-    catastrophic cancellation pollutes the samples.  Overflowing samples are
-    reported with value ``inf`` rather than raised.
-    """
-    ts = [float(t) for t in t_values]
-    if any(t <= 0 for t in ts) or any(b <= a for a, b in zip(ts, ts[1:])):
-        raise ValueError("t values must be positive and increasing")
-    entries = _path_jacobian_entries(g, path)
-    return [(t, _sample_sigma(entries, t)[0]) for t in ts]
-
-
 @dataclass(frozen=True)
 class RabierWitness:
     """An accepted witness; every clause is re-checkable from the fields."""
@@ -212,9 +198,6 @@ class RabierWitness:
         """The witness limit lies in the asymptotic critical set, so that
         set is nonempty and the map cannot satisfy the Rabier condition."""
         return True
-
-    def limit_complex(self) -> tuple[complex, ...]:
-        return tuple(v.to_complex() for v in self.limit)
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,8 @@ from .scalar import GaussianRational
 MAX_DIM = 3
 MAX_COMPONENT_DEGREE = 10
 DEDUP_RADIUS = 1e-6
+#: Degree-estimation targets have re/im parts in [-SAMPLE_BOX, SAMPLE_BOX].
+SAMPLE_BOX = 2.0
 _CANDIDATE_CAP = 20000
 
 
@@ -141,7 +143,7 @@ def solve_fiber(
         )
 
     phi = min(res.finals, key=lambda p: degree_in(p, retained))
-    roots = univariate_roots(poly_to_coeffs(phi), tol=tol)
+    roots = univariate_roots(poly_to_coeffs(phi))
     column = {v: i for i, v in enumerate(f.vars)}
     points = np.zeros((len(roots.roots), f.source_dim), dtype=complex)
     points[:, column[retained]] = [r.value for r in roots.roots]
@@ -161,7 +163,7 @@ def solve_fiber(
                 continue
             if len(coeffs) == 1:
                 continue  # nonzero constant: branch has no extension
-            for r in univariate_roots(coeffs, tol=tol).roots:
+            for r in univariate_roots(coeffs).roots:
                 ext = point.copy()
                 ext[j] = r.value
                 ext_points.append(ext)
@@ -332,7 +334,7 @@ def fiber_count(f: PolyMap, y: Sequence[complex], tol: float = 1e-8) -> int:
     return len(solve_fiber(f, y, tol))
 
 
-def sample_target(rng: np.random.Generator, n: int, box: float = 2.0) -> tuple[complex, ...]:
+def sample_target(rng: np.random.Generator, n: int, box: float = SAMPLE_BOX) -> tuple[complex, ...]:
     """One target point: re/im uniform in [-box, box] on a dyadic grid."""
     vals = np.round(rng.uniform(-box, box, size=2 * n) * 4096.0) / 4096.0
     return tuple(complex(vals[2 * k], vals[2 * k + 1]) for k in range(n))
@@ -343,7 +345,6 @@ def geometric_degree(
     n_samples: int = 50,
     seed: int = 0,
     tol: float = 1e-8,
-    box: float = 2.0,
 ) -> DegreeEstimate:
     """Estimate the geometric degree by sampling fiber counts.
 
@@ -361,7 +362,7 @@ def geometric_degree(
     degenerate = 0
     for child in children:
         rng = np.random.default_rng(child)
-        y = sample_target(rng, f.target_dim, box)
+        y = sample_target(rng, f.target_dim)
         try:
             count = fiber_count(f, y, tol)
         except PositiveDimensionalFiberError:
@@ -379,5 +380,5 @@ def geometric_degree(
         samples=n_samples,
         seed=seed,
         degenerate=degenerate,
-        box=box,
+        box=SAMPLE_BOX,
     )

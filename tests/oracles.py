@@ -1,0 +1,96 @@
+"""Independent cross-checks that only the tests use.
+
+Each oracle computes a quantity the package also computes, by a different
+route: a Sylvester matrix for the subresultant resultant, the Gram matrix
+for the smallest singular value, arbitrary sample grids for the witness
+check's singular values, and fiber-count drops on sampled points of {h = 0}
+for the symbolic hyperplane-clearance verdict.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+import numpy as np
+
+from polyproper import PolyMap, Polynomial
+from polyproper.elimination import as_univariate
+from polyproper.nonproper import ClearanceVerdict, _points_on_zero_set, fiber_count_diagnostic
+from polyproper.rabier import LaurentPath, _path_jacobian_entries, _sample_sigma
+from polyproper.solver import geometric_degree
+
+
+def sylvester_matrix(f: Polynomial, g: Polynomial, var: str) -> list[list[Polynomial]]:
+    """Sylvester matrix with polynomial entries; its determinant is Res_var(f, g)."""
+    fu, gu = as_univariate(f, var), as_univariate(g, var)
+    df, dg = max(fu), max(gu)
+    if df == 0 or dg == 0:
+        raise ValueError("Sylvester matrix needs positive degrees in the variable")
+    zero = Polynomial.zero(f.vars)
+    size = df + dg
+    rows = []
+    for shift in range(dg):
+        row = [zero] * size
+        for k, c in fu.items():
+            row[shift + df - k] = c
+        rows.append(row)
+    for shift in range(df):
+        row = [zero] * size
+        for k, c in gu.items():
+            row[shift + dg - k] = c
+        rows.append(row)
+    return rows
+
+
+def min_gram_eigenvalue(matrix) -> float:
+    """Least eigenvalue of A A^*; independent cross-check for sigma_min^2."""
+    a = np.asarray(matrix, dtype=complex)
+    gram = a @ a.conj().T
+    return float(np.min(np.linalg.eigvalsh(gram)))
+
+
+def sigma_min_along_path(
+    g: PolyMap, path: LaurentPath, t_values: Sequence[float]
+) -> list[tuple[float, float]]:
+    """Smallest singular value of Jac(g) at path(t) for each t.
+
+    The Jacobian entries are simplified exactly along the path first, as in
+    the witness check.  Overflowing samples are reported with value ``inf``
+    rather than raised.
+    """
+    ts = [float(t) for t in t_values]
+    if any(t <= 0 for t in ts) or any(b <= a for a, b in zip(ts, ts[1:])):
+        raise ValueError("t values must be positive and increasing")
+    entries = _path_jacobian_entries(g, path)
+    return [(t, _sample_sigma(entries, t)[0]) for t in ts]
+
+
+def sampling_clearance(
+    f: PolyMap, h: Polynomial, seed: int = 0, samples: int = 20, tol: float = 1e-8
+) -> ClearanceVerdict:
+    """Clearance by count drops: does the fiber count fall below mu on {h = 0}?
+
+    Points of {h = 0} are sampled and classified by
+    :func:`polyproper.nonproper.fiber_count_diagnostic` against the sampled
+    geometric degree; one count drop means "yes".  Decisive only for maps
+    with constant nonzero Jacobian determinant.  No certificate is issued.
+    """
+    est = geometric_degree(f, n_samples=samples, seed=seed, tol=tol)
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC1]))
+    verdicts = []
+    for _ in range(samples):
+        pts = _points_on_zero_set(h, rng)
+        if not pts:
+            continue
+        diag = fiber_count_diagnostic(f, pts[0], est.mu, tol)
+        if diag.verdict != "undetermined":
+            verdicts.append(diag.verdict)
+    if not verdicts:
+        return ClearanceVerdict("undetermined", None, {"mode": "sampling", "usable_samples": 0})
+    evidence = {
+        "mode": "sampling",
+        "usable_samples": len(verdicts),
+        "count_drops": sum(v == "in-locus" for v in verdicts),
+        "mu": est.mu,
+    }
+    return ClearanceVerdict("yes" if "in-locus" in verdicts else "no", None, evidence)

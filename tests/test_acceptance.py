@@ -33,9 +33,9 @@ from polyproper import (
 )
 from polyproper.cli import main
 from polyproper.corpus import example_3_6_inverse, example_3_6_map
-from polyproper.numlin import min_gram_eigenvalue
 from polyproper.solver import sample_target
 from conftest import random_map, random_polynomial
+from oracles import min_gram_eigenvalue
 from test_numlin import _separated_roots, coeffs_from_roots
 
 

@@ -1,8 +1,11 @@
 """Command-line interface: reports, exit codes, determinism, corpus runner."""
 
+import hashlib
 import io
 import json
+import time
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -157,3 +160,23 @@ def test_run_entry_lists_mismatches(monkeypatch):
     entry = run_entry("x2-y")
     assert not entry["expected_pass"]
     assert entry["mismatches"] == [{"field": "mu", "expected": 3, "actual": 2}]
+
+
+FROZEN = Path(__file__).resolve().parents[1] / "bench" / "frozen.json"
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_corpus_entry_matches_frozen_digest(name):
+    frozen = json.loads(FROZEN.read_text())["corpus"]
+    text = json.dumps(run_entry(name), indent=2, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == frozen[name]
+
+
+def test_oversized_map_is_usage_error(tmp_path):
+    path = tmp_path / "big.map"
+    path.write_text("vars: x y z\nf1 = (x+y+z)^200\nf2 = y\nf3 = z\n")
+    start = time.perf_counter()
+    code, _, err = run_cli(["--map", str(path), "--checks", "jacobian"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert "parse limit" in err

@@ -14,9 +14,9 @@ from polyproper.elimination import (
     poly_matrix_det,
     resultant,
     squarefree_part,
-    sylvester_matrix,
 )
 from conftest import random_nonzero_polynomial
+from oracles import sylvester_matrix
 
 V = ("x", "y")
 V3 = ("x", "y", "z")

@@ -14,6 +14,7 @@ from polyproper import (
     parse_polynomial,
     target_variables,
 )
+from oracles import sampling_clearance
 
 T2 = ("y1", "y2")
 
@@ -157,8 +158,8 @@ class TestClearance:
         ]
         for f, expr, targets in cases:
             h = parse_polynomial(expr, targets)
-            sym = hyperplane_clearance(f, h, mode="symbolic", seed=0)
-            samp = hyperplane_clearance(f, h, mode="sampling", seed=0)
+            sym = hyperplane_clearance(f, h, seed=0)
+            samp = sampling_clearance(f, h, seed=0)
             assert sym.intersects == samp.intersects, (str(f), expr)
 
     def test_disjoint_variable_supports_always_meet(self, x_xy):

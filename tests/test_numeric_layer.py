@@ -199,6 +199,24 @@ def test_univariate_roots_multiplicities():
     assert got == {(1.0, 0.0): 2, (-2.0, 0.0): 2, (0.0, 1.0): 1}
 
 
+@pytest.mark.parametrize(
+    "roots, want",
+    [
+        # a triple root splits into copies ~eps^(1/3) apart before merging
+        ([1, 1, -2, -2, -2, 1j], {-2: 3, 1: 2, 1j: 1}),
+        ([0.5, 0.5, 0.5, 0.5, 3], {0.5: 4, 3: 1}),
+        # distinct roots 1e-4 apart lie outside a triple root's rounding radius
+        ([1, 1 + 1e-4, 1 + 2e-4], {1: 1, 1 + 1e-4: 1, 1 + 2e-4: 1}),
+    ],
+)
+def test_univariate_roots_higher_multiplicities(roots, want):
+    got = univariate_roots(np.polynomial.polynomial.polyfromroots(roots)).roots
+    assert len(got) == len(want)
+    for z, m in want.items():
+        nearest = min(got, key=lambda r: abs(r.value - z))
+        assert abs(nearest.value - z) < 1e-4 and nearest.multiplicity == m, (z, got)
+
+
 class TestCachedOnTheMap:
     def test_same_object_on_repeated_calls(self, shear_map):
         assert shear_map.jacobian() is shear_map.jacobian()

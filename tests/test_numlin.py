@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from polyproper import parse_polynomial, smallest_singular_value, univariate_roots
-from polyproper.numlin import min_gram_eigenvalue, poly_to_coeffs
+from polyproper.numlin import poly_to_coeffs
+from oracles import min_gram_eigenvalue
 
 
 class TestSmallestSingularValue:

@@ -1,8 +1,11 @@
 """Expression grammar: accepted forms, rejections, error positions."""
 
+import time
+
 import pytest
 
 from polyproper import ParseError, parse_laurent, parse_path, parse_polynomial
+from polyproper.parser import MAX_PARSE_DEGREE
 from polyproper.poly import LaurentPoly, Polynomial
 from polyproper.scalar import GaussianRational
 
@@ -104,3 +107,23 @@ def test_path_literal():
 def test_empty_path_rejected():
     with pytest.raises(ParseError):
         parse_path("  ")
+
+
+def test_oversized_power_fails_fast():
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="degree 200 exceeds the parse limit 32"):
+        parse_polynomial("(x+y+z)^200", ("x", "y", "z"))
+    assert time.perf_counter() - start < 0.1
+
+
+def test_oversized_product_fails_before_expanding():
+    with pytest.raises(ParseError, match="degree 33") as info:
+        parse_polynomial("(x+y)^16*(x-y)^17", V)
+    assert info.value.position == 8  # the '*'
+
+
+def test_degree_at_the_parse_limit_is_accepted():
+    assert parse_polynomial("x^16*y^16", V).total_degree() == MAX_PARSE_DEGREE
+    assert parse_laurent("t^-32").order() == -MAX_PARSE_DEGREE
+    with pytest.raises(ParseError, match="parse limit"):
+        parse_laurent("t^-33")

@@ -11,11 +11,10 @@ from polyproper import (
     check_rabier_witness,
     image_limit,
     path_diverges,
-    sigma_min_along_path,
     smallest_singular_value,
     witness_grid,
 )
-from polyproper.numlin import min_gram_eigenvalue
+from oracles import min_gram_eigenvalue, sigma_min_along_path
 
 LAMBDA = "t, t^-2, 0"
 GAMMA = "t^-1, t^2, t^-3"
