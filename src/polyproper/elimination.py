@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .poly import Polynomial, grlex_key
+from .poly import Polynomial, _exact_quotient
 from .scalar import GaussianRational, ONE
 
 
@@ -35,27 +35,10 @@ def exact_div(p: Polynomial, q: Polynomial) -> Polynomial:
         return p.scale(ONE / q.constant_value())
     if p.is_zero():
         return p
-    n = len(p.vars)
-    qe, qc = q.leading_term()
-    rem = dict(p.terms)
-    quot: dict[tuple, GaussianRational] = {}
-    while rem:
-        re = max(rem, key=grlex_key)
-        rc = rem[re]
-        de = tuple(a - b for a, b in zip(re, qe))
-        if any(d < 0 for d in de):
-            raise NotDivisibleError(f"{q} does not divide {p}")
-        c = rc / qc
-        quot[de] = c
-        # rem -= c * x^de * q
-        for e2, c2 in q.terms.items():
-            e = tuple(a + b for a, b in zip(de, e2))
-            s = rem.get(e, GaussianRational(0)) - c * c2
-            if s.is_zero():
-                rem.pop(e, None)
-            else:
-                rem[e] = s
-    return Polynomial(p.vars, quot)
+    quotient = _exact_quotient(p, q)
+    if quotient is None:
+        raise NotDivisibleError(f"{q} does not divide {p}")
+    return Polynomial._raw(p.vars, quotient)
 
 
 # -- univariate views ---------------------------------------------------------

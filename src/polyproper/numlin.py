@@ -28,8 +28,6 @@ from .scalar import GaussianRational
 _POLISH_ULPS = 4
 #: Polished roots closer than this are one root with a multiplicity.
 CLUSTER_RADIUS = 1e-6
-#: Clusters closer than this are checked as one multiple root.
-MULTIPLE_ROOT_RADIUS = 1e-3
 
 
 def smallest_singular_value(matrix) -> float:
@@ -92,7 +90,8 @@ def univariate_roots(coeffs: Sequence[complex]) -> RootSet:
     ``residual / coeff_norm`` against their own tolerance.  Polished roots
     closer than :data:`CLUSTER_RADIUS` merge into one root, and nearby
     clusters merge as well when they fit one multiple root
-    (:func:`_merge_multiple`).
+    (:func:`_merge_multiple`).  The value of a root of multiplicity m >= 3
+    is polished as a simple root of the (m-1)-th derivative.
     """
     c = [complex(x) for x in coeffs]
     while c and c[-1] == 0:
@@ -113,14 +112,21 @@ def univariate_roots(coeffs: Sequence[complex]) -> RootSet:
     comp[:, -1] = -monic[:-1]
     raw = np.linalg.eigvals(comp)
 
-    dp = np.polynomial.polynomial.polyder(arr)
+    poly = np.polynomial.polynomial
+    dp = poly.polyder(arr)
     polished = [_newton_polish(z, arr, dp) for z in raw]
     clusters = _merge_multiple(_cluster(polished, CLUSTER_RADIUS), arr)
     roots = []
     for pts in clusters:
-        center = sum(pts) / len(pts)
-        residual = abs(np.polynomial.polynomial.polyval(center, arr)) * norm
-        roots.append(Root(complex(center), len(pts), float(residual)))
+        m = len(pts)
+        center = sum(pts) / m
+        if m >= 3:
+            # an m-fold root is a simple, well-conditioned root of p^(m-1)
+            z = _newton_polish(center, poly.polyder(arr, m - 1), poly.polyder(arr, m))
+            if abs(z - center) <= max(abs(w - center) for w in pts):
+                center = z
+        residual = abs(poly.polyval(center, arr)) * norm
+        roots.append(Root(complex(center), m, float(residual)))
     roots.sort(key=lambda r: (r.value.real, r.value.imag))
     return RootSet(tuple(roots), deg, float(norm))
 
@@ -169,20 +175,37 @@ def _merge_multiple(clusters: list[list[complex]], coeffs: np.ndarray) -> list[l
 
     An m-fold root is only determined to within its rounding radius: p is
     within the evaluation's round-off EPS * S(c) of zero on a disk of
-    radius (EPS * S(c) / |p^(m)(c) / m!|)^(1/m) around the root c, where
-    S(c) = sum |a_k| |c|^k, so companion eigenvalues and Newton polish
+    radius r_m(c) = (EPS * S(c) / |p^(m)(c) / m!|)^(1/m) around the root c,
+    where S(c) = sum |a_k| |c|^k, so companion eigenvalues and Newton polish
     (linear there) leave its copies up to about that far apart; for m >= 3
-    this exceeds CLUSTER_RADIUS.  Clusters whose centres lie within
-    MULTIPLE_ROOT_RADIUS of each other (transitively) merge when their
-    combined multiplicity m is at least 3 and all their points lie within
-    four rounding radii of the common centre.  Isolated clusters skip the
-    check, and distinct close roots, whose spread exceeds the radius, stay
-    apart.
+    this exceeds CLUSTER_RADIUS, and it has no fixed bound.  Each cluster
+    reaches four of its own rounding radii, taken at its own multiplicity
+    (a copy of an m-fold root has r_1 >= r_m / m, a well-separated root a
+    tiny one).  Clusters that lie within each other's reach (transitively)
+    merge when their combined multiplicity m is at least 3 and all their
+    points lie within four rounding radii r_m of the common centre.  The
+    reach must hold both ways because a copy near a root of p' has a huge
+    r_1: one-sided, it would chain distinct roots into one group that fits
+    no single root.  Isolated clusters skip the check, and distinct close
+    roots, whose spread exceeds the radius, stay apart.
     """
-    centers = [sum(pts) / len(pts) for pts in clusters]
+    n = len(clusters)
+    if n < 2 or sum(map(len, clusters)) < 3:
+        return clusters
+    centers = np.array([sum(pts) / len(pts) for pts in clusters])
+    reach = np.array(
+        [4.0 * _rounding_radius(coeffs, c, len(pts)) for c, pts in zip(centers, clusters)]
+    )
+    near = np.abs(centers[:, None] - centers[None, :]) <= np.minimum(reach[:, None], reach[None, :])
+    label = list(range(n))
+    for i, j in zip(*np.nonzero(np.triu(near, 1))):
+        old, new = label[j], label[i]
+        label = [new if g == old else g for g in label]
+    groups: dict[int, list[list[complex]]] = {}
+    for g, pts in zip(label, clusters):
+        groups.setdefault(g, []).append(pts)
     merged: list[list[complex]] = []
-    for group in _cluster(centers, MULTIPLE_ROOT_RADIUS):
-        members = [pts for pts, z in zip(clusters, centers) if z in group]
+    for members in groups.values():
         points = [z for pts in members for z in pts]
         m = len(points)
         if len(members) > 1 and m >= 3:

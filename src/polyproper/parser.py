@@ -15,9 +15,20 @@ Notes on the conventions:
 * ``/`` is division by a nonzero constant, which is how rational literals
   such as ``1/2`` enter; dividing by a non-constant is an error.
 * ``i`` is the imaginary unit and cannot be declared as a variable.
-* No product or power may have degree above :data:`MAX_PARSE_DEGREE`; the
-  check runs before the product is expanded, so ``(x+y+z)^200`` fails at
-  once instead of expanding for minutes.
+* No product or power may have degree above :data:`MAX_PARSE_DEGREE`, nor
+  admit more than :data:`MAX_PARSE_TERMS` terms by the bound
+  min(terms the operands can form, monomials of that degree); both checks
+  run before the product is expanded, so ``(x+y+z)^200`` and
+  ``(a+b+c+d+e+f)^16`` fail at once instead of expanding for minutes.
+* One parse may spend at most :data:`MAX_PARSE_WORK` units of work, one
+  unit a pair of terms multiplied and :data:`WRITE_COST` units a
+  coefficient built.  A product of an m-term and an n-term operand
+  multiplies m*n pairs and builds at most its term bound above (a power:
+  each of its square-and-multiply products), a division m pairs and m
+  coefficients, a sum m + n coefficients and a negation m.  Each
+  operation is charged before it runs, so a long sum of admitted products
+  such as ``(x+y+z+1)^16*(x-y+2*z-3)^16 + ...`` or a long chain of
+  divisions fails instead of running on for seconds.
 
 Laurent mode parses a single-variable expression where ``^`` may take a
 negative integer, e.g. ``t^-2``; a comma-separated list of these is a path
@@ -27,6 +38,7 @@ literal such as ``t, t^-2, 0``.
 from __future__ import annotations
 
 import re
+from math import comb
 from typing import Sequence
 
 from .poly import IMAGINARY_UNIT, LaurentPoly, Polynomial
@@ -35,6 +47,13 @@ from .scalar import GaussianRational
 
 #: Largest total degree (Laurent: largest |exponent|) a product or power may have.
 MAX_PARSE_DEGREE = 32
+#: Largest number of terms a product or power may be able to have.
+MAX_PARSE_TERMS = 10_000
+#: Largest work one parse may spend, in pairs of terms multiplied (see above).
+MAX_PARSE_WORK = 1_500_000
+#: Work of building one coefficient: its normalisation costs about as much
+#: as twelve pairs of terms multiplied.
+WRITE_COST = 12
 
 
 class ParseError(ValueError):
@@ -76,15 +95,17 @@ class _Parser:
     """Recursive-descent parser over an algebra of values.
 
     The algebra argument supplies ``constant``, ``imaginary``, ``variable``,
-    ``divide``, the ``degree`` the parse budget counts, and whether negative
-    exponents are legal, so one grammar serves both multivariate
-    polynomials and Laurent path coordinates.
+    ``divide``, the ``degree`` the parse budget counts, the number of
+    ``monomials`` up to a degree, and whether negative exponents are legal,
+    so one grammar serves both multivariate polynomials and Laurent path
+    coordinates.
     """
 
     def __init__(self, text: str, algebra):
         self.tokens = _tokenize(text)
         self.k = 0
         self.algebra = algebra
+        self.work = 0
 
     def peek(self):
         return self.tokens[self.k]
@@ -109,18 +130,20 @@ class _Parser:
 
     def expression(self):
         negate = False
-        kind, text, _ = self.peek()
+        kind, text, neg_pos = self.peek()
         if kind == "op" and text == "-":
             self.advance()
             negate = True
         value = self.term()
         if negate:
+            self.charge(0, len(value.terms), neg_pos)
             value = -value
         while True:
-            kind, text, _ = self.peek()
+            kind, text, pos = self.peek()
             if kind == "op" and text in "+-":
                 self.advance()
                 rhs = self.term()
+                self.charge(0, len(value.terms) + len(rhs.terms), pos)
                 value = value + rhs if text == "+" else value - rhs
             else:
                 return value
@@ -133,9 +156,9 @@ class _Parser:
                 self.advance()
                 rhs = self.factor()
                 if text == "*":
-                    self.check_degree(self.algebra.degree(value) + self.algebra.degree(rhs), pos)
-                    value = value * rhs
+                    value = self.multiply(value, rhs, pos)
                 else:
+                    self.charge(len(value.terms), len(value.terms), pos)
                     value = self.algebra.divide(value, rhs, pos)
             else:
                 return value
@@ -146,9 +169,42 @@ class _Parser:
         if kind == "op" and text == "^":
             self.advance()
             exponent = self.exponent()
-            self.check_degree(self.algebra.degree(value) * abs(exponent), pos)
-            value = value**exponent
+            degree = self.algebra.degree(value) * abs(exponent)
+            self.check_degree(degree, pos)
+            # a power's terms are multisets of |exponent| terms of the base
+            n = len(value.terms)
+            self.term_bound(comb(n + abs(exponent) - 1, abs(exponent)) if n else 0, degree, pos)
+            value = self.power(value, exponent, pos)
         return value
+
+    def multiply(self, a, b, pos: int):
+        """a * b once its degree, term bound and work are within the limits."""
+        degree = self.algebra.degree(a) + self.algebra.degree(b)
+        self.check_degree(degree, pos)
+        pairs = len(a.terms) * len(b.terms)
+        self.charge(pairs, self.term_bound(pairs, degree, pos), pos)
+        return a * b
+
+    def power(self, value, exponent: int, pos: int):
+        """value^exponent by square and multiply, each product checked as it comes."""
+        if exponent < 0:
+            return value**exponent  # one term (the algebra rejects more), so nothing to charge
+        result = self.algebra.constant(1)
+        while exponent:
+            if exponent & 1:
+                result = self.multiply(result, value, pos)
+            if exponent > 1:
+                value = self.multiply(value, value, pos)
+            exponent >>= 1
+        return result
+
+    def charge(self, pairs: int, written: int, pos: int) -> None:
+        self.work += pairs + WRITE_COST * written
+        if self.work > MAX_PARSE_WORK:
+            raise ParseError(
+                f"expanding the expression needs more work than the parse limit {MAX_PARSE_WORK}",
+                pos,
+            )
 
     @staticmethod
     def check_degree(degree: int, pos: int) -> None:
@@ -156,6 +212,16 @@ class _Parser:
             raise ParseError(
                 f"degree {degree} exceeds the parse limit {MAX_PARSE_DEGREE}", pos
             )
+
+    def term_bound(self, formed: int, degree: int, pos: int) -> int:
+        """min(formed, monomials up to degree): at most MAX_PARSE_TERMS, or ParseError."""
+        bound = min(formed, self.algebra.monomials(degree))
+        if bound > MAX_PARSE_TERMS:
+            raise ParseError(
+                f"expansion of up to {bound} terms exceeds the parse limit {MAX_PARSE_TERMS}",
+                pos,
+            )
+        return bound
 
     def exponent(self) -> int:
         sign = 1
@@ -207,6 +273,9 @@ class _PolynomialAlgebra:
     def degree(value: Polynomial) -> int:
         return 0 if value.is_zero() else value.total_degree()
 
+    def monomials(self, degree: int) -> int:
+        return comb(len(self.vars) + degree, degree)
+
     @staticmethod
     def divide(value: Polynomial, rhs: Polynomial, pos: int) -> Polynomial:
         if not rhs.is_constant():
@@ -237,6 +306,10 @@ class _LaurentAlgebra:
     @staticmethod
     def degree(value: LaurentPoly) -> int:
         return max((abs(e) for e in value.terms), default=0)
+
+    @staticmethod
+    def monomials(degree: int) -> int:
+        return 2 * degree + 1
 
     @staticmethod
     def divide(value: LaurentPoly, rhs: LaurentPoly, pos: int) -> LaurentPoly:

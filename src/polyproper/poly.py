@@ -12,11 +12,27 @@ all use it, making the printed form stable across runs.
 
 ``LaurentPoly`` is the single-variable companion used for curves
 t -> (x_1(t), ..., x_n(t)) with integer (possibly negative) exponents.
+
+Products of both kinds go through one kernel, :func:`_mul_terms`.  It clears
+each operand once to a common denominator and Gaussian-integer numerators
+(pairs of Python ints), multiplies every pair of terms in int arithmetic and
+builds each result coefficient once, as ``Fraction(re, den)`` and
+``Fraction(im, den)``.  Multivariate exponent tuples enter it packed into one
+int each (Kronecker substitution with a base above every exponent of the
+product, so packed keys add without carries); Laurent exponents enter as
+they are.  Scaling, powers and composition use the same kernel; exact
+division (:func:`_exact_quotient`) and the sum inside composition
+(:func:`_compose`) work on the same cleared numerators.  ``terms`` always
+holds ``GaussianRational`` values, so nothing outside this module sees the
+cleared form.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence, Union
+from fractions import Fraction
+from math import lcm
+from operator import mul
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
@@ -182,16 +198,13 @@ class Polynomial:
     def __mul__(self, other: Union["Polynomial", ScalarLike]) -> "Polynomial":
         other = self._coerce_operand(other)
         self._check_context(other)
-        out: dict[Exponents, GaussianRational] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, ZERO) + c1 * c2
-                if s.is_zero():
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return self._raw(self.vars, out)
+        if not self.terms or not other.terms:
+            return Polynomial.zero(self.vars)
+        packing = _Packing(
+            1 + _max_exponent(self.terms) + _max_exponent(other.terms), len(self.vars)
+        )
+        product = _mul_terms(packing.pack(self.terms), packing.pack(other.terms))
+        return self._raw(self.vars, packing.unpack_terms(product))
 
     __rmul__ = __mul__
 
@@ -209,10 +222,7 @@ class Polynomial:
         return result
 
     def scale(self, factor: ScalarLike) -> "Polynomial":
-        c = _coerce_coeff(factor)
-        if c.is_zero():
-            return Polynomial.zero(self.vars)
-        return self._raw(self.vars, {e: v * c for e, v in self.terms.items()})
+        return self * factor
 
     def _coerce_operand(self, other) -> "Polynomial":
         if isinstance(other, Polynomial):
@@ -257,7 +267,8 @@ class Polynomial:
         for img in images:
             if img.vars != target:
                 raise ValueError("assigned polynomials use inconsistent variable contexts")
-        return _compose(self.terms, images, lambda c: Polynomial.constant(target, c))
+        one = Polynomial.constant(target, 1)
+        return self._raw(target, _compose(self.terms, images, one))
 
     def substitute_path(self, path: Sequence["LaurentPoly"]) -> "LaurentPoly":
         """Compose with a curve whose coordinates are Laurent polynomials.
@@ -271,7 +282,7 @@ class Polynomial:
                 f"path has {len(coords)} coordinates for {len(self.vars)} variables"
             )
         t_var = coords[0].var if coords else "t"
-        return _compose(self.terms, coords, lambda c: LaurentPoly(t_var, {0: c}))
+        return LaurentPoly(t_var, _compose(self.terms, coords, LaurentPoly.one(t_var)))
 
     # -- evaluation ---------------------------------------------------------
 
@@ -334,26 +345,168 @@ class Polynomial:
         return "*".join(parts)
 
 
-def _compose(terms: Mapping[Exponents, GaussianRational], images: Sequence, constant):
-    """The exact sum of c * prod_i images[i]^e[i] over the terms {e: c}.
+def _max_exponent(terms: Mapping[Exponents, GaussianRational]) -> int:
+    return max(max(e, default=0) for e in terms)
+
+
+class _Packing:
+    """Exponent tuples packed into ints whose order is graded lex.
+
+    A key holds the total degree and then e_0, ..., e_{n-1} as digits in
+    ``base``.  While every exponent stays below ``base``, keys add like
+    exponent tuples (Kronecker substitution) and compare like
+    :func:`grlex_key`.
+    """
+
+    __slots__ = ("base", "n", "weights")
+
+    def __init__(self, base: int, n: int):
+        self.base = base
+        self.n = n
+        top = base**n
+        self.weights = [top + base ** (n - 1 - i) for i in range(n)]
+
+    def pack(self, terms: Mapping[Exponents, GaussianRational]) -> dict[int, GaussianRational]:
+        w = self.weights
+        return {sum(map(mul, e, w)): c for e, c in terms.items()}
+
+    def unpack(self, key: int) -> Exponents:
+        e = [0] * self.n
+        for i in range(self.n - 1, -1, -1):
+            key, e[i] = divmod(key, self.base)
+        return tuple(e)
+
+    def unpack_terms(self, terms: Mapping[int, GaussianRational]) -> dict:
+        unpack = self.unpack
+        return {unpack(k): c for k, c in terms.items()}
+
+
+def _cleared(terms: Mapping) -> tuple[int, list]:
+    """(den, [(key, re, im)]): Gaussian-integer numerators over one denominator."""
+    dens = {c.re.denominator for c in terms.values()}
+    dens.update(c.im.denominator for c in terms.values())
+    den = lcm(*dens)
+    items = [
+        (k, c.re.numerator * (den // c.re.denominator), c.im.numerator * (den // c.im.denominator))
+        for k, c in terms.items()
+    ]
+    return den, items
+
+
+def _normalised(acc_re: dict, acc_im: dict, den: int) -> dict:
+    """{key: (re + i*im) / den} over int accumulators with the same keys.
+
+    Each coefficient is normalised once; coefficients that are 0 are left out.
+    """
+    make = GaussianRational._make
+    out = {}
+    for k, re in acc_re.items():
+        im = acc_im[k]
+        if re or im:
+            out[k] = make(Fraction(re, den), Fraction(im, den))
+    return out
+
+
+def _mul_terms(a: Mapping[int, GaussianRational], b: Mapping[int, GaussianRational]) -> dict:
+    """The product of two term dicts keyed by int exponents that add."""
+    da, ia = _cleared(a)
+    db, ib = _cleared(b)
+    acc_re: dict[int, int] = {}
+    acc_im: dict[int, int] = {}
+    get_re, get_im = acc_re.get, acc_im.get
+    for ka, ar, ai in ia:
+        for kb, br, bi in ib:
+            k = ka + kb
+            acc_re[k] = get_re(k, 0) + ar * br - ai * bi
+            acc_im[k] = get_im(k, 0) + ar * bi + ai * br
+    return _normalised(acc_re, acc_im, da * db)
+
+
+def _exact_quotient(p: "Polynomial", q: "Polynomial") -> dict | None:
+    """The terms of p / q when q divides p, else None (p, q nonzero, one context).
+
+    Over cleared numerators p = P/dp and q = Q/dq, let L be the graded-lex
+    leading coefficient of Q and N = |L|^2.  When q divides p, Gauss's lemma
+    over the Gaussian integers puts N*P/Q in Z[i][x], so dividing N*P by Q
+    in graded-lex order takes only exact Gaussian-integer steps; a step that
+    is not exact, like a leading monomial that lead(Q) does not divide,
+    proves that q does not divide p.  No remainder monomial exceeds the total
+    degree of p, which bounds the packing base.
+    """
+    packing = _Packing(1 + max(p.total_degree(), q.total_degree()), len(p.vars))
+    dp, ip = _cleared(packing.pack(p.terms))
+    dq, iq = _cleared(packing.pack(q.terms))
+    iq.sort(reverse=True)
+    (lead, lr, li), rest = iq[0], iq[1:]
+    lead_exps = packing.unpack(lead)
+    norm = lr * lr + li * li
+    rem_re = {k: re * norm for k, re, _ in ip}
+    rem_im = {k: im * norm for k, _, im in ip}
+    quot_re: dict[int, int] = {}
+    quot_im: dict[int, int] = {}
+    while rem_re:
+        k = max(rem_re)
+        rr, ri = rem_re.pop(k), rem_im.pop(k)
+        if any(a < b for a, b in zip(packing.unpack(k), lead_exps)):
+            return None
+        # (rr + i*ri) / L = (rr + i*ri) * conj(L) / N
+        cr, xr = divmod(rr * lr + ri * li, norm)
+        ci, xi = divmod(ri * lr - rr * li, norm)
+        if xr or xi:
+            return None
+        shift = k - lead
+        quot_re[shift] = cr * dq
+        quot_im[shift] = ci * dq
+        for kq, qr, qi in rest:
+            kk = shift + kq
+            re = rem_re.get(kk, 0) - (cr * qr - ci * qi)
+            im = rem_im.get(kk, 0) - (cr * qi + ci * qr)
+            if re or im:
+                rem_re[kk] = re
+                rem_im[kk] = im
+            else:
+                rem_re.pop(kk, None)
+                rem_im.pop(kk, None)
+    return packing.unpack_terms(_normalised(quot_re, quot_im, dp * norm))
+
+
+def _compose(terms: Mapping[Exponents, GaussianRational], images: Sequence, one) -> dict:
+    """The terms of the exact sum of c * prod_i images[i]^e[i] over the terms {e: c}.
 
     ``images`` are polynomials of one ring (Polynomial or LaurentPoly) and
-    ``constant`` makes a constant of that ring.  Each power of an image is
+    ``one`` is the constant 1 of that ring.  Each power of an image is
     computed once, which keeps the degree-7 compositions of the
-    verification corpus cheap.
+    verification corpus cheap, and the sum accumulates in one dict of
+    cleared numerators over a common denominator.
     """
-    powers = [[constant(1)] for _ in images]
-    result = constant(0)
+    powers = [[one] for _ in images]
+    acc_re: dict = {}
+    acc_im: dict = {}
+    den = 1
     for e, c in terms.items():
-        term = constant(c)
+        m = one
         for i, k in enumerate(e):
             if k:
                 table = powers[i]
                 while len(table) <= k:
                     table.append(table[-1] * images[i])
-                term = term * table[k]
-        result = result + term
-    return result
+                m = table[k] if m is one else m * table[k]
+        dc, ((_, cr, ci),) = _cleared({0: c})
+        dm, items = _cleared(m.terms)
+        d = dc * dm
+        if den % d:
+            grown = lcm(den, d)
+            f = grown // den
+            for k in acc_re:
+                acc_re[k] *= f
+                acc_im[k] *= f
+            den = grown
+        f = den // d
+        cr, ci = cr * f, ci * f
+        for k, mr, mi in items:
+            acc_re[k] = acc_re.get(k, 0) + cr * mr - ci * mi
+            acc_im[k] = acc_im.get(k, 0) + cr * mi + ci * mr
+    return _normalised(acc_re, acc_im, den)
 
 
 def _horner(items, vi, nvars, values):
@@ -473,16 +626,9 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             other = LaurentPoly(self.var, {0: other})
         self._check(other)
-        out: dict[int, GaussianRational] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = e1 + e2
-                s = out.get(e, ZERO) + c1 * c2
-                if s.is_zero():
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return LaurentPoly(self.var, out)
+        if not self.terms or not other.terms:
+            return LaurentPoly.zero(self.var)
+        return LaurentPoly(self.var, _mul_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -497,8 +643,13 @@ class LaurentPoly:
             ((e, c),) = self.terms.items()
             return LaurentPoly(self.var, {e * exponent: ONE / c ** (-exponent)})
         result = LaurentPoly.one(self.var)
-        for _ in range(exponent):
-            result = result * self
+        base = self
+        e = exponent
+        while e:
+            if e & 1:
+                result = result * base
+            base = base * base if e > 1 else base
+            e >>= 1
         return result
 
     def evaluate(self, t: complex) -> complex:

@@ -1,15 +1,17 @@
 """Independent cross-checks that only the tests use.
 
 Each oracle computes a quantity the package also computes, by a different
-route: a Sylvester matrix for the subresultant resultant, the Gram matrix
-for the smallest singular value, arbitrary sample grids for the witness
-check's singular values, and fiber-count drops on sampled points of {h = 0}
-for the symbolic hyperplane-clearance verdict.
+route: the schoolbook product, one exact scalar per pair of terms, for the
+cleared-numerator product kernel; a Sylvester matrix for the subresultant
+resultant; the Gram matrix for the smallest singular value; arbitrary
+sample grids for the witness check's singular values; and fiber-count
+drops on sampled points of {h = 0} for the symbolic hyperplane-clearance
+verdict.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -17,7 +19,25 @@ from polyproper import PolyMap, Polynomial
 from polyproper.elimination import as_univariate
 from polyproper.nonproper import ClearanceVerdict, _points_on_zero_set, fiber_count_diagnostic
 from polyproper.rabier import LaurentPath, _path_jacobian_entries, _sample_sigma
+from polyproper.scalar import ZERO
 from polyproper.solver import geometric_degree
+
+
+def schoolbook_product(a: Mapping, b: Mapping) -> dict:
+    """The product of two term dicts, with one GaussianRational per pair of terms.
+
+    Keys are exponent tuples (added entrywise) or Laurent exponents (ints).
+    """
+    out: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2)) if isinstance(e1, tuple) else e1 + e2
+            s = out.get(e, ZERO) + c1 * c2
+            if s.is_zero():
+                out.pop(e, None)
+            else:
+                out[e] = s
+    return out
 
 
 def sylvester_matrix(f: Polynomial, g: Polynomial, var: str) -> list[list[Polynomial]]:

@@ -180,3 +180,16 @@ def test_oversized_map_is_usage_error(tmp_path):
     assert time.perf_counter() - start < 1.0
     assert code == 1
     assert "parse limit" in err
+
+
+def test_map_with_a_large_expansion_is_usage_error(tmp_path):
+    path = tmp_path / "wide.map"
+    path.write_text(
+        "vars: a b c d e f\n"
+        "f1 = (a+b+c+d+e+f)^16*(a-b+c-d+e-f)^16\nf2 = b\nf3 = c\nf4 = d\nf5 = e\nf6 = f\n"
+    )
+    start = time.perf_counter()
+    code, _, err = run_cli(["--map", str(path), "--checks", "jacobian"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert "terms exceeds the parse limit" in err

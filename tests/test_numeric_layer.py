@@ -205,6 +205,8 @@ def test_univariate_roots_multiplicities():
         # a triple root splits into copies ~eps^(1/3) apart before merging
         ([1, 1, -2, -2, -2, 1j], {-2: 3, 1: 2, 1j: 1}),
         ([0.5, 0.5, 0.5, 0.5, 3], {0.5: 4, 3: 1}),
+        # the copies of a 5-fold root lie ~2.5e-3 apart, inside its rounding radius
+        ([2] * 5 + [1j] * 3, {2: 5, 1j: 3}),
         # distinct roots 1e-4 apart lie outside a triple root's rounding radius
         ([1, 1 + 1e-4, 1 + 2e-4], {1: 1, 1 + 1e-4: 1, 1 + 2e-4: 1}),
     ],

@@ -5,7 +5,7 @@ import time
 import pytest
 
 from polyproper import ParseError, parse_laurent, parse_path, parse_polynomial
-from polyproper.parser import MAX_PARSE_DEGREE
+from polyproper.parser import MAX_PARSE_DEGREE, MAX_PARSE_TERMS, MAX_PARSE_WORK
 from polyproper.poly import LaurentPoly, Polynomial
 from polyproper.scalar import GaussianRational
 
@@ -120,6 +120,37 @@ def test_oversized_product_fails_before_expanding():
     with pytest.raises(ParseError, match="degree 33") as info:
         parse_polynomial("(x+y)^16*(x-y)^17", V)
     assert info.value.position == 8  # the '*'
+
+
+def test_large_expansion_fails_before_expanding():
+    # each factor alone has 20 349 terms: C(21, 5) monomials of degree 16 in 6 variables
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="20349 terms exceeds the parse limit") as info:
+        parse_polynomial("(a+b+c+d+e+f)^16*(a-b+c-d+e-f)^16", tuple("abcdef"))
+    assert time.perf_counter() - start < 0.1
+    assert info.value.position == 13  # the first '^'
+
+
+def test_expansion_within_the_term_limit_is_accepted():
+    # at most C(35, 3) = 6545 monomials of degree <= 32 in 3 variables
+    p = parse_polynomial("(x+y+z+1)^16*(x-y+2*z-3)^16", ("x", "y", "z"))
+    assert len(p.terms) == 6529 <= MAX_PARSE_TERMS
+
+
+def test_sum_of_admitted_products_fails_on_the_work_budget():
+    # each summand costs ~1.1e6 units of work; the second product passes MAX_PARSE_WORK
+    summand = "(x+y+z+1)^16*(x-y+2*z-3)^16"
+    with pytest.raises(ParseError, match="more work than the parse limit") as info:
+        parse_polynomial(" + ".join([summand] * 3), ("x", "y", "z"))
+    assert info.value.position == len(summand) + 3 + summand.index("*")  # the second '*'
+
+
+def test_long_chain_of_divisions_fails_on_the_work_budget():
+    # each '/' builds all 969 coefficients of the power again
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match=f"more work than the parse limit {MAX_PARSE_WORK}"):
+        parse_polynomial("(x+y+z+1)^16" + "/2" * 2000, ("x", "y", "z"))
+    assert time.perf_counter() - start < 5.0
 
 
 def test_degree_at_the_parse_limit_is_accepted():
