@@ -87,7 +87,7 @@ def _run_example_3_6(f: PolyMap, seed: int, tol: float) -> tuple[dict, list, lis
 
     est = geometric_degree(f, n_samples=DEGREE_SAMPLES, seed=seed, tol=tol)
     results["mu"] = est.mu
-    results["histogram"] = {str(k): v for k, v in sorted(est.histogram.items())}
+    results["histogram"] = est.to_dict()["histogram"]
 
     locus = nonproperness_set(f, seed=seed, tol=tol, degree_estimate=est)
     results["locus"] = str(locus)
@@ -124,7 +124,7 @@ def _run_x_xy(f: PolyMap, seed: int, tol: float) -> tuple[dict, list, list]:
     results["nonsingular"] = f.nonsingularity().is_nonsingular
     est = geometric_degree(f, n_samples=DEGREE_SAMPLES, seed=seed, tol=tol)
     results["mu"] = est.mu
-    results["histogram"] = {str(k): v for k, v in sorted(est.histogram.items())}
+    results["histogram"] = est.to_dict()["histogram"]
 
     locus = nonproperness_set(f, seed=seed, tol=tol, degree_estimate=est)
     results["locus"] = str(locus)
@@ -150,7 +150,7 @@ def _run_x2_y(f: PolyMap, seed: int, tol: float) -> tuple[dict, list, list]:
     results["nonsingular"] = f.nonsingularity().is_nonsingular
     est = geometric_degree(f, n_samples=DEGREE_SAMPLES, seed=seed, tol=tol)
     results["mu"] = est.mu
-    results["histogram"] = {str(k): v for k, v in sorted(est.histogram.items())}
+    results["histogram"] = est.to_dict()["histogram"]
     locus = nonproperness_set(f, seed=seed, tol=tol, degree_estimate=est)
     results["locus"] = str(locus)
     return results, [], []

@@ -12,12 +12,17 @@ constant leading coefficient are eliminated by direct substitution, which is
 the resultant up to a nonzero constant factor and costs almost nothing; this
 keeps triangular systems (the common shape for automorphism candidates) fast.
 Remaining pivots go through subresultant resultants.
+
+Views of a polynomial in one variable come from one helper set:
+``Polynomial.degree_in`` (-1 for zero), :func:`lead_in` (degree and leading
+coefficient in one scan), :func:`as_univariate` and :func:`linear_solution`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from itertools import chain
+from typing import Iterable, Sequence
 
 from .poly import Polynomial, _exact_quotient
 from .scalar import GaussianRational, ONE
@@ -55,20 +60,36 @@ def as_univariate(p: Polynomial, var: str) -> dict[int, Polynomial]:
     for e, c in p.terms.items():
         stripped = e[:i] + (0,) + e[i + 1 :]
         buckets.setdefault(e[i], {})[stripped] = c
-    return {k: Polynomial(p.vars, t) for k, t in buckets.items()}
+    return {k: Polynomial._raw(p.vars, t) for k, t in buckets.items()}
 
 
-def degree_in(p: Polynomial, var: str) -> int:
-    """Degree of p in one variable; -1 for the zero polynomial."""
-    if p.is_zero():
-        return -1
-    return p.degree_in(var)
+def lead_in(p: Polynomial, var: str) -> tuple[int, Polynomial]:
+    """(degree, leading coefficient) of p viewed as univariate in ``var``.
+
+    One scan of the terms; the zero polynomial gives (-1, 0).
+    """
+    i = p.vars.index(var)
+    top = -1
+    lead: dict = {}
+    for e, c in p.terms.items():
+        k = e[i]
+        if k > top:
+            top, lead = k, {}
+        if k == top:
+            lead[e[:i] + (0,) + e[i + 1 :]] = c
+    return top, Polynomial._raw(p.vars, lead)
 
 
-def leading_coeff_in(p: Polynomial, var: str) -> Polynomial:
-    """Leading coefficient of p viewed as univariate in ``var``."""
+def linear_solution(p: Polynomial, var: str) -> Polynomial | None:
+    """If p = c*var + r with constant c != 0 and r free of var, return -r/c."""
+    if p.degree_in(var) != 1:
+        return None
     u = as_univariate(p, var)
-    return u[max(u)]
+    lead = u[1]
+    if not lead.is_constant():
+        return None
+    rest = u.get(0, Polynomial.zero(p.vars))
+    return rest.scale(GaussianRational(-1) / lead.constant_value())
 
 
 def pseudo_rem(f: Polynomial, g: Polynomial, var: str) -> Polynomial:
@@ -77,25 +98,20 @@ def pseudo_rem(f: Polynomial, g: Polynomial, var: str) -> Polynomial:
     The exact power of lc(g) matters: the subresultant algorithm's exact
     divisions rely on it, so unused reduction steps are paid for at the end.
     """
-    df, dg = degree_in(f, var), degree_in(g, var)
+    dg, lcg = lead_in(g, var)
     if dg < 0:
         raise ZeroDivisionError("pseudo-division by zero polynomial")
-    if df < dg:
+    dr, lead = lead_in(f, var)
+    if dr < dg:
         return f
-    gu = as_univariate(g, var)
-    lcg = gu[dg]
-    steps = df - dg + 1
+    steps = dr - dg + 1
     r = f
-    while not r.is_zero():
-        dr = degree_in(r, var)
-        if dr < dg:
-            break
-        ru = as_univariate(r, var)
-        lead = ru[dr]
+    while dr >= dg:
         # r := lc(g)*r - lead * var^(dr-dg) * g
         shift = _mul_power(g, var, dr - dg)
         r = r * lcg - shift * lead
         steps -= 1
+        dr, lead = lead_in(r, var)
     for _ in range(steps):
         r = r * lcg
     return r
@@ -122,7 +138,7 @@ def resultant(f: Polynomial, g: Polynomial, var: str) -> Polynomial:
     """
     if f.is_zero() or g.is_zero():
         return Polynomial.zero(f.vars)
-    df, dg = degree_in(f, var), degree_in(g, var)
+    df, dg = f.degree_in(var), g.degree_in(var)
     if df == 0 and dg == 0:
         return Polynomial.constant(f.vars, 1)
     if df == 0:
@@ -155,8 +171,8 @@ def resultant(f: Polynomial, g: Polynomial, var: str) -> Polynomial:
         b = exact_div(r, glc * h**delta)
         if b.is_zero():
             return Polynomial.zero(f.vars)
-        db = degree_in(b, var)
-        glc = leading_coeff_in(a, var)
+        db = b.degree_in(var)
+        glc = lead_in(a, var)[1]
         if delta == 1:
             h = glc
         elif delta > 1:
@@ -241,9 +257,9 @@ def gcd_poly(p: Polynomial, q: Polynomial) -> Polynomial:
     cp, pp = _content_primitive(p, main)
     cq, pq = _content_primitive(q, main)
     cont = gcd_poly(cp, cq)
-    a, b = (pp, pq) if degree_in(pp, main) >= degree_in(pq, main) else (pq, pp)
+    a, b = (pp, pq) if pp.degree_in(main) >= pq.degree_in(main) else (pq, pp)
     while True:
-        if degree_in(b, main) == 0:
+        if b.degree_in(main) == 0:
             prim = Polynomial.constant(p.vars, 1)
             break
         r = pseudo_rem(a, b, main)
@@ -313,23 +329,43 @@ class EliminationResult:
 
 
 def _substitute_var(p: Polynomial, var: str, image: Polynomial) -> Polynomial:
-    if degree_in(p, var) <= 0:
+    if p.degree_in(var) <= 0:
         return p
     assignment = {v: Polynomial.variable(p.vars, v) for v in p.vars}
     assignment[var] = image
     return p.substitute(assignment)
 
 
-def _linear_const_solution(p: Polynomial, var: str) -> Polynomial | None:
-    """If p = c*var + r with constant c != 0 and r free of var, return -r/c."""
-    if degree_in(p, var) != 1:
-        return None
-    u = as_univariate(p, var)
-    lead = u[1]
-    if not lead.is_constant():
-        return None
-    rest = u.get(0, Polynomial.zero(p.vars))
-    return rest.scale(GaussianRational(-1) / lead.constant_value())
+def _linear_pivots(eqs: Sequence[Polynomial], variables: Sequence[str]):
+    """(index, var, image) for each equation: the first of ``variables`` it solves linearly."""
+    for idx, eq in enumerate(eqs):
+        for v in variables:
+            image = linear_solution(eq, v)
+            if image is not None:
+                yield idx, v, image
+                break
+
+
+def _admit(
+    result: EliminationResult, polys: Iterable[Polynomial], resultant_var: str | None = None
+) -> list[Polynomial] | None:
+    """The equations ``polys`` with zeros dropped, read in order.
+
+    A nonzero constant marks ``result`` inconsistent, and a zero resultant
+    eliminating ``resultant_var`` marks it degenerate there; either stops the
+    reading, so no later resultant is computed, and returns None.
+    """
+    eqs = []
+    for p in polys:
+        if not p.is_constant():
+            eqs.append(p)
+        elif not p.is_zero():
+            result.inconsistent = True
+            return None
+        elif resultant_var is not None:
+            result.degenerate_var = resultant_var
+            return None
+    return eqs
 
 
 def eliminate(
@@ -350,55 +386,26 @@ def eliminate(
 
     Equations reducing to zero are dropped; a nonzero constant marks the
     system inconsistent; a vanishing resultant marks the cascade degenerate.
-    Both flags short-circuit.
+    Both flags short-circuit and leave ``finals`` empty.
     """
     result = EliminationResult()
-    sys_polys: list[Polynomial] = []
-
-    def admit(p: Polynomial) -> bool:
-        """Add an equation; returns False when it proves inconsistency."""
-        if p.is_zero():
-            return True
-        if p.is_constant():
-            result.inconsistent = True
-            return False
-        sys_polys.append(p)
-        return True
-
-    for p in system:
-        if not admit(p):
-            result.finals = []
-            return result
-
+    eqs = _admit(result, system)
     remaining = list(kill_vars)
     retained = [v for v in (system[0].vars if system else ()) if v not in set(kill_vars)]
 
     guard = 0
-    while remaining:
+    while remaining and eqs is not None:
         guard += 1
         if guard > 1000:
             raise RuntimeError("elimination cascade failed to make progress")
         # 1. cheap exact substitution of a kill-variable
-        action = None
-        for idx, eq in enumerate(sys_polys):
-            for v in remaining:
-                image = _linear_const_solution(eq, v)
-                if image is not None:
-                    action = (idx, v, image)
-                    break
-            if action:
-                break
+        action = next(_linear_pivots(eqs, remaining), None)
         if action:
             idx, v, image = action
-            pivot = sys_polys.pop(idx)
+            pivot = eqs.pop(idx)
             result.stages.append(EliminationStage(v, pivot, "substitution"))
             remaining.remove(v)
-            old = sys_polys[:]
-            sys_polys.clear()
-            for p in old:
-                if not admit(_substitute_var(p, v, image)):
-                    result.finals = []
-                    return result
+            eqs = _admit(result, (_substitute_var(p, v, image) for p in eqs))
             continue
 
         # 2. inter-reduction via a retained-variable linear pivot.  Each
@@ -406,53 +413,33 @@ def eliminate(
         # equation pivot on several retained variables can swap a pair of
         # them back and forth between the other equations forever.
         action = None
-        for idx, eq in enumerate(sys_polys):
-            for w in retained:
-                image = _linear_const_solution(eq, w)
-                if image is None:
-                    continue
-                if any(degree_in(p, w) > 0 for j, p in enumerate(sys_polys) if j != idx):
-                    action = (idx, w, image)
-                break
-            if action:
+        for idx, w, image in _linear_pivots(eqs, retained):
+            if any(p.degree_in(w) > 0 for j, p in enumerate(eqs) if j != idx):
+                action = (idx, w, image)
                 break
         if action:
             idx, w, image = action
-            old = sys_polys[:]
-            sys_polys.clear()
-            for j, p in enumerate(old):
-                p2 = p if j == idx else _substitute_var(p, w, image)
-                if not admit(p2):
-                    result.finals = []
-                    return result
+            eqs = _admit(
+                result, (p if j == idx else _substitute_var(p, w, image) for j, p in enumerate(eqs))
+            )
             continue
 
         # 3. resultant elimination of the first remaining kill-variable
         v = remaining.pop(0)
-        involving = [(i, p) for i, p in enumerate(sys_polys) if degree_in(p, v) > 0]
+        involving = [(i, p) for i, p in enumerate(eqs) if p.degree_in(v) > 0]
         if not involving:
             result.free_vars.append(v)
             continue
         if len(involving) == 1:
             i, pivot = involving[0]
-            sys_polys.pop(i)
+            eqs.pop(i)
             result.stages.append(EliminationStage(v, pivot, "single"))
             continue
-        pivot_i, pivot = min(involving, key=lambda ip: (degree_in(ip[1], v), ip[0]))
-        others = [p for i, p in involving if i != pivot_i]
-        keep = [p for i, p in enumerate(sys_polys) if degree_in(p, v) == 0]
+        pivot_i, pivot = min(involving, key=lambda ip: (ip[1].degree_in(v), ip[0]))
+        keep = [p for p in eqs if p.degree_in(v) == 0]
         result.stages.append(EliminationStage(v, pivot, "resultant"))
-        sys_polys.clear()
-        sys_polys.extend(keep)
-        for p in others:
-            r = resultant(pivot, p, v)
-            if r.is_zero():
-                result.degenerate_var = v
-                result.finals = []
-                return result
-            if not admit(r):
-                result.finals = []
-                return result
+        resultants = (resultant(pivot, p, v) for i, p in involving if i != pivot_i)
+        eqs = _admit(result, chain(keep, resultants), v)
 
-    result.finals = sys_polys
+    result.finals = eqs or []
     return result

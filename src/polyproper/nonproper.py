@@ -36,12 +36,11 @@ from typing import Sequence
 import numpy as np
 
 from .elimination import (
-    as_univariate,
-    degree_in,
     eliminate,
     exact_div,
     gcd_poly,
-    leading_coeff_in,
+    lead_in,
+    linear_solution,
     normalized,
     resultant,
     squarefree_part,
@@ -219,8 +218,6 @@ def gcd_free_basis(polys: Sequence[Polynomial]) -> list[Polynomial]:
     queue = [normalized(p) for p in polys if not p.is_zero() and not p.is_constant()]
     while queue:
         q = queue.pop(0)
-        if q.is_constant():
-            continue
         for i, b in enumerate(basis):
             g = gcd_poly(q, b)
             if g.is_constant():
@@ -232,12 +229,7 @@ def gcd_free_basis(polys: Sequence[Polynomial]) -> list[Polynomial]:
             break
         else:
             basis.append(q)
-    # drop exact duplicates, keep first occurrence
-    seen: list[Polynomial] = []
-    for b in basis:
-        if b not in seen:
-            seen.append(b)
-    return seen
+    return basis
 
 
 def _points_on_zero_set(poly: Polynomial, rng: np.random.Generator) -> list[tuple[complex, ...]]:
@@ -315,13 +307,13 @@ def nonproperness_set(
             return Hypersurface.unknown(
                 targets, f"elimination degenerated to zero at {res.degenerate_var!r}"
             )
-        relations = [p for p in res.finals if degree_in(p, x_i) > 0]
+        relations = [p for p in res.finals if p.degree_in(x_i) > 0]
         if not relations:
             return Hypersurface.unknown(
                 targets, f"no relation ties {x_i!r} to the target coordinates"
             )
-        phi = min(relations, key=lambda p: (degree_in(p, x_i), str(p)))
-        lead = leading_coeff_in(phi, x_i)
+        phi = min(relations, key=lambda p: (p.degree_in(x_i), str(p)))
+        lead = lead_in(phi, x_i)[1]
         if lead.is_constant():
             continue
         lead_t = _project_to_targets(lead, n, targets)
@@ -414,10 +406,8 @@ class ClearanceVerdict:
 def is_graph_hypersurface(h: Polynomial) -> str | None:
     """The coordinate over which {h=0} is a polynomial graph, if any."""
     for v in h.vars:
-        if degree_in(h, v) == 1:
-            u = as_univariate(h, v)
-            if u[1].is_constant():
-                return v
+        if linear_solution(h, v) is not None:
+            return v
     return None
 
 

@@ -37,7 +37,7 @@ from typing import Mapping, Sequence, Union
 import numpy as np
 
 from .numeric import TermTable
-from .scalar import GaussianRational, ONE, ScalarLike, ZERO
+from .scalar import GaussianRational, ONE, ScalarLike, ZERO, _power
 
 Exponents = tuple  # tuple[int, ...], one entry per variable
 
@@ -133,11 +133,9 @@ class Polynomial:
         return max(sum(e) for e in self.terms)
 
     def degree_in(self, var: str) -> int:
-        """Degree in one variable; 0 when the variable does not occur."""
+        """Degree in one variable: 0 when the variable does not occur, -1 for zero."""
         i = self._index(var)
-        if not self.terms:
-            raise ValueError("degree of the zero polynomial is undefined")
-        return max(e[i] for e in self.terms)
+        return max((e[i] for e in self.terms), default=-1)
 
     def support_vars(self) -> tuple[str, ...]:
         """Variables that actually occur, in declared order."""
@@ -165,39 +163,24 @@ class Polynomial:
         except ValueError:
             raise ValueError(f"unknown variable {var!r} in context {self.vars}") from None
 
-    def _check_context(self, other: "Polynomial") -> None:
-        if self.vars != other.vars:
-            raise ValueError(f"variable context mismatch: {self.vars} vs {other.vars}")
-
     # -- ring arithmetic ---------------------------------------------------
 
     def __add__(self, other: Union["Polynomial", ScalarLike]) -> "Polynomial":
-        other = self._coerce_operand(other)
-        self._check_context(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, ZERO) + c
-            if s.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return self._raw(self.vars, out)
+        return self._raw(self.vars, _sum_terms(self.terms, self._operand(other).terms, 1))
 
     __radd__ = __add__
 
     def __sub__(self, other: Union["Polynomial", ScalarLike]) -> "Polynomial":
-        other = self._coerce_operand(other)
-        return self + (-other)
+        return self._raw(self.vars, _sum_terms(self.terms, self._operand(other).terms, -1))
 
     def __rsub__(self, other: ScalarLike) -> "Polynomial":
-        return self._coerce_operand(other) - self
+        return self._operand(other) - self
 
     def __neg__(self) -> "Polynomial":
         return self._raw(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other: Union["Polynomial", ScalarLike]) -> "Polynomial":
-        other = self._coerce_operand(other)
-        self._check_context(other)
+        other = self._operand(other)
         if not self.terms or not other.terms:
             return Polynomial.zero(self.vars)
         packing = _Packing(
@@ -211,23 +194,18 @@ class Polynomial:
     def __pow__(self, exponent: int) -> "Polynomial":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = Polynomial.constant(self.vars, 1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+        return _power(self, exponent, Polynomial.constant(self.vars, 1))
 
     def scale(self, factor: ScalarLike) -> "Polynomial":
         return self * factor
 
-    def _coerce_operand(self, other) -> "Polynomial":
-        if isinstance(other, Polynomial):
-            return other
-        return Polynomial.constant(self.vars, other)
+    def _operand(self, other) -> "Polynomial":
+        """``other`` as a polynomial of this context; scalars become constants."""
+        if not isinstance(other, Polynomial):
+            return Polynomial.constant(self.vars, other)
+        if self.vars != other.vars:
+            raise ValueError(f"variable context mismatch: {self.vars} vs {other.vars}")
+        return other
 
     @classmethod
     def _raw(cls, variables, terms) -> "Polynomial":
@@ -324,16 +302,7 @@ class Polynomial:
         return f"Polynomial({self.vars!r}, {str(self)!r})"
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        pieces = []
-        for e, c in self.sorted_terms():
-            neg, body = _term_str(c, self._mono_str(e))
-            if not pieces:
-                pieces.append(("-" + body) if neg else body)
-            else:
-                pieces.append((" - " if neg else " + ") + body)
-        return "".join(pieces)
+        return _render(self.sorted_terms(), self._mono_str)
 
     def _mono_str(self, exponents: Exponents) -> str:
         parts = []
@@ -343,6 +312,22 @@ class Polynomial:
             elif e > 1:
                 parts.append(f"{v}^{e}")
         return "*".join(parts)
+
+
+def _sum_terms(a: Mapping, b: Mapping, sign: int) -> dict:
+    """The terms of a + b (``sign`` 1) or a - b (``sign`` -1); sums that vanish are left out."""
+    out = dict(a)
+    for e, c in b.items():
+        old = out.get(e)
+        if old is None:
+            out[e] = c if sign > 0 else -c
+            continue
+        s = old + c if sign > 0 else old - c
+        if s.is_zero():
+            del out[e]
+        else:
+            out[e] = s
+    return out
 
 
 def _max_exponent(terms: Mapping[Exponents, GaussianRational]) -> int:
@@ -531,6 +516,19 @@ def _horner(items, vi, nvars, values):
     return acc
 
 
+def _render(terms, mono) -> str:
+    """Print (exponent, coefficient) pairs in the given order; ``mono`` prints an exponent."""
+    pieces = []
+    for e, c in terms:
+        neg, body = _term_str(c, mono(e))
+        if pieces:
+            pieces.append(" - " if neg else " + ")
+        elif neg:
+            pieces.append("-")
+        pieces.append(body)
+    return "".join(pieces) or "0"
+
+
 def _term_str(coeff: GaussianRational, mono: str) -> tuple[bool, str]:
     """Split a term into (is_negative, printable body without sign)."""
     neg = coeff.re < 0 or (coeff.re == 0 and coeff.im < 0)
@@ -597,35 +595,25 @@ class LaurentPoly:
     def constant_term(self) -> GaussianRational:
         return self.terms.get(0, ZERO)
 
-    def _check(self, other: "LaurentPoly") -> None:
+    def _operand(self, other) -> "LaurentPoly":
+        """``other`` as a Laurent polynomial in this variable; scalars become constants."""
+        if not isinstance(other, LaurentPoly):
+            return LaurentPoly(self.var, {0: other})
         if self.var != other.var:
             raise ValueError(f"Laurent variable mismatch: {self.var!r} vs {other.var!r}")
+        return other
 
     def __add__(self, other: Union["LaurentPoly", ScalarLike]) -> "LaurentPoly":
-        if not isinstance(other, LaurentPoly):
-            other = LaurentPoly(self.var, {0: other})
-        self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, ZERO) + c
-            if s.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return LaurentPoly(self.var, out)
+        return LaurentPoly(self.var, _sum_terms(self.terms, self._operand(other).terms, 1))
 
     def __sub__(self, other: Union["LaurentPoly", ScalarLike]) -> "LaurentPoly":
-        if not isinstance(other, LaurentPoly):
-            other = LaurentPoly(self.var, {0: other})
-        return self + (-other)
+        return LaurentPoly(self.var, _sum_terms(self.terms, self._operand(other).terms, -1))
 
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly(self.var, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other: Union["LaurentPoly", ScalarLike]) -> "LaurentPoly":
-        if not isinstance(other, LaurentPoly):
-            other = LaurentPoly(self.var, {0: other})
-        self._check(other)
+        other = self._operand(other)
         if not self.terms or not other.terms:
             return LaurentPoly.zero(self.var)
         return LaurentPoly(self.var, _mul_terms(self.terms, other.terms))
@@ -642,15 +630,7 @@ class LaurentPoly:
                 raise ValueError("negative power of a multi-term Laurent polynomial")
             ((e, c),) = self.terms.items()
             return LaurentPoly(self.var, {e * exponent: ONE / c ** (-exponent)})
-        result = LaurentPoly.one(self.var)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+        return _power(self, exponent, LaurentPoly.one(self.var))
 
     def evaluate(self, t: complex) -> complex:
         tc = complex(t)
@@ -673,14 +653,7 @@ class LaurentPoly:
         return f"LaurentPoly({self.var!r}, {str(self)!r})"
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        pieces = []
-        for e in sorted(self.terms, reverse=True):
-            mono = "" if e == 0 else (self.var if e == 1 else f"{self.var}^{e}")
-            neg, body = _term_str(self.terms[e], mono)
-            if not pieces:
-                pieces.append(("-" + body) if neg else body)
-            else:
-                pieces.append((" - " if neg else " + ") + body)
-        return "".join(pieces)
+        return _render(sorted(self.terms.items(), reverse=True), self._mono_str)
+
+    def _mono_str(self, e: int) -> str:
+        return "" if e == 0 else (self.var if e == 1 else f"{self.var}^{e}")

@@ -108,15 +108,7 @@ class GaussianRational:
     def __pow__(self, exponent: int) -> "GaussianRational":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = ONE
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, exponent, ONE)
 
     # -- predicates and views -----------------------------------------------
 
@@ -160,6 +152,21 @@ class GaussianRational:
             return _imag_str(self.im)
         sign = "+" if self.im > 0 else "-"
         return f"{self.re}{sign}{_imag_str(abs(self.im))}"
+
+
+def _power(base, exponent: int, one):
+    """base**exponent (exponent >= 0) by square-and-multiply; ``one`` is the empty product.
+
+    Scalars and both polynomial kinds raise powers through it.
+    """
+    result = one
+    while exponent:
+        if exponent & 1:
+            result = result * base
+        exponent >>= 1
+        if exponent:
+            base = base * base
+    return result
 
 
 def _imag_str(im: Fraction) -> str:

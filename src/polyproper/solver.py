@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .elimination import as_univariate, degree_in, eliminate
+from .elimination import as_univariate, eliminate
 from .numeric import ROUNDOFF, MapEvaluator, TermTable, power_tables
 from .numlin import poly_to_coeffs, univariate_roots
 from .poly import Polynomial
@@ -142,7 +142,7 @@ def solve_fiber(
             f"no equation constrains {retained!r} on this fiber"
         )
 
-    phi = min(res.finals, key=lambda p: degree_in(p, retained))
+    phi = min(res.finals, key=lambda p: p.degree_in(retained))
     roots = univariate_roots(poly_to_coeffs(phi))
     column = {v: i for i, v in enumerate(f.vars)}
     points = np.zeros((len(roots.roots), f.source_dim), dtype=complex)

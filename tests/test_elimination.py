@@ -7,14 +7,18 @@ import pytest
 from polyproper import Polynomial, parse_polynomial
 from polyproper.elimination import (
     NotDivisibleError,
+    as_univariate,
     eliminate,
     exact_div,
     gcd_poly,
+    lead_in,
     normalized,
     poly_matrix_det,
+    pseudo_rem,
     resultant,
     squarefree_part,
 )
+from polyproper.nonproper import is_graph_hypersurface
 from conftest import random_nonzero_polynomial
 from oracles import sylvester_matrix
 
@@ -69,6 +73,54 @@ class TestDeterminant:
                 term = m[0][j] * minor
                 cof = cof + (term if j % 2 == 0 else -term)
             assert bareiss == cof
+
+
+class TestUnivariateView:
+    def test_degree_of_zero_is_minus_one(self):
+        assert Polynomial.zero(V).degree_in("x") == -1
+        assert lead_in(Polynomial.zero(V), "x") == (-1, Polynomial.zero(V))
+
+    def test_lead_in(self):
+        assert lead_in(P("3*x^2*y + x^2 - y + 4"), "x") == (2, P("3*y + 1"))
+        assert lead_in(P("y^2 - 1"), "x") == (0, P("y^2 - 1"))
+
+    def test_graph_hypersurface(self):
+        t = ("y1", "y2")
+        assert is_graph_hypersurface(P("y1 - y2^2", t)) == "y1"
+        assert is_graph_hypersurface(P("y1*y2 - 1", t)) is None
+        assert is_graph_hypersurface(P("2*y2 + y1^3", t)) == "y2"
+
+
+class TestPseudoRemainder:
+    @staticmethod
+    def check(f, g, var="x"):
+        """lc(g)^(deg f - deg g + 1) * f - prem is a multiple of g, and deg prem < deg g."""
+        prem = pseudo_rem(f, g, var)
+        gu = as_univariate(g, var)
+        df, dg = f.degree_in(var), max(gu)
+        lcg = gu[dg]
+        assert prem.degree_in(var) < dg
+        exact_div(lcg ** (df - dg + 1) * f - prem, g)  # raises unless g divides it
+        return prem
+
+    def test_leftover_power_paid_at_the_end(self):
+        # one reduction step leaves y^2 - x, of degree 1 < 2; the second
+        # power of lc(g) = y is paid afterwards
+        prem = self.check(P("x^3 + y"), P("y*x^2 + 1"))
+        assert prem == P("y^3 - x*y")
+
+    def test_random_pairs(self):
+        rng = random.Random(61)
+        checked = 0
+        for _ in range(60):
+            f = random_nonzero_polynomial(rng, V, max_degree=4, max_terms=4)
+            g = random_nonzero_polynomial(rng, V, max_degree=3, max_terms=3)
+            if f.degree_in("x") < g.degree_in("x"):
+                assert pseudo_rem(f, g, "x") == f
+                continue
+            self.check(f, g)
+            checked += 1
+        assert checked >= 30
 
 
 class TestResultant:
@@ -163,6 +215,27 @@ class TestCascade:
         system = [P("y - 1", V)]
         res = eliminate(system, ["x"])
         assert res.free_vars == ["x"]
+
+    def test_stage_modes_in_order(self):
+        v4 = ("w", "x", "y", "z")
+        system = [P(t, v4) for t in ("w - 2", "x^2 + y^2 - w*z", "x^2 - y*z")]
+        res = eliminate(system, ["w", "x", "y"])
+        assert [(s.var, s.mode) for s in res.stages] == [
+            ("w", "substitution"),
+            ("x", "resultant"),
+            ("y", "single"),
+        ]
+
+    def test_vanishing_resultant_is_degenerate(self):
+        res = eliminate([P("(x - y)*(x + 1)"), P("(x - y)*(x + 2)")], ["x"])
+        assert res.degenerate_var == "x"
+        assert not res.inconsistent and res.finals == []
+
+    def test_constant_resultant_is_inconsistent(self):
+        res = eliminate([P("x^2 + 1"), P("x^2 + 2")], ["x"])
+        assert res.inconsistent and not res.degenerate
+        assert [s.mode for s in res.stages] == ["resultant"]
+        assert res.finals == []
 
     def test_resultant_stage(self):
         system = [P("x^2 + y^2 - 1"), P("x - y")]

@@ -14,6 +14,8 @@ from polyproper import (
     parse_polynomial,
     target_variables,
 )
+from polyproper.elimination import gcd_poly
+from polyproper.nonproper import gcd_free_basis
 from oracles import sampling_clearance
 
 T2 = ("y1", "y2")
@@ -24,6 +26,14 @@ class TestLocusComputation:
         locus = nonproperness_set(x_xy, seed=0)
         assert locus.is_hypersurface
         assert str(locus.poly) == "y1"
+
+    def test_gcd_free_basis_lists_each_factor_once(self):
+        y1, y1y2 = parse_polynomial("y1", T2), parse_polynomial("y1*y2", T2)
+        basis = gcd_free_basis([y1, y1, y1y2])
+        assert sorted(map(str, basis)) == ["y1", "y2"]
+        for i, a in enumerate(basis):
+            for b in basis[i + 1 :]:
+                assert gcd_poly(a, b).is_constant()
 
     def test_double_cover_is_proper(self, x2_y):
         assert nonproperness_set(x2_y, seed=0).is_empty
