@@ -27,6 +27,10 @@ from typing import Iterable, Sequence
 from .poly import Polynomial, _exact_quotient
 from .scalar import GaussianRational, ONE
 
+#: Largest work one elimination with symbolic targets may spend, in term
+#: pairs of the exact kernel (see :func:`polyproper.poly.work_limit`).
+MAX_SYMBOLIC_WORK = 500_000
+
 
 class NotDivisibleError(ArithmeticError):
     """Exact polynomial division was requested but does not exist."""

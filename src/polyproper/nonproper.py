@@ -9,6 +9,13 @@ f_n - y_n), and the vanishing of the leading coefficient (in x_i) of the
 resulting relation marks targets where a preimage coordinate escapes to
 infinity.
 
+The elimination for the last coordinate is the map's
+:class:`polyproper.solver.TargetPlan`, shared with ``geometric_degree``.
+Every symbolic elimination runs under the exact-work budget
+:data:`polyproper.elimination.MAX_SYMBOLIC_WORK`; one that exceeds it gives
+an ``unknown`` locus whose reason names the budget, within about a second,
+where it would otherwise run for minutes.
+
 Resultant-based elimination can introduce extraneous factors, so every
 candidate component is validated numerically: for a map with constant
 nonzero Jacobian determinant a fiber-count drop against the geometric degree
@@ -36,6 +43,7 @@ from typing import Sequence
 import numpy as np
 
 from .elimination import (
+    MAX_SYMBOLIC_WORK,
     eliminate,
     exact_div,
     gcd_poly,
@@ -45,7 +53,7 @@ from .elimination import (
     resultant,
     squarefree_part,
 )
-from .poly import Polynomial
+from .poly import Polynomial, WorkLimitExceeded, work_limit
 from .polymap import PolyMap
 from .solver import (
     DegreeEstimate,
@@ -55,23 +63,15 @@ from .solver import (
     sample_target,
     solve_fiber,
     specialize_univariate,
+    symbolic_system,
+    target_plan,
+    target_variables,
 )
 from .numlin import norm2, univariate_roots
-
-_TARGET_PREFIXES = ("y", "w", "u", "tv")
 
 EMPTY = "empty"
 HYPERSURFACE = "hypersurface"
 UNKNOWN = "unknown"
-
-
-def target_variables(f: PolyMap) -> tuple[str, ...]:
-    """Deterministic target coordinate names that avoid the source names."""
-    for prefix in _TARGET_PREFIXES:
-        names = tuple(f"{prefix}{k}" for k in range(1, f.target_dim + 1))
-        if not set(names) & set(f.vars):
-            return names
-    raise ValueError(f"could not pick target variable names disjoint from {f.vars}")
 
 
 @dataclass(frozen=True)
@@ -184,11 +184,6 @@ def fiber_count_diagnostic(
 # -- symbolic computation of the locus -----------------------------------------
 
 
-def _lift(p: Polynomial, combined: tuple[str, ...]) -> Polynomial:
-    pad = len(combined) - len(p.vars)
-    return Polynomial._raw(combined, {e + (0,) * pad: c for e, c in p.terms.items()})
-
-
 def _project_to_targets(p: Polynomial, n_source: int, targets: tuple[str, ...]) -> Polynomial:
     terms = {}
     for e, c in p.terms.items():
@@ -291,16 +286,20 @@ def nonproperness_set(
     mu = degree_estimate.mu
 
     n = f.source_dim
-    combined = f.vars + targets
-    system = [
-        _lift(c, combined) - Polynomial.variable(combined, targets[j])
-        for j, c in enumerate(f.components)
-    ]
-
+    system = symbolic_system(f, targets)
     candidates: list[Polynomial] = []
     for i, x_i in enumerate(f.vars):
-        kill = [v for v in f.vars if v != x_i]
-        res = eliminate(system, kill)
+        if i == n - 1:
+            plan = target_plan(f)  # the same cascade, shared with geometric_degree
+            res = plan.result
+            if res is None:
+                return Hypersurface.unknown(targets, plan.reason)
+        else:
+            try:
+                with work_limit(MAX_SYMBOLIC_WORK):
+                    res = eliminate(system, [v for v in f.vars if v != x_i])
+            except WorkLimitExceeded as exc:
+                return Hypersurface.unknown(targets, f"symbolic elimination: {exc}")
         if res.inconsistent:
             return Hypersurface.unknown(targets, "elimination reached an inconsistency")
         if res.degenerate:

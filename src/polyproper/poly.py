@@ -25,10 +25,24 @@ division (:func:`_exact_quotient`) and the sum inside composition
 (:func:`_compose`) work on the same cleared numerators.  ``terms`` always
 holds ``GaussianRational`` values, so nothing outside this module sees the
 cleared form.
+
+Exact work can be metered.  Inside ``with work_limit(n):`` the kernel
+charges every product its pairs of terms and every exact division its
+quotient terms times the divisor's, before doing the work, and raises
+:class:`WorkLimitExceeded` once more than ``n`` pairs are spent.  Outside
+such a block nothing is counted.
+
+:class:`Specialisation` fixes the trailing variables of a set of
+polynomials at exact values, for many values in turn: each polynomial is
+compiled once to cleared numerators split by (leading exponents, trailing
+exponents), so one set of values costs int powers of the values and one
+normalisation per coefficient of the result.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -366,6 +380,38 @@ class _Packing:
         return {unpack(k): c for k, c in terms.items()}
 
 
+class WorkLimitExceeded(ArithmeticError):
+    """Exact arithmetic under :func:`work_limit` needed more than its limit."""
+
+
+class _Meter:
+    __slots__ = ("limit", "spent")
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.spent = 0
+
+    def charge(self, pairs: int) -> None:
+        self.spent += pairs
+        if self.spent > self.limit:
+            raise WorkLimitExceeded(
+                f"exact work exceeds the budget of {self.limit} term pairs"
+            )
+
+
+_METER: ContextVar[_Meter | None] = ContextVar("polyproper_work_meter", default=None)
+
+
+@contextmanager
+def work_limit(limit: int):
+    """Meter the kernel's work inside the block; see the module docstring."""
+    token = _METER.set(_Meter(limit))
+    try:
+        yield
+    finally:
+        _METER.reset(token)
+
+
 def _cleared(terms: Mapping) -> tuple[int, list]:
     """(den, [(key, re, im)]): Gaussian-integer numerators over one denominator."""
     dens = {c.re.denominator for c in terms.values()}
@@ -396,6 +442,9 @@ def _mul_terms(a: Mapping[int, GaussianRational], b: Mapping[int, GaussianRation
     """The product of two term dicts keyed by int exponents that add."""
     da, ia = _cleared(a)
     db, ib = _cleared(b)
+    meter = _METER.get()
+    if meter is not None:
+        meter.charge(len(ia) * len(ib))
     acc_re: dict[int, int] = {}
     acc_im: dict[int, int] = {}
     get_re, get_im = acc_re.get, acc_im.get
@@ -429,7 +478,10 @@ def _exact_quotient(p: "Polynomial", q: "Polynomial") -> dict | None:
     rem_im = {k: im * norm for k, _, im in ip}
     quot_re: dict[int, int] = {}
     quot_im: dict[int, int] = {}
+    meter = _METER.get()
     while rem_re:
+        if meter is not None:
+            meter.charge(len(iq))
         k = max(rem_re)
         rr, ri = rem_re.pop(k), rem_im.pop(k)
         if any(a < b for a, b in zip(packing.unpack(k), lead_exps)):
@@ -492,6 +544,75 @@ def _compose(terms: Mapping[Exponents, GaussianRational], images: Sequence, one)
             acc_re[k] = acc_re.get(k, 0) + cr * mr - ci * mi
             acc_im[k] = acc_im.get(k, 0) + cr * mi + ci * mr
     return _normalised(acc_re, acc_im, den)
+
+
+class Specialisation:
+    """Polynomials of one context with their trailing variables fixed, compiled once.
+
+    The first ``head`` variables stay; :meth:`at` replaces the others by
+    exact values.  A term c * x^a * y^b of a polynomial whose largest
+    trailing degree is D is kept as the cleared numerator of c, split by
+    (a, b).  At values y = Y / d, with Y Gaussian integers over one common
+    denominator d, the coefficient of x^a is
+    sum_b num(c) * Y^b * d^(D - |b|) over den(c) * d^D: int arithmetic and
+    one normalisation.
+    """
+
+    __slots__ = ("vars", "degrees", "compiled")
+
+    def __init__(self, polys: Sequence[Polynomial], head: int):
+        self.vars = polys[0].vars[:head]
+        tail = len(polys[0].vars) - head
+        degrees = [0] * tail
+        self.compiled = []
+        for p in polys:
+            den, items = _cleared(p.terms)
+            terms = []
+            for e, re, im in items:
+                b = e[head:]
+                for j, k in enumerate(b):
+                    if k > degrees[j]:
+                        degrees[j] = k
+                terms.append((e[:head], b, sum(b), re, im))
+            top = max((t[2] for t in terms), default=0)
+            self.compiled.append((den, top, terms))
+        self.degrees = degrees
+
+    def at(self, values: Sequence[ScalarLike]) -> list[Polynomial]:
+        """Every polynomial with the trailing variables set to ``values``, exactly."""
+        vals = [GaussianRational.coerce(v) for v in values]
+        d = lcm(*(c.re.denominator for c in vals), *(c.im.denominator for c in vals))
+        powers = []
+        for c, deg in zip(vals, self.degrees):
+            yr, yi = c.re.numerator * (d // c.re.denominator), c.im.numerator * (d // c.im.denominator)
+            table = [(1, 0)]
+            for _ in range(deg):
+                r, i = table[-1]
+                table.append((r * yr - i * yi, r * yi + i * yr))
+            powers.append(table)
+        d_powers = [1]
+        for _ in range(max((top for _, top, _ in self.compiled), default=0)):
+            d_powers.append(d_powers[-1] * d)
+        monomials: dict[tuple, tuple[int, int]] = {}
+        out = []
+        for den, top, terms in self.compiled:
+            acc_re: dict = {}
+            acc_im: dict = {}
+            for a, b, deg, re, im in terms:
+                m = monomials.get(b)
+                if m is None:
+                    mr, mi = 1, 0
+                    for table, k in zip(powers, b):
+                        if k:
+                            pr, pi = table[k]
+                            mr, mi = mr * pr - mi * pi, mr * pi + mi * pr
+                    m = monomials[b] = (mr, mi)
+                s = d_powers[top - deg]
+                mr, mi = m
+                acc_re[a] = acc_re.get(a, 0) + (re * mr - im * mi) * s
+                acc_im[a] = acc_im.get(a, 0) + (re * mi + im * mr) * s
+            out.append(Polynomial._raw(self.vars, _normalised(acc_re, acc_im, den * d_powers[top])))
+        return out
 
 
 def _horner(items, vi, nvars, values):

@@ -24,7 +24,14 @@ from .scalar import GaussianRational
 class PolyMap:
     """Immutable polynomial mapping given by component polynomials."""
 
-    __slots__ = ("vars", "components", "_jacobian", "_nonsingularity", "_evaluator")
+    __slots__ = (
+        "vars",
+        "components",
+        "_jacobian",
+        "_nonsingularity",
+        "_evaluator",
+        "_target_plan",  # set by solver.target_plan
+    )
 
     def __init__(self, variables: Sequence[str], components: Sequence[Polynomial]):
         vs = tuple(variables)
@@ -41,6 +48,7 @@ class PolyMap:
         object.__setattr__(self, "_jacobian", None)
         object.__setattr__(self, "_nonsingularity", None)
         object.__setattr__(self, "_evaluator", None)
+        object.__setattr__(self, "_target_plan", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyMap is immutable")

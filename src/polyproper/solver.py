@@ -18,6 +18,31 @@ of the evaluation, a small multiple of machine epsilon times its
 term-magnitude sum (see :mod:`polyproper.numeric`), or when its Jacobian is
 singular or its step is not finite; it keeps its best iterate either way.
 
+Two routes lead to the cascade.  :func:`solve_fiber` and :func:`fiber_count`
+eliminate at the given target (the per-target path).  :func:`geometric_degree`
+samples 50 targets of one map, so it eliminates once per map instead: the
+map's :class:`TargetPlan` is the cascade of (f - y) with y symbolic that
+kills x_1..x_{n-1}, the same one ``nonproperness_set`` reads the last
+coordinate's relation from (Jelonek 1993), built on first use and kept on
+the map.  At each target its stage pivots and finals are specialised
+exactly (:class:`polyproper.poly.Specialisation`), and the same
+back-substitution and Newton code as the per-target path takes over.  The
+per-target path is the fallback when the plan is inconsistent, degenerate,
+leaves a variable free, has no finals or is over budget; when every final
+or some pivot vanishes at the target; and when a branch degenerates during
+back-substitution.  A nonzero constant final means the fiber is empty.
+
+The plan is built under an exact-work budget,
+:data:`polyproper.elimination.MAX_SYMBOLIC_WORK` term pairs of the product
+kernel (:func:`polyproper.poly.work_limit`): a symbolic elimination that
+would run for minutes stops within about a second, and its map is sampled
+per target.
+
+Back-substitution trims a leading coefficient of a specialised pivot only
+when it is within 1e-9 of its own term-magnitude sum, that is within its
+round-off; a coefficient that is merely small next to the others is kept,
+with the large root it brings.
+
 Scale contract: square maps with n <= 3 and component degrees <= 10.
 Targets for degree estimation are drawn from a box with re/im uniform in
 [-2, 2], snapped to a dyadic grid (multiples of 1/4096) so the exact
@@ -33,10 +58,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .elimination import as_univariate, eliminate
+from .elimination import MAX_SYMBOLIC_WORK, EliminationResult, as_univariate, eliminate
 from .numeric import ROUNDOFF, MapEvaluator, TermTable, power_tables
 from .numlin import poly_to_coeffs, univariate_roots
-from .poly import Polynomial
+from .poly import Polynomial, Specialisation, WorkLimitExceeded, work_limit
 from .polymap import PolyMap
 from .scalar import GaussianRational
 
@@ -46,6 +71,7 @@ DEDUP_RADIUS = 1e-6
 #: Degree-estimation targets have re/im parts in [-SAMPLE_BOX, SAMPLE_BOX].
 SAMPLE_BOX = 2.0
 _CANDIDATE_CAP = 20000
+_TARGET_PREFIXES = ("y", "w", "u", "tv")
 
 
 class PositiveDimensionalFiberError(Exception):
@@ -112,6 +138,111 @@ def _shifted_system(f: PolyMap, y: Sequence[complex]) -> list[Polynomial]:
     ]
 
 
+def target_variables(f: PolyMap) -> tuple[str, ...]:
+    """Deterministic target coordinate names that avoid the source names."""
+    for prefix in _TARGET_PREFIXES:
+        names = tuple(f"{prefix}{k}" for k in range(1, f.target_dim + 1))
+        if not set(names) & set(f.vars):
+            return names
+    raise ValueError(f"could not pick target variable names disjoint from {f.vars}")
+
+
+def symbolic_system(f: PolyMap, targets: Sequence[str]) -> list[Polynomial]:
+    """The polynomials f_j - y_j over the source variables followed by ``targets``."""
+    combined = f.vars + tuple(targets)
+    pad = (0,) * len(targets)
+    return [
+        Polynomial._raw(combined, {e + pad: c for e, c in comp.terms.items()})
+        - Polynomial.variable(combined, y_j)
+        for comp, y_j in zip(f.components, targets)
+    ]
+
+
+class TargetPlan:
+    """The cascade of f - y that kills x_1..x_{n-1}, with the target y symbolic.
+
+    ``result`` is the :class:`EliminationResult` over the source variables
+    followed by ``targets``, or None when the cascade needed more than
+    :data:`MAX_SYMBOLIC_WORK` (``reason`` then says so).  A usable plan
+    (consistent, not degenerate, no free variables, some finals) is
+    specialised at numeric targets by :meth:`at`.
+    """
+
+    __slots__ = ("targets", "result", "reason", "_specialisation")
+
+    def __init__(self, targets: tuple[str, ...], result: EliminationResult | None, reason: str | None):
+        self.targets = targets
+        self.result = result
+        self.reason = reason
+        self._specialisation = None
+
+    @property
+    def usable(self) -> bool:
+        res = self.result
+        return (
+            res is not None
+            and not res.inconsistent
+            and not res.degenerate
+            and not res.free_vars
+            and bool(res.finals)
+        )
+
+    def at(self, y: Sequence[complex]) -> tuple[list[Polynomial], list[Polynomial]]:
+        """The stage pivots and the finals with y substituted exactly.
+
+        Both live in the source variables.  The compiled form is built on
+        first use.
+        """
+        spec = self._specialisation
+        stages = self.result.stages
+        if spec is None:
+            polys = [stage.pivot for stage in stages] + self.result.finals
+            spec = Specialisation(polys, len(polys[0].vars) - len(self.targets))
+            self._specialisation = spec
+        values = spec.at([complex(v) for v in y])
+        return values[: len(stages)], values[len(stages) :]
+
+
+def target_plan(f: PolyMap) -> TargetPlan:
+    """The map's :class:`TargetPlan`, built on first use and kept on the map.
+
+    The cascade runs under the exact-work limit :data:`MAX_SYMBOLIC_WORK`.
+    """
+    plan = f._target_plan
+    if plan is None:
+        targets = target_variables(f)
+        try:
+            with work_limit(MAX_SYMBOLIC_WORK):
+                result = eliminate(symbolic_system(f, targets), list(f.vars[:-1]))
+            plan = TargetPlan(targets, result, None)
+        except WorkLimitExceeded as exc:
+            plan = TargetPlan(targets, None, f"symbolic elimination: {exc}")
+        object.__setattr__(f, "_target_plan", plan)
+    return plan
+
+
+def _planned_fiber(f: PolyMap, y: Sequence[complex], tol: float) -> list[FiberSolution]:
+    """:func:`solve_fiber` through the map's :class:`TargetPlan`, specialised at y.
+
+    Falls back to the per-target cascade when the plan is not usable, when
+    every final or some pivot vanishes at y, or when a branch degenerates
+    during back-substitution.  A nonzero constant final means the fiber is
+    empty.
+    """
+    plan = target_plan(f)
+    if plan.usable:
+        pivots, finals = plan.at(y)
+        finals = [p for p in finals if p]
+        if finals and all(pivots):
+            if any(p.is_constant() for p in finals):
+                return []
+            stages = [(stage.var, pivot) for stage, pivot in zip(plan.result.stages, pivots)]
+            solutions, degenerate = _back_substitute(f, y, stages, finals, tol)
+            if not degenerate:
+                return solutions
+    return solve_fiber(f, y, tol)
+
+
 def solve_fiber(
     f: PolyMap, y: Sequence[complex], tol: float = 1e-8
 ) -> list[FiberSolution]:
@@ -141,25 +272,50 @@ def solve_fiber(
         raise PositiveDimensionalFiberError(
             f"no equation constrains {retained!r} on this fiber"
         )
+    stages = [(stage.var, stage.pivot) for stage in res.stages]
+    solutions, degenerate = _back_substitute(f, y, stages, res.finals, tol)
+    if not solutions and degenerate:
+        raise PositiveDimensionalFiberError(
+            "all candidate branches degenerated during back-substitution"
+        )
+    return solutions
 
-    phi = min(res.finals, key=lambda p: p.degree_in(retained))
+
+def _back_substitute(
+    f: PolyMap,
+    y: Sequence[complex],
+    stages: Sequence[tuple[str, Polynomial]],
+    finals: Sequence[Polynomial],
+    tol: float,
+) -> tuple[list[FiberSolution], bool]:
+    """The fiber points that a cascade at the target y leads to.
+
+    ``stages`` are (variable, pivot) pairs in elimination order and
+    ``finals`` the nonconstant equations left in the last source variable,
+    all with y folded in.  The roots of the final of least degree are
+    extended through the stages in reverse, then refined and filtered.
+    Returns the solutions and whether some branch degenerated (its pivot
+    vanished identically at the branch's partial point).
+    """
+    retained = f.vars[-1]
+    phi = min(finals, key=lambda p: p.degree_in(retained))
     roots = univariate_roots(poly_to_coeffs(phi))
     column = {v: i for i, v in enumerate(f.vars)}
     points = np.zeros((len(roots.roots), f.source_dim), dtype=complex)
     points[:, column[retained]] = [r.value for r in roots.roots]
     mults = [r.multiplicity for r in roots.roots]
 
-    dead_degenerate = False
-    for stage in reversed(res.stages):
+    degenerate = False
+    for var, pivot in reversed(stages):
         if not mults:
             break
-        j = column[stage.var]
+        j = column[var]
         ext_points: list[np.ndarray] = []
         ext_mults: list[int] = []
-        view = _UnivariateView(stage.pivot, stage.var)
+        view = _UnivariateView(pivot, var)
         for point, mult, coeffs in zip(points, mults, view.specialize(points)):
             if coeffs is None:
-                dead_degenerate = True
+                degenerate = True
                 continue
             if len(coeffs) == 1:
                 continue  # nonzero constant: branch has no extension
@@ -174,12 +330,7 @@ def solve_fiber(
             raise RuntimeError("candidate explosion; system outside desk scale")
 
     target = np.array([complex(v) for v in y])
-    solutions = _refine_and_filter(f, target, points, mults, tol)
-    if not solutions and dead_degenerate:
-        raise PositiveDimensionalFiberError(
-            "all candidate branches degenerated during back-substitution"
-        )
-    return solutions
+    return _refine_and_filter(f, target, points, mults, tol), degenerate
 
 
 class _UnivariateView:
@@ -201,21 +352,27 @@ class _UnivariateView:
     def specialize(self, points: np.ndarray) -> list[list[complex] | None]:
         """Ascending coefficients in ``var`` at each row of a k x n batch.
 
-        Numerically-zero leading entries are trimmed; an entry is None when
-        the whole polynomial collapses to zero relative to the largest term
-        that was summed (a degenerate specialization).
+        A leading entry is trimmed while it is within round-off of its own
+        term-magnitude sum; an entry is None when the whole polynomial
+        collapses to zero relative to the largest term that was summed (a
+        degenerate specialization).
         """
         mono = self.table.monomials(power_tables(points, self.table.degrees))
         values = (mono @ self.table.coeffs).tolist()
-        bounds = (np.abs(mono) * self.max_abs).max(axis=1).tolist()
-        return [_trim(coeffs, bound) for coeffs, bound in zip(values, bounds)]
+        abs_mono = np.abs(mono)
+        sums = (abs_mono @ self.table.abs_coeffs).tolist()
+        bounds = (abs_mono * self.max_abs).max(axis=1).tolist()
+        return [_trim(*row) for row in zip(values, sums, bounds)]
 
 
-def _trim(coeffs: list[complex], bound: float) -> list[complex] | None:
-    top = max(abs(c) for c in coeffs)
-    if top <= 1e-9 * max(bound, 1e-280):
+def _trim(coeffs: list[complex], sums: list[float], bound: float) -> list[complex] | None:
+    """``coeffs`` without leading entries within 1e-9 of their term-magnitude ``sums``.
+
+    None when even the largest entry is below 1e-9 of ``bound``.
+    """
+    if max(abs(c) for c in coeffs) <= 1e-9 * max(bound, 1e-280):
         return None
-    while coeffs and abs(coeffs[-1]) <= 1e-12 * top:
+    while coeffs and abs(coeffs[-1]) <= 1e-9 * sums[len(coeffs) - 1]:
         coeffs.pop()
     if not coeffs:
         return None
@@ -228,7 +385,7 @@ def specialize_univariate(
     """View p at a numeric partial point as univariate in ``var``.
 
     Every variable of p except ``var`` must be assigned.  Returns ascending
-    complex coefficients with numerically-zero leading entries trimmed, or
+    complex coefficients with leading entries within round-off trimmed, or
     None when the whole polynomial collapses to zero relative to the
     magnitude of the terms that were summed (a degenerate specialization).
     """
@@ -352,7 +509,9 @@ def geometric_degree(
     targets; for a map that restricts to a cover off its nonproperness set,
     generic targets all attain it.  Degenerate samples (positive-dimensional
     fibers) are tallied separately; it is an error if every sample
-    degenerates or no sample has a nonzero count.
+    degenerates or no sample has a nonzero count.  Each sampled fiber is
+    solved through the map's :class:`TargetPlan`, with the per-target
+    cascade as the fallback, so the counts are those of :func:`fiber_count`.
     """
     _check_scale(f)
     if n_samples < 1:
@@ -364,7 +523,7 @@ def geometric_degree(
         rng = np.random.default_rng(child)
         y = sample_target(rng, f.target_dim)
         try:
-            count = fiber_count(f, y, tol)
+            count = len(_planned_fiber(f, y, tol))
         except PositiveDimensionalFiberError:
             degenerate += 1
             continue

@@ -1,0 +1,213 @@
+"""The symbolic-target elimination plan, its exact specialisation and budget.
+
+``geometric_degree`` solves each sampled fiber through one elimination of
+(f - y) with y symbolic, specialised at the target; these tests hold it to
+exact substitution and to the per-target cascade of :func:`fiber_count`,
+including the fallbacks and the work budget.
+"""
+
+import functools
+import importlib.util
+import random
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from polyproper import GaussianRational, PolyMap, Polynomial, solver
+from polyproper.corpus import EXAMPLE_3_6_TEXT, X2_Y_TEXT, X_XY_TEXT
+from polyproper.nonproper import nonproperness_set
+from polyproper.poly import Specialisation, WorkLimitExceeded, work_limit
+from polyproper.polymap import parse_map_text
+from polyproper.solver import (
+    DegreeEstimate,
+    PositiveDimensionalFiberError,
+    _planned_fiber,
+    fiber_count,
+    geometric_degree,
+    sample_target,
+    solve_fiber,
+    target_plan,
+)
+
+GENERATORS = Path(__file__).resolve().parents[1] / "bench" / "generators.py"
+#: The fixed dense pool of the benchmark: generator seed and maps per (n, d).
+DENSE_POOL_SEED = 1807
+DENSE_POOL = {(2, 3): 3, (2, 6): 3, (3, 2): 3, (3, 3): 2}
+
+rationals = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+gaussians = st.builds(GaussianRational, rationals, rationals)
+
+
+@functools.cache
+def _dense_texts() -> dict[str, str]:
+    """The map texts of the benchmark's dense pool, by key (e.g. ``"3x3#1"``)."""
+    spec = importlib.util.spec_from_file_location("bench_generators", GENERATORS)
+    generators = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = generators  # its dataclasses look the module up
+    spec.loader.exec_module(generators)
+    rng = random.Random(DENSE_POOL_SEED)
+    return {
+        f"{n}x{d}#{m}": generators.dense_map(rng, n, d).text()
+        for (n, d), count in DENSE_POOL.items()
+        for m in range(count)
+    }
+
+
+def _dense_map(key: str) -> PolyMap:
+    """A freshly parsed map of the dense pool, with no plan built yet."""
+    return parse_map_text(_dense_texts()[key])
+
+
+def _per_target_histogram(f: PolyMap, n_samples: int, seed: int) -> tuple[dict, int]:
+    """What geometric_degree tallies, with every fiber solved by fiber_count."""
+    histogram: dict[int, int] = {}
+    degenerate = 0
+    for child in np.random.SeedSequence(seed).spawn(n_samples):
+        y = sample_target(np.random.default_rng(child), f.target_dim)
+        try:
+            count = fiber_count(f, y)
+        except PositiveDimensionalFiberError:
+            degenerate += 1
+            continue
+        histogram[count] = histogram.get(count, 0) + 1
+    return histogram, degenerate
+
+
+def _substituted(p: Polynomial, head: tuple[str, ...], values) -> Polynomial:
+    images = {v: Polynomial.variable(head, v) for v in head}
+    images.update(
+        (v, Polynomial.constant(head, c)) for v, c in zip(p.vars[len(head) :], values)
+    )
+    return p.substitute(images)
+
+
+@st.composite
+def tail_polynomials(draw):
+    """Polynomials over (x, y, w1, w2) and values for the trailing w1, w2."""
+    names = ("x", "y", "w1", "w2")
+    exps = st.tuples(*[st.integers(0, 3)] * 4)
+    polys = draw(
+        st.lists(st.dictionaries(exps, gaussians, max_size=6), min_size=1, max_size=3)
+    )
+    values = draw(st.tuples(gaussians, gaussians))
+    return [Polynomial(names, terms) for terms in polys], values
+
+
+@settings(max_examples=60, deadline=None)
+@given(tail_polynomials())
+def test_specialisation_matches_substitute(case):
+    polys, values = case
+    head = ("x", "y")
+    got = Specialisation(polys, 2).at(values)
+    assert got == [_substituted(p, head, values) for p in polys]
+
+
+@st.composite
+def small_maps(draw):
+    """A 2 x 2 map of degree <= 3 and a dyadic target."""
+    names = ("x", "y")
+    exps = st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(lambda e: sum(e) <= 3)
+    comps = [
+        Polynomial(names, draw(st.dictionaries(exps, gaussians, min_size=1, max_size=4)))
+        for _ in names
+    ]
+    seed = draw(st.integers(0, 2**32 - 1))
+    return PolyMap(names, comps), sample_target(np.random.default_rng(seed), 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_maps())
+def test_plan_pivots_and_finals_match_substitute(case):
+    f, y = case
+    plan = target_plan(f)
+    if not plan.usable:
+        return
+    pivots, finals = plan.at(y)
+    values = [GaussianRational.coerce(v) for v in y]
+    res = plan.result
+    assert pivots == [_substituted(s.pivot, f.vars, values) for s in res.stages]
+    assert finals == [_substituted(p, f.vars, values) for p in res.finals]
+
+
+@pytest.mark.parametrize("text", [EXAMPLE_3_6_TEXT, X_XY_TEXT, X2_Y_TEXT], ids=["3-6", "x-xy", "x2-y"])
+@pytest.mark.parametrize("seed", [0, 1, 218638802])
+def test_geometric_degree_matches_per_target_on_corpus(text, seed):
+    est = geometric_degree(parse_map_text(text), n_samples=50, seed=seed)
+    expected = _per_target_histogram(parse_map_text(text), 50, seed)
+    assert (est.histogram, est.degenerate) == expected
+
+
+@pytest.mark.parametrize("key", ["2x3#0", "2x3#1", "3x2#0", "3x2#2", "3x3#0"])
+def test_geometric_degree_matches_per_target_on_dense_maps(key):
+    est = geometric_degree(_dense_map(key), n_samples=12, seed=3)
+    assert target_plan(_dense_map(key)).usable
+    assert (est.histogram, est.degenerate) == _per_target_histogram(_dense_map(key), 12, 3)
+
+
+def test_positive_dimensional_fiber_raises_on_both_paths():
+    f = PolyMap.from_exprs(("x", "y"), ["x", "x*y"])
+    assert target_plan(f).usable
+    # at (0, 0) every final vanishes, so the plan falls back and the cascade raises
+    with pytest.raises(PositiveDimensionalFiberError):
+        _planned_fiber(f, (0, 0), 1e-8)
+    with pytest.raises(PositiveDimensionalFiberError):
+        solve_fiber(f, (0, 0))
+
+
+def test_constant_final_gives_empty_fiber_on_both_paths():
+    f = PolyMap.from_exprs(("x", "y"), ["x", "x*y"])
+    assert _planned_fiber(f, (0, 1), 1e-8) == []
+    assert fiber_count(f, (0, 1)) == 0
+
+
+def test_over_budget_plan_gives_same_histogram(monkeypatch):
+    text = EXAMPLE_3_6_TEXT
+    expected = geometric_degree(parse_map_text(text), n_samples=20, seed=1)
+    monkeypatch.setattr(solver, "MAX_SYMBOLIC_WORK", 5)
+    f = parse_map_text(text)
+    est = geometric_degree(f, n_samples=20, seed=1)
+    plan = target_plan(f)
+    assert plan.result is None and "budget" in plan.reason
+    assert est == expected
+
+
+def test_work_limit_meters_products_only_inside_the_block():
+    p = Polynomial(("x", "y"), {(1, 0): 1, (0, 1): 2, (2, 1): 3, (0, 0): 1})
+    with work_limit(16):
+        p * p  # 16 term pairs
+        with pytest.raises(WorkLimitExceeded):
+            p * p
+    p * p * p * p  # no limit outside the block
+
+
+def test_dense_locus_over_budget_is_unknown_within_seconds():
+    """Its symbolic elimination once ran for over a minute without finishing."""
+    f = _dense_map("3x3#1")
+    estimate = DegreeEstimate(mu=14, histogram={14: 1}, samples=1, seed=0, degenerate=0, box=2.0)
+    start = time.perf_counter()
+    locus = nonproperness_set(f, degree_estimate=estimate)
+    assert time.perf_counter() - start < 20
+    assert locus.is_unknown and "budget" in locus.reason
+
+
+def test_dense_map_over_budget_falls_back_to_per_target():
+    f = _dense_map("3x3#1")
+    est = geometric_degree(f, n_samples=3, seed=5)
+    assert target_plan(f).result is None
+    assert (est.histogram, est.degenerate) == _per_target_histogram(_dense_map("3x3#1"), 3, 5)
+
+
+def test_dense_fiber_keeps_root_with_small_leading_coefficient():
+    """A pivot's leading coefficient is small at a root but above its round-off.
+
+    Trimmed against the largest coefficient, it lost one of the 14 points
+    of this fiber (the benchmark's first dense-fibers target at seed 1).
+    """
+    f = _dense_map("3x3#1")
+    y = sample_target(np.random.default_rng([1, 3, 3, 1]), 3)
+    assert fiber_count(f, y) == 14
