@@ -8,7 +8,12 @@ map (one row), it reduces to the Euclidean norm of the gradient.
 
 Root finding uses companion-matrix eigenvalues with Newton polishing and
 cluster merging, which is robust through the desk-scale degrees (~30) this
-package targets.
+package targets.  It works on batches: :func:`roots_of_each` solves many
+polynomials at once, a degree-1 row in closed form and the rows of each
+higher degree with one eigensolve of their stacked companion matrices and
+one vectorised Horner polish of all their roots; only rows with roots
+within each other's rounding reach go through the per-row cluster merge.
+:func:`univariate_roots` is a batch of one.
 """
 
 from __future__ import annotations
@@ -82,77 +87,151 @@ class RootSet:
 
 
 def univariate_roots(coeffs: Sequence[complex]) -> RootSet:
-    """All complex roots of sum(coeffs[k] * z^k).
+    """All complex roots of sum(coeffs[k] * z^k): :func:`roots_of_each` of one row.
 
     ``coeffs`` are ascending-degree coefficients; the leading coefficient
     must be nonzero after trimming trailing zeros.  Roots are never silently
     dropped (multiplicities always sum to the degree); callers compare
-    ``residual / coeff_norm`` against their own tolerance.  Polished roots
-    closer than :data:`CLUSTER_RADIUS` merge into one root, and nearby
-    clusters merge as well when they fit one multiple root
-    (:func:`_merge_multiple`).  The value of a root of multiplicity m >= 3
-    is polished as a simple root of the (m-1)-th derivative.
+    ``residual / coeff_norm`` against their own tolerance.
     """
+    return roots_of_each([coeffs])[0]
+
+
+def roots_of_each(rows: Sequence[Sequence[complex]]) -> list[RootSet]:
+    """The :class:`RootSet` of each row of ascending coefficients, found as one batch.
+
+    Every row must stay nonconstant once trailing zeros are trimmed.  The
+    root of a degree-1 row is -c0/c1.  The rows of each higher degree are
+    solved together: one eigensolve of their stacked companion matrices,
+    then Newton polishing of all their roots at once (:func:`_polish`).
+    Polished roots closer than :data:`CLUSTER_RADIUS` merge into one root,
+    and nearby clusters merge as well when they fit one multiple root
+    (:func:`_merge_multiple`); only a row with two roots within each other's
+    reach takes that path.  The value of a root of multiplicity m >= 3 is
+    polished as a simple root of the (m-1)-th derivative.  A row's result
+    does not depend on the other rows of the batch.
+    """
+    trimmed = [_trimmed(c) for c in rows]
+    by_degree: dict[int, list[int]] = {}
+    for i, c in enumerate(trimmed):
+        by_degree.setdefault(len(c) - 1, []).append(i)
+    out: list = [None] * len(trimmed)
+    for members in by_degree.values():
+        coeffs = np.array([trimmed[i] for i in members], dtype=complex)
+        norms = np.array([max(map(abs, trimmed[i])) for i in members])
+        for i, root_set in zip(members, _roots_of_degree(coeffs, norms)):
+            out[i] = root_set
+    return out
+
+
+def _trimmed(coeffs: Sequence[complex]) -> list[complex]:
     c = [complex(x) for x in coeffs]
     while c and c[-1] == 0:
         c.pop()
     if not c:
         raise ValueError("the zero polynomial has no well-defined roots")
-    deg = len(c) - 1
-    if deg == 0:
+    if len(c) == 1:
         raise ValueError("a nonzero constant has no roots")
-    norm = max(abs(x) for x in c)
-    arr = np.array(c, dtype=complex) / norm
+    return c
 
-    # companion matrix of the monic normalization
-    monic = arr / arr[-1]
-    comp = np.zeros((deg, deg), dtype=complex)
-    if deg > 1:
-        comp[1:, :-1] = np.eye(deg - 1)
-    comp[:, -1] = -monic[:-1]
-    raw = np.linalg.eigvals(comp)
 
-    poly = np.polynomial.polynomial
-    dp = poly.polyder(arr)
-    polished = [_newton_polish(z, arr, dp) for z in raw]
-    clusters = _merge_multiple(_cluster(polished, CLUSTER_RADIUS), arr)
+def _roots_of_degree(coeffs: np.ndarray, norms: np.ndarray) -> list[RootSet]:
+    """The root sets of the rows of a k x (deg + 1) coefficient array, max |c| ``norms``."""
+    k, deg = coeffs.shape[0], coeffs.shape[1] - 1
+    arr = coeffs / norms[:, None]
+    if deg == 1:
+        values = -coeffs[:, 0] / coeffs[:, 1]
+        residuals = np.abs(_horner(arr, values)) * norms
+        return [
+            RootSet((Root(z, 1, r),), 1, n)
+            for z, r, n in zip(values.tolist(), residuals.tolist(), norms.tolist())
+        ]
+    # companion matrices of the monic normalizations
+    comp = np.zeros((k, deg, deg), dtype=complex)
+    comp[:, 1:, :-1] = np.eye(deg - 1)
+    comp[:, :, -1] = -(arr[:, :-1] / arr[:, -1:])
+    rows = arr[np.repeat(np.arange(k), deg)]  # one row per root
+    polished, values = _polish(rows, np.linalg.eigvals(comp).ravel())
+    residuals = (values.reshape(k, deg) * norms[:, None]).tolist()
+    # each root's reach in _merge_multiple, at multiplicity 1
+    lead = np.abs(_horner(_derivative(rows), polished))
+    scale = _horner(np.abs(rows), np.abs(polished))
+    reach = 4.0 * np.divide(EPS * scale, lead, out=np.full(len(lead), np.inf), where=lead != 0)
+    polished, reach = polished.reshape(k, deg), reach.reshape(k, deg)
+    dist = np.abs(polished[:, :, None] - polished[:, None, :])
+    close = (dist < CLUSTER_RADIUS) | (dist <= np.minimum(reach[:, :, None], reach[:, None, :]))
+    close[:, np.arange(deg), np.arange(deg)] = False
+    isolated = (np.isfinite(polished).all(axis=1) & ~close.any(axis=(1, 2))).tolist()
+    out = []
+    rows_out = zip(arr, polished.tolist(), residuals, norms.tolist(), isolated)
+    for row, points, res, norm, alone in rows_out:
+        if alone:
+            roots = [Root(z, 1, r) for z, r in zip(points, res)]
+        else:
+            roots = _clustered_roots(row, points, norm)
+        roots.sort(key=lambda r: (r.value.real, r.value.imag))
+        out.append(RootSet(tuple(roots), deg, norm))
+    return out
+
+
+def _clustered_roots(arr: np.ndarray, polished: list[complex], norm: float) -> list[Root]:
+    """The roots of one normalized row from its polished points, clustered and merged."""
     roots = []
-    for pts in clusters:
+    for pts in _merge_multiple(_cluster(polished, CLUSTER_RADIUS), arr):
         m = len(pts)
         center = sum(pts) / m
         if m >= 3:
             # an m-fold root is a simple, well-conditioned root of p^(m-1)
-            z = _newton_polish(center, poly.polyder(arr, m - 1), poly.polyder(arr, m))
+            deriv = np.polynomial.polynomial.polyder(arr, m - 1)
+            z = complex(_polish(deriv[None, :], np.array([center]))[0][0])
             if abs(z - center) <= max(abs(w - center) for w in pts):
                 center = z
-        residual = abs(poly.polyval(center, arr)) * norm
+        residual = abs(_horner(arr[None, :], np.array([center]))[0]) * norm
         roots.append(Root(complex(center), m, float(residual)))
-    roots.sort(key=lambda r: (r.value.real, r.value.imag))
-    return RootSet(tuple(roots), deg, float(norm))
+    return roots
 
 
-def _newton_polish(z: complex, coeffs: np.ndarray, dcoeffs: np.ndarray, iters: int = 12) -> complex:
-    """Newton on p from z; the iterate with the least |p|.
+def _horner(rows: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """p_i(z_i) for the ascending coefficient rows p_i, by Horner's rule."""
+    acc = rows[:, -1]
+    for j in range(rows.shape[1] - 2, -1, -1):
+        acc = rows[:, j] + acc * z
+    return acc
 
-    Stops at an exact zero or once a step is within a few ulps of |z|, the
-    round-off floor past which no step moves z.
+
+def _derivative(rows: np.ndarray) -> np.ndarray:
+    return rows[:, 1:] * np.arange(1, rows.shape[1])
+
+
+def _polish(rows: np.ndarray, z: np.ndarray, iters: int = 12) -> tuple[np.ndarray, np.ndarray]:
+    """Newton on the polynomial of each row from the matching start in ``z``.
+
+    Returns each start's iterate with the least |p| and that |p|.  An
+    iterate stops at an exact zero, once its step is within a few ulps of
+    |z| (the round-off floor past which no step moves z), or where p' is
+    zero or a value is not finite.
     """
-    best = z
-    fz = np.polynomial.polynomial.polyval(z, coeffs)
-    best_val = abs(fz)
+    deriv = _derivative(rows)
+    z = z.copy()
+    fz = _horner(rows, z)
+    best, best_val = z.copy(), np.abs(fz)
+    live = np.arange(len(z))
     for _ in range(iters):
-        dz = np.polynomial.polynomial.polyval(z, dcoeffs)
-        if dz == 0 or not np.isfinite(dz) or not np.isfinite(fz):
+        dz = _horner(deriv[live], z[live])
+        ok = (dz != 0) & np.isfinite(dz) & np.isfinite(fz[live])
+        live, dz = live[ok], dz[ok]
+        if not live.size:
             break
-        step = fz / dz
-        z = z - step
-        fz = np.polynomial.polynomial.polyval(z, coeffs)
-        val = abs(fz)
-        if val < best_val:
-            best, best_val = z, val
-        if val == 0.0 or abs(step) <= _POLISH_ULPS * EPS * abs(z):
-            break
-    return complex(best)
+        step = fz[live] / dz
+        z[live] = moved = z[live] - step
+        fz[live] = value = _horner(rows[live], moved)
+        val = np.abs(value)
+        better = val < best_val[live]
+        best[live[better]] = moved[better]
+        best_val[live[better]] = val[better]
+        done = (val == 0.0) | (np.abs(step) <= _POLISH_ULPS * EPS * np.abs(moved))
+        live = live[~done]
+    return best, best_val
 
 
 def _cluster(points: Sequence[complex], radius: float) -> list[list[complex]]:

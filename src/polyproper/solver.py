@@ -7,16 +7,24 @@ and Newton refinement run in floating point.  Extraneous candidates that
 resultants introduce are killed by the final residual check against the full
 system.
 
-The floating-point steps work on batches.  Each back-substitution stage
-compiles its pivot, viewed as univariate in the stage variable, once and
-specializes it at all of the stage's candidates in one call.  Newton then
-runs on all candidates of the fiber at once, through the map's compiled
-evaluator (``PolyMap.evaluator()``, built once per map): each iteration is
-one evaluation of f at the live candidates and one of the Jacobian at those
+The floating-point steps work on batches of targets, one target for
+:func:`solve_fiber` and all sampled targets of a map for
+:func:`geometric_degree`; each candidate row carries the index of its
+target.  Each back-substitution stage compiles the pivots of all targets,
+viewed as univariate in the stage variable, into one term table with a
+block of columns per target, specializes every row at its own target's
+pivot in one kernel call and roots all of them in one
+:func:`polyproper.numlin.roots_of_each` call.  Newton then runs once on all
+rows, each with its own y, through the map's compiled evaluator
+(``PolyMap.evaluator()``, built once per map): each iteration is one
+evaluation of f at the live candidates and one of the Jacobian at those
 that step.  A candidate stops when its residual reaches the round-off floor
 of the evaluation, a small multiple of machine epsilon times its
 term-magnitude sum (see :mod:`polyproper.numeric`), or when its Jacobian is
 singular or its step is not finite; it keeps its best iterate either way.
+A candidate is a solution when its residual is below ``tol`` or at that
+floor, the accuracy limit of its evaluation; deduplication and the
+candidate cap are per target.
 
 Two routes lead to the cascade.  :func:`solve_fiber` and :func:`fiber_count`
 eliminate at the given target (the per-target path).  :func:`geometric_degree`
@@ -25,12 +33,14 @@ map's :class:`TargetPlan` is the cascade of (f - y) with y symbolic that
 kills x_1..x_{n-1}, the same one ``nonproperness_set`` reads the last
 coordinate's relation from (Jelonek 1993), built on first use and kept on
 the map.  At each target its stage pivots and finals are specialised
-exactly (:class:`polyproper.poly.Specialisation`), and the same
-back-substitution and Newton code as the per-target path takes over.  The
-per-target path is the fallback when the plan is inconsistent, degenerate,
-leaves a variable free, has no finals or is over budget; when every final
-or some pivot vanishes at the target; and when a branch degenerates during
-back-substitution.  A nonzero constant final means the fiber is empty.
+exactly (:class:`polyproper.poly.Specialisation`); the finals of all
+targets are rooted in one call, and all targets go through the same
+back-substitution and Newton code as one batch.  A target is solved on the
+per-target path instead, on its own, when the plan is inconsistent,
+degenerate, leaves a variable free, has no finals or is over budget; when
+every final or some pivot vanishes at the target; and when one of its
+branches degenerates during back-substitution.  A nonzero constant final
+means the fiber is empty.
 
 The plan is built under an exact-work budget,
 :data:`polyproper.elimination.MAX_SYMBOLIC_WORK` term pairs of the product
@@ -60,7 +70,7 @@ import numpy as np
 
 from .elimination import MAX_SYMBOLIC_WORK, EliminationResult, as_univariate, eliminate
 from .numeric import ROUNDOFF, MapEvaluator, TermTable, power_tables
-from .numlin import poly_to_coeffs, univariate_roots
+from .numlin import RootSet, poly_to_coeffs, roots_of_each, univariate_roots
 from .poly import Polynomial, Specialisation, WorkLimitExceeded, work_limit
 from .polymap import PolyMap
 from .scalar import GaussianRational
@@ -221,26 +231,60 @@ def target_plan(f: PolyMap) -> TargetPlan:
     return plan
 
 
-def _planned_fiber(f: PolyMap, y: Sequence[complex], tol: float) -> list[FiberSolution]:
-    """:func:`solve_fiber` through the map's :class:`TargetPlan`, specialised at y.
+def _planned_fibers(
+    f: PolyMap, ys: Sequence[Sequence[complex]], tol: float
+) -> list[list[FiberSolution] | PositiveDimensionalFiberError]:
+    """The fiber over each target in ``ys``, solved as one batch through the :class:`TargetPlan`.
 
-    Falls back to the per-target cascade when the plan is not usable, when
-    every final or some pivot vanishes at y, or when a branch degenerates
-    during back-substitution.  A nonzero constant final means the fiber is
-    empty.
+    The plan is specialised at every target exactly, the finals of all of
+    them are rooted in one :func:`roots_of_each` call and their
+    back-substitution and Newton run as one batch.  A nonzero constant
+    final means the fiber is empty.  A target goes to :func:`solve_fiber`
+    on its own when the plan is not usable, when every final or some pivot
+    vanishes at it, or when one of its branches degenerates during
+    back-substitution; the error of a positive-dimensional fiber takes its
+    place in the list.
     """
+    out: list = [None] * len(ys)
     plan = target_plan(f)
     if plan.usable:
-        pivots, finals = plan.at(y)
-        finals = [p for p in finals if p]
-        if finals and all(pivots):
-            if any(p.is_constant() for p in finals):
-                return []
-            stages = [(stage.var, pivot) for stage, pivot in zip(plan.result.stages, pivots)]
-            solutions, degenerate = _back_substitute(f, y, stages, finals, tol)
-            if not degenerate:
-                return solutions
-    return solve_fiber(f, y, tol)
+        batch, pivots, finals = [], [], []
+        for i, y in enumerate(ys):
+            stage_pivots, nonzero = plan.at(y)
+            nonzero = [p for p in nonzero if p]
+            if not nonzero or not all(stage_pivots):
+                continue
+            if any(p.is_constant() for p in nonzero):
+                out[i] = []
+                continue
+            batch.append(i)
+            pivots.append(stage_pivots)
+            finals.append(_final_coeffs(f, nonzero))
+        if batch:
+            stages = [
+                (stage.var, [p[k] for p in pivots]) for k, stage in enumerate(plan.result.stages)
+            ]
+            fibers, degenerate = _back_substitute(
+                f, [ys[i] for i in batch], stages, roots_of_each(finals), tol
+            )
+            for i, fiber, bad in zip(batch, fibers, degenerate):
+                if not bad:
+                    out[i] = fiber
+    for i, y in enumerate(ys):
+        if out[i] is None:
+            try:
+                out[i] = solve_fiber(f, y, tol)
+            except PositiveDimensionalFiberError as exc:
+                out[i] = exc
+    return out
+
+
+def _planned_fiber(f: PolyMap, y: Sequence[complex], tol: float) -> list[FiberSolution]:
+    """:func:`solve_fiber` through the map's :class:`TargetPlan`: a batch of one target."""
+    fiber = _planned_fibers(f, [y], tol)[0]
+    if isinstance(fiber, PositiveDimensionalFiberError):
+        raise fiber
+    return fiber
 
 
 def solve_fiber(
@@ -250,7 +294,9 @@ def solve_fiber(
 
     Raises :class:`PositiveDimensionalFiberError` when the elimination
     detects a non-isolated fiber.  Every returned solution has
-    ||f(x) - y|| < tol.
+    ||f(x) - y|| < tol, or a residual within the round-off of evaluating f
+    at it (:data:`polyproper.numeric.ROUNDOFF` times its term-magnitude
+    sum), where no Newton step can lower it.
     """
     _check_scale(f)
     system = _shifted_system(f, y)
@@ -272,8 +318,9 @@ def solve_fiber(
         raise PositiveDimensionalFiberError(
             f"no equation constrains {retained!r} on this fiber"
         )
-    stages = [(stage.var, stage.pivot) for stage in res.stages]
-    solutions, degenerate = _back_substitute(f, y, stages, res.finals, tol)
+    stages = [(stage.var, [stage.pivot]) for stage in res.stages]
+    roots = univariate_roots(_final_coeffs(f, res.finals))
+    (solutions,), (degenerate,) = _back_substitute(f, [y], stages, [roots], tol)
     if not solutions and degenerate:
         raise PositiveDimensionalFiberError(
             "all candidate branches degenerated during back-substitution"
@@ -281,87 +328,110 @@ def solve_fiber(
     return solutions
 
 
+def _final_coeffs(f: PolyMap, finals: Sequence[Polynomial]) -> list[complex]:
+    """Coefficients of the final of least degree in the last source variable."""
+    return poly_to_coeffs(min(finals, key=lambda p: p.degree_in(f.vars[-1])))
+
+
 def _back_substitute(
     f: PolyMap,
-    y: Sequence[complex],
-    stages: Sequence[tuple[str, Polynomial]],
-    finals: Sequence[Polynomial],
+    ys: Sequence[Sequence[complex]],
+    stages: Sequence[tuple[str, Sequence[Polynomial]]],
+    roots: Sequence[RootSet],
     tol: float,
-) -> tuple[list[FiberSolution], bool]:
-    """The fiber points that a cascade at the target y leads to.
+) -> tuple[list[list[FiberSolution]], list[bool]]:
+    """The fiber points that the cascades at a batch of targets lead to.
 
-    ``stages`` are (variable, pivot) pairs in elimination order and
-    ``finals`` the nonconstant equations left in the last source variable,
-    all with y folded in.  The roots of the final of least degree are
-    extended through the stages in reverse, then refined and filtered.
-    Returns the solutions and whether some branch degenerated (its pivot
+    ``ys`` are the targets and ``roots`` the roots of each target's final
+    in the last source variable.  ``stages`` are (variable, pivots) pairs
+    in elimination order, one pivot per target with its y folded in.  Each
+    candidate row carries the index of its target; the rows are extended
+    through the stages in reverse, each stage specialising all of them in
+    one kernel call and rooting them in one :func:`roots_of_each` call, then
+    refined by one Newton run and filtered per target.  Returns each
+    target's solutions and whether some branch of it degenerated (its pivot
     vanished identically at the branch's partial point).
     """
-    retained = f.vars[-1]
-    phi = min(finals, key=lambda p: p.degree_in(retained))
-    roots = univariate_roots(poly_to_coeffs(phi))
     column = {v: i for i, v in enumerate(f.vars)}
-    points = np.zeros((len(roots.roots), f.source_dim), dtype=complex)
-    points[:, column[retained]] = [r.value for r in roots.roots]
-    mults = [r.multiplicity for r in roots.roots]
+    owner = np.array([t for t, rs in enumerate(roots) for _ in rs.roots], dtype=np.intp)
+    points = np.zeros((len(owner), f.source_dim), dtype=complex)
+    points[:, column[f.vars[-1]]] = [r.value for rs in roots for r in rs.roots]
+    mults = [r.multiplicity for rs in roots for r in rs.roots]
 
-    degenerate = False
-    for var, pivot in reversed(stages):
+    degenerate = [False] * len(ys)
+    for var, pivots in reversed(stages):
         if not mults:
             break
-        j = column[var]
-        ext_points: list[np.ndarray] = []
-        ext_mults: list[int] = []
-        view = _UnivariateView(pivot, var)
-        for point, mult, coeffs in zip(points, mults, view.specialize(points)):
+        extended, rows = [], []
+        view = _UnivariateView(pivots, var)
+        for k, (t, coeffs) in enumerate(zip(owner.tolist(), view.specialize(points, owner))):
             if coeffs is None:
-                degenerate = True
-                continue
-            if len(coeffs) == 1:
-                continue  # nonzero constant: branch has no extension
-            for r in univariate_roots(coeffs).roots:
-                ext = point.copy()
-                ext[j] = r.value
-                ext_points.append(ext)
-                ext_mults.append(mult * r.multiplicity)
-        points = np.array(ext_points, dtype=complex).reshape(len(ext_points), f.source_dim)
-        mults = ext_mults
-        if len(mults) > _CANDIDATE_CAP:
+                degenerate[t] = True
+            elif len(coeffs) > 1:  # a nonzero constant: the branch has no extension
+                extended.append(k)
+                rows.append(coeffs)
+        root_sets = roots_of_each(rows)
+        parent = [k for k, rs in zip(extended, root_sets) for _ in rs.roots]
+        points = points[parent]
+        points[:, column[var]] = [r.value for rs in root_sets for r in rs.roots]
+        mults = [mults[k] * r.multiplicity for k, rs in zip(extended, root_sets) for r in rs.roots]
+        owner = owner[parent]
+        if len(owner) and np.bincount(owner).max() > _CANDIDATE_CAP:
             raise RuntimeError("candidate explosion; system outside desk scale")
 
-    target = np.array([complex(v) for v in y])
-    return _refine_and_filter(f, target, points, mults, tol), degenerate
+    ev = f.evaluator()
+    y_rows = np.array(ys, dtype=complex).reshape(len(ys), f.target_dim)[owner]
+    best, best_res = _newton_batch(ev, y_rows, points)
+    # a residual within the round-off of evaluating f, where Newton stops,
+    # is as small as any step can make it
+    floors = ROUNDOFF * np.linalg.norm(ev.values(ev.powers(best))[1] + np.abs(y_rows), axis=1)
+    accepted = (best_res < tol) | ((best_res <= floors) & np.isfinite(floors))
+    refined: list[list] = [[] for _ in ys]
+    for t, point, residual, mult, ok in zip(
+        owner.tolist(), best.tolist(), best_res.tolist(), mults, accepted.tolist()
+    ):
+        if ok:
+            refined[t].append((tuple(point), residual, mult))
+    return [_deduplicated(candidates) for candidates in refined], degenerate
 
 
 class _UnivariateView:
-    """A polynomial viewed as univariate in ``var``, compiled once.
+    """Polynomials, one per target, viewed as univariate in ``var`` and compiled once.
 
-    The coefficient polynomials of the powers of ``var`` form one term
-    table, so specializing the other variables at a batch of points costs
-    one kernel call.
+    The coefficient polynomials of the powers of ``var`` of all of them
+    form one term table, with one block of columns per polynomial, so
+    specializing a batch of rows, each at its own polynomial, costs one
+    kernel call.
     """
 
-    __slots__ = ("table", "max_abs")
+    __slots__ = ("table", "coeffs", "abs_coeffs", "max_abs")
 
-    def __init__(self, p: Polynomial, var: str):
-        u = as_univariate(p, var)
-        zero = Polynomial.zero(p.vars)
-        self.table = TermTable([u.get(k, zero) for k in range(max(u) + 1)], len(p.vars))
-        self.max_abs = self.table.abs_coeffs.max(axis=1)
+    def __init__(self, polys: Sequence[Polynomial], var: str):
+        views = [as_univariate(p, var) for p in polys]
+        width = max(max(u) for u in views) + 1
+        zero = Polynomial.zero(polys[0].vars)
+        self.table = TermTable(
+            [u.get(k, zero) for u in views for k in range(width)], len(polys[0].vars)
+        )
+        shape = (len(self.table.coeffs), len(polys), width)  # terms x polys x powers
+        self.coeffs = self.table.coeffs.reshape(shape)
+        self.abs_coeffs = self.table.abs_coeffs.reshape(shape)
+        self.max_abs = self.abs_coeffs.max(axis=2)
 
-    def specialize(self, points: np.ndarray) -> list[list[complex] | None]:
+    def specialize(self, points: np.ndarray, owner: np.ndarray) -> list[list[complex] | None]:
         """Ascending coefficients in ``var`` at each row of a k x n batch.
 
-        A leading entry is trimmed while it is within round-off of its own
-        term-magnitude sum; an entry is None when the whole polynomial
-        collapses to zero relative to the largest term that was summed (a
-        degenerate specialization).
+        Row i is specialised in polynomial ``owner[i]``.  A leading entry is
+        trimmed while it is within round-off of its own term-magnitude sum;
+        an entry is None when the whole polynomial collapses to zero
+        relative to the largest term that was summed (a degenerate
+        specialization).
         """
         mono = self.table.monomials(power_tables(points, self.table.degrees))
-        values = (mono @ self.table.coeffs).tolist()
         abs_mono = np.abs(mono)
-        sums = (abs_mono @ self.table.abs_coeffs).tolist()
-        bounds = (abs_mono * self.max_abs).max(axis=1).tolist()
+        values = np.einsum("rt,trk->rk", mono, self.coeffs[:, owner]).tolist()
+        sums = np.einsum("rt,trk->rk", abs_mono, self.abs_coeffs[:, owner]).tolist()
+        bounds = (abs_mono * self.max_abs[:, owner].T).max(axis=1).tolist()
         return [_trim(*row) for row in zip(values, sums, bounds)]
 
 
@@ -390,26 +460,14 @@ def specialize_univariate(
     magnitude of the terms that were summed (a degenerate specialization).
     """
     point = np.array([[assignment.get(v, 0j) for v in p.vars]], dtype=complex)
-    return _UnivariateView(p, var).specialize(point)[0]
+    return _UnivariateView([p], var).specialize(point, np.zeros(1, dtype=np.intp))[0]
 
 
-def _refine_and_filter(
-    f: PolyMap,
-    y: np.ndarray,
-    points: np.ndarray,
-    mults: list[int],
-    tol: float,
-) -> list[FiberSolution]:
-    best, best_res = _newton_batch(f.evaluator(), y, points)
-    refined: list[tuple[tuple[complex, ...], float, int]] = [
-        (tuple(point), residual, mult)
-        for point, residual, mult in zip(best.tolist(), best_res.tolist(), mults)
-        if residual < tol
-    ]
-
+def _deduplicated(candidates: list[tuple[tuple[complex, ...], float, int]]) -> list[FiberSolution]:
+    """One solution per cluster of refined candidates closer than DEDUP_RADIUS."""
     merged: list[list] = []  # [point, residual, total_mult, branches]
     for point, residual, mult in sorted(
-        refined, key=lambda t: tuple((c.real, c.imag) for c in t[0])
+        candidates, key=lambda t: tuple((c.real, c.imag) for c in t[0])
     ):
         for entry in merged:
             if max(abs(a - b) for a, b in zip(entry[0], point)) < DEDUP_RADIUS:
@@ -428,8 +486,9 @@ def _refine_and_filter(
 
 
 def _newton_batch(ev: MapEvaluator, y: np.ndarray, x: np.ndarray, iters: int = 40):
-    """Newton's method on every candidate of a fiber at once.
+    """Newton's method on a batch of candidates at once.
 
+    ``y`` is one target for every row of ``x`` or one target per row.
     Returns each candidate's best iterate and its residual ||f(x) - y||.  A
     candidate stops once its residual is below 1e-15 * (1 + ||y||) or within
     ROUNDOFF of its term-magnitude sum (the evaluation's round-off floor), or
@@ -440,21 +499,24 @@ def _newton_batch(ev: MapEvaluator, y: np.ndarray, x: np.ndarray, iters: int = 4
     best = x.copy()
     best_res = np.full(len(x), np.inf)
     live = np.arange(len(x))
+    y = np.broadcast_to(y, x.shape)
     abs_y = np.abs(y)
-    exact_floor = 1e-15 * (1.0 + float(np.linalg.norm(y)))
+    exact_floor = 1e-15 * (1.0 + np.linalg.norm(y, axis=1))
     for it in range(iters + 1):
         if not live.size:
             break
         tables = ev.powers(x[live])
         vals, sums = ev.values(tables)
-        r = vals - y
+        r = vals - y[live]
         res = np.linalg.norm(r, axis=1)
         better = res < best_res[live]
         best[live[better]] = x[live[better]]
         best_res[live[better]] = res[better]
         if it == iters:
             break
-        step = (res >= exact_floor) & (res > ROUNDOFF * np.linalg.norm(sums + abs_y, axis=1))
+        step = (res >= exact_floor[live]) & (
+            res > ROUNDOFF * np.linalg.norm(sums + abs_y[live], axis=1)
+        )
         live, r = live[step], r[step]
         if not live.size:
             break
@@ -509,25 +571,25 @@ def geometric_degree(
     targets; for a map that restricts to a cover off its nonproperness set,
     generic targets all attain it.  Degenerate samples (positive-dimensional
     fibers) are tallied separately; it is an error if every sample
-    degenerates or no sample has a nonzero count.  Each sampled fiber is
-    solved through the map's :class:`TargetPlan`, with the per-target
-    cascade as the fallback, so the counts are those of :func:`fiber_count`.
+    degenerates or no sample has a nonzero count.  The sampled fibers are
+    solved as one batch through the map's :class:`TargetPlan`; a target
+    where the plan does not apply falls back to the per-target cascade on
+    its own, so the counts are those of :func:`fiber_count`.
     """
     _check_scale(f)
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    children = np.random.SeedSequence(seed).spawn(n_samples)
+    ys = [
+        sample_target(np.random.default_rng(child), f.target_dim)
+        for child in np.random.SeedSequence(seed).spawn(n_samples)
+    ]
     histogram: dict[int, int] = {}
     degenerate = 0
-    for child in children:
-        rng = np.random.default_rng(child)
-        y = sample_target(rng, f.target_dim)
-        try:
-            count = len(_planned_fiber(f, y, tol))
-        except PositiveDimensionalFiberError:
+    for fiber in _planned_fibers(f, ys, tol):
+        if isinstance(fiber, PositiveDimensionalFiberError):
             degenerate += 1
             continue
-        histogram[count] = histogram.get(count, 0) + 1
+        histogram[len(fiber)] = histogram.get(len(fiber), 0) + 1
     if not histogram:
         raise ValueError("every sampled fiber was degenerate")
     mu = max(histogram)

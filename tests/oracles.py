@@ -3,10 +3,11 @@
 Each oracle computes a quantity the package also computes, by a different
 route: the schoolbook product, one exact scalar per pair of terms, for the
 cleared-numerator product kernel; a Sylvester matrix for the subresultant
-resultant; the Gram matrix for the smallest singular value; arbitrary
-sample grids for the witness check's singular values; and fiber-count
-drops on sampled points of {h = 0} for the symbolic hyperplane-clearance
-verdict.
+resultant; the Gram matrix for the smallest singular value; one
+companion eigensolve and scalar Newton polish per polynomial for the
+batched root finder; arbitrary sample grids for the witness check's
+singular values; and fiber-count drops on sampled points of {h = 0} for
+the symbolic hyperplane-clearance verdict.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import numpy as np
 
 from polyproper import PolyMap, Polynomial
 from polyproper.elimination import as_univariate
+from polyproper.numeric import EPS
+from polyproper.numlin import CLUSTER_RADIUS, Root, RootSet, _cluster, _merge_multiple
 from polyproper.nonproper import ClearanceVerdict, _points_on_zero_set, fiber_count_diagnostic
 from polyproper.rabier import LaurentPath, _path_jacobian_entries, _sample_sigma
 from polyproper.scalar import ZERO
@@ -60,6 +63,70 @@ def sylvester_matrix(f: Polynomial, g: Polynomial, var: str) -> list[list[Polyno
             row[shift + dg - k] = c
         rows.append(row)
     return rows
+
+
+def scalar_univariate_roots(coeffs: Sequence[complex]) -> RootSet:
+    """The roots of one polynomial, each root polished on its own.
+
+    The companion matrix of the monic normalization gives the starts; each
+    is polished by scalar Newton steps that keep the iterate of least |p|
+    and stop within four ulps of |z|.  Clustering, merging of multiple
+    roots and the derivative polish of an m-fold root (m >= 3) follow
+    :func:`polyproper.numlin.roots_of_each`.
+    """
+    c = [complex(x) for x in coeffs]
+    while c and c[-1] == 0:
+        c.pop()
+    if not c:
+        raise ValueError("the zero polynomial has no well-defined roots")
+    deg = len(c) - 1
+    if deg == 0:
+        raise ValueError("a nonzero constant has no roots")
+    norm = max(abs(x) for x in c)
+    arr = np.array(c, dtype=complex) / norm
+
+    monic = arr / arr[-1]
+    comp = np.zeros((deg, deg), dtype=complex)
+    if deg > 1:
+        comp[1:, :-1] = np.eye(deg - 1)
+    comp[:, -1] = -monic[:-1]
+    raw = np.linalg.eigvals(comp)
+
+    poly = np.polynomial.polynomial
+    dp = poly.polyder(arr)
+    polished = [_scalar_newton_polish(z, arr, dp) for z in raw]
+    clusters = _merge_multiple(_cluster(polished, CLUSTER_RADIUS), arr)
+    roots = []
+    for pts in clusters:
+        m = len(pts)
+        center = sum(pts) / m
+        if m >= 3:
+            z = _scalar_newton_polish(center, poly.polyder(arr, m - 1), poly.polyder(arr, m))
+            if abs(z - center) <= max(abs(w - center) for w in pts):
+                center = z
+        residual = abs(poly.polyval(center, arr)) * norm
+        roots.append(Root(complex(center), m, float(residual)))
+    roots.sort(key=lambda r: (r.value.real, r.value.imag))
+    return RootSet(tuple(roots), deg, float(norm))
+
+
+def _scalar_newton_polish(z: complex, coeffs: np.ndarray, dcoeffs: np.ndarray, iters: int = 12) -> complex:
+    best = z
+    fz = np.polynomial.polynomial.polyval(z, coeffs)
+    best_val = abs(fz)
+    for _ in range(iters):
+        dz = np.polynomial.polynomial.polyval(z, dcoeffs)
+        if dz == 0 or not np.isfinite(dz) or not np.isfinite(fz):
+            break
+        step = fz / dz
+        z = z - step
+        fz = np.polynomial.polynomial.polyval(z, coeffs)
+        val = abs(fz)
+        if val < best_val:
+            best, best_val = z, val
+        if val == 0.0 or abs(step) <= 4 * EPS * abs(z):
+            break
+    return complex(best)
 
 
 def min_gram_eigenvalue(matrix) -> float:

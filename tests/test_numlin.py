@@ -5,10 +5,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyproper import parse_polynomial, smallest_singular_value, univariate_roots
-from polyproper.numlin import poly_to_coeffs
-from oracles import min_gram_eigenvalue
+from polyproper.numlin import poly_to_coeffs, roots_of_each
+from oracles import min_gram_eigenvalue, scalar_univariate_roots
 
 
 class TestSmallestSingularValue:
@@ -89,6 +91,77 @@ class TestUnivariateRoots:
                 assert abs(a - b) < 1e-8
             for r in rs.roots:
                 assert r.residual / rs.coeff_norm < 1e-8
+
+
+#: Polynomials with a double, triple, 4-fold and 5-fold root, as in
+#: test_numeric_layer.py, plus three distinct roots 1e-4 apart.
+MULTIPLE_ROOT_CASES = [
+    [1, 1, -2, -2, 1j],
+    [1, 1, -2, -2, -2, 1j],
+    [0.5, 0.5, 0.5, 0.5, 3],
+    [2] * 5 + [1j] * 3,
+    [1, 1 + 1e-4, 1 + 2e-4],
+]
+
+
+def _assert_same_roots(got, want):
+    """Same multiplicities; values within 1e-9 relative, 1e-7 for double roots.
+
+    A double root is the mean of its two polished copies, which are only
+    determined to about sqrt(eps) of it; a root of multiplicity >= 3 is
+    polished on the derivative.
+    """
+    assert [r.multiplicity for r in got.roots] == [r.multiplicity for r in want.roots]
+    assert (got.degree, got.coeff_norm) == (want.degree, want.coeff_norm)
+    for r, w in zip(got.roots, want.roots):
+        tol = 1e-7 if w.multiplicity == 2 else 1e-9
+        assert abs(r.value - w.value) <= tol * max(1.0, abs(w.value)), (r, w)
+
+
+class TestRootsOfEach:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.lists(st.integers(1, 30), min_size=1, max_size=12),
+        st.lists(st.sampled_from(range(len(MULTIPLE_ROOT_CASES))), max_size=4),
+    )
+    def test_mixed_batch_matches_scalar_oracle(self, seed, degrees, multiple):
+        rng = np.random.default_rng(seed)
+        rows = [rng.normal(size=d + 1) + 1j * rng.normal(size=d + 1) for d in degrees]
+        rows += [np.polynomial.polynomial.polyfromroots(MULTIPLE_ROOT_CASES[k]) for k in multiple]
+        order = rng.permutation(len(rows))
+        rows = [rows[i] for i in order]
+        batch = roots_of_each(rows)
+        assert len(batch) == len(rows)
+        for row, got in zip(rows, batch):
+            _assert_same_roots(got, scalar_univariate_roots(row))
+            assert roots_of_each([row])[0] == got  # as if alone, to the bit
+
+    def test_degree_one_in_closed_form(self, monkeypatch):
+        def no_eigensolve(*args):
+            raise AssertionError("a degree-1 row went through the eigensolver")
+
+        rng = np.random.default_rng(41)
+        rows = [
+            rng.normal(size=2) * 10.0 ** rng.uniform(-3, 3, size=2) + 1j * rng.normal(size=2)
+            for _ in range(200)
+        ]
+        rows.append([3, 2j, 0, 0])  # trailing zeros are trimmed first
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "eigvals", no_eigensolve)
+            batch = roots_of_each(rows)
+        for row, got in zip(rows, batch):
+            root = -complex(row[0]) / complex(row[1])
+            assert got.degree == 1 and len(got.roots) == 1 and got.roots[0].multiplicity == 1
+            assert abs(got.roots[0].value - root) <= 4 * 2.0**-52 * abs(root)
+            _assert_same_roots(got, scalar_univariate_roots(row))
+
+    def test_rejects_constant_rows_in_a_batch(self):
+        with pytest.raises(ValueError):
+            roots_of_each([[1, 2], [0, 0]])
+        with pytest.raises(ValueError):
+            roots_of_each([[1, 2, 3], [5, 0]])
+        assert roots_of_each([]) == []
 
 
 def _separated_roots(rng, count, min_dist=0.25):

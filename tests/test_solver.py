@@ -53,6 +53,24 @@ class TestSolveFiber:
             for s in solve_fiber(shear_map, y, tol=1e-8):
                 assert s.residual < 1e-8
 
+    def test_point_at_the_roundoff_floor_is_kept(self, shear_map):
+        """The shear map is an automorphism: every fiber has exactly one point.
+
+        Here the point has |z| ~ 7e6 and degree-10 terms of ~1e7 that
+        cancel, so its residual, ~1e-8, is within the round-off of
+        evaluating f there and may exceed tol by a hair of rounding.
+        """
+        y = (
+            1.23095703125 - 1.08740234375j,
+            -1.85888671875 + 1.785400390625j,
+            1.103271484375 - 1.920654296875j,
+        )
+        assert fiber_count(shear_map, y) == 1
+        assert geometric_degree(shear_map, n_samples=50, seed=218638802).histogram == {1: 50}
+        children = np.random.SeedSequence(8).spawn(50)
+        targets = [sample_target(np.random.default_rng(child), 3) for child in children]
+        assert {fiber_count(shear_map, t) for t in targets} == {1}
+
     def test_merged_double_root_flagged(self, x2_y):
         sols = solve_fiber(x2_y, (0, 3))
         assert len(sols) == 1

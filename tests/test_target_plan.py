@@ -27,6 +27,7 @@ from polyproper.solver import (
     DegreeEstimate,
     PositiveDimensionalFiberError,
     _planned_fiber,
+    _planned_fibers,
     fiber_count,
     geometric_degree,
     sample_target,
@@ -142,11 +143,51 @@ def test_geometric_degree_matches_per_target_on_corpus(text, seed):
     assert (est.histogram, est.degenerate) == expected
 
 
-@pytest.mark.parametrize("key", ["2x3#0", "2x3#1", "3x2#0", "3x2#2", "3x3#0"])
+@pytest.mark.parametrize(
+    "key", ["2x3#0", "2x3#1", "2x6#0", "2x6#1", "2x6#2", "3x2#0", "3x2#2", "3x3#0"]
+)
 def test_geometric_degree_matches_per_target_on_dense_maps(key):
     est = geometric_degree(_dense_map(key), n_samples=12, seed=3)
     assert target_plan(_dense_map(key)).usable
     assert (est.histogram, est.degenerate) == _per_target_histogram(_dense_map(key), 12, 3)
+
+
+@pytest.mark.parametrize(
+    "name, special",
+    [
+        # (0, 1) has an empty fiber; at (0, 0) the fiber is the line x = 0
+        ("x-xy", [(0, 1), (0, 0)]),
+        ("example-3-6", []),
+        ("2x6#0", []),
+    ],
+)
+def test_batched_fibers_match_solve_fiber(name, special, monkeypatch):
+    """One batch of generic and special targets gives each target's own fiber."""
+    texts = {"x-xy": X_XY_TEXT, "example-3-6": EXAMPLE_3_6_TEXT}
+    f = parse_map_text(texts[name] if name in texts else _dense_texts()[name])
+    rng = np.random.default_rng(17)
+    ys = [sample_target(rng, f.target_dim) for _ in range(8)]
+    for k, y in enumerate(special):
+        ys.insert(3 * k + 1, y)
+    fibers = _planned_fibers(f, ys, 1e-8)
+    assert len(fibers) == len(ys)
+    for y, fiber in zip(ys, fibers):
+        try:
+            want = solve_fiber(f, y)
+        except PositiveDimensionalFiberError:
+            assert isinstance(fiber, PositiveDimensionalFiberError), y
+            continue
+        assert len(fiber) == len(want), y
+        for w in want:
+            gap = min(max(abs(a - b) for a, b in zip(s.point, w.point)) for s in fiber)
+            assert gap <= 1e-10 * max(1.0, max(map(abs, w.point))), (y, w)
+    if special:
+        assert fibers[1] == [] and isinstance(fibers[4], PositiveDimensionalFiberError)
+        # geometric_degree tallies the batch: (0, 0) as degenerate, (0, 1) as count 0
+        targets = iter(ys)
+        monkeypatch.setattr(solver, "sample_target", lambda rng, n: next(targets))
+        est = geometric_degree(f, n_samples=len(ys))
+        assert (est.histogram, est.degenerate) == ({0: 1, 1: len(ys) - 2}, 1)
 
 
 def test_positive_dimensional_fiber_raises_on_both_paths():
