@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -317,6 +318,10 @@ def parse_config(argv: list[str]) -> AnalysisConfig:
     ns = build_parser().parse_args(argv)
     if not ns.map_path and not ns.corpus:
         raise UsageError("one of --map or --corpus is required")
+    if ns.seed < 0:
+        raise UsageError(f"--seed must be nonnegative, got {ns.seed}")
+    if ns.tol is not None and not (ns.tol > 0 and math.isfinite(ns.tol)):
+        raise UsageError(f"--tol must be a finite number above 0, got {ns.tol}")
     checks: tuple[str, ...] = ()
     if ns.map_path:
         checks = tuple(c.strip() for c in ns.checks.split(",") if c.strip())

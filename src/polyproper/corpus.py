@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import Callable
 
 from .nonproper import (
+    Hypersurface,
     automorphism_from_empty_locus,
     hyperplane_clearance,
     is_cylinder,
@@ -75,6 +76,16 @@ def example_3_6_inverse() -> PolyMap:
     return PolyMap.from_exprs(("p", "q", "r"), EXAMPLE_3_6_INVERSE_EXPRS)
 
 
+def _degree_and_locus(f: PolyMap, seed: int, tol: float, results: dict) -> Hypersurface:
+    """Record the sampled degree and the nonproperness locus in ``results``; return the locus."""
+    est = geometric_degree(f, n_samples=DEGREE_SAMPLES, seed=seed, tol=tol)
+    results["mu"] = est.mu
+    results["histogram"] = est.to_dict()["histogram"]
+    locus = nonproperness_set(f, seed=seed, tol=tol, degree_estimate=est)
+    results["locus"] = str(locus)
+    return locus
+
+
 def _run_example_3_6(f: PolyMap, seed: int, tol: float) -> tuple[dict, list, list]:
     certificates: list = []
     warnings: list[str] = []
@@ -85,12 +96,7 @@ def _run_example_3_6(f: PolyMap, seed: int, tol: float) -> tuple[dict, list, lis
     results["jacobian_constant"] = str(ns.constant) if ns.constant is not None else None
     results["inverse_verified"] = verify_inverse(f, example_3_6_inverse())
 
-    est = geometric_degree(f, n_samples=DEGREE_SAMPLES, seed=seed, tol=tol)
-    results["mu"] = est.mu
-    results["histogram"] = est.to_dict()["histogram"]
-
-    locus = nonproperness_set(f, seed=seed, tol=tol, degree_estimate=est)
-    results["locus"] = str(locus)
+    locus = _degree_and_locus(f, seed, tol, results)
     cert = automorphism_from_empty_locus(f, locus)
     if cert is not None:
         certificates.append(cert)
@@ -117,17 +123,11 @@ def _run_example_3_6(f: PolyMap, seed: int, tol: float) -> tuple[dict, list, lis
 
 
 def _run_x_xy(f: PolyMap, seed: int, tol: float) -> tuple[dict, list, list]:
-    certificates: list = []
     warnings: list[str] = []
     results: dict = {}
 
     results["nonsingular"] = f.nonsingularity().is_nonsingular
-    est = geometric_degree(f, n_samples=DEGREE_SAMPLES, seed=seed, tol=tol)
-    results["mu"] = est.mu
-    results["histogram"] = est.to_dict()["histogram"]
-
-    locus = nonproperness_set(f, seed=seed, tol=tol, degree_estimate=est)
-    results["locus"] = str(locus)
+    locus = _degree_and_locus(f, seed, tol, results)
     results["cylinder_k2"] = is_cylinder(locus, 2)
     results["count_at_0_1"] = fiber_count(f, (0, 1), tol)
 
@@ -142,17 +142,12 @@ def _run_x_xy(f: PolyMap, seed: int, tol: float) -> tuple[dict, list, list]:
         v_on.certificate is not None or v_off.certificate is not None
     )
     warnings.extend(v_on.warnings)
-    return results, certificates, warnings
+    return results, [], warnings
 
 
 def _run_x2_y(f: PolyMap, seed: int, tol: float) -> tuple[dict, list, list]:
-    results: dict = {}
-    results["nonsingular"] = f.nonsingularity().is_nonsingular
-    est = geometric_degree(f, n_samples=DEGREE_SAMPLES, seed=seed, tol=tol)
-    results["mu"] = est.mu
-    results["histogram"] = est.to_dict()["histogram"]
-    locus = nonproperness_set(f, seed=seed, tol=tol, degree_estimate=est)
-    results["locus"] = str(locus)
+    results = {"nonsingular": f.nonsingularity().is_nonsingular}
+    _degree_and_locus(f, seed, tol, results)
     return results, [], []
 
 

@@ -433,6 +433,11 @@ def hyperplane_clearance(
     """
     if h.is_constant():
         raise ValueError("the test hypersurface needs a nonconstant polynomial")
+    targets = target_variables(f)
+    if h.vars != targets:
+        raise ValueError(
+            f"test polynomial context {h.vars} does not match target context {targets}"
+        )
     ns = f.nonsingularity()
     warnings: list[str] = []
     if not ns.is_nonsingular:
@@ -445,11 +450,6 @@ def hyperplane_clearance(
 
     if locus is None:
         locus = nonproperness_set(f, seed=seed, tol=tol)
-    if h.vars != locus.target_vars:
-        raise ValueError(
-            f"test polynomial context {h.vars} does not match target context "
-            f"{locus.target_vars}"
-        )
     if locus.is_unknown:
         return ClearanceVerdict(
             "undetermined", None, {"locus": str(locus)}, tuple(warnings)

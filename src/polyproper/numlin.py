@@ -13,7 +13,11 @@ polynomials at once, a degree-1 row in closed form and the rows of each
 higher degree with one eigensolve of their stacked companion matrices and
 one vectorised Horner polish of all their roots; only rows with roots
 within each other's rounding reach go through the per-row cluster merge.
-:func:`univariate_roots` is a batch of one.
+:func:`univariate_roots` is a batch of one.  Every polynomial value and
+derivative, in the polish, the isolation test and the cluster merge, comes
+from one vectorised Horner evaluator (:func:`_horner`, :func:`_derivative`),
+and the isolation test and the merge take a root's reach from one formula
+(:func:`_rounding_radii`), so they see the same reach.
 """
 
 from __future__ import annotations
@@ -154,9 +158,7 @@ def _roots_of_degree(coeffs: np.ndarray, norms: np.ndarray) -> list[RootSet]:
     polished, values = _polish(rows, np.linalg.eigvals(comp).ravel())
     residuals = (values.reshape(k, deg) * norms[:, None]).tolist()
     # each root's reach in _merge_multiple, at multiplicity 1
-    lead = np.abs(_horner(_derivative(rows), polished))
-    scale = _horner(np.abs(rows), np.abs(polished))
-    reach = 4.0 * np.divide(EPS * scale, lead, out=np.full(len(lead), np.inf), where=lead != 0)
+    reach = 4.0 * _rounding_radii(rows, polished, 1)
     polished, reach = polished.reshape(k, deg), reach.reshape(k, deg)
     dist = np.abs(polished[:, :, None] - polished[:, None, :])
     close = (dist < CLUSTER_RADIUS) | (dist <= np.minimum(reach[:, :, None], reach[:, None, :]))
@@ -182,8 +184,7 @@ def _clustered_roots(arr: np.ndarray, polished: list[complex], norm: float) -> l
         center = sum(pts) / m
         if m >= 3:
             # an m-fold root is a simple, well-conditioned root of p^(m-1)
-            deriv = np.polynomial.polynomial.polyder(arr, m - 1)
-            z = complex(_polish(deriv[None, :], np.array([center]))[0][0])
+            z = complex(_polish(_derivative(arr[None, :], m - 1), np.array([center]))[0][0])
             if abs(z - center) <= max(abs(w - center) for w in pts):
                 center = z
         residual = abs(_horner(arr[None, :], np.array([center]))[0]) * norm
@@ -199,8 +200,11 @@ def _horner(rows: np.ndarray, z: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _derivative(rows: np.ndarray) -> np.ndarray:
-    return rows[:, 1:] * np.arange(1, rows.shape[1])
+def _derivative(rows: np.ndarray, order: int = 1) -> np.ndarray:
+    """The ``order``-th derivatives of the ascending coefficient rows."""
+    for _ in range(order):
+        rows = rows[:, 1:] * np.arange(1, rows.shape[1])
+    return rows
 
 
 def _polish(rows: np.ndarray, z: np.ndarray, iters: int = 12) -> tuple[np.ndarray, np.ndarray]:
@@ -272,9 +276,11 @@ def _merge_multiple(clusters: list[list[complex]], coeffs: np.ndarray) -> list[l
     if n < 2 or sum(map(len, clusters)) < 3:
         return clusters
     centers = np.array([sum(pts) / len(pts) for pts in clusters])
-    reach = np.array(
-        [4.0 * _rounding_radius(coeffs, c, len(pts)) for c, pts in zip(centers, clusters)]
-    )
+    mults = np.array([len(pts) for pts in clusters])
+    reach = np.empty(n)
+    for m in set(mults.tolist()):
+        at = mults == m
+        reach[at] = 4.0 * _rounding_radii(coeffs[None, :], centers[at], m)
     near = np.abs(centers[:, None] - centers[None, :]) <= np.minimum(reach[:, None], reach[None, :])
     label = list(range(n))
     for i, j in zip(*np.nonzero(np.triu(near, 1))):
@@ -289,19 +295,24 @@ def _merge_multiple(clusters: list[list[complex]], coeffs: np.ndarray) -> list[l
         m = len(points)
         if len(members) > 1 and m >= 3:
             c = sum(points) / m
-            if max(abs(z - c) for z in points) <= 4.0 * _rounding_radius(coeffs, c, m):
+            radius = _rounding_radii(coeffs[None, :], np.array([c]), m)[0]
+            if max(abs(z - c) for z in points) <= 4.0 * radius:
                 merged.append(points)
                 continue
         merged.extend(members)
     return merged
 
 
-def _rounding_radius(coeffs: np.ndarray, c: complex, m: int) -> float:
-    """(EPS * S(c) / |p^(m)(c) / m!|)^(1/m): where an m-fold root at c is round-off."""
-    poly = np.polynomial.polynomial
-    scale = poly.polyval(abs(c), np.abs(coeffs))
-    lead = abs(poly.polyval(c, poly.polyder(coeffs, m))) / math.factorial(m)
-    return (EPS * scale / lead) ** (1.0 / m) if lead else math.inf
+def _rounding_radii(rows: np.ndarray, z: np.ndarray, m: int) -> np.ndarray:
+    """(EPS * S(z) / |p^(m)(z) / m!|)^(1/m): where an m-fold root of p at z is round-off.
+
+    ``rows`` holds the ascending coefficients of p, one row per point of
+    ``z`` or one row for all of them; S(z) = sum |a_k| |z|^k.  The radius
+    is inf where p^(m)(z) = 0.
+    """
+    scale = _horner(np.abs(rows), np.abs(z))
+    lead = np.abs(_horner(_derivative(rows, m), z)) / math.factorial(m)
+    return np.divide(EPS * scale, lead, out=np.full(len(z), np.inf), where=lead != 0) ** (1.0 / m)
 
 
 def poly_to_coeffs(p: Polynomial) -> list[complex]:
@@ -341,19 +352,14 @@ def _scaling_shift(coeffs: Sequence[GaussianRational]) -> int:
 
 
 def _shifted_float(c: GaussianRational, shift: int) -> complex:
-    if shift == 0:
-        return c.to_complex()
-    return complex(
-        _fraction_shift_float(c.re, shift), _fraction_shift_float(c.im, shift)
-    )
+    return complex(_fraction_shift_float(c.re, shift), _fraction_shift_float(c.im, shift))
 
 
 def _fraction_shift_float(x: Fraction, shift: int) -> float:
-    if not x:
-        return 0.0
+    """x * 2**shift as a float; int true division rounds correctly."""
     if shift >= 0:
-        return float(Fraction(x.numerator << shift, x.denominator))
-    return float(Fraction(x.numerator, x.denominator << (-shift)))
+        return (x.numerator << shift) / x.denominator
+    return x.numerator / (x.denominator << -shift)
 
 
 def norm2(vector) -> float:

@@ -42,7 +42,7 @@ from math import comb
 from typing import Sequence
 
 from .poly import IMAGINARY_UNIT, LaurentPoly, Polynomial
-from .scalar import GaussianRational
+from .scalar import GaussianRational, _power
 
 
 #: Largest total degree (Laurent: largest |exponent|) a product or power may have.
@@ -189,14 +189,9 @@ class _Parser:
         """value^exponent by square and multiply, each product checked as it comes."""
         if exponent < 0:
             return value**exponent  # one term (the algebra rejects more), so nothing to charge
-        result = self.algebra.constant(1)
-        while exponent:
-            if exponent & 1:
-                result = self.multiply(result, value, pos)
-            if exponent > 1:
-                value = self.multiply(value, value, pos)
-            exponent >>= 1
-        return result
+        return _power(
+            value, exponent, self.algebra.constant(1), lambda a, b: self.multiply(a, b, pos)
+        )
 
     def charge(self, pairs: int, written: int, pos: int) -> None:
         self.work += pairs + WRITE_COST * written

@@ -36,7 +36,8 @@ such a block nothing is counted.
 polynomials at exact values, for many values in turn: each polynomial is
 compiled once to cleared numerators split by (leading exponents, trailing
 exponents), so one set of values costs int powers of the values and one
-normalisation per coefficient of the result.
+normalisation per coefficient of the result.  Exact evaluation
+(:meth:`Polynomial.evaluate_exact`) is the specialisation of every variable.
 """
 
 from __future__ import annotations
@@ -57,10 +58,6 @@ Exponents = tuple  # tuple[int, ...], one entry per variable
 
 #: Reserved token for the imaginary unit in parsed and printed expressions.
 IMAGINARY_UNIT = "i"
-
-
-def _coerce_coeff(value: ScalarLike) -> GaussianRational:
-    return GaussianRational.coerce(value)
 
 
 def grlex_key(exponents: Exponents):
@@ -91,7 +88,7 @@ class Polynomial:
             e = tuple(exps)
             if len(e) != n or any((not isinstance(k, int)) or k < 0 for k in e):
                 raise ValueError(f"bad exponent tuple {e} for {n} variables")
-            c = _coerce_coeff(coeff)
+            c = GaussianRational.coerce(coeff)
             if not c.is_zero():
                 if e in clean:
                     c = clean[e] + c
@@ -287,13 +284,11 @@ class Polynomial:
         return complex(table.evaluate(np.array([values]))[0, 0])
 
     def evaluate_exact(self, point: Sequence[ScalarLike]) -> GaussianRational:
-        """Exact evaluation at Gaussian-rational coordinates."""
+        """Exact evaluation at Gaussian-rational coordinates: every variable specialised."""
         values = [GaussianRational.coerce(p) for p in point]
         if len(values) != len(self.vars):
             raise ValueError(f"point has dimension {len(values)}, expected {len(self.vars)}")
-        if not self.terms:
-            return ZERO
-        return _horner(list(self.terms.items()), 0, len(self.vars), values)
+        return Specialisation([self], 0).at(values)[0].constant_value()
 
     # -- comparison and printing --------------------------------------------
 
@@ -615,28 +610,6 @@ class Specialisation:
         return out
 
 
-def _horner(items, vi, nvars, values):
-    """Evaluate grouped terms exactly by Horner's rule, one variable at a time."""
-    if vi == nvars:
-        acc = ZERO
-        for _, c in items:
-            acc = acc + c
-        return acc
-    groups: dict[int, list] = {}
-    for e, c in items:
-        groups.setdefault(e[vi], []).append((e, c))
-    exps = sorted(groups, reverse=True)
-    v = values[vi]
-    acc = _horner(groups[exps[0]], vi + 1, nvars, values)
-    prev = exps[0]
-    for e in exps[1:]:
-        acc = acc * v ** (prev - e) + _horner(groups[e], vi + 1, nvars, values)
-        prev = e
-    if prev:
-        acc = acc * v**prev
-    return acc
-
-
 def _render(terms, mono) -> str:
     """Print (exponent, coefficient) pairs in the given order; ``mono`` prints an exponent."""
     pieces = []
@@ -680,7 +653,7 @@ class LaurentPoly:
         for e, c in terms.items():
             if not isinstance(e, int):
                 raise ValueError(f"Laurent exponent must be an integer, got {e!r}")
-            coeff = _coerce_coeff(c)
+            coeff = GaussianRational.coerce(c)
             if not coeff.is_zero():
                 clean[e] = coeff
         object.__setattr__(self, "var", var)

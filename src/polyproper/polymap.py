@@ -91,9 +91,6 @@ class PolyMap:
         vals, _ = ev.values(ev.powers(np.array([values])))
         return tuple(complex(v) for v in vals[0])
 
-    def evaluate_exact(self, point) -> tuple[GaussianRational, ...]:
-        return tuple(c.evaluate_exact(point) for c in self.components)
-
     def jacobian(self) -> "PolyMatrix":
         """Matrix of partial derivatives, entry (i, j) = d components[i] / d vars[j]."""
         jac = self._jacobian
@@ -203,12 +200,16 @@ class NonsingularityVerdict:
 
 
 def verify_inverse(f: PolyMap, g: PolyMap) -> bool:
-    """True iff f and g are exact two-sided inverses (symbolic expansion)."""
+    """True iff f and g are exact two-sided inverses, decided by expanding f(g(x)).
+
+    One composition suffices: f o g = id makes g injective, and an injective
+    polynomial self-map of C^n is an automorphism (Bialynicki-Birula and
+    Rosenlicht 1962; Bass, Connell and Wright, Bull. AMS 7, 1982), so its
+    inverse f also satisfies g o f = id.
+    """
     if not (f.is_square and g.is_square) or f.source_dim != g.source_dim:
         raise ValueError("inverse verification requires square maps of equal dimension")
-    if f.compose(g) != PolyMap.identity(g.vars):
-        return False
-    return g.compose(f) == PolyMap.identity(f.vars)
+    return f.compose(g) == PolyMap.identity(g.vars)
 
 
 def parse_map_text(text: str) -> PolyMap:

@@ -15,6 +15,7 @@ int arithmetic and builds each result coefficient once through
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Union
 
@@ -154,18 +155,19 @@ class GaussianRational:
         return f"{self.re}{sign}{_imag_str(abs(self.im))}"
 
 
-def _power(base, exponent: int, one):
+def _power(base, exponent: int, one, mul=operator.mul):
     """base**exponent (exponent >= 0) by square-and-multiply; ``one`` is the empty product.
 
-    Scalars and both polynomial kinds raise powers through it.
+    Scalars and both polynomial kinds raise powers through it, and the
+    parser does too, with its metered product as ``mul``.
     """
     result = one
     while exponent:
         if exponent & 1:
-            result = result * base
+            result = mul(result, base)
         exponent >>= 1
         if exponent:
-            base = base * base
+            base = mul(base, base)
     return result
 
 

@@ -279,14 +279,6 @@ def _planned_fibers(
     return out
 
 
-def _planned_fiber(f: PolyMap, y: Sequence[complex], tol: float) -> list[FiberSolution]:
-    """:func:`solve_fiber` through the map's :class:`TargetPlan`: a batch of one target."""
-    fiber = _planned_fibers(f, [y], tol)[0]
-    if isinstance(fiber, PositiveDimensionalFiberError):
-        raise fiber
-    return fiber
-
-
 def solve_fiber(
     f: PolyMap, y: Sequence[complex], tol: float = 1e-8
 ) -> list[FiberSolution]:
@@ -379,12 +371,10 @@ def _back_substitute(
         if len(owner) and np.bincount(owner).max() > _CANDIDATE_CAP:
             raise RuntimeError("candidate explosion; system outside desk scale")
 
-    ev = f.evaluator()
     y_rows = np.array(ys, dtype=complex).reshape(len(ys), f.target_dim)[owner]
-    best, best_res = _newton_batch(ev, y_rows, points)
+    best, best_res, floors = _newton_batch(f.evaluator(), y_rows, points)
     # a residual within the round-off of evaluating f, where Newton stops,
     # is as small as any step can make it
-    floors = ROUNDOFF * np.linalg.norm(ev.values(ev.powers(best))[1] + np.abs(y_rows), axis=1)
     accepted = (best_res < tol) | ((best_res <= floors) & np.isfinite(floors))
     refined: list[list] = [[] for _ in ys]
     for t, point, residual, mult, ok in zip(
@@ -489,15 +479,17 @@ def _newton_batch(ev: MapEvaluator, y: np.ndarray, x: np.ndarray, iters: int = 4
     """Newton's method on a batch of candidates at once.
 
     ``y`` is one target for every row of ``x`` or one target per row.
-    Returns each candidate's best iterate and its residual ||f(x) - y||.  A
-    candidate stops once its residual is below 1e-15 * (1 + ||y||) or within
-    ROUNDOFF of its term-magnitude sum (the evaluation's round-off floor), or
-    when its Jacobian is singular or its step is not finite; the others go
-    on.  The Jacobian is evaluated only at candidates that take a step.
+    Returns each candidate's best iterate, its residual ||f(x) - y|| and the
+    evaluation's round-off floor there, ROUNDOFF * ||sum |terms| + |y|||.  A
+    candidate stops once its residual is below 1e-15 * (1 + ||y||) or at
+    most that floor, or when its Jacobian is singular or its step is not
+    finite; the others go on.  The Jacobian is evaluated only at candidates
+    that take a step.
     """
     x = x.copy()
     best = x.copy()
     best_res = np.full(len(x), np.inf)
+    best_floor = np.full(len(x), np.inf)
     live = np.arange(len(x))
     y = np.broadcast_to(y, x.shape)
     abs_y = np.abs(y)
@@ -509,14 +501,14 @@ def _newton_batch(ev: MapEvaluator, y: np.ndarray, x: np.ndarray, iters: int = 4
         vals, sums = ev.values(tables)
         r = vals - y[live]
         res = np.linalg.norm(r, axis=1)
+        floor = ROUNDOFF * np.linalg.norm(sums + abs_y[live], axis=1)
         better = res < best_res[live]
         best[live[better]] = x[live[better]]
         best_res[live[better]] = res[better]
+        best_floor[live[better]] = floor[better]
         if it == iters:
             break
-        step = (res >= exact_floor[live]) & (
-            res > ROUNDOFF * np.linalg.norm(sums + abs_y[live], axis=1)
-        )
+        step = (res >= exact_floor[live]) & (res > floor)
         live, r = live[step], r[step]
         if not live.size:
             break
@@ -526,7 +518,7 @@ def _newton_batch(ev: MapEvaluator, y: np.ndarray, x: np.ndarray, iters: int = 4
         ok = solved & np.isfinite(moved).all(axis=1)
         x[live[ok]] = moved[ok]
         live = live[ok]
-    return best, best_res
+    return best, best_res, best_floor
 
 
 def _solve_each(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

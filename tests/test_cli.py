@@ -106,6 +106,24 @@ def test_unreadable_file_is_usage_error():
     assert "cannot read map file" in err
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--seed", "-1"], "--seed must be nonnegative"),
+        (["--tol", "nan"], "--tol must be a finite number above 0"),
+        (["--tol", "inf"], "--tol must be a finite number above 0"),
+        (["--tol", "-1"], "--tol must be a finite number above 0"),
+        (["--tol", "0"], "--tol must be a finite number above 0"),
+    ],
+)
+def test_bad_seed_or_tol_is_usage_error(shear_file, args, message):
+    for source in (["--corpus", "x2-y"], ["--map", shear_file, "--checks", "jacobian"]):
+        code, out, err = run_cli(source + args)
+        assert code == 1
+        assert out == ""
+        assert f"usage error: {message}" in err
+
+
 def test_reports_are_byte_identical(shear_file):
     args = ["--map", shear_file, "--checks", "jacobian,degree,sf", "--seed", "11"]
     _, out1, _ = run_cli(args)

@@ -14,6 +14,7 @@ from polyproper import (
     parse_polynomial,
     target_variables,
 )
+from polyproper import nonproper
 from polyproper.elimination import gcd_poly
 from polyproper.nonproper import gcd_free_basis
 from oracles import sampling_clearance
@@ -171,6 +172,14 @@ class TestClearance:
             sym = hyperplane_clearance(f, h, seed=0)
             samp = sampling_clearance(f, h, seed=0)
             assert sym.intersects == samp.intersects, (str(f), expr)
+
+    def test_mismatched_context_fails_before_the_locus(self, x_xy, monkeypatch):
+        def no_locus(*args, **kwargs):
+            raise AssertionError("the locus was computed for a mismatched hypersurface")
+
+        monkeypatch.setattr(nonproper, "nonproperness_set", no_locus)
+        with pytest.raises(ValueError, match="does not match target context"):
+            hyperplane_clearance(x_xy, parse_polynomial("u1 - 1", ("u1", "u2")))
 
     def test_disjoint_variable_supports_always_meet(self, x_xy):
         h = parse_polynomial("y2 - 4", T2)

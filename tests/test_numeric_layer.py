@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from polyproper import GaussianRational, PolyMap, Polynomial, univariate_roots
 from polyproper import solver
-from polyproper.numeric import MapEvaluator
+from polyproper.numeric import ROUNDOFF, MapEvaluator
 from polyproper.numlin import _cluster
 from polyproper.solver import _newton_batch, sample_target, solve_fiber
 
@@ -108,7 +108,7 @@ class TestBatchedNewton:
     )
 
     def test_frozen_candidates_keep_their_start(self):
-        best, res = _newton_batch(self.f.evaluator(), self.y, self.starts)
+        best, res, _ = _newton_batch(self.f.evaluator(), self.y, self.starts)
         assert np.array_equal(best[1], self.starts[1])
         assert np.array_equal(best[3], self.starts[3])
         assert res[1] == pytest.approx(2**0.5) and res[3] == pytest.approx(1.0)
@@ -117,11 +117,31 @@ class TestBatchedNewton:
 
     def test_each_candidate_as_if_alone(self):
         ev = self.f.evaluator()
-        best, res = _newton_batch(ev, self.y, self.starts)
+        best, res, _ = _newton_batch(ev, self.y, self.starts)
         for k in range(len(self.starts)):
-            alone, alone_res = _newton_batch(ev, self.y, self.starts[k : k + 1])
+            alone, alone_res, _ = _newton_batch(ev, self.y, self.starts[k : k + 1])
             assert np.array_equal(best[k], alone[0])
             assert res[k] == alone_res[0]
+
+
+def test_newton_returns_the_roundoff_floor_at_the_best_iterate(shear_map):
+    """The floor _newton_batch returns is ROUNDOFF * ||sums + |y||| recomputed at its best iterate."""
+    rng = np.random.default_rng(11)
+    x0 = rng.standard_normal((24, 3)) + 1j * rng.standard_normal((24, 3))
+    x0[:, 2] *= np.repeat([1.0, 1e3, 1e7], 8)  # up to where the floor exceeds 1e-8
+    ev = shear_map.evaluator()
+    y = ev.values(ev.powers(x0))[0]
+    # every other start is too far out to converge in 40 steps
+    noise = rng.standard_normal((24, 3)) + 1j * rng.standard_normal((24, 3))
+    starts = x0 + noise * np.tile([1e-3, 0.3], 12)[:, None] * np.abs(x0)
+    best, res, floor = _newton_batch(ev, y, starts)
+    vals, sums = ev.values(ev.powers(best))
+    assert np.array_equal(res, np.linalg.norm(vals - y, axis=1))
+    # one matmul over the whole batch may round its last bit unlike the live subsets
+    np.testing.assert_allclose(
+        floor, ROUNDOFF * np.linalg.norm(sums + np.abs(y), axis=1), rtol=1e-14, atol=0
+    )
+    assert (res <= floor).any() and (res > floor).any()
 
 
 def test_shear_fiber_stops_at_the_roundoff_floor(shear_map, monkeypatch):

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyproper import GaussianRational, LaurentPoly, Polynomial, parse_polynomial
 from conftest import random_nonzero_polynomial, random_point, random_polynomial
@@ -17,6 +19,9 @@ def P(text, variables=V3):
 
 
 H = "z - 3*x^5*y + 2*x^7*y^2"
+
+rationals = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+gaussians = st.builds(GaussianRational, rationals, rationals)
 
 
 class TestArithmetic:
@@ -173,6 +178,24 @@ class TestEvaluation:
         p = P("x^2 - y", V2)
         val = p.evaluate_exact((GaussianRational(Fraction(1, 2)), GaussianRational(2)))
         assert val == GaussianRational(Fraction(-7, 4))
+
+    def test_exact_evaluation_of_zero_and_in_the_empty_context(self):
+        assert Polynomial.zero(V2).evaluate_exact((1, GaussianRational(2, 3))) == 0
+        assert Polynomial.zero(()).evaluate_exact(()) == 0
+        c = GaussianRational(Fraction(3, 2), -1)
+        assert Polynomial.constant((), c).evaluate_exact(()) == c
+        with pytest.raises(ValueError, match="dimension"):
+            Polynomial.zero(V2).evaluate_exact((1,))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.dictionaries(st.tuples(*[st.integers(0, 4)] * 3), gaussians, max_size=6),
+        st.lists(gaussians, min_size=3, max_size=3),
+    )
+    def test_exact_evaluation_is_substitution_of_constants(self, terms, point):
+        p = Polynomial(V3, terms)
+        images = {v: Polynomial.constant((), c) for v, c in zip(V3, point)}
+        assert p.evaluate_exact(point) == p.substitute(images).constant_value()
 
     def test_dimension_check(self):
         with pytest.raises(ValueError, match="dimension"):

@@ -1,6 +1,9 @@
 """Maps: Jacobians, determinants, component dropping, composition, inverses."""
 
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +11,7 @@ from polyproper import PolyMap, parse_map_text, parse_polynomial, verify_inverse
 from conftest import random_map, random_point
 
 V2 = ("x", "y")
+GENERATORS = Path(__file__).resolve().parents[1] / "bench" / "generators.py"
 
 
 def test_jacobian_entries():
@@ -109,6 +113,33 @@ def test_verify_inverse(shear_map, shear_inverse):
     assert verify_inverse(ident, ident)
     assert verify_inverse(shear_map, shear_inverse)
     assert not verify_inverse(shear_map, PolyMap.identity(("p", "q", "r")))
+
+
+def test_verify_inverse_expands_one_composition(monkeypatch):
+    """f o g = id already proves g o f = id, so a tame pair costs one compose."""
+    spec = importlib.util.spec_from_file_location("bench_generators", GENERATORS)
+    generators = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, generators)  # its dataclasses look it up
+    spec.loader.exec_module(generators)
+    tame = generators.tame_automorphism(random.Random("2018/3x3"), 3, 3)
+    names = generators.VARS
+    inverse = tame.inverse_texts()
+    f = parse_map_text(generators.map_text(names, tame.forward_texts()))
+    g = parse_map_text(generators.map_text(names, inverse))
+    g_bad = parse_map_text(generators.map_text(names, [inverse[0] + " + 1", *inverse[1:]]))
+
+    calls = []
+    compose = PolyMap.compose
+
+    def counting_compose(self, inner):
+        calls.append((self, inner))
+        return compose(self, inner)
+
+    monkeypatch.setattr(PolyMap, "compose", counting_compose)
+    assert verify_inverse(f, g)
+    assert calls == [(f, g)]
+    assert not verify_inverse(f, g_bad)
+    assert calls == [(f, g), (f, g_bad)]
 
 
 def test_verify_inverse_implies_nonsingular(shear_map, shear_inverse):

@@ -26,7 +26,6 @@ from polyproper.polymap import parse_map_text
 from polyproper.solver import (
     DegreeEstimate,
     PositiveDimensionalFiberError,
-    _planned_fiber,
     _planned_fibers,
     fiber_count,
     geometric_degree,
@@ -194,15 +193,14 @@ def test_positive_dimensional_fiber_raises_on_both_paths():
     f = PolyMap.from_exprs(("x", "y"), ["x", "x*y"])
     assert target_plan(f).usable
     # at (0, 0) every final vanishes, so the plan falls back and the cascade raises
-    with pytest.raises(PositiveDimensionalFiberError):
-        _planned_fiber(f, (0, 0), 1e-8)
+    assert isinstance(_planned_fibers(f, [(0, 0)], 1e-8)[0], PositiveDimensionalFiberError)
     with pytest.raises(PositiveDimensionalFiberError):
         solve_fiber(f, (0, 0))
 
 
 def test_constant_final_gives_empty_fiber_on_both_paths():
     f = PolyMap.from_exprs(("x", "y"), ["x", "x*y"])
-    assert _planned_fiber(f, (0, 1), 1e-8) == []
+    assert _planned_fibers(f, [(0, 1)], 1e-8)[0] == []
     assert fiber_count(f, (0, 1)) == 0
 
 
