@@ -11,7 +11,8 @@ The cascade eliminates variables one at a time.  Degree-1 pivots with a
 constant leading coefficient are eliminated by direct substitution, which is
 the resultant up to a nonzero constant factor and costs almost nothing; this
 keeps triangular systems (the common shape for automorphism candidates) fast.
-Remaining pivots go through subresultant resultants.
+Remaining pivots go through subresultant resultants; those of a degree-1
+pivot, and every substitution, are Horner's rule (:func:`polyproper.poly._horner`).
 
 Views of a polynomial in one variable come from one helper set:
 ``Polynomial.degree_in`` (-1 for zero), :func:`lead_in` (degree and leading
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, Sequence
 
-from .poly import Polynomial, _exact_quotient
+from .poly import Polynomial, _exact_quotient, _horner
 from .scalar import GaussianRational, ONE
 
 #: Largest work one elimination with symbolic targets may spend, in term
@@ -188,26 +189,10 @@ def resultant(f: Polynomial, g: Polynomial, var: str) -> Polynomial:
 
 
 def _resultant_linear(lin: Polynomial, g: Polynomial, var: str) -> Polynomial:
-    """Res_var(a*v + b, g) = a^deg(g) * g evaluated at v = -b/a, fraction free."""
+    """Res_var(a*v + b, g) = a^deg(g) * g(-b/a) = sum_k g_k * (-b)^k * a^(deg(g) - k)."""
     u = as_univariate(lin, var)
-    aa = u[1]
-    bb = u.get(0, Polynomial.zero(lin.vars))
-    gu = as_univariate(g, var)
-    dg = max(gu)
-    total = Polynomial.zero(lin.vars)
-    # sum_k g_k * (-b)^k * a^(dg-k)
-    neg_b = -bb
-    pow_b = Polynomial.constant(lin.vars, 1)
-    pows_a = [Polynomial.constant(lin.vars, 1)]
-    for _ in range(dg):
-        pows_a.append(pows_a[-1] * aa)
-    for k in range(dg + 1):
-        ck = gu.get(k)
-        if ck is not None:
-            total = total + ck * pow_b * pows_a[dg - k]
-        if k < dg:
-            pow_b = pow_b * neg_b
-    return total
+    neg_b = -u.get(0, Polynomial.zero(lin.vars))
+    return _horner(as_univariate(g, var), neg_b, u[1])
 
 
 def poly_matrix_det(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
@@ -333,11 +318,10 @@ class EliminationResult:
 
 
 def _substitute_var(p: Polynomial, var: str, image: Polynomial) -> Polynomial:
+    """p with ``var`` replaced by ``image``."""
     if p.degree_in(var) <= 0:
         return p
-    assignment = {v: Polynomial.variable(p.vars, v) for v in p.vars}
-    assignment[var] = image
-    return p.substitute(assignment)
+    return _horner(as_univariate(p, var), image)
 
 
 def _linear_pivots(eqs: Sequence[Polynomial], variables: Sequence[str]):

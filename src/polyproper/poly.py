@@ -20,11 +20,12 @@ builds each result coefficient once, as ``Fraction(re, den)`` and
 ``Fraction(im, den)``.  Multivariate exponent tuples enter it packed into one
 int each (Kronecker substitution with a base above every exponent of the
 product, so packed keys add without carries); Laurent exponents enter as
-they are.  Scaling, powers and composition use the same kernel; exact
-division (:func:`_exact_quotient`) and the sum inside composition
-(:func:`_compose`) work on the same cleared numerators.  ``terms`` always
-holds ``GaussianRational`` values, so nothing outside this module sees the
-cleared form.
+they are.  Scaling and powers use the same kernel, and exact division
+(:func:`_exact_quotient`) works on the same cleared numerators.  ``terms``
+always holds ``GaussianRational`` values, so nothing outside this module
+sees the cleared form.  Composition (:func:`_compose`) and the
+substitutions of :mod:`polyproper.elimination` are Horner's rule over ring
+operations (:func:`_horner`).
 
 Exact work can be metered.  Inside ``with work_limit(n):`` the kernel
 charges every product its pairs of terms and every exact division its
@@ -256,8 +257,7 @@ class Polynomial:
         for img in images:
             if img.vars != target:
                 raise ValueError("assigned polynomials use inconsistent variable contexts")
-        one = Polynomial.constant(target, 1)
-        return self._raw(target, _compose(self.terms, images, one))
+        return _compose(self.terms, images, Polynomial.constant(target, 1))
 
     def substitute_path(self, path: Sequence["LaurentPoly"]) -> "LaurentPoly":
         """Compose with a curve whose coordinates are Laurent polynomials.
@@ -271,7 +271,7 @@ class Polynomial:
                 f"path has {len(coords)} coordinates for {len(self.vars)} variables"
             )
         t_var = coords[0].var if coords else "t"
-        return LaurentPoly(t_var, _compose(self.terms, coords, LaurentPoly.one(t_var)))
+        return _compose(self.terms, coords, LaurentPoly.one(t_var))
 
     # -- evaluation ---------------------------------------------------------
 
@@ -502,43 +502,43 @@ def _exact_quotient(p: "Polynomial", q: "Polynomial") -> dict | None:
     return packing.unpack_terms(_normalised(quot_re, quot_im, dp * norm))
 
 
-def _compose(terms: Mapping[Exponents, GaussianRational], images: Sequence, one) -> dict:
-    """The terms of the exact sum of c * prod_i images[i]^e[i] over the terms {e: c}.
+def _horner(coeffs: Mapping[int, object], x, den=None):
+    """sum_k coeffs[k] * x^k * den^(d - k) over ring elements, d the largest k.
 
-    ``images`` are polynomials of one ring (Polynomial or LaurentPoly) and
-    ``one`` is the constant 1 of that ring.  Each power of an image is
-    computed once, which keeps the degree-7 compositions of the
-    verification corpus cheap, and the sum accumulates in one dict of
-    cleared numerators over a common denominator.
+    One product by ``x`` per degree; ``den`` (absent means 1) is raised only
+    as far as the coefficients present need.  ``coeffs`` is nonempty, and its
+    values, ``x`` and ``den`` are all Polynomials or all LaurentPolys.
     """
-    powers = [[one] for _ in images]
-    acc_re: dict = {}
-    acc_im: dict = {}
-    den = 1
+    d = max(coeffs)
+    acc = coeffs[d]
+    scale, reached = den, 1  # den^reached
+    for k in range(d - 1, -1, -1):
+        acc = acc * x
+        c = coeffs.get(k)
+        if c is None:
+            continue
+        if den is not None:
+            while reached < d - k:
+                scale, reached = scale * den, reached + 1
+            c = c * scale
+        acc = acc + c
+    return acc
+
+
+def _compose(terms: Mapping[Exponents, GaussianRational], images: Sequence, one):
+    """The exact sum of c * prod_i images[i]^e[i] over the terms {e: c}.
+
+    ``images`` are elements of one ring (Polynomial or LaurentPoly) and
+    ``one`` is its constant 1.  Horner's rule in the first variable, whose
+    coefficients are composed the same way in the others.
+    """
+    if not terms or not images:
+        return one._operand(terms.get((), ZERO))  # zero, or a constant
+    groups: dict[int, dict] = {}
     for e, c in terms.items():
-        m = one
-        for i, k in enumerate(e):
-            if k:
-                table = powers[i]
-                while len(table) <= k:
-                    table.append(table[-1] * images[i])
-                m = table[k] if m is one else m * table[k]
-        dc, ((_, cr, ci),) = _cleared({0: c})
-        dm, items = _cleared(m.terms)
-        d = dc * dm
-        if den % d:
-            grown = lcm(den, d)
-            f = grown // den
-            for k in acc_re:
-                acc_re[k] *= f
-                acc_im[k] *= f
-            den = grown
-        f = den // d
-        cr, ci = cr * f, ci * f
-        for k, mr, mi in items:
-            acc_re[k] = acc_re.get(k, 0) + cr * mr - ci * mi
-            acc_im[k] = acc_im.get(k, 0) + cr * mi + ci * mr
-    return _normalised(acc_re, acc_im, den)
+        groups.setdefault(e[0], {})[e[1:]] = c
+    rest = images[1:]
+    return _horner({k: _compose(t, rest, one) for k, t in groups.items()}, images[0])
 
 
 class Specialisation:

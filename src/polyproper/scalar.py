@@ -182,4 +182,3 @@ def _imag_str(im: Fraction) -> str:
 
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
-I_UNIT = GaussianRational(0, 1)

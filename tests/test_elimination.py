@@ -19,7 +19,7 @@ from polyproper.elimination import (
     squarefree_part,
 )
 from polyproper.nonproper import is_graph_hypersurface
-from conftest import random_nonzero_polynomial
+from conftest import random_nonzero_polynomial, random_polynomial
 from oracles import sylvester_matrix
 
 V = ("x", "y")
@@ -155,6 +155,23 @@ class TestResultant:
             assert prs == syl
             agreements += 1
         assert agreements >= 20
+        # linear pivots a*x + b with a non-constant a in C[y, z], on either side
+        x = Polynomial.variable(V3, "x")
+        linear = 0
+        while linear < 10:
+            a, b = (random_polynomial(rng, ("y", "z")) for _ in range(2))
+            g = random_nonzero_polynomial(rng, V3, max_degree=4, max_terms=4)
+            if a.is_constant() or g.degree_in("x") <= 0:
+                continue
+            pivot = _lift_yz(a) * x + _lift_yz(b)
+            for p, q in ((pivot, g), (g, pivot)):
+                assert resultant(p, q, "x") == poly_matrix_det(sylvester_matrix(p, q, "x"))
+            linear += 1
+
+
+def _lift_yz(p: Polynomial) -> Polynomial:
+    """A polynomial in (y, z) as one in (x, y, z)."""
+    return Polynomial(V3, {(0, *e): c for e, c in p.terms.items()})
 
 
 class TestGcd:

@@ -6,13 +6,16 @@ from polyproper import (
     GaussianRational,
     Hypersurface,
     PolyMap,
+    Polynomial,
     automorphism_from_empty_locus,
     fiber_count_diagnostic,
+    geometric_degree,
     hyperplane_clearance,
     is_cylinder,
     nonproperness_set,
     parse_polynomial,
     target_variables,
+    verify_inverse,
 )
 from polyproper import nonproper
 from polyproper.elimination import gcd_poly
@@ -196,6 +199,21 @@ class TestCertificates:
         assert "determinant" in cert.evidence
         payload = cert.to_dict()
         assert payload["hypotheses"]["nonproperness locus"].startswith("verified")
+
+    def test_nagata_automorphism_is_certified(self):
+        # a wild automorphism (Shestakov-Umirbaev 2004); t = xz + y^2 is invariant
+        t = "(x*z + y^2)"
+        xyz = ("x", "y", "z")
+        f = PolyMap.from_exprs(xyz, [f"x - 2*{t}*y - {t}^2*z", f"y + {t}*z", "z"])
+        inverse = [f"x + 2*{t}*y - {t}^2*z", f"y - {t}*z", "z"]
+        assert f.jacobian_det() == Polynomial.constant(xyz, 1)
+        assert verify_inverse(f, PolyMap.from_exprs(xyz, inverse))
+        assert not verify_inverse(f, PolyMap.from_exprs(xyz, [inverse[0] + " + 1", *inverse[1:]]))
+        degree = geometric_degree(f, 50, seed=0)
+        assert degree.histogram == {1: 50}
+        locus = nonproperness_set(f, degree_estimate=degree)
+        assert locus.is_empty
+        assert automorphism_from_empty_locus(f, locus) is not None
 
     def test_singular_map_never_certified(self, x2_y):
         locus = nonproperness_set(x2_y, seed=0)

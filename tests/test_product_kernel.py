@@ -13,7 +13,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polyproper import GaussianRational, LaurentPoly, Polynomial, parse_polynomial
-from polyproper.elimination import NotDivisibleError, exact_div
+from polyproper.elimination import NotDivisibleError, _substitute_var, exact_div
+from polyproper.scalar import ZERO
 from oracles import schoolbook_product
 
 VARS = ("x", "y", "z")
@@ -86,19 +87,41 @@ def test_laurent_product_and_power_match_schoolbook(a, b, k):
     assert (a**k).terms == power_oracle(a, k, LaurentPoly.one("t"))
 
 
+def substitution_oracle(p, images, one):
+    """The terms of sum c * prod_i images[i]^e[i] over the terms {e: c} of p, schoolbook."""
+    ((key, _),) = one.terms.items()
+    out: dict = {}
+    for e, c in p.terms.items():
+        term = {key: c}
+        for image, k in zip(images, e):
+            term = schoolbook_product(term, power_oracle(image, k, one))
+        for m, v in term.items():
+            out[m] = out.get(m, ZERO) + v
+    return {m: v for m, v in out.items() if not v.is_zero()}
+
+
+laurent_images = st.dictionaries(st.integers(-3, 3), gaussians, max_size=4).map(
+    lambda terms: LaurentPoly("t", terms)
+)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 3), st.data())
 def test_substitution_matches_schoolbook_sum(n, data):
     p = data.draw(polynomials(n, 3))
     images = [data.draw(polynomials(2, 2)) for _ in range(n)]
-    one = Polynomial.constant(VARS[:2], 1)
-    want = Polynomial.zero(VARS[:2])
-    for e, c in p.terms.items():
-        term = {(0, 0): c}
-        for image, k in zip(images, e):
-            term = schoolbook_product(term, power_oracle(image, k, one))
-        want = want + Polynomial(VARS[:2], term)
-    assert p.substitute(dict(zip(p.vars, images))) == want
+    want = substitution_oracle(p, images, Polynomial.constant(VARS[:2], 1))
+    assert p.substitute(dict(zip(p.vars, images))) == Polynomial(VARS[:2], want)
+    path = [data.draw(laurent_images) for _ in range(n)]
+    want = substitution_oracle(p, path, LaurentPoly.one("t"))
+    assert p.substitute_path(path) == LaurentPoly("t", want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(polynomials(3, 3), st.sampled_from(VARS), polynomials(3, 2))
+def test_one_variable_substitution_is_composition(p, var, image):
+    assignment = {v: image if v == var else Polynomial.variable(VARS, v) for v in VARS}
+    assert _substitute_var(p, var, image) == p.substitute(assignment)
 
 
 @settings(max_examples=60, deadline=None)
