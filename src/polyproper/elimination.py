@@ -15,8 +15,10 @@ Remaining pivots go through subresultant resultants; those of a degree-1
 pivot, and every substitution, are Horner's rule (:func:`polyproper.poly._horner`).
 
 Views of a polynomial in one variable come from one helper set:
-``Polynomial.degree_in`` (-1 for zero), :func:`lead_in` (degree and leading
-coefficient in one scan), :func:`as_univariate` and :func:`linear_solution`.
+``Polynomial.degree_in`` (-1 for zero) and, from :mod:`polyproper.poly`,
+which alone knows the stored form, :func:`lead_in` (degree and leading
+coefficient in one scan), :func:`as_univariate` and :func:`mul_power`; and
+:func:`linear_solution` here.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, Sequence
 
-from .poly import Polynomial, _exact_quotient, _horner
-from .scalar import GaussianRational, ONE
+from .poly import Polynomial, _exact_quotient, _horner, as_univariate, lead_in, mul_power
+from .scalar import ONE
 
 #: Largest work one elimination with symbolic targets may spend, in term
 #: pairs of the exact kernel (see :func:`polyproper.poly.work_limit`).
@@ -41,48 +43,15 @@ def exact_div(p: Polynomial, q: Polynomial) -> Polynomial:
     """Return p / q when q divides p exactly; raise otherwise."""
     if q.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
-    if q.is_constant():
-        return p.scale(ONE / q.constant_value())
     if p.is_zero():
         return p
     quotient = _exact_quotient(p, q)
     if quotient is None:
         raise NotDivisibleError(f"{q} does not divide {p}")
-    return Polynomial._raw(p.vars, quotient)
+    return Polynomial._raw(p.vars, *quotient)
 
 
 # -- univariate views ---------------------------------------------------------
-
-
-def as_univariate(p: Polynomial, var: str) -> dict[int, Polynomial]:
-    """View p as a polynomial in ``var`` with polynomial coefficients.
-
-    Coefficients stay in the full variable context (with ``var`` absent from
-    their support), so all arithmetic remains in one ring.
-    """
-    i = p.vars.index(var)
-    buckets: dict[int, dict] = {}
-    for e, c in p.terms.items():
-        stripped = e[:i] + (0,) + e[i + 1 :]
-        buckets.setdefault(e[i], {})[stripped] = c
-    return {k: Polynomial._raw(p.vars, t) for k, t in buckets.items()}
-
-
-def lead_in(p: Polynomial, var: str) -> tuple[int, Polynomial]:
-    """(degree, leading coefficient) of p viewed as univariate in ``var``.
-
-    One scan of the terms; the zero polynomial gives (-1, 0).
-    """
-    i = p.vars.index(var)
-    top = -1
-    lead: dict = {}
-    for e, c in p.terms.items():
-        k = e[i]
-        if k > top:
-            top, lead = k, {}
-        if k == top:
-            lead[e[:i] + (0,) + e[i + 1 :]] = c
-    return top, Polynomial._raw(p.vars, lead)
 
 
 def linear_solution(p: Polynomial, var: str) -> Polynomial | None:
@@ -94,7 +63,7 @@ def linear_solution(p: Polynomial, var: str) -> Polynomial | None:
     if not lead.is_constant():
         return None
     rest = u.get(0, Polynomial.zero(p.vars))
-    return rest.scale(GaussianRational(-1) / lead.constant_value())
+    return exact_div(rest, -lead)
 
 
 def pseudo_rem(f: Polynomial, g: Polynomial, var: str) -> Polynomial:
@@ -113,22 +82,13 @@ def pseudo_rem(f: Polynomial, g: Polynomial, var: str) -> Polynomial:
     r = f
     while dr >= dg:
         # r := lc(g)*r - lead * var^(dr-dg) * g
-        shift = _mul_power(g, var, dr - dg)
+        shift = mul_power(g, var, dr - dg)
         r = r * lcg - shift * lead
         steps -= 1
         dr, lead = lead_in(r, var)
     for _ in range(steps):
         r = r * lcg
     return r
-
-
-def _mul_power(p: Polynomial, var: str, k: int) -> Polynomial:
-    if k == 0:
-        return p
-    i = p.vars.index(var)
-    return Polynomial._raw(
-        p.vars, {e[:i] + (e[i] + k,) + e[i + 1 :]: c for e, c in p.terms.items()}
-    )
 
 
 # -- resultants ---------------------------------------------------------------

@@ -184,15 +184,6 @@ def fiber_count_diagnostic(
 # -- symbolic computation of the locus -----------------------------------------
 
 
-def _project_to_targets(p: Polynomial, n_source: int, targets: tuple[str, ...]) -> Polynomial:
-    terms = {}
-    for e, c in p.terms.items():
-        if any(e[:n_source]):
-            raise ValueError("polynomial still involves source variables")
-        terms[e[n_source:]] = c
-    return Polynomial(targets, terms)
-
-
 def _monomial_split(p: Polynomial) -> list[Polynomial]:
     """Split off variable factors shared by every term: y1^2*y2 -> [y1, y2]."""
     mins = None
@@ -311,11 +302,13 @@ def nonproperness_set(
             return Hypersurface.unknown(
                 targets, f"no relation ties {x_i!r} to the target coordinates"
             )
-        phi = min(relations, key=lambda p: (p.degree_in(x_i), str(p)))
+        low = min(p.degree_in(x_i) for p in relations)
+        lowest = [p for p in relations if p.degree_in(x_i) == low]
+        phi = lowest[0] if len(lowest) == 1 else min(lowest, key=str)  # printed only to break ties
         lead = lead_in(phi, x_i)[1]
         if lead.is_constant():
             continue
-        lead_t = _project_to_targets(lead, n, targets)
+        lead_t = lead.in_context(targets)
         for part in _monomial_split(normalized(lead_t)):
             candidates.append(squarefree_part(part))
 

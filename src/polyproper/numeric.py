@@ -47,9 +47,10 @@ def power_tables(points: np.ndarray, degrees: Sequence[int]) -> list[np.ndarray]
 class TermTable:
     """Polynomials over one variable context, lowered to arrays once.
 
-    The polynomials are ``Polynomial`` objects (a ``terms`` map from
-    exponent tuples to exact scalars).  ``exps`` is the T x n exponent
-    matrix of the distinct monomials, ``coeffs`` the T x m complex
+    The polynomials are ``Polynomial`` objects, read through
+    ``stored_terms()``; each coefficient (re + i*im) / den becomes a complex
+    by int true division, which rounds correctly.  ``exps`` is the T x n
+    exponent matrix of the distinct monomials, ``coeffs`` the T x m complex
     coefficient matrix (column j belongs to the j-th polynomial) and
     ``degrees`` the largest exponent of each variable.
     """
@@ -60,8 +61,9 @@ class TermTable:
         rows: dict[tuple, int] = {}
         entries = []
         for j, p in enumerate(polys):
-            for e, c in p.terms.items():
-                entries.append((rows.setdefault(e, len(rows)), j, c.to_complex()))
+            den = p.den
+            for e, re, im in p.stored_terms():
+                entries.append((rows.setdefault(e, len(rows)), j, complex(re / den, im / den)))
         coeffs = np.zeros((len(rows), len(polys)), dtype=complex)
         for t, j, c in entries:
             coeffs[t, j] = c

@@ -24,14 +24,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from .numeric import EPS
 from .poly import Polynomial
-from .scalar import GaussianRational
 
 #: Root polishing stops once a Newton step is at most this many ulps of |z|.
 _POLISH_ULPS = 4
@@ -320,46 +318,49 @@ def poly_to_coeffs(p: Polynomial) -> list[complex]:
 
     The polynomial may live in a larger context as long as only one variable
     occurs.  Coefficients are rescaled before float conversion when their
-    magnitudes would overflow, which leaves the roots unchanged.
+    magnitudes would overflow, which leaves the roots unchanged.  Each
+    stored numerator over the denominator becomes a float by int true
+    division, which rounds correctly.
     """
     support = p.support_vars()
     if len(support) > 1:
         raise ValueError(f"polynomial involves several variables: {support}")
     if p.is_zero():
         return []
+    den = p.den
     if not support:
-        return [p.constant_value().to_complex()]
+        ((re, im),) = p.nums.values()
+        return [complex(re / den, im / den)]
     i = p.vars.index(support[0])
-    deg = max(e[i] for e in p.terms)
-    exact: list[GaussianRational] = [GaussianRational(0)] * (deg + 1)
-    for e, c in p.terms.items():
-        exact[e[i]] = c
-    shift = _scaling_shift(exact)
-    return [_shifted_float(c, shift) for c in exact]
+    exact = [(0, 0)] * (p.degree_in(support[0]) + 1)
+    for e, re, im in p.stored_terms():
+        exact[e[i]] = (re, im)
+    shift = _scaling_shift([part for c in exact for part in c], den)
+    return [
+        complex(_shifted_float(re, den, shift), _shifted_float(im, den, shift)) for re, im in exact
+    ]
 
 
-def _scaling_shift(coeffs: Sequence[GaussianRational]) -> int:
-    """Power-of-two shift that brings the largest coefficient near 1."""
+def _scaling_shift(numerators: Sequence[int], den: int) -> int:
+    """Power-of-two shift that brings the largest of the numerators / den near 1.
+
+    Each magnitude is that of the reduced fraction, as ``Fraction`` keeps it.
+    """
     top = -(10**9)
-    for c in coeffs:
-        for part in (c.re, c.im):
-            if part:
-                mag = part.numerator.bit_length() - part.denominator.bit_length()
-                top = max(top, mag)
+    for part in numerators:
+        if part:
+            g = math.gcd(part, den)
+            top = max(top, (abs(part) // g).bit_length() - (den // g).bit_length())
     if top < -(10**8):
         return 0
     return -top if abs(top) > 500 else 0
 
 
-def _shifted_float(c: GaussianRational, shift: int) -> complex:
-    return complex(_fraction_shift_float(c.re, shift), _fraction_shift_float(c.im, shift))
-
-
-def _fraction_shift_float(x: Fraction, shift: int) -> float:
-    """x * 2**shift as a float; int true division rounds correctly."""
+def _shifted_float(num: int, den: int, shift: int) -> float:
+    """num / den * 2**shift as a float; int true division rounds correctly."""
     if shift >= 0:
-        return (x.numerator << shift) / x.denominator
-    return x.numerator / (x.denominator << -shift)
+        return (num << shift) / den
+    return num / (den << -shift)
 
 
 def norm2(vector) -> float:

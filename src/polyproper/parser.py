@@ -136,14 +136,14 @@ class _Parser:
             negate = True
         value = self.term()
         if negate:
-            self.charge(0, len(value.terms), neg_pos)
+            self.charge(0, len(value.nums), neg_pos)
             value = -value
         while True:
             kind, text, pos = self.peek()
             if kind == "op" and text in "+-":
                 self.advance()
                 rhs = self.term()
-                self.charge(0, len(value.terms) + len(rhs.terms), pos)
+                self.charge(0, len(value.nums) + len(rhs.nums), pos)
                 value = value + rhs if text == "+" else value - rhs
             else:
                 return value
@@ -158,7 +158,7 @@ class _Parser:
                 if text == "*":
                     value = self.multiply(value, rhs, pos)
                 else:
-                    self.charge(len(value.terms), len(value.terms), pos)
+                    self.charge(len(value.nums), len(value.nums), pos)
                     value = self.algebra.divide(value, rhs, pos)
             else:
                 return value
@@ -172,7 +172,7 @@ class _Parser:
             degree = self.algebra.degree(value) * abs(exponent)
             self.check_degree(degree, pos)
             # a power's terms are multisets of |exponent| terms of the base
-            n = len(value.terms)
+            n = len(value.nums)
             self.term_bound(comb(n + abs(exponent) - 1, abs(exponent)) if n else 0, degree, pos)
             value = self.power(value, exponent, pos)
         return value
@@ -181,7 +181,7 @@ class _Parser:
         """a * b once its degree, term bound and work are within the limits."""
         degree = self.algebra.degree(a) + self.algebra.degree(b)
         self.check_degree(degree, pos)
-        pairs = len(a.terms) * len(b.terms)
+        pairs = len(a.nums) * len(b.nums)
         self.charge(pairs, self.term_bound(pairs, degree, pos), pos)
         return a * b
 
@@ -300,7 +300,7 @@ class _LaurentAlgebra:
 
     @staticmethod
     def degree(value: LaurentPoly) -> int:
-        return max((abs(e) for e in value.terms), default=0)
+        return max((abs(e) for e in value.nums), default=0)
 
     @staticmethod
     def monomials(degree: int) -> int:
@@ -308,7 +308,7 @@ class _LaurentAlgebra:
 
     @staticmethod
     def divide(value: LaurentPoly, rhs: LaurentPoly, pos: int) -> LaurentPoly:
-        if set(rhs.terms) - {0}:
+        if set(rhs.nums) - {0}:
             raise ParseError("division is only allowed by constants", pos)
         c = rhs.constant_term()
         if c.is_zero():

@@ -5,27 +5,31 @@ ordered tuple of variable names:
 
     Polynomial(("x", "y"), {(2, 0): 1, (0, 1): -1})   # x^2 - y
 
-Zero coefficients are never stored, so structural equality is polynomial
-identity.  The canonical term order is graded lexicographic with respect to
-the declared variable order; printing, hashing, and leading-term extraction
-all use it, making the printed form stable across runs.
-
 ``LaurentPoly`` is the single-variable companion used for curves
 t -> (x_1(t), ..., x_n(t)) with integer (possibly negative) exponents.
 
-Products of both kinds go through one kernel, :func:`_mul_terms`.  It clears
-each operand once to a common denominator and Gaussian-integer numerators
-(pairs of Python ints), multiplies every pair of terms in int arithmetic and
-builds each result coefficient once, as ``Fraction(re, den)`` and
-``Fraction(im, den)``.  Multivariate exponent tuples enter it packed into one
-int each (Kronecker substitution with a base above every exponent of the
-product, so packed keys add without carries); Laurent exponents enter as
-they are.  Scaling and powers use the same kernel, and exact division
-(:func:`_exact_quotient`) works on the same cleared numerators.  ``terms``
-always holds ``GaussianRational`` values, so nothing outside this module
-sees the cleared form.  Composition (:func:`_compose`) and the
+Both store one positive int denominator ``den`` and a dict ``nums`` from
+monomial keys to Gaussian-integer numerators ``(re, im)``: the coefficient
+of a key is (re + i*im) / den.  The stored form is reduced, so it is
+canonical: gcd(den, every numerator) = 1 and no ``(0, 0)`` entry is kept.
+Equality and hashing compare it directly.  A Laurent key is its exponent.
+A multivariate key packs the total degree and then e_0, ..., e_{n-1} as
+digits of :data:`WIDTH` bits, so keys compare like :func:`grlex_key`
+(graded lexicographic order in the declared variable order) and the key of
+a product of monomials is the sum of their keys.  A total degree above
+:data:`MAX_DEGREE` would carry between digits and raises ``ValueError``.
+
+Every operation works on the stored form in int arithmetic and reduces its
+result once with ``math.gcd``: sums (:func:`_sum_terms`), products
+(:func:`_mul_terms`, one kernel for scaling and powers too), exact division
+(:func:`_exact_quotient`), the views of a polynomial in one variable
+(:func:`as_univariate`, :func:`lead_in`, :func:`mul_power`) and
+:class:`Specialisation`.  Composition (:func:`_compose`) and the
 substitutions of :mod:`polyproper.elimination` are Horner's rule over ring
-operations (:func:`_horner`).
+operations (:func:`_horner`).  ``GaussianRational`` coefficients and
+exponent tuples are built only at the boundary: the ``terms`` view (built on
+first use and kept), printing and :meth:`Polynomial.stored_terms`, which
+the numeric layer reads.
 
 Exact work can be metered.  Inside ``with work_limit(n):`` the kernel
 charges every product its pairs of terms and every exact division its
@@ -35,10 +39,10 @@ such a block nothing is counted.
 
 :class:`Specialisation` fixes the trailing variables of a set of
 polynomials at exact values, for many values in turn: each polynomial is
-compiled once to cleared numerators split by (leading exponents, trailing
+compiled once to its numerators split by (leading exponents, trailing
 exponents), so one set of values costs int powers of the values and one
-normalisation per coefficient of the result.  Exact evaluation
-(:meth:`Polynomial.evaluate_exact`) is the specialisation of every variable.
+reduction per result.  Exact evaluation (:meth:`Polynomial.evaluate_exact`)
+is the specialisation of every variable.
 """
 
 from __future__ import annotations
@@ -46,19 +50,23 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
-from math import lcm
-from operator import mul
-from typing import Mapping, Sequence, Union
+from math import gcd, lcm
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .numeric import TermTable
-from .scalar import GaussianRational, ONE, ScalarLike, ZERO, _power
+from .scalar import GaussianRational, ScalarLike, _power
 
 Exponents = tuple  # tuple[int, ...], one entry per variable
 
 #: Reserved token for the imaginary unit in parsed and printed expressions.
 IMAGINARY_UNIT = "i"
+
+#: Bits per digit of a packed monomial key.
+WIDTH = 16
+#: Largest total degree a packed key can hold.
+MAX_DEGREE = (1 << WIDTH) - 1
 
 
 def grlex_key(exponents: Exponents):
@@ -66,16 +74,134 @@ def grlex_key(exponents: Exponents):
     return (sum(exponents), exponents)
 
 
-class Polynomial:
+def _check_degree(degree: int) -> None:
+    if degree > MAX_DEGREE:
+        raise ValueError(
+            f"total degree {degree} exceeds the limit {MAX_DEGREE} of packed monomials"
+        )
+
+
+def _pack(exponents: Exponents) -> int:
+    _check_degree(sum(exponents))
+    key = sum(exponents)
+    for k in exponents:
+        key = (key << WIDTH) | k
+    return key
+
+
+def _unpack(key: int, n: int) -> Exponents:
+    e = [0] * n
+    for i in range(n - 1, -1, -1):
+        e[i] = key & MAX_DEGREE
+        key >>= WIDTH
+    return tuple(e)
+
+
+def _scalar(den: int, re: int, im: int) -> GaussianRational:
+    return GaussianRational(Fraction(re, den), Fraction(im, den))
+
+
+def _from_scalars(coeffs: Mapping) -> tuple[int, dict]:
+    """The stored form of {key: GaussianRational}.
+
+    Over the lcm of the reduced denominators the numerators already share
+    no factor with it, so no reduction is needed.
+    """
+    den = lcm(*(part.denominator for c in coeffs.values() for part in (c.re, c.im)))
+    nums = {}
+    for k, c in coeffs.items():
+        if c:
+            re, im = c.re, c.im
+            nums[k] = (
+                re.numerator * (den // re.denominator),
+                im.numerator * (den // im.denominator),
+            )
+    return den, nums
+
+
+def _reduced(den: int, nums: dict) -> tuple[int, dict]:
+    """(den, nums) divided by the gcd of den and every numerator; nums has no (0, 0)."""
+    g = den
+    for re, im in nums.values():
+        if g == 1:
+            return den, nums
+        g = gcd(g, re, im)
+    if g == 1:
+        return den, nums
+    return den // g, {k: (re // g, im // g) for k, (re, im) in nums.items()}
+
+
+class _Sparse:
+    """The stored form and the ring arithmetic shared by both polynomial kinds.
+
+    A subclass sets ``den``, ``nums``, ``_terms`` and ``_hash`` and supplies
+    ``_like`` (a stored form in the same ring), ``_operand`` (coercion of the
+    other operand) and ``_exponents`` (a key as the ``terms`` view shows it).
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @property
+    def terms(self) -> dict:
+        """{exponents: GaussianRational}, built from the stored form on first use."""
+        t = self._terms
+        if t is None:
+            den, exps = self.den, self._exponents
+            t = {exps(k): _scalar(den, re, im) for k, (re, im) in self.nums.items()}
+            object.__setattr__(self, "_terms", t)
+        return t
+
+    def is_zero(self) -> bool:
+        return not self.nums
+
+    def __bool__(self) -> bool:
+        return bool(self.nums)
+
+    def __add__(self, other):
+        o = self._operand(other)
+        return self._like(*_sum_terms(self.den, self.nums, o.den, o.nums, 1))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._operand(other)
+        return self._like(*_sum_terms(self.den, self.nums, o.den, o.nums, -1))
+
+    def __rsub__(self, other):
+        return self._operand(other) - self
+
+    def __neg__(self):
+        return self._like(self.den, {k: (-re, -im) for k, (re, im) in self.nums.items()})
+
+    def __mul__(self, other):
+        o = self._operand(other)
+        if not self.nums or not o.nums:
+            return self._like(1, {})
+        self._check_product(o)
+        return self._like(*_mul_terms(self.den, self.nums, o.den, o.nums))
+
+    __rmul__ = __mul__
+
+    def scale(self, factor: ScalarLike):
+        return self * factor
+
+    def _check_product(self, other) -> None:
+        """Raise if the product of self and other cannot be stored."""
+
+
+class Polynomial(_Sparse):
     """Immutable sparse polynomial over Gaussian rationals.
 
     All arithmetic requires both operands to share the same variable
     context (identical names, identical order); mixing contexts raises
-    ``ValueError``.  Every operation returns a canonical polynomial: no
-    zero terms stored, exponent tuples of the right length.
+    ``ValueError``.  Every operation returns the reduced stored form (see
+    the module docstring).
     """
 
-    __slots__ = ("vars", "terms", "_hash")
+    __slots__ = ("vars", "den", "nums", "_terms", "_hash")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[Exponents, ScalarLike]):
         vs = tuple(variables)
@@ -84,25 +210,15 @@ class Polynomial:
         if IMAGINARY_UNIT in vs:
             raise ValueError(f"{IMAGINARY_UNIT!r} is reserved for the imaginary unit")
         n = len(vs)
-        clean: dict[Exponents, GaussianRational] = {}
+        coeffs: dict[int, GaussianRational] = {}
         for exps, coeff in terms.items():
             e = tuple(exps)
             if len(e) != n or any((not isinstance(k, int)) or k < 0 for k in e):
                 raise ValueError(f"bad exponent tuple {e} for {n} variables")
+            key = _pack(e)
             c = GaussianRational.coerce(coeff)
-            if not c.is_zero():
-                if e in clean:
-                    c = clean[e] + c
-                    if c.is_zero():
-                        del clean[e]
-                        continue
-                clean[e] = c
-        object.__setattr__(self, "vars", vs)
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
+            coeffs[key] = coeffs[key] + c if key in coeffs else c
+        _init(self, ("vars", vs), *_from_scalars(coeffs))
 
     # -- constructors ---------------------------------------------------
 
@@ -123,51 +239,80 @@ class Polynomial:
         exps = tuple(1 if v == name else 0 for v in vs)
         return cls(vs, {exps: 1})
 
+    @classmethod
+    def _raw(cls, variables: tuple, den: int, nums: dict) -> "Polynomial":
+        """Internal: wrap a stored form that is already reduced."""
+        return _init(object.__new__(cls), ("vars", variables), den, nums)
+
+    def _like(self, den: int, nums: dict) -> "Polynomial":
+        return Polynomial._raw(self.vars, den, nums)
+
+    def _exponents(self, key: int) -> Exponents:
+        return _unpack(key, len(self.vars))
+
+    def _shift(self, var: str) -> int:
+        """The bit offset of ``var``'s digit in a packed key."""
+        return WIDTH * (len(self.vars) - 1 - self._index(var))
+
     # -- basic queries ----------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
+        return not any(self.nums)
 
     def constant_value(self) -> GaussianRational:
         """The scalar value of a constant polynomial (zero included)."""
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        if not self.terms:
-            return ZERO
-        return next(iter(self.terms.values()))
+        return _scalar(self.den, *self.nums.get(0, (0, 0)))
 
     def total_degree(self) -> int:
-        if not self.terms:
+        if not self.nums:
             raise ValueError("degree of the zero polynomial is undefined")
-        return max(sum(e) for e in self.terms)
+        return max(self.nums) >> (WIDTH * len(self.vars))
 
     def degree_in(self, var: str) -> int:
         """Degree in one variable: 0 when the variable does not occur, -1 for zero."""
-        i = self._index(var)
-        return max((e[i] for e in self.terms), default=-1)
+        s = self._shift(var)
+        return max(((k >> s) & MAX_DEGREE for k in self.nums), default=-1)
 
     def support_vars(self) -> tuple[str, ...]:
         """Variables that actually occur, in declared order."""
-        used = [False] * len(self.vars)
-        for e in self.terms:
-            for k, exp in enumerate(e):
-                if exp:
-                    used[k] = True
-        return tuple(v for v, u in zip(self.vars, used) if u)
+        used = 0
+        for k in self.nums:
+            used |= k
+        return tuple(v for v, e in zip(self.vars, self._exponents(used)) if e)
 
     def leading_term(self) -> tuple[Exponents, GaussianRational]:
         """Greatest term under graded lex; errors on the zero polynomial."""
-        if not self.terms:
+        if not self.nums:
             raise ValueError("zero polynomial has no leading term")
-        e = max(self.terms, key=grlex_key)
-        return e, self.terms[e]
+        k = max(self.nums)
+        return self._exponents(k), _scalar(self.den, *self.nums[k])
 
     def sorted_terms(self) -> list[tuple[Exponents, GaussianRational]]:
         """Terms in descending graded-lex order (the printing order)."""
         return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]), reverse=True)
+
+    def stored_terms(self) -> list[tuple[Exponents, int, int]]:
+        """(exponents, re, im) per term: the coefficient is (re + i*im) / ``den``."""
+        n = len(self.vars)
+        return [(_unpack(k, n), re, im) for k, (re, im) in self.nums.items()]
+
+    def in_context(self, variables: Sequence[str]) -> "Polynomial":
+        """The same polynomial over ``variables``, which must include every variable that occurs."""
+        vs = tuple(variables)
+        where = {v: i for i, v in enumerate(vs)}
+        missing = [v for v in self.support_vars() if v not in where]
+        if missing:
+            raise ValueError(f"variables {missing} occur but are not in the context {vs}")
+        nums = {}
+        for e, re, im in self.stored_terms():
+            moved = [0] * len(vs)
+            for v, k in zip(self.vars, e):
+                if k:
+                    moved[where[v]] = k
+            nums[_pack(moved)] = (re, im)
+        return Polynomial._raw(vs, self.den, nums)
 
     def _index(self, var: str) -> int:
         try:
@@ -177,39 +322,10 @@ class Polynomial:
 
     # -- ring arithmetic ---------------------------------------------------
 
-    def __add__(self, other: Union["Polynomial", ScalarLike]) -> "Polynomial":
-        return self._raw(self.vars, _sum_terms(self.terms, self._operand(other).terms, 1))
-
-    __radd__ = __add__
-
-    def __sub__(self, other: Union["Polynomial", ScalarLike]) -> "Polynomial":
-        return self._raw(self.vars, _sum_terms(self.terms, self._operand(other).terms, -1))
-
-    def __rsub__(self, other: ScalarLike) -> "Polynomial":
-        return self._operand(other) - self
-
-    def __neg__(self) -> "Polynomial":
-        return self._raw(self.vars, {e: -c for e, c in self.terms.items()})
-
-    def __mul__(self, other: Union["Polynomial", ScalarLike]) -> "Polynomial":
-        other = self._operand(other)
-        if not self.terms or not other.terms:
-            return Polynomial.zero(self.vars)
-        packing = _Packing(
-            1 + _max_exponent(self.terms) + _max_exponent(other.terms), len(self.vars)
-        )
-        product = _mul_terms(packing.pack(self.terms), packing.pack(other.terms))
-        return self._raw(self.vars, packing.unpack_terms(product))
-
-    __rmul__ = __mul__
-
     def __pow__(self, exponent: int) -> "Polynomial":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
         return _power(self, exponent, Polynomial.constant(self.vars, 1))
-
-    def scale(self, factor: ScalarLike) -> "Polynomial":
-        return self * factor
 
     def _operand(self, other) -> "Polynomial":
         """``other`` as a polynomial of this context; scalars become constants."""
@@ -219,28 +335,22 @@ class Polynomial:
             raise ValueError(f"variable context mismatch: {self.vars} vs {other.vars}")
         return other
 
-    @classmethod
-    def _raw(cls, variables, terms) -> "Polynomial":
-        """Internal: wrap an already-canonical term dict without re-checking."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "vars", variables)
-        object.__setattr__(p, "terms", terms)
-        object.__setattr__(p, "_hash", None)
-        return p
+    def _check_product(self, other: "Polynomial") -> None:
+        top = WIDTH * len(self.vars)
+        _check_degree((max(self.nums) >> top) + (max(other.nums) >> top))
 
     # -- calculus and substitution -----------------------------------------
 
     def diff(self, var: str) -> "Polynomial":
         """Exact formal partial derivative."""
-        i = self._index(var)
-        out: dict[Exponents, GaussianRational] = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            d = list(e)
-            d[i] -= 1
-            out[tuple(d)] = c * e[i]
-        return self._raw(self.vars, out)
+        s = self._shift(var)
+        unit = (1 << (WIDTH * len(self.vars))) | (1 << s)
+        out = {}
+        for key, (re, im) in self.nums.items():
+            k = (key >> s) & MAX_DEGREE
+            if k:
+                out[key - unit] = (re * k, im * k)
+        return self._like(*_reduced(self.den, out))
 
     def substitute(self, assignment: Mapping[str, "Polynomial"]) -> "Polynomial":
         """Replace every variable by a polynomial and expand exactly.
@@ -257,7 +367,7 @@ class Polynomial:
         for img in images:
             if img.vars != target:
                 raise ValueError("assigned polynomials use inconsistent variable contexts")
-        return _compose(self.terms, images, Polynomial.constant(target, 1))
+        return _compose(self.den, self.stored_terms(), images, Polynomial.constant(target, 1))
 
     def substitute_path(self, path: Sequence["LaurentPoly"]) -> "LaurentPoly":
         """Compose with a curve whose coordinates are Laurent polynomials.
@@ -271,7 +381,7 @@ class Polynomial:
                 f"path has {len(coords)} coordinates for {len(self.vars)} variables"
             )
         t_var = coords[0].var if coords else "t"
-        return _compose(self.terms, coords, LaurentPoly.one(t_var))
+        return _compose(self.den, self.stored_terms(), coords, LaurentPoly.one(t_var))
 
     # -- evaluation ---------------------------------------------------------
 
@@ -294,18 +404,15 @@ class Polynomial:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Polynomial):
-            return self.vars == other.vars and self.terms == other.terms
+            return self.vars == other.vars and self.den == other.den and self.nums == other.nums
         return NotImplemented
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash((self.vars, tuple(sorted(self.terms.items(), key=lambda t: t[0]))))
+            h = hash((self.vars, self.den, frozenset(self.nums.items())))
             object.__setattr__(self, "_hash", h)
         return h
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
 
     def __repr__(self) -> str:
         return f"Polynomial({self.vars!r}, {str(self)!r})"
@@ -323,56 +430,81 @@ class Polynomial:
         return "*".join(parts)
 
 
-def _sum_terms(a: Mapping, b: Mapping, sign: int) -> dict:
-    """The terms of a + b (``sign`` 1) or a - b (``sign`` -1); sums that vanish are left out."""
-    out = dict(a)
-    for e, c in b.items():
-        old = out.get(e)
-        if old is None:
-            out[e] = c if sign > 0 else -c
-            continue
-        s = old + c if sign > 0 else old - c
-        if s.is_zero():
-            del out[e]
-        else:
-            out[e] = s
-    return out
+def _init(p, context: tuple[str, object], den: int, nums: dict):
+    """Set the slots of a new polynomial of either kind; returns it."""
+    object.__setattr__(p, *context)
+    object.__setattr__(p, "den", den)
+    object.__setattr__(p, "nums", nums)
+    object.__setattr__(p, "_terms", None)
+    object.__setattr__(p, "_hash", None)
+    return p
 
 
-def _max_exponent(terms: Mapping[Exponents, GaussianRational]) -> int:
-    return max(max(e, default=0) for e in terms)
+# -- the views of a polynomial in one variable --------------------------------
 
 
-class _Packing:
-    """Exponent tuples packed into ints whose order is graded lex.
+def as_univariate(p: Polynomial, var: str) -> dict[int, Polynomial]:
+    """View p as a polynomial in ``var`` with polynomial coefficients.
 
-    A key holds the total degree and then e_0, ..., e_{n-1} as digits in
-    ``base``.  While every exponent stays below ``base``, keys add like
-    exponent tuples (Kronecker substitution) and compare like
-    :func:`grlex_key`.
+    Coefficients stay in the full variable context (with ``var`` absent from
+    their support), so all arithmetic remains in one ring.
     """
+    s, top = p._shift(var), WIDTH * len(p.vars)
+    buckets: dict[int, dict] = {}
+    for key, c in p.nums.items():
+        k = (key >> s) & MAX_DEGREE
+        buckets.setdefault(k, {})[key - (k << s) - (k << top)] = c
+    return {k: p._like(*_reduced(p.den, t)) for k, t in buckets.items()}
 
-    __slots__ = ("base", "n", "weights")
 
-    def __init__(self, base: int, n: int):
-        self.base = base
-        self.n = n
-        top = base**n
-        self.weights = [top + base ** (n - 1 - i) for i in range(n)]
+def lead_in(p: Polynomial, var: str) -> tuple[int, Polynomial]:
+    """(degree, leading coefficient) of p viewed as univariate in ``var``.
 
-    def pack(self, terms: Mapping[Exponents, GaussianRational]) -> dict[int, GaussianRational]:
-        w = self.weights
-        return {sum(map(mul, e, w)): c for e, c in terms.items()}
+    One scan of the terms; the zero polynomial gives (-1, 0).
+    """
+    s, top = p._shift(var), WIDTH * len(p.vars)
+    deg = -1
+    lead: dict = {}
+    for key, c in p.nums.items():
+        k = (key >> s) & MAX_DEGREE
+        if k > deg:
+            deg, lead = k, {}
+        if k == deg:
+            lead[key - (k << s) - (k << top)] = c
+    return deg, p._like(*_reduced(p.den, lead))
 
-    def unpack(self, key: int) -> Exponents:
-        e = [0] * self.n
-        for i in range(self.n - 1, -1, -1):
-            key, e[i] = divmod(key, self.base)
-        return tuple(e)
 
-    def unpack_terms(self, terms: Mapping[int, GaussianRational]) -> dict:
-        unpack = self.unpack
-        return {unpack(k): c for k, c in terms.items()}
+def mul_power(p: Polynomial, var: str, k: int) -> Polynomial:
+    """p * var^k."""
+    if k == 0 or not p.nums:
+        return p
+    top = WIDTH * len(p.vars)
+    _check_degree((max(p.nums) >> top) + k)
+    step = k * ((1 << top) | (1 << p._shift(var)))
+    return p._like(p.den, {key + step: c for key, c in p.nums.items()})
+
+
+# -- the int kernels ------------------------------------------------------------
+
+
+def _sum_terms(da: int, a: Mapping, db: int, b: Mapping, sign: int) -> tuple[int, dict]:
+    """The stored form of a + b (``sign`` 1) or a - b (``sign`` -1)."""
+    den = da if da == db else lcm(da, db)
+    sa, sb = den // da, sign * (den // db)
+    out = dict(a) if sa == 1 else {k: (re * sa, im * sa) for k, (re, im) in a.items()}
+    for k, (br, bi) in b.items():
+        if sb != 1:
+            br, bi = br * sb, bi * sb
+        old = out.get(k)
+        if old is None:
+            out[k] = (br, bi)
+            continue
+        re, im = old[0] + br, old[1] + bi
+        if re or im:
+            out[k] = (re, im)
+        else:
+            del out[k]
+    return _reduced(den, out)
 
 
 class WorkLimitExceeded(ArithmeticError):
@@ -407,79 +539,68 @@ def work_limit(limit: int):
         _METER.reset(token)
 
 
-def _cleared(terms: Mapping) -> tuple[int, list]:
-    """(den, [(key, re, im)]): Gaussian-integer numerators over one denominator."""
-    dens = {c.re.denominator for c in terms.values()}
-    dens.update(c.im.denominator for c in terms.values())
-    den = lcm(*dens)
-    items = [
-        (k, c.re.numerator * (den // c.re.denominator), c.im.numerator * (den // c.im.denominator))
-        for k, c in terms.items()
-    ]
-    return den, items
+def _mul_terms(da: int, a: Mapping, db: int, b: Mapping) -> tuple[int, dict]:
+    """The stored form of the product of two stored forms whose keys add.
 
-
-def _normalised(acc_re: dict, acc_im: dict, den: int) -> dict:
-    """{key: (re + i*im) / den} over int accumulators with the same keys.
-
-    Each coefficient is normalised once; coefficients that are 0 are left out.
+    Real operands, the common case, skip the imaginary products.
     """
-    make = GaussianRational._make
-    out = {}
-    for k, re in acc_re.items():
-        im = acc_im[k]
-        if re or im:
-            out[k] = make(Fraction(re, den), Fraction(im, den))
-    return out
-
-
-def _mul_terms(a: Mapping[int, GaussianRational], b: Mapping[int, GaussianRational]) -> dict:
-    """The product of two term dicts keyed by int exponents that add."""
-    da, ia = _cleared(a)
-    db, ib = _cleared(b)
     meter = _METER.get()
     if meter is not None:
-        meter.charge(len(ia) * len(ib))
+        meter.charge(len(a) * len(b))
     acc_re: dict[int, int] = {}
-    acc_im: dict[int, int] = {}
-    get_re, get_im = acc_re.get, acc_im.get
-    for ka, ar, ai in ia:
-        for kb, br, bi in ib:
-            k = ka + kb
-            acc_re[k] = get_re(k, 0) + ar * br - ai * bi
-            acc_im[k] = get_im(k, 0) + ar * bi + ai * br
-    return _normalised(acc_re, acc_im, da * db)
+    get_re = acc_re.get
+    if any(im for _, im in a.values()) or any(im for _, im in b.values()):
+        acc_im: dict[int, int] = {}
+        get_im = acc_im.get
+        ib = [(kb, br, bi) for kb, (br, bi) in b.items()]
+        for ka, (ar, ai) in a.items():
+            for kb, br, bi in ib:
+                k = ka + kb
+                acc_re[k] = get_re(k, 0) + ar * br - ai * bi
+                acc_im[k] = get_im(k, 0) + ar * bi + ai * br
+        nums = {}
+        for k, re in acc_re.items():
+            im = acc_im[k]
+            if re or im:
+                nums[k] = (re, im)
+    else:
+        rb = [(kb, br) for kb, (br, _) in b.items()]
+        for ka, (ar, _) in a.items():
+            for kb, br in rb:
+                k = ka + kb
+                acc_re[k] = get_re(k, 0) + ar * br
+        nums = {k: (re, 0) for k, re in acc_re.items() if re}
+    return _reduced(da * db, nums)
 
 
-def _exact_quotient(p: "Polynomial", q: "Polynomial") -> dict | None:
-    """The terms of p / q when q divides p, else None (p, q nonzero, one context).
+def _exact_quotient(p: Polynomial, q: Polynomial) -> tuple[int, dict] | None:
+    """The stored form of p / q when q divides p, else None (p, q nonzero, one context).
 
-    Over cleared numerators p = P/dp and q = Q/dq, let L be the graded-lex
+    Over the stored forms p = P/dp and q = Q/dq, let L be the graded-lex
     leading coefficient of Q and N = |L|^2.  When q divides p, Gauss's lemma
     over the Gaussian integers puts N*P/Q in Z[i][x], so dividing N*P by Q
     in graded-lex order takes only exact Gaussian-integer steps; a step that
     is not exact, like a leading monomial that lead(Q) does not divide,
-    proves that q does not divide p.  No remainder monomial exceeds the total
-    degree of p, which bounds the packing base.
+    proves that q does not divide p.  A constant q multiplies p by
+    1/q = dq * conj(L) / N instead.
     """
-    packing = _Packing(1 + max(p.total_degree(), q.total_degree()), len(p.vars))
-    dp, ip = _cleared(packing.pack(p.terms))
-    dq, iq = _cleared(packing.pack(q.terms))
-    iq.sort(reverse=True)
+    if q.is_constant():
+        ((lr, li),) = q.nums.values()
+        inverse = _reduced(lr * lr + li * li, {0: (q.den * lr, -q.den * li)})
+        return _mul_terms(p.den, p.nums, *inverse)
+    iq = sorted(((k, re, im) for k, (re, im) in q.nums.items()), reverse=True)
     (lead, lr, li), rest = iq[0], iq[1:]
-    lead_exps = packing.unpack(lead)
+    lead_digits = [(s, (lead >> s) & MAX_DEGREE) for s in range(0, WIDTH * len(p.vars), WIDTH)]
     norm = lr * lr + li * li
-    rem_re = {k: re * norm for k, re, _ in ip}
-    rem_im = {k: im * norm for k, _, im in ip}
-    quot_re: dict[int, int] = {}
-    quot_im: dict[int, int] = {}
+    rem = {k: (re * norm, im * norm) for k, (re, im) in p.nums.items()}
+    quot: dict[int, tuple[int, int]] = {}
     meter = _METER.get()
-    while rem_re:
+    while rem:
         if meter is not None:
             meter.charge(len(iq))
-        k = max(rem_re)
-        rr, ri = rem_re.pop(k), rem_im.pop(k)
-        if any(a < b for a, b in zip(packing.unpack(k), lead_exps)):
+        k = max(rem)
+        rr, ri = rem.pop(k)
+        if any((k >> s) & MAX_DEGREE < d for s, d in lead_digits):
             return None
         # (rr + i*ri) / L = (rr + i*ri) * conj(L) / N
         cr, xr = divmod(rr * lr + ri * li, norm)
@@ -487,19 +608,17 @@ def _exact_quotient(p: "Polynomial", q: "Polynomial") -> dict | None:
         if xr or xi:
             return None
         shift = k - lead
-        quot_re[shift] = cr * dq
-        quot_im[shift] = ci * dq
+        quot[shift] = (cr * q.den, ci * q.den)
         for kq, qr, qi in rest:
             kk = shift + kq
-            re = rem_re.get(kk, 0) - (cr * qr - ci * qi)
-            im = rem_im.get(kk, 0) - (cr * qi + ci * qr)
+            old_r, old_i = rem.get(kk, (0, 0))
+            re = old_r - (cr * qr - ci * qi)
+            im = old_i - (cr * qi + ci * qr)
             if re or im:
-                rem_re[kk] = re
-                rem_im[kk] = im
+                rem[kk] = (re, im)
             else:
-                rem_re.pop(kk, None)
-                rem_im.pop(kk, None)
-    return packing.unpack_terms(_normalised(quot_re, quot_im, dp * norm))
+                rem.pop(kk, None)
+    return _reduced(p.den * norm, quot)
 
 
 def _horner(coeffs: Mapping[int, object], x, den=None):
@@ -525,32 +644,32 @@ def _horner(coeffs: Mapping[int, object], x, den=None):
     return acc
 
 
-def _compose(terms: Mapping[Exponents, GaussianRational], images: Sequence, one):
-    """The exact sum of c * prod_i images[i]^e[i] over the terms {e: c}.
+def _compose(den: int, terms: list, images: Sequence, one):
+    """The exact sum of (re + i*im)/den * prod_i images[i]^e[i] over ``terms`` (e, re, im).
 
     ``images`` are elements of one ring (Polynomial or LaurentPoly) and
     ``one`` is its constant 1.  Horner's rule in the first variable, whose
     coefficients are composed the same way in the others.
     """
-    if not terms or not images:
-        return one._operand(terms.get((), ZERO))  # zero, or a constant
-    groups: dict[int, dict] = {}
-    for e, c in terms.items():
-        groups.setdefault(e[0], {})[e[1:]] = c
+    if not terms or not images:  # zero, or the constant term
+        return one._like(*_reduced(den, {0: (re, im) for _, re, im in terms}))
+    groups: dict[int, list] = {}
+    for e, re, im in terms:
+        groups.setdefault(e[0], []).append((e[1:], re, im))
     rest = images[1:]
-    return _horner({k: _compose(t, rest, one) for k, t in groups.items()}, images[0])
+    return _horner({k: _compose(den, t, rest, one) for k, t in groups.items()}, images[0])
 
 
 class Specialisation:
     """Polynomials of one context with their trailing variables fixed, compiled once.
 
     The first ``head`` variables stay; :meth:`at` replaces the others by
-    exact values.  A term c * x^a * y^b of a polynomial whose largest
-    trailing degree is D is kept as the cleared numerator of c, split by
-    (a, b).  At values y = Y / d, with Y Gaussian integers over one common
+    exact values.  A term (re + i*im)/den * x^a * y^b of a polynomial whose
+    largest trailing degree is D is kept as its numerator, split by (a, b).
+    At values y = Y / d, with Y Gaussian integers over one common
     denominator d, the coefficient of x^a is
-    sum_b num(c) * Y^b * d^(D - |b|) over den(c) * d^D: int arithmetic and
-    one normalisation.
+    sum_b (re + i*im) * Y^b * d^(D - |b|) over den * d^D: int arithmetic and
+    one reduction.
     """
 
     __slots__ = ("vars", "degrees", "compiled")
@@ -561,25 +680,24 @@ class Specialisation:
         degrees = [0] * tail
         self.compiled = []
         for p in polys:
-            den, items = _cleared(p.terms)
             terms = []
-            for e, re, im in items:
+            for e, re, im in p.stored_terms():
                 b = e[head:]
                 for j, k in enumerate(b):
                     if k > degrees[j]:
                         degrees[j] = k
-                terms.append((e[:head], b, sum(b), re, im))
+                terms.append((_pack(e[:head]), b, sum(b), re, im))
             top = max((t[2] for t in terms), default=0)
-            self.compiled.append((den, top, terms))
+            self.compiled.append((p.den, top, terms))
         self.degrees = degrees
 
     def at(self, values: Sequence[ScalarLike]) -> list[Polynomial]:
         """Every polynomial with the trailing variables set to ``values``, exactly."""
         vals = [GaussianRational.coerce(v) for v in values]
-        d = lcm(*(c.re.denominator for c in vals), *(c.im.denominator for c in vals))
+        d, ys = _from_scalars(dict(enumerate(vals)))
         powers = []
-        for c, deg in zip(vals, self.degrees):
-            yr, yi = c.re.numerator * (d // c.re.denominator), c.im.numerator * (d // c.im.denominator)
+        for j, deg in enumerate(self.degrees):
+            yr, yi = ys.get(j, (0, 0))
             table = [(1, 0)]
             for _ in range(deg):
                 r, i = table[-1]
@@ -591,8 +709,7 @@ class Specialisation:
         monomials: dict[tuple, tuple[int, int]] = {}
         out = []
         for den, top, terms in self.compiled:
-            acc_re: dict = {}
-            acc_im: dict = {}
+            acc: dict = {}
             for a, b, deg, re, im in terms:
                 m = monomials.get(b)
                 if m is None:
@@ -604,9 +721,10 @@ class Specialisation:
                     m = monomials[b] = (mr, mi)
                 s = d_powers[top - deg]
                 mr, mi = m
-                acc_re[a] = acc_re.get(a, 0) + (re * mr - im * mi) * s
-                acc_im[a] = acc_im.get(a, 0) + (re * mi + im * mr) * s
-            out.append(Polynomial._raw(self.vars, _normalised(acc_re, acc_im, den * d_powers[top])))
+                old_r, old_i = acc.get(a, (0, 0))
+                acc[a] = (old_r + (re * mr - im * mi) * s, old_i + (re * mi + im * mr) * s)
+            nums = {a: c for a, c in acc.items() if c[0] or c[1]}
+            out.append(Polynomial._raw(self.vars, *_reduced(den * d_powers[top], nums)))
         return out
 
 
@@ -639,28 +757,23 @@ def _term_str(coeff: GaussianRational, mono: str) -> tuple[bool, str]:
     return neg, (f"({s})*{mono}" if mixed else f"{s}*{mono}")
 
 
-class LaurentPoly:
+class LaurentPoly(_Sparse):
     """Univariate Laurent polynomial: finite map exponent -> nonzero scalar.
 
-    Exponents are arbitrary integers.  ``degree`` and ``order`` (max and min
-    exponent) are defined only for nonzero polynomials.
+    Exponents are arbitrary integers and are the keys of the stored form.
+    ``degree`` and ``order`` (max and min exponent) are defined only for
+    nonzero polynomials.
     """
 
-    __slots__ = ("var", "terms")
+    __slots__ = ("var", "den", "nums", "_terms", "_hash")
 
     def __init__(self, var: str, terms: Mapping[int, ScalarLike]):
-        clean: dict[int, GaussianRational] = {}
+        coeffs: dict[int, GaussianRational] = {}
         for e, c in terms.items():
             if not isinstance(e, int):
                 raise ValueError(f"Laurent exponent must be an integer, got {e!r}")
-            coeff = GaussianRational.coerce(c)
-            if not coeff.is_zero():
-                clean[e] = coeff
-        object.__setattr__(self, "var", var)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentPoly is immutable")
+            coeffs[e] = GaussianRational.coerce(c)
+        _init(self, ("var", var), *_from_scalars(coeffs))
 
     @classmethod
     def zero(cls, var: str = "t") -> "LaurentPoly":
@@ -670,24 +783,28 @@ class LaurentPoly:
     def one(cls, var: str = "t") -> "LaurentPoly":
         return cls(var, {0: 1})
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def _like(self, den: int, nums: dict) -> "LaurentPoly":
+        return _init(object.__new__(LaurentPoly), ("var", self.var), den, nums)
+
+    @staticmethod
+    def _exponents(key: int) -> int:
+        return key
 
     def degree(self) -> int:
-        if not self.terms:
+        if not self.nums:
             raise ValueError("degree of the zero Laurent polynomial is undefined")
-        return max(self.terms)
+        return max(self.nums)
 
     def order(self) -> int:
-        if not self.terms:
+        if not self.nums:
             raise ValueError("order of the zero Laurent polynomial is undefined")
-        return min(self.terms)
+        return min(self.nums)
 
     def coefficient(self, exponent: int) -> GaussianRational:
-        return self.terms.get(exponent, ZERO)
+        return _scalar(self.den, *self.nums.get(exponent, (0, 0)))
 
     def constant_term(self) -> GaussianRational:
-        return self.terms.get(0, ZERO)
+        return self.coefficient(0)
 
     def _operand(self, other) -> "LaurentPoly":
         """``other`` as a Laurent polynomial in this variable; scalars become constants."""
@@ -697,51 +814,38 @@ class LaurentPoly:
             raise ValueError(f"Laurent variable mismatch: {self.var!r} vs {other.var!r}")
         return other
 
-    def __add__(self, other: Union["LaurentPoly", ScalarLike]) -> "LaurentPoly":
-        return LaurentPoly(self.var, _sum_terms(self.terms, self._operand(other).terms, 1))
-
-    def __sub__(self, other: Union["LaurentPoly", ScalarLike]) -> "LaurentPoly":
-        return LaurentPoly(self.var, _sum_terms(self.terms, self._operand(other).terms, -1))
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.var, {e: -c for e, c in self.terms.items()})
-
-    def __mul__(self, other: Union["LaurentPoly", ScalarLike]) -> "LaurentPoly":
-        other = self._operand(other)
-        if not self.terms or not other.terms:
-            return LaurentPoly.zero(self.var)
-        return LaurentPoly(self.var, _mul_terms(self.terms, other.terms))
-
-    __rmul__ = __mul__
-
     def __pow__(self, exponent: int) -> "LaurentPoly":
         # 0**0 is the empty product: the constant 1.
         if not isinstance(exponent, int):
             raise ValueError("exponent must be an integer")
         if exponent < 0:
             # negative powers exist only for single-term polynomials, e.g. t^-2
-            if len(self.terms) != 1:
+            if len(self.nums) != 1:
                 raise ValueError("negative power of a multi-term Laurent polynomial")
             ((e, c),) = self.terms.items()
-            return LaurentPoly(self.var, {e * exponent: ONE / c ** (-exponent)})
+            return LaurentPoly(self.var, {e * exponent: 1 / c ** (-exponent)})
         return _power(self, exponent, LaurentPoly.one(self.var))
 
     def evaluate(self, t: complex) -> complex:
         tc = complex(t)
-        if tc == 0 and any(e < 0 for e in self.terms):
+        if tc == 0 and any(e < 0 for e in self.nums):
             raise ZeroDivisionError("Laurent polynomial with poles cannot be evaluated at 0")
-        return sum((c.to_complex() * tc**e for e, c in sorted(self.terms.items())), 0j)
+        den = self.den
+        return sum(
+            (complex(re / den, im / den) * tc**e for e, (re, im) in sorted(self.nums.items())), 0j
+        )
 
     def __eq__(self, other) -> bool:
         if isinstance(other, LaurentPoly):
-            return self.var == other.var and self.terms == other.terms
+            return self.var == other.var and self.den == other.den and self.nums == other.nums
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.var, tuple(sorted(self.terms.items()))))
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
+        h = self._hash
+        if h is None:
+            h = hash((self.var, self.den, frozenset(self.nums.items())))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self.var!r}, {str(self)!r})"

@@ -6,11 +6,11 @@ symbolic layer performs (ring arithmetic, division by nonzero scalars), so
 identities such as "this determinant is the constant 1" are decided exactly.
 Floating-point complex numbers appear only in the numerical modules.
 
-Scalar arithmetic here serves single coefficients.  Polynomial products do
-not multiply scalars pair by pair: :mod:`polyproper.poly` clears each
-operand to Gaussian-integer numerators over one denominator, multiplies in
-int arithmetic and builds each result coefficient once through
-:meth:`GaussianRational._make`.
+Scalar arithmetic here serves single coefficients at the boundary of the
+exact layer: input, printing and reports.  Polynomials do not store
+scalars: :mod:`polyproper.poly` keeps Gaussian-integer numerators over one
+denominator, computes in int arithmetic and builds a ``GaussianRational``
+only when a coefficient is read.
 """
 
 from __future__ import annotations
@@ -41,14 +41,6 @@ class GaussianRational:
         raise AttributeError("GaussianRational is immutable")
 
     @classmethod
-    def _make(cls, re: Fraction, im: Fraction) -> "GaussianRational":
-        """Internal: wrap two Fractions without coercing them again."""
-        z = object.__new__(cls)
-        object.__setattr__(z, "re", re)
-        object.__setattr__(z, "im", im)
-        return z
-
-    @classmethod
     def coerce(cls, value: ScalarLike) -> "GaussianRational":
         """Build a scalar from an int, Fraction, float, complex, or scalar.
 
@@ -70,23 +62,23 @@ class GaussianRational:
 
     def __add__(self, other: ScalarLike) -> "GaussianRational":
         o = GaussianRational.coerce(other)
-        return GaussianRational._make(self.re + o.re, self.im + o.im)
+        return GaussianRational(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
 
     def __sub__(self, other: ScalarLike) -> "GaussianRational":
         o = GaussianRational.coerce(other)
-        return GaussianRational._make(self.re - o.re, self.im - o.im)
+        return GaussianRational(self.re - o.re, self.im - o.im)
 
     def __rsub__(self, other: ScalarLike) -> "GaussianRational":
         return GaussianRational.coerce(other) - self
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational._make(-self.re, -self.im)
+        return GaussianRational(-self.re, -self.im)
 
     def __mul__(self, other: ScalarLike) -> "GaussianRational":
         o = GaussianRational.coerce(other)
-        return GaussianRational._make(
+        return GaussianRational(
             self.re * o.re - self.im * o.im,
             self.re * o.im + self.im * o.re,
         )
@@ -101,7 +93,7 @@ class GaussianRational:
         norm = o.re * o.re + o.im * o.im
         re = (self.re * o.re + self.im * o.im) / norm
         im = (self.im * o.re - self.re * o.im) / norm
-        return GaussianRational._make(re, im)
+        return GaussianRational(re, im)
 
     def __rtruediv__(self, other: ScalarLike) -> "GaussianRational":
         return GaussianRational.coerce(other) / self
@@ -123,7 +115,7 @@ class GaussianRational:
         return not self.im
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational._make(self.re, -self.im)
+        return GaussianRational(self.re, -self.im)
 
     def to_complex(self) -> complex:
         return complex(float(self.re), float(self.im))

@@ -26,16 +26,19 @@ A candidate is a solution when its residual is below ``tol`` or at that
 floor, the accuracy limit of its evaluation; deduplication and the
 candidate cap are per target.
 
-Two routes lead to the cascade.  :func:`solve_fiber` and :func:`fiber_count`
-eliminate at the given target (the per-target path).  :func:`geometric_degree`
-samples 50 targets of one map, so it eliminates once per map instead: the
-map's :class:`TargetPlan` is the cascade of (f - y) with y symbolic that
-kills x_1..x_{n-1}, the same one ``nonproperness_set`` reads the last
-coordinate's relation from (Jelonek 1993), built on first use and kept on
-the map.  At each target its stage pivots and finals are specialised
-exactly (:class:`polyproper.poly.Specialisation`); the finals of all
-targets are rooted in one call, and all targets go through the same
-back-substitution and Newton code as one batch.  A target is solved on the
+Two routes lead to the cascade.  The per-target path eliminates at the
+given target.  The map's :class:`TargetPlan` is the cascade of (f - y) with
+y symbolic that kills x_1..x_{n-1}, the same one ``nonproperness_set``
+reads the last coordinate's relation from (Jelonek 1993), built on first
+use and kept on the map.  :func:`geometric_degree` samples 50 targets of
+one map, so it builds the plan and eliminates once per map.
+:func:`solve_fiber` and :func:`fiber_count` use the plan when the map
+already holds a usable one and take the per-target path otherwise: they
+never build a plan, which costs more than one per-target cascade.  At each
+target its stage pivots and finals are specialised exactly
+(:class:`polyproper.poly.Specialisation`); the finals of all targets are
+rooted in one call, and all targets go through the same back-substitution
+and Newton code as one batch.  A target is solved on the
 per-target path instead, on its own, when the plan is inconsistent,
 degenerate, leaves a variable free, has no finals or is over budget; when
 every final or some pivot vanishes at the target; and when one of its
@@ -140,8 +143,6 @@ def _check_scale(f: PolyMap) -> None:
 
 def _shifted_system(f: PolyMap, y: Sequence[complex]) -> list[Polynomial]:
     """The polynomials f_j - y_j with the target folded in exactly."""
-    if len(y) != f.target_dim:
-        raise ValueError(f"target has dimension {len(y)}, expected {f.target_dim}")
     return [
         c - Polynomial.constant(f.vars, GaussianRational.coerce(complex(v)))
         for c, v in zip(f.components, y)
@@ -160,10 +161,8 @@ def target_variables(f: PolyMap) -> tuple[str, ...]:
 def symbolic_system(f: PolyMap, targets: Sequence[str]) -> list[Polynomial]:
     """The polynomials f_j - y_j over the source variables followed by ``targets``."""
     combined = f.vars + tuple(targets)
-    pad = (0,) * len(targets)
     return [
-        Polynomial._raw(combined, {e + pad: c for e, c in comp.terms.items()})
-        - Polynomial.variable(combined, y_j)
+        comp.in_context(combined) - Polynomial.variable(combined, y_j)
         for comp, y_j in zip(f.components, targets)
     ]
 
@@ -239,11 +238,11 @@ def _planned_fibers(
     The plan is specialised at every target exactly, the finals of all of
     them are rooted in one :func:`roots_of_each` call and their
     back-substitution and Newton run as one batch.  A nonzero constant
-    final means the fiber is empty.  A target goes to :func:`solve_fiber`
-    on its own when the plan is not usable, when every final or some pivot
-    vanishes at it, or when one of its branches degenerates during
-    back-substitution; the error of a positive-dimensional fiber takes its
-    place in the list.
+    final means the fiber is empty.  A target goes to the per-target path
+    (:func:`_cascade_fiber`) on its own when the plan is not usable, when
+    every final or some pivot vanishes at it, or when one of its branches
+    degenerates during back-substitution; the error of a
+    positive-dimensional fiber takes its place in the list.
     """
     out: list = [None] * len(ys)
     plan = target_plan(f)
@@ -273,7 +272,7 @@ def _planned_fibers(
     for i, y in enumerate(ys):
         if out[i] is None:
             try:
-                out[i] = solve_fiber(f, y, tol)
+                out[i] = _cascade_fiber(f, y, tol)
             except PositiveDimensionalFiberError as exc:
                 out[i] = exc
     return out
@@ -289,8 +288,26 @@ def solve_fiber(
     ||f(x) - y|| < tol, or a residual within the round-off of evaluating f
     at it (:data:`polyproper.numeric.ROUNDOFF` times its term-magnitude
     sum), where no Newton step can lower it.
+
+    When the map already holds a usable :class:`TargetPlan`, the fiber is
+    solved through it (:func:`_planned_fibers`); otherwise, and where the
+    plan does not apply at y, on the per-target path.  No plan is built
+    here: one costs more than one per-target cascade.
     """
     _check_scale(f)
+    if len(y) != f.target_dim:
+        raise ValueError(f"target has dimension {len(y)}, expected {f.target_dim}")
+    plan = f._target_plan
+    if plan is None or not plan.usable:
+        return _cascade_fiber(f, y, tol)
+    (fiber,) = _planned_fibers(f, [y], tol)
+    if isinstance(fiber, PositiveDimensionalFiberError):
+        raise fiber
+    return fiber
+
+
+def _cascade_fiber(f: PolyMap, y: Sequence[complex], tol: float) -> list[FiberSolution]:
+    """The fiber over y on the per-target path: the cascade of (f - y) at y."""
     system = _shifted_system(f, y)
     retained = f.vars[-1]
     kill = list(f.vars[:-1])

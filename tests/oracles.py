@@ -2,7 +2,8 @@
 
 Each oracle computes a quantity the package also computes, by a different
 route: the schoolbook product, one exact scalar per pair of terms, for the
-cleared-numerator product kernel; a Sylvester matrix for the subresultant
+int product kernel; two ``Fraction``s per coefficient for the float
+conversion of ``poly_to_coeffs``; a Sylvester matrix for the subresultant
 resultant; the Gram matrix for the smallest singular value; one
 companion eigensolve and scalar Newton polish per polynomial for the
 batched root finder; arbitrary sample grids for the witness check's
@@ -181,3 +182,31 @@ def sampling_clearance(
         "mu": est.mu,
     }
     return ClearanceVerdict("yes" if "in-locus" in verdicts else "no", None, evidence)
+
+
+def fraction_route_coeffs(p: Polynomial) -> list[complex]:
+    """Ascending complex coefficients of a univariate p, each read as two ``Fraction``s.
+
+    The route ``poly_to_coeffs`` took over ``GaussianRational`` terms: the
+    largest reduced magnitude picks a power-of-two shift above 2^500, then
+    each part becomes ``numerator * 2^shift / denominator`` by int true
+    division.
+    """
+    (var,) = p.support_vars()
+    i = p.vars.index(var)
+    exact = [ZERO] * (p.degree_in(var) + 1)
+    for e, c in p.terms.items():
+        exact[e[i]] = c
+    top = -(10**9)
+    for c in exact:
+        for part in (c.re, c.im):
+            if part:
+                top = max(top, part.numerator.bit_length() - part.denominator.bit_length())
+    shift = -top if abs(top) > 500 and top >= -(10**8) else 0
+
+    def shifted(x):
+        if shift >= 0:
+            return (x.numerator << shift) / x.denominator
+        return x.numerator / (x.denominator << -shift)
+
+    return [complex(shifted(c.re), shifted(c.im)) for c in exact]

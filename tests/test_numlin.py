@@ -2,15 +2,23 @@
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyproper import parse_polynomial, smallest_singular_value, univariate_roots
+from polyproper import (
+    GaussianRational,
+    Polynomial,
+    parse_polynomial,
+    smallest_singular_value,
+    univariate_roots,
+)
+from polyproper.numeric import TermTable
 from polyproper.numlin import poly_to_coeffs, roots_of_each
-from oracles import min_gram_eigenvalue, scalar_univariate_roots
+from oracles import fraction_route_coeffs, min_gram_eigenvalue, scalar_univariate_roots
 
 
 class TestSmallestSingularValue:
@@ -192,3 +200,45 @@ def test_poly_to_coeffs():
     assert poly_to_coeffs(q) == [-4.0, 0j, 1.0]
     with pytest.raises(ValueError, match="several variables"):
         poly_to_coeffs(parse_polynomial("x*y", ("x", "y")))
+
+
+def _bits(values) -> list[tuple[str, str]]:
+    return [(complex(z).real.hex(), complex(z).imag.hex()) for z in values]
+
+
+#: Rationals from far below 2^-500 to far above 2^500, with odd denominators
+#: so that one common denominator does not reduce each part.
+wide_rationals = st.builds(
+    lambda num, den, scale: Fraction(num, den) * Fraction(2) ** scale,
+    st.integers(-(2**60), 2**60),
+    st.integers(1, 2**60).map(lambda d: 2 * d + 1),
+    st.sampled_from([-1400, -700, -520, -501, -60, 0, 60, 501, 520, 700, 1400]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(wide_rationals, wide_rationals), min_size=1, max_size=5))
+def test_poly_to_coeffs_gives_the_fraction_route_floats(parts):
+    """Stored numerators over one denominator round to the floats each Fraction gave."""
+    terms = {(0, k + 1): GaussianRational(re, im) for k, (re, im) in enumerate(parts)}
+    p = Polynomial(("x", "y"), terms)
+    if len(p.support_vars()) != 1:
+        return
+    assert _bits(poly_to_coeffs(p)) == _bits(fraction_route_coeffs(p))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(wide_rationals, wide_rationals), min_size=1, max_size=5))
+def test_term_table_gives_the_fraction_route_floats(parts):
+    terms = {(k, 1): GaussianRational(re, im) for k, (re, im) in enumerate(parts)}
+    p = Polynomial(("x", "y"), terms)
+    try:
+        want = {e: c.to_complex() for e, c in p.terms.items()}
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            TermTable([p], 2)
+        return
+    table = TermTable([p], 2)
+    got = {tuple(int(k) for k in e): c for e, c in zip(table.exps, table.coeffs[:, 0])}
+    assert sorted(want) == sorted(got)
+    assert _bits(want[e] for e in sorted(want)) == _bits(got[e] for e in sorted(want))

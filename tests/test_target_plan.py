@@ -38,24 +38,46 @@ GENERATORS = Path(__file__).resolve().parents[1] / "bench" / "generators.py"
 #: The fixed dense pool of the benchmark: generator seed and maps per (n, d).
 DENSE_POOL_SEED = 1807
 DENSE_POOL = {(2, 3): 3, (2, 6): 3, (3, 2): 3, (3, 3): 2}
+#: The benchmark's tame automorphism pool: generator seed and maps per rung.
+TAME_POOL_SEED = 2018
+TAME_MAPS_PER_RUNG = 4
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=12)
 gaussians = st.builds(GaussianRational, rationals, rationals)
 
 
 @functools.cache
-def _dense_texts() -> dict[str, str]:
-    """The map texts of the benchmark's dense pool, by key (e.g. ``"3x3#1"``)."""
+def _generators():
+    """The benchmark's map generators, loaded by path."""
     spec = importlib.util.spec_from_file_location("bench_generators", GENERATORS)
     generators = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = generators  # its dataclasses look the module up
     spec.loader.exec_module(generators)
+    return generators
+
+
+@functools.cache
+def _dense_texts() -> dict[str, str]:
+    """The map texts of the benchmark's dense pool, by key (e.g. ``"3x3#1"``)."""
     rng = random.Random(DENSE_POOL_SEED)
     return {
-        f"{n}x{d}#{m}": generators.dense_map(rng, n, d).text()
+        f"{n}x{d}#{m}": _generators().dense_map(rng, n, d).text()
         for (n, d), count in DENSE_POOL.items()
         for m in range(count)
     }
+
+
+@functools.cache
+def _tame_texts() -> dict[str, str]:
+    """The map texts of the benchmark's tame automorphism pool, by key (e.g. ``"2x4#3"``)."""
+    gen = _generators()
+    texts = {}
+    for n, d in gen.TAME_LADDER:
+        rng = random.Random(f"{TAME_POOL_SEED}/{n}x{d}")
+        for m in range(TAME_MAPS_PER_RUNG):
+            tame = gen.tame_automorphism(rng, n, d)
+            texts[f"{n}x{d}#{m}"] = gen.map_text(gen.VARS[:n], tame.forward_texts())
+    return texts
 
 
 def _dense_map(key: str) -> PolyMap:
@@ -170,9 +192,10 @@ def test_batched_fibers_match_solve_fiber(name, special, monkeypatch):
         ys.insert(3 * k + 1, y)
     fibers = _planned_fibers(f, ys, 1e-8)
     assert len(fibers) == len(ys)
+    fresh = parse_map_text(texts[name] if name in texts else _dense_texts()[name])
     for y, fiber in zip(ys, fibers):
         try:
-            want = solve_fiber(f, y)
+            want = solve_fiber(fresh, y)  # no plan on the map: the per-target path
         except PositiveDimensionalFiberError:
             assert isinstance(fiber, PositiveDimensionalFiberError), y
             continue
@@ -196,12 +219,47 @@ def test_positive_dimensional_fiber_raises_on_both_paths():
     assert isinstance(_planned_fibers(f, [(0, 0)], 1e-8)[0], PositiveDimensionalFiberError)
     with pytest.raises(PositiveDimensionalFiberError):
         solve_fiber(f, (0, 0))
+    with pytest.raises(PositiveDimensionalFiberError):
+        solve_fiber(PolyMap.from_exprs(("x", "y"), ["x", "x*y"]), (0, 0))  # no plan
 
 
 def test_constant_final_gives_empty_fiber_on_both_paths():
     f = PolyMap.from_exprs(("x", "y"), ["x", "x*y"])
     assert _planned_fibers(f, [(0, 1)], 1e-8)[0] == []
     assert fiber_count(f, (0, 1)) == 0
+    assert fiber_count(PolyMap.from_exprs(("x", "y"), ["x", "x*y"]), (0, 1)) == 0  # no plan
+
+
+def _fiber_counts(f: PolyMap, ys) -> list:
+    out = []
+    for y in ys:
+        try:
+            out.append(fiber_count(f, y))
+        except PositiveDimensionalFiberError:
+            out.append("positive-dimensional")
+    return out
+
+
+@pytest.mark.parametrize(
+    "name, special",
+    [("example-3-6", []), ("x-xy", [(0, 1), (0, 0)]), ("x2-y", [])]
+    + [(key, []) for key in _tame_texts()],
+)
+def test_solve_fiber_counts_same_with_and_without_a_plan(name, special, monkeypatch):
+    """solve_fiber uses a plan the map already holds and never builds one itself."""
+    texts = {"example-3-6": EXAMPLE_3_6_TEXT, "x-xy": X_XY_TEXT, "x2-y": X2_Y_TEXT}
+    f = parse_map_text(texts.get(name) or _tame_texts()[name])
+    rng = np.random.default_rng(23)
+    ys = special + [sample_target(rng, f.target_dim) for _ in range(4)]
+    before = _fiber_counts(f, ys)
+    assert f._target_plan is None
+    assert target_plan(f).usable
+    # from here on the plan answers: the per-target cascade runs only where it does not apply
+    cascades = []
+    cascade = solver._cascade_fiber
+    monkeypatch.setattr(solver, "_cascade_fiber", lambda *a: cascades.append(a[1]) or cascade(*a))
+    assert _fiber_counts(f, ys) == before
+    assert all(y in special for y in cascades)
 
 
 def test_over_budget_plan_gives_same_histogram(monkeypatch):
