@@ -37,7 +37,7 @@ from .nonproper import (
 from .parser import ParseError, parse_polynomial
 from .polymap import PolyMap, load_map_file
 from .rabier import DEFAULT_T_MAX, DEFAULT_TOL, LaurentPath, check_rabier_witness
-from .solver import geometric_degree
+from .solver import DegreeEstimate, geometric_degree
 
 CHECK_NAMES = ("jacobian", "degree", "sf", "rabier", "cylinder", "clearance")
 DEFAULT_RESIDUAL_TOL = 1e-8
@@ -96,16 +96,24 @@ def _check_degree(f: PolyMap, cfg: AnalysisConfig, report: dict) -> dict:
             "degree/count diagnostics on a singular map are generic-count "
             "observations, not properness certificates"
         )
-    est = geometric_degree(f, n_samples=50, seed=cfg.seed, tol=cfg.residual_tol)
-    out = est.to_dict()
+    out = _degree_for(f, cfg, report).to_dict()
     out["tol"] = cfg.residual_tol
     return out
+
+
+def _degree_for(f: PolyMap, cfg: AnalysisConfig, report: dict) -> DegreeEstimate:
+    cache = report.setdefault("_cache", {})
+    if "degree" not in cache:
+        cache["degree"] = geometric_degree(f, n_samples=50, seed=cfg.seed, tol=cfg.residual_tol)
+    return cache["degree"]
 
 
 def _locus_for(f: PolyMap, cfg: AnalysisConfig, report: dict) -> Hypersurface:
     cache = report.setdefault("_cache", {})
     if "locus" not in cache:
-        cache["locus"] = nonproperness_set(f, seed=cfg.seed, tol=cfg.residual_tol)
+        cache["locus"] = nonproperness_set(
+            f, seed=cfg.seed, tol=cfg.residual_tol, degree_estimate=_degree_for(f, cfg, report)
+        )
     return cache["locus"]
 
 

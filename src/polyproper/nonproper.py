@@ -38,6 +38,7 @@ construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -53,7 +54,7 @@ from .elimination import (
     resultant,
     squarefree_part,
 )
-from .poly import Polynomial, WorkLimitExceeded, work_limit
+from .poly import Polynomial, Specialisation, WorkLimitExceeded, work_limit
 from .polymap import PolyMap
 from .solver import (
     DegreeEstimate,
@@ -62,12 +63,11 @@ from .solver import (
     geometric_degree,
     sample_target,
     solve_fiber,
-    specialize_univariate,
     symbolic_system,
     target_plan,
     target_variables,
 )
-from .numlin import norm2, univariate_roots
+from .numlin import norm2, poly_to_coeffs, univariate_roots
 
 EMPTY = "empty"
 HYPERSURFACE = "hypersurface"
@@ -219,19 +219,21 @@ def gcd_free_basis(polys: Sequence[Polynomial]) -> list[Polynomial]:
 
 
 def _points_on_zero_set(poly: Polynomial, rng: np.random.Generator) -> list[tuple[complex, ...]]:
-    """Up to three numeric points on the zero set of a nonconstant polynomial."""
-    support = poly.support_vars()
-    v = max(support, key=lambda name: poly.degree_in(name))
-    base = sample_target(rng, len(poly.vars))
-    assignment = {name: base[i] for i, name in enumerate(poly.vars) if name != v}
-    coeffs = specialize_univariate(poly, v, assignment)
-    if coeffs is None or len(coeffs) < 2:
+    """Up to three numeric points on the zero set of a nonconstant polynomial.
+
+    The other variables take a sampled target's values, specialised exactly;
+    the roots are taken in the variable of highest degree.
+    """
+    v = max(poly.support_vars(), key=poly.degree_in)
+    base = dict(zip(poly.vars, sample_target(rng, len(poly.vars))))
+    others = [name for name in poly.vars if name != v]
+    row = Specialisation([poly.in_context([v, *others])], 1).at([base[name] for name in others])[0]
+    if row.degree_in(v) < 1:
         return []
     points = []
-    for root in univariate_roots(coeffs).roots[:3]:
-        full = dict(assignment)
-        full[v] = root.value
-        points.append(tuple(full[name] for name in poly.vars))
+    for root in univariate_roots(poly_to_coeffs(row)).roots[:3]:
+        base[v] = root.value
+        points.append(tuple(base[name] for name in poly.vars))
     return points
 
 
@@ -413,10 +415,12 @@ def hyperplane_clearance(
 ) -> ClearanceVerdict:
     """Test whether the nonproperness locus misses the hypersurface {h = 0}.
 
-    The locus is computed by elimination (unless supplied) and intersected
-    with {h = 0} exactly where possible (shared-variable resultants,
-    univariate gcds), with numeric lifting of the elimination output
-    otherwise.
+    The locus {s = 0} is computed by elimination (unless supplied) and
+    intersected with {h = 0} exactly, by one resultant in a variable v once
+    a shear of the other coordinates by multiples of v makes s or h monic in
+    v.  The walk over shears ends, as the top-degree form of s cannot vanish
+    on all of {0, ..., deg s}^(n-1) (:func:`_varieties_intersect`).  The
+    verdict is "undetermined" only when the locus is unknown.
 
     A "no" verdict yields an automorphism certificate only when the map has
     constant nonzero Jacobian determinant and the test set is biregular to
@@ -451,7 +455,7 @@ def hyperplane_clearance(
         verdict = "no"
         evidence: dict[str, object] = {"locus": "empty", "mode": "symbolic"}
     else:
-        verdict, evidence = _varieties_intersect(locus.poly, h, seed)
+        verdict, evidence = _varieties_intersect(locus.poly, h)
         evidence["locus"] = str(locus.poly)
         evidence["mode"] = "symbolic"
 
@@ -475,46 +479,32 @@ def hyperplane_clearance(
     return ClearanceVerdict(verdict, certificate, evidence, tuple(warnings))
 
 
-def _varieties_intersect(s: Polynomial, h: Polynomial, seed: int) -> tuple[str, dict]:
-    """Decide (or probe) whether two hypersurfaces share a point in C^n."""
-    s = normalized(s)
-    h_n = normalized(h)
-    if s == h_n:
-        return "yes", {"reason": "identical defining polynomials"}
-    g = gcd_poly(s, h_n)
-    if not g.is_constant():
-        return "yes", {"reason": f"common component {g}"}
+def _varieties_intersect(s: Polynomial, h: Polynomial) -> tuple[str, dict]:
+    """Decide exactly whether {s = 0} and {h = 0} meet in C^n.
 
-    sup_s, sup_h = set(s.support_vars()), set(h_n.support_vars())
-    union = sup_s | sup_h
-    if len(union) == 1:
-        # parallel families of hyperplanes; coprimality already ruled out overlap
-        return "no", {"reason": "coprime univariate defining polynomials"}
-    if not (sup_s & sup_h):
-        return "yes", {"reason": "independent variables: zeros combine freely"}
-
-    v = next(name for name in s.vars if name in (sup_s & sup_h))
-    r = resultant(s, h_n, v)
-    if r.is_zero():
-        return "yes", {"reason": "vanishing resultant"}
-    if r.is_constant():
-        return "no", {"reason": f"constant resultant eliminating {v}"}
-
-    # nonconstant resultant: look for a numeric witness point on both surfaces
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xD2]))
-    for _ in range(5):
-        for base in _points_on_zero_set(r, rng):
-            assignment = {name: val for name, val in zip(r.vars, base) if name != v}
-            cs = specialize_univariate(s, v, assignment)
-            if cs is None or len(cs) < 2:
-                continue
-            ch_bound = max(abs(c.to_complex()) for c in h_n.terms.values())
-            for root in univariate_roots(cs).roots:
-                point = [assignment.get(name, 0j) for name in s.vars]
-                point[s.vars.index(v)] = root.value
-                if abs(h_n.evaluate(point)) < 1e-6 * max(1.0, ch_bound):
-                    return "yes", {
-                        "reason": "numeric witness point",
-                        "witness": [[z.real, z.imag] for z in point],
-                    }
-    return "undetermined", {"reason": "no witness found on the elimination output"}
+    Eliminate v, the first variable of s.  If s or h has a nonzero constant
+    leading coefficient in v, every zero of Res_v(s, h) extends to a common
+    zero (the Extension Theorem; Cox, Little and O'Shea, *Ideals, Varieties,
+    and Algorithms*, ch. 3), so they meet iff Res_v(s, h) is not a nonzero
+    constant.  Otherwise the shear u -> u + c_u * v of each other coordinate,
+    an automorphism of C^n, makes one of them so.  The walk over c in
+    {0, ..., D}^(n-1), D = deg s, ends: the coefficient of v^D in the sheared
+    s is s_D(c, 1), s_D the top-degree form of s, a nonzero polynomial of
+    degree at most D in each c_u that cannot vanish on that whole grid (Alon,
+    "Combinatorial Nullstellensatz", 1999).
+    """
+    v = s.support_vars()[0]
+    others = [u for u in s.vars if u != v]
+    x = {u: Polynomial.variable(s.vars, u) for u in s.vars}
+    sheared = [s, h]
+    for c in product(range(s.total_degree() + 1), repeat=len(others)):
+        if any(c):  # c = 0, the first, is no shear
+            shear = {v: x[v], **{u: x[u] + x[v] * k for u, k in zip(others, c)}}
+            sheared = [p.substitute(shear) for p in (s, h)]
+        if any(lead_in(p, v)[1].is_constant() for p in sheared):
+            break
+    r = resultant(*sheared, v)
+    evidence: dict[str, object] = {"eliminated": v, "resultant": str(r)}
+    if any(c):
+        evidence["shear"] = ", ".join(f"{u} -> {shear[u]}" for u, k in zip(others, c) if k)
+    return ("no" if r.is_constant() and not r.is_zero() else "yes"), evidence

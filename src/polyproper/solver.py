@@ -456,20 +456,6 @@ def _trim(coeffs: list[complex], sums: list[float], bound: float) -> list[comple
     return coeffs
 
 
-def specialize_univariate(
-    p: Polynomial, var: str, assignment: dict[str, complex]
-) -> list[complex] | None:
-    """View p at a numeric partial point as univariate in ``var``.
-
-    Every variable of p except ``var`` must be assigned.  Returns ascending
-    complex coefficients with leading entries within round-off trimmed, or
-    None when the whole polynomial collapses to zero relative to the
-    magnitude of the terms that were summed (a degenerate specialization).
-    """
-    point = np.array([[assignment.get(v, 0j) for v in p.vars]], dtype=complex)
-    return _UnivariateView([p], var).specialize(point, np.zeros(1, dtype=np.intp))[0]
-
-
 def _deduplicated(candidates: list[tuple[tuple[complex, ...], float, int]]) -> list[FiberSolution]:
     """One solution per cluster of refined candidates closer than DEDUP_RADIUS."""
     merged: list[list] = []  # [point, residual, total_mult, branches]

@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 from polyproper.cli import main
-from polyproper.corpus import EXAMPLE_3_6_TEXT, corpus_names, run_entry
+from polyproper.corpus import EXAMPLE_3_6_TEXT, X_XY_TEXT, corpus_names, run_entry
+from polyproper.solver import geometric_degree
 
 
 @pytest.fixture()
@@ -87,6 +88,30 @@ def test_clearance_check(shear_file):
     assert report["results"]["clearance"]["intersects"] == "no"
     assert report["results"]["clearance"]["certificate_issued"] is True
     assert report["certificates"][0]["claim"] == "automorphism"
+
+
+def test_one_degree_estimate_per_run(tmp_path, monkeypatch):
+    """The degree check and the locus share one 50-sample estimate of mu."""
+    from polyproper import cli, nonproper
+
+    calls = []
+
+    def counted(f, n_samples=50, seed=0, tol=1e-8):
+        calls.append(n_samples)
+        return geometric_degree(f, n_samples=n_samples, seed=seed, tol=tol)
+
+    monkeypatch.setattr(cli, "geometric_degree", counted)
+    monkeypatch.setattr(nonproper, "geometric_degree", counted)
+    path = tmp_path / "m.map"
+    path.write_text(X_XY_TEXT)
+    args = ["--map", str(path), "--checks", "degree,sf,clearance", "--hyperplane", "y1 - 1"]
+    code, out, _ = run_cli(args)
+    assert code == 0
+    assert calls == [50]
+    report = json.loads(out)
+    assert report["results"]["degree"]["mu"] == 1
+    assert report["results"]["sf"]["polynomial"] == "y1"
+    assert report["results"]["clearance"]["intersects"] == "no"
 
 
 def test_empty_checks_is_usage_error(shear_file):

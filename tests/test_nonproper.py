@@ -1,5 +1,8 @@
 """Nonproperness locus, cylinder structure, clearance, and certificates."""
 
+import random
+
+import numpy as np
 import pytest
 
 from polyproper import (
@@ -19,7 +22,8 @@ from polyproper import (
 )
 from polyproper import nonproper
 from polyproper.elimination import gcd_poly
-from polyproper.nonproper import gcd_free_basis
+from polyproper.nonproper import _points_on_zero_set, _varieties_intersect, gcd_free_basis
+from conftest import random_nonzero_polynomial, random_scalar
 from oracles import sampling_clearance
 
 T2 = ("y1", "y2")
@@ -188,6 +192,75 @@ class TestClearance:
         h = parse_polynomial("y2 - 4", T2)
         verdict = hyperplane_clearance(x_xy, h, seed=0)
         assert verdict.intersects == "yes"
+
+
+def _random_nonconstant(rng, variables):
+    while True:
+        p = random_nonzero_polynomial(rng, variables)
+        if not p.is_constant():
+            return p
+
+
+class TestVarietiesIntersect:
+    """The exact rule: shear one polynomial monic, then one resultant decides."""
+
+    def test_pairs_through_a_common_point_meet(self):
+        rng = random.Random(11)
+        for variables in [T2, ("y1", "y2", "y3")] * 20:
+            point = [random_scalar(rng) for _ in variables]
+            s, h = (_random_nonconstant(rng, variables) for _ in range(2))
+            s, h = s - s.evaluate_exact(point), h - h.evaluate_exact(point)
+            if s.is_zero() or h.is_zero():
+                continue
+            verdict, evidence = _varieties_intersect(s, h)
+            assert verdict == "yes", (s, h, evidence)
+
+    def test_translates_by_a_nonzero_constant_miss(self):
+        rng = random.Random(12)
+        for variables in [T2, ("y1", "y2", "y3")] * 20:
+            s = _random_nonconstant(rng, variables)
+            c = random_scalar(rng)
+            if c.is_zero():
+                continue
+            verdict, evidence = _varieties_intersect(s, s + c)
+            assert verdict == "no", (s, c, evidence)
+
+    @pytest.mark.parametrize(
+        "s, h, variables",
+        [
+            ("y1*y2 - 1", "y1*y2 - 2", T2),
+            ("y1*y2 - y3", "y1*y2 - y3 - 1", ("y1", "y2", "y3")),
+        ],
+    )
+    def test_parallel_hyperbolas_miss_after_a_shear(self, s, h, variables):
+        # neither is monic in y1, and Res_y1 is a nonzero constant only after
+        # the shear y2 -> y2 + y1 makes s monic
+        verdict, evidence = _varieties_intersect(
+            parse_polynomial(s, variables), parse_polynomial(h, variables)
+        )
+        assert verdict == "no"
+        assert evidence["shear"] == "y2 -> y1 + y2"
+
+    def test_clearance_of_a_supplied_locus_on_a_singular_map(self, x_xy):
+        locus = Hypersurface.of(parse_polynomial("y1*y2 - 1", T2))
+        verdict = hyperplane_clearance(x_xy, parse_polynomial("y1*y2 - 2", T2), locus=locus)
+        assert verdict.intersects == "no"
+        assert verdict.certificate is None  # x-xy is singular
+
+    def test_points_on_zero_set_lie_on_it(self):
+        rng = random.Random(13)
+        np_rng = np.random.default_rng(13)
+        found = 0
+        for variables in [("y1",), T2, ("y1", "y2", "y3")] * 20:
+            poly = _random_nonconstant(rng, variables)
+            for point in _points_on_zero_set(poly, np_rng):
+                scale = sum(
+                    abs(c.to_complex()) * float(np.prod([abs(z) ** k for z, k in zip(point, e)]))
+                    for e, c in poly.terms.items()
+                )
+                assert abs(poly.evaluate(point)) <= 1e-9 * scale, (poly, point)
+                found += 1
+        assert found > 60
 
 
 class TestCertificates:

@@ -68,16 +68,25 @@ def _dense_texts() -> dict[str, str]:
 
 
 @functools.cache
-def _tame_texts() -> dict[str, str]:
-    """The map texts of the benchmark's tame automorphism pool, by key (e.g. ``"2x4#3"``)."""
+def _tame_pool() -> dict[tuple[int, int, int], object]:
+    """The benchmark's tame automorphisms, by (n, d, m): the m-th map of rung (n, d)."""
     gen = _generators()
-    texts = {}
+    pool = {}
     for n, d in gen.TAME_LADDER:
         rng = random.Random(f"{TAME_POOL_SEED}/{n}x{d}")
         for m in range(TAME_MAPS_PER_RUNG):
-            tame = gen.tame_automorphism(rng, n, d)
-            texts[f"{n}x{d}#{m}"] = gen.map_text(gen.VARS[:n], tame.forward_texts())
-    return texts
+            pool[n, d, m] = gen.tame_automorphism(rng, n, d)
+    return pool
+
+
+@functools.cache
+def _tame_texts() -> dict[str, str]:
+    """The map texts of the benchmark's tame automorphism pool, by key (e.g. ``"2x4#3"``)."""
+    gen = _generators()
+    return {
+        f"{n}x{d}#{m}": gen.map_text(gen.VARS[:n], tame.forward_texts())
+        for (n, d, m), tame in _tame_pool().items()
+    }
 
 
 def _dense_map(key: str) -> PolyMap:
@@ -273,6 +282,21 @@ def test_over_budget_plan_gives_same_histogram(monkeypatch):
     assert est == expected
 
 
+def test_locus_with_an_over_budget_plan_is_unknown(monkeypatch):
+    """The last coordinate's elimination is the plan; over budget, the locus says so.
+
+    Only the plan's budget is lowered: the other coordinates' eliminations
+    keep theirs and finish.
+    """
+    monkeypatch.setattr(solver, "MAX_SYMBOLIC_WORK", 5)
+    f = parse_map_text(EXAMPLE_3_6_TEXT)
+    estimate = DegreeEstimate(mu=1, histogram={1: 1}, samples=1, seed=0, degenerate=0, box=2.0)
+    locus = nonproperness_set(f, degree_estimate=estimate)
+    assert target_plan(f).result is None
+    assert locus.is_unknown
+    assert "budget of 5 term pairs" in locus.reason
+
+
 def test_work_limit_meters_products_only_inside_the_block():
     p = Polynomial(("x", "y"), {(1, 0): 1, (0, 1): 2, (2, 1): 3, (0, 0): 1})
     with work_limit(16):
@@ -308,3 +332,55 @@ def test_dense_fiber_keeps_root_with_small_leading_coefficient():
     f = _dense_map("3x3#1")
     y = sample_target(np.random.default_rng([1, 3, 3, 1]), 3)
     assert fiber_count(f, y) == 14
+
+
+# -- known defects: each flips to a pass when its ROADMAP item is done -------------
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=PositiveDimensionalFiberError,
+    reason="ROADMAP item 1 (row reduction): the cascade degenerates on 3x2#1",
+)
+def test_dense_3x2_1_fibers_have_five_points():
+    """The components share leading monomials, so a resultant vanishes identically.
+
+    The map has 5 points per fiber; ``solve_fiber`` raises "elimination
+    degenerated to zero" at each of the benchmark's targets of seeds 0-2.
+    """
+    f = _dense_map("3x2#1")
+    for seed in range(3):
+        rng = np.random.default_rng([seed, 3, 2, 1])
+        for _ in range(4):
+            assert len(solve_fiber(f, sample_target(rng, 3))) == 5
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 2 (exact certification): wrong tame fibers pass at the round-off floor",
+)
+def test_tame_fibers_at_generic_targets_are_the_inverse_image():
+    """Each fiber of an automorphism is one point, g(y) for the exact inverse g.
+
+    At 10 generic targets per map (200 fibers) 24 are wrong: 6 on 2x3#1, 8
+    on 2x4#1 and 10 on 2x4#2.  They hold extra points next to g(y), whose
+    residuals are accepted as round-off.  The benchmark does not see them:
+    its targets are images of points with |x0| <= 1/2, while these
+    preimages have |x| up to 5e4.
+    """
+    gen = _generators()
+    wrong = []
+    for (n, d, m), tame in _tame_pool().items():
+        names = gen.VARS[:n]
+        f = parse_map_text(gen.map_text(names, tame.forward_texts()))
+        g = parse_map_text(gen.map_text(names, tame.inverse_texts()))
+        rng = np.random.default_rng([7, n, d, m])
+        for _ in range(10):
+            y = sample_target(rng, n)
+            x = np.array([c.evaluate_exact(y).to_complex() for c in g.components])
+            points = [s.point for s in solve_fiber(f, y)]
+            gap = np.abs(np.array(points[0]) - x).max() if points else np.inf
+            if len(points) != 1 or gap > 1e-6 * (1 + np.abs(x).max()):
+                wrong.append((f"{n}x{d}#{m}", y, len(points)))
+    assert not wrong, f"{len(wrong)} of 200 fibers wrong: {wrong}"
