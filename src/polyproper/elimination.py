@@ -11,7 +11,11 @@ The cascade eliminates variables one at a time.  Degree-1 pivots with a
 constant leading coefficient are eliminated by direct substitution, which is
 the resultant up to a nonzero constant factor and costs almost nothing; this
 keeps triangular systems (the common shape for automorphism candidates) fast.
-Remaining pivots go through subresultant resultants; those of a degree-1
+Both callers hand the cascade g - y' rather than f - y: g = M·f is the
+reduced row echelon form of the components over their monomials
+(:class:`polyproper.poly.RowEchelon`) and y' = M·y, one target coordinate
+per equation.  Components that share leading monomials hide linear pivots,
+which the reduction lays bare.  Remaining pivots go through subresultant resultants; those of a degree-1
 pivot, and every substitution, are Horner's rule (:func:`polyproper.poly._horner`).
 
 Views of a polynomial in one variable come from one helper set:

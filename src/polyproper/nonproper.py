@@ -9,8 +9,12 @@ f_n - y_n), and the vanishing of the leading coefficient (in x_i) of the
 resulting relation marks targets where a preimage coordinate escapes to
 infinity.
 
-The elimination for the last coordinate is the map's
-:class:`polyproper.solver.TargetPlan`, shared with ``geometric_degree``.
+Every elimination runs on g - y', where g = M·f is the row echelon form of
+the components (:meth:`polyproper.polymap.PolyMap.row_echelon`) and
+y' = M·y: each leading coefficient is read in y' and written back in y
+before it is split into factors, so the locus lives in y.  The elimination
+for the last coordinate is the map's :class:`polyproper.solver.TargetPlan`,
+shared with ``geometric_degree``.
 Every symbolic elimination runs under the exact-work budget
 :data:`polyproper.elimination.MAX_SYMBOLIC_WORK`; one that exceeds it gives
 an ``unknown`` locus whose reason names the budget, within about a second,
@@ -310,7 +314,7 @@ def nonproperness_set(
         lead = lead_in(phi, x_i)[1]
         if lead.is_constant():
             continue
-        lead_t = lead.in_context(targets)
+        lead_t = f.row_echelon().pullback(lead.in_context(targets))  # y' = M·y
         for part in _monomial_split(normalized(lead_t)):
             candidates.append(squarefree_part(part))
 

@@ -42,7 +42,13 @@ polynomials at exact values, for many values in turn: each polynomial is
 compiled once to its numerators split by (leading exponents, trailing
 exponents), so one set of values costs int powers of the values and one
 reduction per result.  Exact evaluation (:meth:`Polynomial.evaluate_exact`)
-is the specialisation of every variable.
+is the specialisation of every variable.  Values enter in the stored form
+too (:func:`stored_values`): one denominator over Gaussian-integer
+numerators, read from floats by ``as_integer_ratio``.
+
+:class:`RowEchelon` is the reduced row echelon form g = M·p of a set of
+polynomials over their monomials; it applies M to values in the stored form
+and pulls polynomials back along it.
 """
 
 from __future__ import annotations
@@ -660,6 +666,112 @@ def _compose(den: int, terms: list, images: Sequence, one):
     return _horner({k: _compose(den, t, rest, one) for k, t in groups.items()}, images[0])
 
 
+def stored_values(values: Sequence[ScalarLike]) -> tuple[int, dict]:
+    """Exact scalars as one denominator d and numerators {index: (re, im)}, zeros left out.
+
+    A float or complex part is read exactly by ``as_integer_ratio``; other
+    scalars go through :meth:`GaussianRational.coerce`.
+    """
+    parts = []
+    for v in values:
+        if isinstance(v, (float, complex)):
+            parts.append((v.real.as_integer_ratio(), v.imag.as_integer_ratio()))
+        else:
+            c = GaussianRational.coerce(v)
+            parts.append((c.re.as_integer_ratio(), c.im.as_integer_ratio()))
+    d = lcm(*(den for part in parts for _, den in part))
+    return d, {
+        j: (re * (d // rd), im * (d // idn))
+        for j, ((re, rd), (im, idn)) in enumerate(parts)
+        if re or im
+    }
+
+
+class RowEchelon:
+    """The reduced row echelon form g = M·p of polynomials over their monomials.
+
+    The columns are the monomials in descending graded-lex order.  Each row
+    keeps its place: a column's pivot is the first row without a pivot that
+    has the monomial, and a multiple of that row is taken off every other
+    row that has it.  So each pivot monomial, the leading monomial of its
+    row, occurs in no other row, no row is scaled, and M, a product of
+    transvections, has determinant 1.  ``rows`` is g; ``matrix`` is M as
+    rows of Gaussian-integer numerators over the int ``den``, or None when
+    M is the identity.
+    """
+
+    __slots__ = ("rows", "den", "matrix")
+
+    def __init__(self, polys: Sequence[Polynomial]):
+        rows = [(p.den, p.nums) for p in polys]
+        n = len(rows)
+        m = [(1, {k: (1, 0)}) for k in range(n)]  # the rows of M, stored with column keys
+        free = list(range(n))
+        for key in sorted(set().union(*(p.nums for p in polys)), reverse=True):
+            p = next((i for i in free if key in rows[i][1]), None)
+            if p is None:
+                continue
+            free.remove(p)
+            dp, pivot = rows[p]
+            lr, li = pivot[key]
+            norm = lr * lr + li * li
+            for i, (di, row) in enumerate(rows):
+                if i != p and key in row:
+                    # c = row[key] / pivot[key] as a constant's stored form
+                    ar, ai = row[key]
+                    num = ((ar * lr + ai * li) * dp, (ai * lr - ar * li) * dp)
+                    c = _reduced(di * norm, {0: num})
+                    rows[i] = _sum_terms(di, row, *_mul_terms(dp, pivot, *c), -1)
+                    m[i] = _sum_terms(*m[i], *_mul_terms(*m[p], *c), -1)
+            if not free:
+                break
+        self.rows = tuple(Polynomial._raw(p.vars, *row) for p, row in zip(polys, rows))
+        self.den, self.matrix = 1, None
+        if any(nums != {k: (1, 0)} for k, (_, nums) in enumerate(m)):
+            self.den = lcm(*(d for d, _ in m))
+            self.matrix = tuple(
+                tuple(
+                    (re * (self.den // d), im * (self.den // d))
+                    for re, im in (nums.get(k, (0, 0)) for k in range(n))
+                )
+                for d, nums in m
+            )
+
+    def apply(self, d: int, ys: Mapping[int, tuple[int, int]]) -> tuple[int, dict]:
+        """M·v for v given as in :func:`stored_values`, in the same form."""
+        if self.matrix is None:
+            return d, ys
+        out = {}
+        for j, row in enumerate(self.matrix):
+            re = im = 0
+            for k, (mr, mi) in enumerate(row):
+                vr, vi = ys.get(k, (0, 0))
+                re, im = re + mr * vr - mi * vi, im + mr * vi + mi * vr
+            if re or im:
+                out[j] = (re, im)
+        return self.den * d, out
+
+    def shifted(self, values: Sequence[ScalarLike]) -> list[Polynomial]:
+        """The rows less M·``values``, folded in exactly as constants."""
+        d, ys = self.apply(*stored_values(values))
+        return [
+            row - Polynomial._raw(row.vars, *_reduced(d, {0: ys[j]} if j in ys else {}))
+            for j, row in enumerate(self.rows)
+        ]
+
+    def pullback(self, p: Polynomial) -> Polynomial:
+        """p(M·y) for p over the coordinates y of the vector M acts on."""
+        if self.matrix is None:
+            return p
+        n = len(p.vars)
+        units = [_pack(tuple(int(i == k) for i in range(n))) for k in range(n)]
+        images = {}
+        for v, row in zip(p.vars, self.matrix):
+            nums = {u: c for u, c in zip(units, row) if c != (0, 0)}
+            images[v] = Polynomial._raw(p.vars, *_reduced(self.den, nums))
+        return p.substitute(images)
+
+
 class Specialisation:
     """Polynomials of one context with their trailing variables fixed, compiled once.
 
@@ -693,8 +805,10 @@ class Specialisation:
 
     def at(self, values: Sequence[ScalarLike]) -> list[Polynomial]:
         """Every polynomial with the trailing variables set to ``values``, exactly."""
-        vals = [GaussianRational.coerce(v) for v in values]
-        d, ys = _from_scalars(dict(enumerate(vals)))
+        return self.at_stored(*stored_values(values))
+
+    def at_stored(self, d: int, ys: Mapping[int, tuple[int, int]]) -> list[Polynomial]:
+        """:meth:`at` for values given as in :func:`stored_values`."""
         powers = []
         for j, deg in enumerate(self.degrees):
             yr, yi = ys.get(j, (0, 0))

@@ -3,8 +3,9 @@
 A ``PolyMap`` is an ordered tuple of polynomials over one shared source
 variable context.  The Jacobian determinant is computed fraction free
 (Bareiss), so statements like "the determinant is the constant 1" are exact.
-A map is immutable, so its Jacobian, its nonsingularity verdict and its
-compiled numeric evaluator are computed once, on first use, and kept.
+A map is immutable, so its Jacobian, its nonsingularity verdict, its
+compiled numeric evaluator and the row echelon form of its components are
+computed once, on first use, and kept.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from .elimination import poly_matrix_det
 from .numeric import MapEvaluator
 from .parser import parse_polynomial
-from .poly import Polynomial
+from .poly import Polynomial, RowEchelon
 from .scalar import GaussianRational
 
 
@@ -30,6 +31,7 @@ class PolyMap:
         "_jacobian",
         "_nonsingularity",
         "_evaluator",
+        "_row_echelon",
         "_target_plan",  # set by solver.target_plan
     )
 
@@ -48,6 +50,7 @@ class PolyMap:
         object.__setattr__(self, "_jacobian", None)
         object.__setattr__(self, "_nonsingularity", None)
         object.__setattr__(self, "_evaluator", None)
+        object.__setattr__(self, "_row_echelon", None)
         object.__setattr__(self, "_target_plan", None)
 
     def __setattr__(self, name, value):
@@ -90,6 +93,18 @@ class PolyMap:
         ev = self.evaluator()
         vals, _ = ev.values(ev.powers(np.array([values])))
         return tuple(complex(v) for v in vals[0])
+
+    def row_echelon(self) -> RowEchelon:
+        """The reduced row echelon form g = M·f of the components (cached).
+
+        Elimination runs on g - M·y: the same ideal as f - y, with every
+        pivot monomial in one equation only (see :class:`polyproper.poly.RowEchelon`).
+        """
+        echelon = self._row_echelon
+        if echelon is None:
+            echelon = RowEchelon(self.components)
+            object.__setattr__(self, "_row_echelon", echelon)
+        return echelon
 
     def jacobian(self) -> "PolyMatrix":
         """Matrix of partial derivatives, entry (i, j) = d components[i] / d vars[j]."""

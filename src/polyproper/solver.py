@@ -26,9 +26,19 @@ A candidate is a solution when its residual is below ``tol`` or at that
 floor, the accuracy limit of its evaluation; deduplication and the
 candidate cap are per target.
 
+The cascade does not eliminate f - y as given.  It eliminates g - M·y,
+where g = M·f is the reduced row echelon form of the components over their
+monomials (:meth:`PolyMap.row_echelon`, computed once per map): M is an
+invertible constant matrix, so the zeros are those of f - y, and each pivot
+monomial occurs in one equation only.  Components that share leading
+monomials, as dense maps and tame automorphisms A∘S∘B do, hide linear
+pivots from the cascade; on g it substitutes where it would otherwise take
+resultants, or find one vanishing identically.  Newton, the residuals and
+the acceptance test still run on f at y.
+
 Two routes lead to the cascade.  The per-target path eliminates at the
-given target.  The map's :class:`TargetPlan` is the cascade of (f - y) with
-y symbolic that kills x_1..x_{n-1}, the same one ``nonproperness_set``
+given target.  The map's :class:`TargetPlan` is the cascade of (g - y') with
+y' = M·y symbolic that kills x_1..x_{n-1}, the same one ``nonproperness_set``
 reads the last coordinate's relation from (Jelonek 1993), built on first
 use and kept on the map.  :func:`geometric_degree` samples 50 targets of
 one map, so it builds the plan and eliminates once per map.
@@ -74,9 +84,15 @@ import numpy as np
 from .elimination import MAX_SYMBOLIC_WORK, EliminationResult, as_univariate, eliminate
 from .numeric import ROUNDOFF, MapEvaluator, TermTable, power_tables
 from .numlin import RootSet, poly_to_coeffs, roots_of_each, univariate_roots
-from .poly import Polynomial, Specialisation, WorkLimitExceeded, work_limit
+from .poly import (
+    Polynomial,
+    RowEchelon,
+    Specialisation,
+    WorkLimitExceeded,
+    stored_values,
+    work_limit,
+)
 from .polymap import PolyMap
-from .scalar import GaussianRational
 
 MAX_DIM = 3
 MAX_COMPONENT_DEGREE = 10
@@ -142,11 +158,13 @@ def _check_scale(f: PolyMap) -> None:
 
 
 def _shifted_system(f: PolyMap, y: Sequence[complex]) -> list[Polynomial]:
-    """The polynomials f_j - y_j with the target folded in exactly."""
-    return [
-        c - Polynomial.constant(f.vars, GaussianRational.coerce(complex(v)))
-        for c, v in zip(f.components, y)
-    ]
+    """The polynomials g_j - (M·y)_j, g = M·f the row echelon form of f, y folded in exactly.
+
+    M is invertible, so g - M·y = M·(f - y) has the zeros of f - y, and
+    each of its pivot monomials occurs in one equation only
+    (:meth:`PolyMap.row_echelon`).
+    """
+    return f.row_echelon().shifted([complex(v) for v in y])
 
 
 def target_variables(f: PolyMap) -> tuple[str, ...]:
@@ -159,28 +177,43 @@ def target_variables(f: PolyMap) -> tuple[str, ...]:
 
 
 def symbolic_system(f: PolyMap, targets: Sequence[str]) -> list[Polynomial]:
-    """The polynomials f_j - y_j over the source variables followed by ``targets``."""
+    """The polynomials g_j - y'_j over the source variables followed by ``targets``.
+
+    g = M·f is the row echelon form of f (:meth:`PolyMap.row_echelon`) and
+    ``targets`` name the coordinates y' = M·y, one per equation: the zeros
+    over y are those of f - y.  A relation read off this system is one in
+    y'; :meth:`polyproper.poly.RowEchelon.pullback` writes it in y.
+    """
     combined = f.vars + tuple(targets)
     return [
-        comp.in_context(combined) - Polynomial.variable(combined, y_j)
-        for comp, y_j in zip(f.components, targets)
+        row.in_context(combined) - Polynomial.variable(combined, y_j)
+        for row, y_j in zip(f.row_echelon().rows, targets)
     ]
 
 
 class TargetPlan:
-    """The cascade of f - y that kills x_1..x_{n-1}, with the target y symbolic.
+    """The cascade of g - y' that kills x_1..x_{n-1}, with the target symbolic.
 
-    ``result`` is the :class:`EliminationResult` over the source variables
-    followed by ``targets``, or None when the cascade needed more than
+    g = M·f is the row echelon form of f (``echelon``) and y' = M·y, so the
+    cascade is that of :func:`symbolic_system`.  ``result`` is the
+    :class:`EliminationResult` over the source variables followed by
+    ``targets``, which name y', or None when the cascade needed more than
     :data:`MAX_SYMBOLIC_WORK` (``reason`` then says so).  A usable plan
     (consistent, not degenerate, no free variables, some finals) is
-    specialised at numeric targets by :meth:`at`.
+    specialised at numeric targets y by :meth:`at`.
     """
 
-    __slots__ = ("targets", "result", "reason", "_specialisation")
+    __slots__ = ("targets", "echelon", "result", "reason", "_specialisation")
 
-    def __init__(self, targets: tuple[str, ...], result: EliminationResult | None, reason: str | None):
+    def __init__(
+        self,
+        targets: tuple[str, ...],
+        echelon: RowEchelon,
+        result: EliminationResult | None,
+        reason: str | None,
+    ):
         self.targets = targets
+        self.echelon = echelon
         self.result = result
         self.reason = reason
         self._specialisation = None
@@ -197,10 +230,10 @@ class TargetPlan:
         )
 
     def at(self, y: Sequence[complex]) -> tuple[list[Polynomial], list[Polynomial]]:
-        """The stage pivots and the finals with y substituted exactly.
+        """The stage pivots and the finals with y' = M·y substituted exactly.
 
-        Both live in the source variables.  The compiled form is built on
-        first use.
+        Both live in the source variables.  M·y is taken on the exact
+        numerators of y; the compiled form is built on first use.
         """
         spec = self._specialisation
         stages = self.result.stages
@@ -208,7 +241,7 @@ class TargetPlan:
             polys = [stage.pivot for stage in stages] + self.result.finals
             spec = Specialisation(polys, len(polys[0].vars) - len(self.targets))
             self._specialisation = spec
-        values = spec.at([complex(v) for v in y])
+        values = spec.at_stored(*self.echelon.apply(*stored_values([complex(v) for v in y])))
         return values[: len(stages)], values[len(stages) :]
 
 
@@ -220,12 +253,13 @@ def target_plan(f: PolyMap) -> TargetPlan:
     plan = f._target_plan
     if plan is None:
         targets = target_variables(f)
+        system = symbolic_system(f, targets)
         try:
             with work_limit(MAX_SYMBOLIC_WORK):
-                result = eliminate(symbolic_system(f, targets), list(f.vars[:-1]))
-            plan = TargetPlan(targets, result, None)
+                result = eliminate(system, list(f.vars[:-1]))
+            plan = TargetPlan(targets, f.row_echelon(), result, None)
         except WorkLimitExceeded as exc:
-            plan = TargetPlan(targets, None, f"symbolic elimination: {exc}")
+            plan = TargetPlan(targets, f.row_echelon(), None, f"symbolic elimination: {exc}")
         object.__setattr__(f, "_target_plan", plan)
     return plan
 
@@ -457,24 +491,43 @@ def _trim(coeffs: list[complex], sums: list[float], bound: float) -> list[comple
 
 
 def _deduplicated(candidates: list[tuple[tuple[complex, ...], float, int]]) -> list[FiberSolution]:
-    """One solution per cluster of refined candidates closer than DEDUP_RADIUS."""
-    merged: list[list] = []  # [point, residual, total_mult, branches]
-    for point, residual, mult in sorted(
-        candidates, key=lambda t: tuple((c.real, c.imag) for c in t[0])
-    ):
-        for entry in merged:
-            if max(abs(a - b) for a, b in zip(entry[0], point)) < DEDUP_RADIUS:
-                entry[2] += mult
-                entry[3] += 1
-                if residual < entry[1]:
-                    entry[0], entry[1] = point, residual
-                break
+    """One solution per cluster of refined candidates closer than DEDUP_RADIUS.
+
+    The candidates are taken in lexicographic order of their coordinates'
+    (real, imaginary) parts.  Each joins the first cluster, in order of
+    creation, whose representative lies within DEDUP_RADIUS of it in the
+    max norm, or starts a new one; a cluster's representative is its member
+    of least residual so far.  The distances are the rows of the max-norm
+    distance matrix of the candidates, each computed by numpy when its
+    candidate becomes a representative, so memory grows with the number of
+    clusters rather than with the square of the candidates.
+    """
+    if len(candidates) < 2:
+        return [FiberSolution(p, r, multiple=m > 1) for p, r, m in candidates]
+    points = np.array([point for point, _, _ in candidates], dtype=complex)
+    keys = [part for col in points.T[::-1] for part in (col.imag, col.real)]
+    near: dict[int, np.ndarray] = {}  # representative -> which candidates lie within the radius
+    reps: list[int] = []  # each cluster's representative, an index into candidates
+    merged: list[list] = []  # [residual, total_mult, branches]
+    for i in np.lexsort(keys).tolist():
+        _, residual, mult = candidates[i]
+        e = next((e for e, r in enumerate(reps) if near[r][i]), None)
+        if e is None:
+            reps.append(i)
+            merged.append([residual, mult, 1])
         else:
-            merged.append([point, residual, mult, 1])
+            entry = merged[e]
+            entry[1] += mult
+            entry[2] += 1
+            if residual >= entry[0]:
+                continue
+            del near[reps[e]]
+            reps[e], entry[0] = i, residual
+        near[i] = np.abs(points - points[i]).max(axis=1) < DEDUP_RADIUS
 
     return [
-        FiberSolution(point, residual, multiple=(total_mult > 1 or branches > 1))
-        for point, residual, total_mult, branches in merged
+        FiberSolution(candidates[i][0], residual, multiple=(total_mult > 1 or branches > 1))
+        for i, (residual, total_mult, branches) in zip(reps, merged)
     ]
 
 

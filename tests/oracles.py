@@ -7,8 +7,9 @@ conversion of ``poly_to_coeffs``; a Sylvester matrix for the subresultant
 resultant; the Gram matrix for the smallest singular value; one
 companion eigensolve and scalar Newton polish per polynomial for the
 batched root finder; arbitrary sample grids for the witness check's
-singular values; and fiber-count drops on sampled points of {h = 0} for
-the symbolic hyperplane-clearance verdict.
+singular values; fiber-count drops on sampled points of {h = 0} for
+the symbolic hyperplane-clearance verdict; and a comparison of every
+candidate with every cluster in Python for the solver's deduplication.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from polyproper.numlin import CLUSTER_RADIUS, Root, RootSet, _cluster, _merge_mu
 from polyproper.nonproper import ClearanceVerdict, _points_on_zero_set, fiber_count_diagnostic
 from polyproper.rabier import LaurentPath, _path_jacobian_entries, _sample_sigma
 from polyproper.scalar import ZERO
-from polyproper.solver import geometric_degree
+from polyproper.solver import DEDUP_RADIUS, FiberSolution, geometric_degree
 
 
 def schoolbook_product(a: Mapping, b: Mapping) -> dict:
@@ -210,3 +211,32 @@ def fraction_route_coeffs(p: Polynomial) -> list[complex]:
         return x.numerator / (x.denominator << -shift)
 
     return [complex(shifted(c.re), shifted(c.im)) for c in exact]
+
+
+def pairwise_deduplicated(
+    candidates: list[tuple[tuple[complex, ...], float, int]],
+) -> list[FiberSolution]:
+    """One solution per cluster of candidates closer than DEDUP_RADIUS, pair by pair.
+
+    The loop ``solver._deduplicated`` replaced: candidates in sorted order,
+    each compared in Python with every cluster kept so far, joining the
+    first whose representative (its member of least residual) is within the
+    radius in the max norm.
+    """
+    merged: list[list] = []  # [point, residual, total_mult, branches]
+    for point, residual, mult in sorted(
+        candidates, key=lambda t: tuple((c.real, c.imag) for c in t[0])
+    ):
+        for entry in merged:
+            if max(abs(a - b) for a, b in zip(entry[0], point)) < DEDUP_RADIUS:
+                entry[2] += mult
+                entry[3] += 1
+                if residual < entry[1]:
+                    entry[0], entry[1] = point, residual
+                break
+        else:
+            merged.append([point, residual, mult, 1])
+    return [
+        FiberSolution(point, residual, multiple=(total_mult > 1 or branches > 1))
+        for point, residual, total_mult, branches in merged
+    ]

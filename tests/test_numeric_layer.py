@@ -11,7 +11,8 @@ from polyproper import GaussianRational, PolyMap, Polynomial, univariate_roots
 from polyproper import solver
 from polyproper.numeric import ROUNDOFF, MapEvaluator
 from polyproper.numlin import _cluster
-from polyproper.solver import _newton_batch, sample_target, solve_fiber
+from polyproper.solver import _deduplicated, _newton_batch, sample_target, solve_fiber
+from oracles import pairwise_deduplicated
 
 VARS = ("x", "y", "z")
 
@@ -164,6 +165,36 @@ def test_shear_fiber_stops_at_the_roundoff_floor(shear_map, monkeypatch):
         assert len(solve_fiber(shear_map, sample_target(rng, 3))) == 1
     assert candidates[0] >= 10
     assert rows[0] <= 8 * candidates[0]
+
+
+@st.composite
+def candidate_sets(draw):
+    """Refined candidates in clusters: near-duplicates at about the dedup radius.
+
+    Offsets straddle DEDUP_RADIUS (1e-6), so chains of points can join one
+    cluster or two depending on which member represents it; residuals come
+    from a small set, so ties occur.
+    """
+    n = draw(st.integers(1, 3))
+    parts = st.sampled_from([-1.5, -0.25, 0.0, 0.5, 2.0])
+    centers = draw(
+        st.lists(st.tuples(*[st.builds(complex, parts, parts)] * n), min_size=1, max_size=4)
+    )
+    offsets = st.sampled_from([0.0, 1e-8, 4e-7, 6e-7, 9.9e-7, 1e-6, 1.5e-6, 1e-3])
+    signs = st.sampled_from([1, -1, 1j, -1j, (1 + 1j) / 2])
+    candidates = []
+    for _ in range(draw(st.integers(0, 12))):
+        center = draw(st.sampled_from(centers))
+        point = tuple(c + draw(offsets) * draw(signs) for c in center)
+        residual = draw(st.sampled_from([0.0, 1e-12, 3e-10, 1e-9]))
+        candidates.append((point, residual, draw(st.integers(1, 3))))
+    return candidates
+
+
+@settings(max_examples=300, deadline=None)
+@given(candidate_sets())
+def test_deduplicated_matches_the_pairwise_loop(candidates):
+    assert _deduplicated(candidates) == pairwise_deduplicated(candidates)
 
 
 def _reference_roots(coeffs, radius=1e-6):

@@ -151,15 +151,24 @@ def small_maps(draw):
     return PolyMap(names, comps), sample_target(np.random.default_rng(seed), 2)
 
 
+def _image(f: PolyMap, y) -> list[GaussianRational]:
+    """y' = M·y for the map's row echelon form g = M·f, in GaussianRationals."""
+    names = solver.target_variables(f)
+    values = [GaussianRational.coerce(v) for v in y]
+    point = [Polynomial.variable(names, v) for v in names]
+    return [f.row_echelon().pullback(p).evaluate_exact(values) for p in point]
+
+
 @settings(max_examples=60, deadline=None)
 @given(small_maps())
 def test_plan_pivots_and_finals_match_substitute(case):
+    """The plan at y is its polynomials substituted exactly at y' = M·y."""
     f, y = case
     plan = target_plan(f)
     if not plan.usable:
         return
     pivots, finals = plan.at(y)
-    values = [GaussianRational.coerce(v) for v in y]
+    values = _image(f, y)
     res = plan.result
     assert pivots == [_substituted(s.pivot, f.vars, values) for s in res.stages]
     assert finals == [_substituted(p, f.vars, values) for p in res.finals]
@@ -334,19 +343,16 @@ def test_dense_fiber_keeps_root_with_small_leading_coefficient():
     assert fiber_count(f, y) == 14
 
 
-# -- known defects: each flips to a pass when its ROADMAP item is done -------------
+# -- maps whose components share leading monomials -----------------------------
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=PositiveDimensionalFiberError,
-    reason="ROADMAP item 1 (row reduction): the cascade degenerates on 3x2#1",
-)
 def test_dense_3x2_1_fibers_have_five_points():
-    """The components share leading monomials, so a resultant vanishes identically.
+    """The components share leading monomials.
 
-    The map has 5 points per fiber; ``solve_fiber`` raises "elimination
-    degenerated to zero" at each of the benchmark's targets of seeds 0-2.
+    Eliminated as given, a resultant vanished identically and
+    ``solve_fiber`` raised "elimination degenerated to zero" at each of the
+    benchmark's targets of seeds 0-2; on the row echelon form every fiber
+    has its 5 points.
     """
     f = _dense_map("3x2#1")
     for seed in range(3):
@@ -355,19 +361,15 @@ def test_dense_3x2_1_fibers_have_five_points():
             assert len(solve_fiber(f, sample_target(rng, 3))) == 5
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="ROADMAP item 2 (exact certification): wrong tame fibers pass at the round-off floor",
-)
 def test_tame_fibers_at_generic_targets_are_the_inverse_image():
     """Each fiber of an automorphism is one point, g(y) for the exact inverse g.
 
-    At 10 generic targets per map (200 fibers) 24 are wrong: 6 on 2x3#1, 8
-    on 2x4#1 and 10 on 2x4#2.  They hold extra points next to g(y), whose
-    residuals are accepted as round-off.  The benchmark does not see them:
-    its targets are images of points with |x0| <= 1/2, while these
-    preimages have |x| up to 5e4.
+    At 10 generic targets per map (200 fibers), 24 were wrong when the
+    components were eliminated as given (6 on 2x3#1, 8 on 2x4#1 and 10 on
+    2x4#2): resultants brought extra points next to g(y), at |x| up to 5e4,
+    whose residuals passed as round-off.  The row echelon form substitutes
+    instead.  The benchmark does not see these targets: its targets are
+    images of points with |x0| <= 1/2.
     """
     gen = _generators()
     wrong = []
