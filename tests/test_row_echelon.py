@@ -39,15 +39,16 @@ def _matrix(f: PolyMap) -> list[list[GaussianRational]]:
 
 @st.composite
 def integer_maps(draw):
-    """A square map with n <= 3, integer coefficients and component degrees <= 3.
+    """A square map with n <= 3, integer or Gaussian-integer coefficients and degrees <= 3.
 
-    Components are drawn as integer combinations of a few shared
-    polynomials, so that they often share leading monomials.
+    Components are drawn as combinations of a few shared polynomials, so
+    that they often share leading monomials.
     """
     n = draw(st.integers(1, 3))
     names = NAMES[:n]
     exps = st.tuples(*[st.integers(0, 3)] * n).filter(lambda e: sum(e) <= 3)
     ints = st.integers(-4, 4)
+    ints = draw(st.sampled_from([ints, st.builds(GaussianRational, ints, ints)]))
     shared = [
         Polynomial(names, draw(st.dictionaries(exps, ints, min_size=1, max_size=4)))
         for _ in range(draw(st.integers(1, n + 1)))
