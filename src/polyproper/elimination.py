@@ -1,9 +1,9 @@
 """Exact polynomial elimination machinery.
 
 Everything here works over the Gaussian rationals with no floating point:
-exact division, fraction-free determinants, subresultant resultants,
-multivariate gcd, squarefree parts, and a deterministic variable-elimination
-cascade.  The cascade is shared by the fiber solver (numeric targets enter
+exact division, fraction-free determinants, resultants, multivariate gcd,
+squarefree parts, and a deterministic variable-elimination cascade.  The
+cascade is shared by the fiber solver (numeric targets enter
 as exact rationals) and by the nonproperness computation (targets stay
 symbolic).
 
@@ -15,14 +15,22 @@ Both callers hand the cascade g - y' rather than f - y: g = M·f is the
 reduced row echelon form of the components over their monomials
 (:class:`polyproper.poly.RowEchelon`) and y' = M·y, one target coordinate
 per equation.  Components that share leading monomials hide linear pivots,
-which the reduction lays bare.  Remaining pivots go through subresultant resultants; those of a degree-1
-pivot, and every substitution, are Horner's rule (:func:`polyproper.poly._horner`).
+which the reduction lays bare.  Remaining pivots go through resultants.
+That of a degree-1 pivot, like every substitution, is Horner's rule
+(:func:`polyproper.poly._horner`).  When at most one other variable u
+occurs, as in the last resultant stage of a per-target cascade, the
+resultant is interpolated from scalar subresultant sequences over the
+Gaussian integers at integer values of u (Collins 1971 evaluates modulo
+primes; here the values stay exact integers).  With two or more other
+variables, as in the symbolic eliminations of the plan and the locus, the
+subresultant sequence runs on the polynomials.
 
 Views of a polynomial in one variable come from one helper set:
 ``Polynomial.degree_in`` (-1 for zero) and, from :mod:`polyproper.poly`,
 which alone knows the stored form, :func:`lead_in` (degree and leading
-coefficient in one scan), :func:`as_univariate` and :func:`mul_power`; and
-:func:`linear_solution` here.
+coefficient in one scan), :func:`as_univariate`, :func:`mul_power` and
+the int rows in two variables (:func:`int_rows`, read back by
+:func:`from_int_row`); and :func:`linear_solution` here.
 """
 
 from __future__ import annotations
@@ -31,7 +39,17 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, Sequence
 
-from .poly import Polynomial, _exact_quotient, _horner, as_univariate, lead_in, mul_power
+from .poly import (
+    Polynomial,
+    _exact_quotient,
+    _horner,
+    as_univariate,
+    charge,
+    from_int_row,
+    int_rows,
+    lead_in,
+    mul_power,
+)
 from .scalar import ONE
 
 #: Largest work one elimination with symbolic targets may spend, in term
@@ -101,9 +119,12 @@ def pseudo_rem(f: Polynomial, g: Polynomial, var: str) -> Polynomial:
 def resultant(f: Polynomial, g: Polynomial, var: str) -> Polynomial:
     """Resultant of f and g with respect to one variable.
 
-    Subresultant polynomial-remainder-sequence algorithm: fraction free, all
-    intermediate divisions exact.  Degree-1 inputs short-circuit to the
-    substitution formula Res(a*v + b, g) = a^deg(g) * g(-b/a).
+    Degree-1 inputs short-circuit to the substitution formula
+    Res(a*v + b, g) = a^deg(g) * g(-b/a).  When at most one other variable
+    u occurs, the resultant is interpolated from its values at integer u
+    (:func:`_resultant_by_values`).  Otherwise the subresultant
+    polynomial-remainder-sequence algorithm runs on the polynomials: fraction
+    free, all intermediate divisions exact.
     """
     if f.is_zero() or g.is_zero():
         return Polynomial.zero(f.vars)
@@ -120,6 +141,14 @@ def resultant(f: Polynomial, g: Polynomial, var: str) -> Polynomial:
         if df > 1 and (df & 1) and (dg & 1):
             res = -res
         return res
+    others = set(f.support_vars()).union(g.support_vars()) - {var}
+    if len(others) <= 1:
+        return _resultant_by_values(f, g, var, others.pop() if others else None)
+    return _subresultant_prs(f, g, var, df, dg)
+
+
+def _subresultant_prs(f: Polynomial, g: Polynomial, var: str, df: int, dg: int) -> Polynomial:
+    """Res_var(f, g) by the subresultant PRS on the polynomials; df, dg >= 1 their degrees."""
     s = 1
     a, b = f, g
     da, db = df, dg
@@ -150,6 +179,151 @@ def resultant(f: Polynomial, g: Polynomial, var: str) -> Polynomial:
             num = b**da
             res = num if da <= 1 else exact_div(num, h ** (da - 1))
             return res.scale(s) if s < 0 else res
+
+
+def _resultant_by_values(f: Polynomial, g: Polynomial, var: str, u: str | None) -> Polynomial:
+    """Res_var(f, g) for f, g in ``var`` and at most one other variable ``u`` (None: none).
+
+    Over the stored forms f = F/d_f and g = G/d_g the resultant is
+    Res(F, G) / (d_f^deg g * d_g^deg f), degrees in ``var``, and Res(F, G)
+    is a polynomial in u of degree below N = min(tdeg f * tdeg g,
+    deg f * deg_u g + deg g * deg_u f) + 1.  It is taken at N consecutive
+    integers u = start, start + 1, ..., past every integer where a leading
+    coefficient in ``var`` vanishes, so each value is the resultant of the
+    Gaussian-integer polynomials F(u), G(u) (:func:`_scalar_resultant`).
+    The real and imaginary parts are interpolated apart (:func:`_interpolated`).
+    Under :func:`polyproper.poly.work_limit` it is charged N * deg f * deg g.
+    """
+    rf, rg = int_rows(f, var, u), int_rows(g, var, u)
+    df, dg = len(rf) - 1, len(rg) - 1
+    bound = df * (len(rg[0]) - 1) + dg * (len(rf[0]) - 1)
+    n = min(f.total_degree() * g.total_degree(), bound) + 1
+    charge(n * df * dg)
+    start = t = 0
+    while t < start + n:
+        if _value(rf[df], t) == (0, 0) or _value(rg[dg], t) == (0, 0):
+            start = t + 1
+        t += 1
+    values = [
+        _scalar_resultant([_value(row, t) for row in rf], [_value(row, t) for row in rg])
+        for t in range(start, start + n)
+    ]
+    re = _interpolated([v[0] for v in values], start)
+    im = _interpolated([v[1] for v in values], start)
+    return from_int_row(f, u, f.den**dg * g.den**df, list(zip(re, im)))
+
+
+def _interpolated(values: list[int], start: int) -> list[int]:
+    """Coefficients of the polynomial of degree < N = len(values) with values[t] at start + t.
+
+    With d_k the k-th forward difference at u = start, (N - 1)! times the
+    polynomial is sum_k d_k * (N - 1)!/k! * prod_{j<k} (u - start - j), an
+    int polynomial expanded here by Horner's rule; its division by (N - 1)!
+    must be exact.
+    """
+    d = list(values)
+    n = len(d)
+    for k in range(1, n):
+        for j in range(n - 1, k - 1, -1):
+            d[j] -= d[j - 1]
+    acc, scale = [d[-1]], 1  # scale = (N - 1)!/k!
+    for k in range(n - 2, -1, -1):
+        scale *= k + 1
+        acc = [low - (start + k) * c for low, c in zip([0] + acc, acc + [0])]
+        acc[0] += scale * d[k]
+    out = []
+    for c in acc:
+        q, r = divmod(c, scale)
+        if r:
+            raise NotDivisibleError("interpolated resultant is not integral")
+        out.append(q)
+    return out
+
+
+def _value(row: list[tuple[int, int]], t: int) -> tuple[int, int]:
+    """sum_j row[j] * t^j for Gaussian-integer entries and an int t."""
+    re = im = 0
+    for cr, ci in reversed(row):
+        re, im = re * t + cr, im * t + ci
+    return re, im
+
+
+def _gmul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _gpow(a: tuple[int, int], k: int) -> tuple[int, int]:
+    out = (1, 0)
+    for _ in range(k):
+        out = _gmul(out, a)
+    return out
+
+
+def _gdiv(xs: list[tuple[int, int]], q: tuple[int, int]) -> list[tuple[int, int]]:
+    """Each Gaussian integer of ``xs`` divided by q, exactly; raise when one is not divisible."""
+    qr, qi = q
+    norm = qr * qr + qi * qi
+    out = []
+    for re, im in xs:
+        (cr, xr), (ci, xi) = divmod(re * qr + im * qi, norm), divmod(im * qr - re * qi, norm)
+        if xr or xi:
+            raise NotDivisibleError(f"{q} does not divide {(re, im)}")
+        out.append((cr, ci))
+    return out
+
+
+def _scalar_prem(a: list, b: list) -> list:
+    """prem(a, b) of Gaussian-integer coefficient lists (lowest degree first), zeros trimmed."""
+    lr, li = b[-1]
+    db = len(b) - 1
+    r = a
+    for _ in range(len(a) - db):
+        tr, ti = r[-1]
+        shift = len(r) - 1 - db
+        # r := lc(b) * r - lead(r) * v^shift * b; its top term cancels
+        r = [(lr * x - li * y, lr * y + li * x) for x, y in r[:-1]]
+        if tr or ti:
+            for k, (br, bi) in enumerate(b[:-1], shift):
+                x, y = r[k]
+                r[k] = (x - (tr * br - ti * bi), y - (tr * bi + ti * br))
+    while r and r[-1] == (0, 0):
+        r.pop()
+    return r
+
+
+def _scalar_resultant(a: list, b: list) -> tuple[int, int]:
+    """The resultant of two Gaussian-integer coefficient lists (lowest degree first).
+
+    The loop of :func:`_subresultant_prs` on scalars; both leading entries
+    are nonzero and both degrees positive.
+    """
+    s = 1
+    da, db = len(a) - 1, len(b) - 1
+    if da < db:
+        a, b, da, db = b, a, db, da
+        if da & db & 1:
+            s = -s
+    glc = h = (1, 0)
+    while True:
+        delta = da - db
+        if da & db & 1:
+            s = -s
+        r = _scalar_prem(a, b)
+        a, da = b, db
+        if not r:
+            return (0, 0)
+        b = _gdiv(r, _gmul(glc, _gpow(h, delta)))
+        db = len(b) - 1
+        glc = a[-1]
+        if delta == 1:
+            h = glc
+        elif delta > 1:
+            (h,) = _gdiv([_gpow(glc, delta)], _gpow(h, delta - 1))
+        if db == 0:
+            res = _gpow(b[0], da)
+            if da > 1:
+                (res,) = _gdiv([res], _gpow(h, da - 1))
+            return (s * res[0], s * res[1])
 
 
 def _resultant_linear(lin: Polynomial, g: Polynomial, var: str) -> Polynomial:

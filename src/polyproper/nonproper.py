@@ -283,7 +283,6 @@ def nonproperness_set(
     mu = degree_estimate.mu
 
     n = f.source_dim
-    system = symbolic_system(f, targets)
     candidates: list[Polynomial] = []
     for i, x_i in enumerate(f.vars):
         if i == n - 1:
@@ -294,7 +293,7 @@ def nonproperness_set(
         else:
             try:
                 with work_limit(MAX_SYMBOLIC_WORK):
-                    res = eliminate(system, [v for v in f.vars if v != x_i])
+                    res = eliminate(symbolic_system(f), [v for v in f.vars if v != x_i])
             except WorkLimitExceeded as exc:
                 return Hypersurface.unknown(targets, f"symbolic elimination: {exc}")
         if res.inconsistent:

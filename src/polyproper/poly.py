@@ -23,8 +23,9 @@ Every operation works on the stored form in int arithmetic and reduces its
 result once with ``math.gcd``: sums (:func:`_sum_terms`), products
 (:func:`_mul_terms`, one kernel for scaling and powers too), exact division
 (:func:`_exact_quotient`), the views of a polynomial in one variable
-(:func:`as_univariate`, :func:`lead_in`, :func:`mul_power`) and
-:class:`Specialisation`.  Composition (:func:`_compose`) and the
+(:func:`as_univariate`, :func:`lead_in`, :func:`mul_power`) or, as int
+rows, in two (:func:`int_rows`, with :func:`from_int_row` the way back),
+and :class:`Specialisation`.  Composition (:func:`_compose`) and the
 substitutions of :mod:`polyproper.elimination` are Horner's rule over ring
 operations (:func:`_horner`).  ``GaussianRational`` coefficients and
 exponent tuples are built only at the boundary: the ``terms`` view (built on
@@ -33,7 +34,8 @@ the numeric layer reads.
 
 Exact work can be metered.  Inside ``with work_limit(n):`` the kernel
 charges every product its pairs of terms and every exact division its
-quotient terms times the divisor's, before doing the work, and raises
+quotient terms times the divisor's, before doing the work (other int
+work charges itself through :func:`charge`), and raises
 :class:`WorkLimitExceeded` once more than ``n`` pairs are spent.  Outside
 such a block nothing is counted.
 
@@ -47,8 +49,8 @@ too (:func:`stored_values`): one denominator over Gaussian-integer
 numerators, read from floats by ``as_integer_ratio``.
 
 :class:`RowEchelon` is the reduced row echelon form g = M·p of a set of
-polynomials over their monomials; it applies M to values in the stored form
-and pulls polynomials back along it.
+polynomials over their monomials; it applies M to values in the stored form,
+pulls polynomials back along it and writes g - y with y symbolic.
 """
 
 from __future__ import annotations
@@ -490,6 +492,34 @@ def mul_power(p: Polynomial, var: str, k: int) -> Polynomial:
     return p._like(p.den, {key + step: c for key, c in p.nums.items()})
 
 
+def int_rows(p: Polynomial, var: str, other: str | None) -> list[list[tuple[int, int]]]:
+    """The numerators of p, in which only ``var`` and ``other`` occur, as rows.
+
+    Entry [k][j] is the numerator (re, im) of the coefficient of
+    var^k * other^j over ``p.den``, with (0, 0) where p has no such term;
+    every row has the length deg_other(p) + 1 (1 when ``other`` is None).
+    """
+    s = p._shift(var)
+    t, mask = (0, 0) if other is None else (p._shift(other), MAX_DEGREE)
+    digits = [((key >> s) & MAX_DEGREE, (key >> t) & mask, c) for key, c in p.nums.items()]
+    width = 1 + max(j for _, j, _ in digits)
+    rows = [[(0, 0)] * width for _ in range(1 + max(k for k, _, _ in digits))]
+    for k, j, c in digits:
+        rows[k][j] = c
+    return rows
+
+
+def from_int_row(
+    p: Polynomial, other: str | None, den: int, row: Sequence[tuple[int, int]]
+) -> Polynomial:
+    """sum_j (re_j + i*im_j) / den * other^j in the context of p, for ``row`` = [(re_j, im_j)]."""
+    unit = 0
+    if other is not None:
+        _check_degree(len(row) - 1)
+        unit = (1 << (WIDTH * len(p.vars))) | (1 << p._shift(other))
+    return p._like(*_reduced(den, {j * unit: c for j, c in enumerate(row) if c != (0, 0)}))
+
+
 # -- the int kernels ------------------------------------------------------------
 
 
@@ -543,6 +573,13 @@ def work_limit(limit: int):
         yield
     finally:
         _METER.reset(token)
+
+
+def charge(pairs: int) -> None:
+    """Charge ``pairs`` of work to the meter of the enclosing :func:`work_limit`, if any."""
+    meter = _METER.get()
+    if meter is not None:
+        meter.charge(pairs)
 
 
 def _mul_terms(da: int, a: Mapping, db: int, b: Mapping) -> tuple[int, dict]:
@@ -758,6 +795,21 @@ class RowEchelon:
             row - Polynomial._raw(row.vars, *_reduced(d, {0: ys[j]} if j in ys else {}))
             for j, row in enumerate(self.rows)
         ]
+
+    def less_targets(self, targets: Sequence[str]) -> list[Polynomial]:
+        """The rows g_j - y_j over the rows' variables followed by ``targets`` = (y_1, ...).
+
+        The target names are new to the context, one per row; the keys are
+        moved past the new digits and each y_j is built from its key.
+        """
+        vs = self.rows[0].vars + tuple(targets)
+        m, top = len(targets), WIDTH * len(vs)
+        out = []
+        for j, row in enumerate(self.rows):
+            nums = {key << (WIDTH * m): c for key, c in row.nums.items()}
+            nums[(1 << top) | (1 << (WIDTH * (m - 1 - j)))] = (-row.den, 0)
+            out.append(Polynomial._raw(vs, row.den, nums))
+        return out
 
     def pullback(self, p: Polynomial) -> Polynomial:
         """p(M·y) for p over the coordinates y of the vector M acts on."""

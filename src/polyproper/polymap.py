@@ -32,6 +32,7 @@ class PolyMap:
         "_nonsingularity",
         "_evaluator",
         "_row_echelon",
+        "_symbolic_system",  # set by solver.symbolic_system
         "_target_plan",  # set by solver.target_plan
     )
 
@@ -51,6 +52,7 @@ class PolyMap:
         object.__setattr__(self, "_nonsingularity", None)
         object.__setattr__(self, "_evaluator", None)
         object.__setattr__(self, "_row_echelon", None)
+        object.__setattr__(self, "_symbolic_system", None)
         object.__setattr__(self, "_target_plan", None)
 
     def __setattr__(self, name, value):

@@ -176,19 +176,20 @@ def target_variables(f: PolyMap) -> tuple[str, ...]:
     raise ValueError(f"could not pick target variable names disjoint from {f.vars}")
 
 
-def symbolic_system(f: PolyMap, targets: Sequence[str]) -> list[Polynomial]:
-    """The polynomials g_j - y'_j over the source variables followed by ``targets``.
+def symbolic_system(f: PolyMap) -> tuple[Polynomial, ...]:
+    """The polynomials g_j - y'_j over the source variables followed by :func:`target_variables`.
 
     g = M·f is the row echelon form of f (:meth:`PolyMap.row_echelon`) and
-    ``targets`` name the coordinates y' = M·y, one per equation: the zeros
+    the targets name the coordinates y' = M·y, one per equation: the zeros
     over y are those of f - y.  A relation read off this system is one in
-    y'; :meth:`polyproper.poly.RowEchelon.pullback` writes it in y.
+    y'; :meth:`polyproper.poly.RowEchelon.pullback` writes it in y.  Built
+    on first use and kept on the map, next to the echelon form.
     """
-    combined = f.vars + tuple(targets)
-    return [
-        row.in_context(combined) - Polynomial.variable(combined, y_j)
-        for row, y_j in zip(f.row_echelon().rows, targets)
-    ]
+    system = f._symbolic_system
+    if system is None:
+        system = tuple(f.row_echelon().less_targets(target_variables(f)))
+        object.__setattr__(f, "_symbolic_system", system)
+    return system
 
 
 class TargetPlan:
@@ -253,10 +254,9 @@ def target_plan(f: PolyMap) -> TargetPlan:
     plan = f._target_plan
     if plan is None:
         targets = target_variables(f)
-        system = symbolic_system(f, targets)
         try:
             with work_limit(MAX_SYMBOLIC_WORK):
-                result = eliminate(system, list(f.vars[:-1]))
+                result = eliminate(symbolic_system(f), list(f.vars[:-1]))
             plan = TargetPlan(targets, f.row_echelon(), result, None)
         except WorkLimitExceeded as exc:
             plan = TargetPlan(targets, f.row_echelon(), None, f"symbolic elimination: {exc}")

@@ -1,10 +1,16 @@
 """Exact division, resultants (against a Sylvester oracle), gcd, cascades."""
 
+import hashlib
+import importlib.util
+import json
 import random
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from polyproper import Polynomial, parse_polynomial
+from polyproper import Polynomial, elimination, parse_polynomial
 from polyproper.elimination import (
     NotDivisibleError,
     as_univariate,
@@ -19,6 +25,9 @@ from polyproper.elimination import (
     squarefree_part,
 )
 from polyproper.nonproper import is_graph_hypersurface
+from polyproper.poly import WorkLimitExceeded, work_limit
+from polyproper.polymap import parse_map_text
+from polyproper.solver import _shifted_system, sample_target, solve_fiber
 from conftest import random_nonzero_polynomial, random_polynomial
 from oracles import sylvester_matrix
 
@@ -140,21 +149,36 @@ class TestResultant:
         r = resultant(P("x^2 - y"), P("x^2 - y").diff("x"), "x")
         assert normalized(r) == P("y")
 
+    @staticmethod
+    def check(f, g, var):
+        """Res_var(f, g) equals the Sylvester determinant and, for degrees >= 2, the PRS."""
+        res = resultant(f, g, var)
+        assert res == poly_matrix_det(sylvester_matrix(f, g, var))
+        df, dg = f.degree_in(var), g.degree_in(var)
+        if df >= 2 and dg >= 2:
+            assert res == elimination._subresultant_prs(f, g, var, df, dg)
+        return res
+
     def test_against_sylvester_oracle(self):
         rng = random.Random(41)
-        agreements = 0
+        agreements = by_values = gaussian = 0
         for _ in range(40):
             f = random_nonzero_polynomial(rng, V, max_degree=4, max_terms=4)
             g = random_nonzero_polynomial(rng, V, max_degree=4, max_terms=4)
             if f.is_constant() or g.is_constant():
                 continue
-            if "x" not in f.support_vars() or "x" not in g.support_vars():
-                continue
-            prs = resultant(f, g, "x")
-            syl = poly_matrix_det(sylvester_matrix(f, g, "x"))
-            assert prs == syl
-            agreements += 1
-        assert agreements >= 20
+            # eliminating x leaves u = y after it, eliminating y leaves u = x before it
+            for var in V:
+                if var not in f.support_vars() or var not in g.support_vars():
+                    continue
+                self.check(f, g, var)
+                agreements += 1
+                if f.degree_in(var) >= 2 and g.degree_in(var) >= 2:
+                    by_values += 1
+                    gaussian += any(im for _, im in (*f.nums.values(), *g.nums.values())) and (
+                        f.den > 1 or g.den > 1
+                    )
+        assert agreements >= 40 and by_values >= 15 and gaussian >= 5
         # linear pivots a*x + b with a non-constant a in C[y, z], on either side
         x = Polynomial.variable(V3, "x")
         linear = 0
@@ -167,6 +191,103 @@ class TestResultant:
             for p, q in ((pivot, g), (g, pivot)):
                 assert resultant(p, q, "x") == poly_matrix_det(sylvester_matrix(p, q, "x"))
             linear += 1
+        # three variables of which only y and one other occur, declared before or after
+        checked = 0
+        while checked < 10:
+            other = rng.choice(("x", "z"))
+            names = ("y", other)
+            f, g = (
+                random_nonzero_polynomial(rng, names, 4, 5).in_context(V3) for _ in range(2)
+            )
+            if f.degree_in("y") < 2 or g.degree_in("y") < 2:
+                continue
+            self.check(f, g, "y")
+            checked += 1
+
+    def test_leading_coefficients_vanishing_at_the_first_integers(self):
+        # lc_x(f) = y(y-1)(y-2)(y-3) and lc_x(g) = (y-4)(2y+i): the values start at y = 5
+        f = P("y*(y-1)*(y-2)*(y-3)*x^3 + (2*y - 1/3)*x^2 + (i*y^2 + 1)*x - 5*y + 2")
+        g = P("(y-4)*(2*y+i)*x^2 + (y^3 - 7/2)*x + 3*i*y - 1")
+        assert not self.check(f, g, "x").is_zero()
+        # a common factor gives the zero resultant
+        common = P("x^2 + (1/2 + i)*y*x - 3")
+        assert self.check(f * common, g * common, "x").is_zero()
+
+    def test_no_other_variable(self):
+        f, g = P("x^3 - (2 + i)*x + 1/3"), P("3/2*x^2 + i*x - 5")
+        assert self.check(f, g, "x").is_constant()
+        assert self.check(f * g, g * P("x^2 + 1"), "x").is_zero()
+
+    def test_bivariate_pairs_never_reach_the_prs(self, monkeypatch):
+        """The interpolated route takes every pair in two variables, with no silent fallback."""
+
+        def no_prs(*args):
+            raise AssertionError("pseudo_rem called on a bivariate resultant")
+
+        rng = random.Random(7)
+        pairs = []
+        while len(pairs) < 5:
+            f, g = (random_nonzero_polynomial(rng, V, max_degree=5, max_terms=6) for _ in range(2))
+            if f.degree_in("x") >= 2 and g.degree_in("x") >= 2:
+                pairs.append((f, g))
+        with monkeypatch.context() as m:
+            m.setattr(elimination, "pseudo_rem", no_prs)
+            results = [resultant(f, g, "x") for f, g in pairs]
+        for (f, g), res in zip(pairs, results):
+            assert res == poly_matrix_det(sylvester_matrix(f, g, "x"))
+
+    def test_interpolated_route_is_metered(self):
+        # N = min(tdeg f * tdeg g, deg f * deg_y g + deg g * deg_y f) + 1 points
+        f = P("x^6 + y^6*x^3 + 2*y*x - 1")
+        g = P("3*x^6 - y^5*x^2 + y^3 + 7")
+        charge = (min(9 * 7, 6 * 5 + 6 * 6) + 1) * 6 * 6
+        with pytest.raises(WorkLimitExceeded):
+            with work_limit(charge - 1):
+                resultant(f, g, "x")
+        with work_limit(charge):
+            res = resultant(f, g, "x")
+        assert res == self.check(f, g, "x")
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _dense_pool_map(key: str):
+    """A map of the benchmark's dense pool, drawn as its workload draws it."""
+    spec = importlib.util.spec_from_file_location("bench_generators", BENCH / "generators.py")
+    generators = importlib.util.module_from_spec(spec)
+    sys.modules.setdefault(spec.name, generators)  # its dataclasses look their module up
+    spec.loader.exec_module(generators)
+    rng = random.Random(1807)  # the pool seed of bench/workloads.py
+    for n, d, count in ((2, 3, 3), (2, 6, 3), (3, 2, 3), (3, 3, 2)):
+        for m in range(count):
+            text = generators.dense_map(rng, n, d).text()
+            if key == f"{n}x{d}#{m}":
+                frozen = json.loads((BENCH / "frozen.json").read_text())["dense"][key]
+                assert hashlib.sha256(text.encode()).hexdigest() == frozen["sha256"]
+                return parse_map_text(text), frozen["count"]
+    raise KeyError(key)
+
+
+def test_dense_3x3_cascade_is_the_same_by_values_and_by_prs(monkeypatch):
+    """The heaviest bench pair: the (6, 6) second stage of dense 3x3#1."""
+    f, count = _dense_pool_map("3x3#1")
+    y = sample_target(np.random.default_rng([1, 3, 3, 1]), 3)
+    system = _shifted_system(f, y)
+    by_values = eliminate(system, list(f.vars[:-1]))
+    with monkeypatch.context() as m:
+        m.setattr(
+            elimination,
+            "_resultant_by_values",
+            lambda f, g, var, u: elimination._subresultant_prs(
+                f, g, var, f.degree_in(var), g.degree_in(var)
+            ),
+        )
+        by_prs = eliminate(system, list(f.vars[:-1]))
+    assert [s.mode for s in by_values.stages].count("resultant") == 2
+    assert by_values.finals == by_prs.finals
+    assert [s.pivot for s in by_values.stages] == [s.pivot for s in by_prs.stages]
+    assert len(solve_fiber(f, y)) == count == 14
 
 
 def _lift_yz(p: Polynomial) -> Polynomial:

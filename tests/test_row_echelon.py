@@ -19,7 +19,7 @@ from polyproper import GaussianRational, PolyMap, Polynomial, geometric_degree, 
 from polyproper.corpus import EXAMPLE_3_6_TEXT, X2_Y_TEXT, X_XY_TEXT
 from polyproper.elimination import normalized, poly_matrix_det
 from polyproper.polymap import parse_map_text
-from polyproper.solver import target_variables
+from polyproper.solver import symbolic_system, target_variables
 
 CORPUS = {"example-3-6": EXAMPLE_3_6_TEXT, "x-xy": X_XY_TEXT, "x2-y": X2_Y_TEXT}
 NAMES = ("x", "y", "z")
@@ -92,6 +92,22 @@ def test_pullback_is_the_matrix(f):
     for v, row in zip(names, _matrix(f)):
         want = Polynomial(names, dict(zip(units, row)))
         assert f.row_echelon().pullback(Polynomial.variable(names, v)) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(integer_maps())
+def test_symbolic_system_is_kept_on_the_map(f):
+    """symbolic_system(f) is g_j - y'_j in the combined context, built once per map."""
+    names = target_variables(f)
+    combined = f.vars + names
+    want = [
+        row.in_context(combined) - Polynomial.variable(combined, y)
+        for row, y in zip(f.row_echelon().rows, names)
+    ]
+    system = symbolic_system(f)
+    assert list(system) == want
+    assert [list(p.nums) for p in system] == [list(p.nums) for p in want]  # same term order
+    assert symbolic_system(f) is system
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
