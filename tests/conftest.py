@@ -7,13 +7,56 @@ code under test already does.
 
 from __future__ import annotations
 
+import functools
+import hashlib
+import importlib.util
+import json
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from polyproper import GaussianRational, PolyMap, Polynomial
 from polyproper.corpus import example_3_6_inverse, example_3_6_map
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+#: The benchmark's dense pool (bench/workloads.py): generator seed and maps
+#: per (n, d), in the order they are drawn.
+DENSE_POOL_SEED = 1807
+DENSE_POOL = {(2, 3): 3, (2, 6): 3, (3, 2): 3, (3, 3): 2}
+DENSE_KEYS = [f"{n}x{d}#{m}" for (n, d), count in DENSE_POOL.items() for m in range(count)]
+
+
+@functools.cache
+def bench_generators():
+    """The benchmark's map generators, bench/generators.py, loaded by path."""
+    spec = importlib.util.spec_from_file_location("bench_generators", BENCH / "generators.py")
+    generators = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = generators  # its dataclasses look the module up
+    spec.loader.exec_module(generators)
+    return generators
+
+
+@functools.cache
+def dense_pool() -> dict[str, tuple[str, int]]:
+    """Map text and frozen fiber count of each dense pool map, by key (e.g. ``"3x3#1"``).
+
+    Each text is drawn as the workload draws it and checked against the
+    digest in bench/frozen.json.
+    """
+    frozen = json.loads((BENCH / "frozen.json").read_text())["dense"]
+    rng = random.Random(DENSE_POOL_SEED)
+    pool = {}
+    for (n, d), count in DENSE_POOL.items():
+        for m in range(count):
+            key = f"{n}x{d}#{m}"
+            text = bench_generators().dense_map(rng, n, d).text()
+            assert hashlib.sha256(text.encode()).hexdigest() == frozen[key]["sha256"]
+            pool[key] = (text, frozen[key]["count"])
+    return pool
 
 
 def random_rational(rng: random.Random, span: int = 6) -> Fraction:

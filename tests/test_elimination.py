@@ -1,11 +1,6 @@
 """Exact division, resultants (against a Sylvester oracle), gcd, cascades."""
 
-import hashlib
-import importlib.util
-import json
 import random
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +23,7 @@ from polyproper.nonproper import is_graph_hypersurface
 from polyproper.poly import WorkLimitExceeded, work_limit
 from polyproper.polymap import parse_map_text
 from polyproper.solver import _shifted_system, sample_target, solve_fiber
-from conftest import random_nonzero_polynomial, random_polynomial
+from conftest import dense_pool, random_nonzero_polynomial, random_polynomial
 from oracles import sylvester_matrix
 
 V = ("x", "y")
@@ -249,29 +244,10 @@ class TestResultant:
         assert res == self.check(f, g, "x")
 
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
-
-
-def _dense_pool_map(key: str):
-    """A map of the benchmark's dense pool, drawn as its workload draws it."""
-    spec = importlib.util.spec_from_file_location("bench_generators", BENCH / "generators.py")
-    generators = importlib.util.module_from_spec(spec)
-    sys.modules.setdefault(spec.name, generators)  # its dataclasses look their module up
-    spec.loader.exec_module(generators)
-    rng = random.Random(1807)  # the pool seed of bench/workloads.py
-    for n, d, count in ((2, 3, 3), (2, 6, 3), (3, 2, 3), (3, 3, 2)):
-        for m in range(count):
-            text = generators.dense_map(rng, n, d).text()
-            if key == f"{n}x{d}#{m}":
-                frozen = json.loads((BENCH / "frozen.json").read_text())["dense"][key]
-                assert hashlib.sha256(text.encode()).hexdigest() == frozen["sha256"]
-                return parse_map_text(text), frozen["count"]
-    raise KeyError(key)
-
-
 def test_dense_3x3_cascade_is_the_same_by_values_and_by_prs(monkeypatch):
     """The heaviest bench pair: the (6, 6) second stage of dense 3x3#1."""
-    f, count = _dense_pool_map("3x3#1")
+    text, count = dense_pool()["3x3#1"]
+    f = parse_map_text(text)
     y = sample_target(np.random.default_rng([1, 3, 3, 1]), 3)
     system = _shifted_system(f, y)
     by_values = eliminate(system, list(f.vars[:-1]))

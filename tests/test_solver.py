@@ -12,11 +12,32 @@ from polyproper import (
     fiber_count,
     geometric_degree,
     solve_fiber,
+    solver,
 )
+from polyproper.polymap import parse_map_text
 from polyproper.solver import sample_target
-from conftest import random_map
+from conftest import DENSE_KEYS, dense_pool, random_map
 
 V2 = ("x", "y")
+
+
+def _watch_candidates(monkeypatch) -> dict[str, int]:
+    """Record the number of final roots and of the rows Newton refines in solve_fiber."""
+    seen = {}
+    roots, newton = solver.univariate_roots, solver._newton_batch
+
+    def counted_roots(coeffs):
+        out = roots(coeffs)
+        seen["final_roots"] = len(out.roots)
+        return out
+
+    def counted_newton(ev, y, x, iters=40):
+        seen["rows"] = len(x)
+        return newton(ev, y, x, iters)
+
+    monkeypatch.setattr(solver, "univariate_roots", counted_roots)
+    monkeypatch.setattr(solver, "_newton_batch", counted_newton)
+    return seen
 
 
 class TestSolveFiber:
@@ -83,6 +104,50 @@ class TestSolveFiber:
         g = PolyMap.from_exprs(V2, ["x"])
         with pytest.raises(ValueError, match="square"):
             solve_fiber(g, (1,))
+
+
+class TestScreen:
+    """Back-substitution candidates off the fiber are dropped before Newton."""
+
+    def test_extraneous_candidates_do_not_reach_newton(self, monkeypatch):
+        """Dense 2x6#0 at its first seed-1 bench target: 24 points, one row per final root.
+
+        Its resultant stage keeps every root of its pivot; unscreened, 96
+        rows reach Newton, and the extraneous ones converge onto points
+        that others already found and flag them ``multiple``.
+        """
+        text, count = dense_pool()["2x6#0"]
+        f = parse_map_text(text)
+        y = sample_target(np.random.default_rng([1, 2, 6, 0]), 2)
+        seen = _watch_candidates(monkeypatch)
+        fiber = solve_fiber(f, y)
+        assert len(fiber) == count == 24
+        assert not any(s.multiple for s in fiber)
+        assert seen["rows"] <= seen["final_roots"]
+
+    @pytest.mark.parametrize(
+        "exprs, count",
+        [
+            (["x^2 + y^2", "x^4 + y^3 + y"], 8),
+            (["x^2 + y + z", "x^4 + y^2 - z", "y*z + x^2 + z^3"], 12),
+        ],
+    )
+    def test_screen_keeps_sibling_points(self, exprs, count, monkeypatch):
+        """On maps symmetric under x -> -x, two fiber points share each root of the final."""
+        f = PolyMap.from_exprs(("x", "y", "z")[: len(exprs)], exprs)
+        y = sample_target(np.random.default_rng(3), len(exprs))
+        with monkeypatch.context() as m:
+            seen = _watch_candidates(m)
+            assert fiber_count(f, y) == count
+        assert seen["rows"] == count == 2 * seen["final_roots"]
+        assert geometric_degree(f, n_samples=50, seed=0).histogram == {count: 50}
+
+    @pytest.mark.parametrize("key", DENSE_KEYS)
+    def test_dense_pool_counts(self, key):
+        text, count = dense_pool()[key]
+        assert geometric_degree(parse_map_text(text), n_samples=50, seed=0).histogram == {
+            count: 50
+        }
 
 
 class TestFiberCount:

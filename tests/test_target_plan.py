@@ -7,11 +7,8 @@ including the fallbacks and the work budget.
 """
 
 import functools
-import importlib.util
 import random
-import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,11 +30,8 @@ from polyproper.solver import (
     solve_fiber,
     target_plan,
 )
+from conftest import bench_generators, dense_pool
 
-GENERATORS = Path(__file__).resolve().parents[1] / "bench" / "generators.py"
-#: The fixed dense pool of the benchmark: generator seed and maps per (n, d).
-DENSE_POOL_SEED = 1807
-DENSE_POOL = {(2, 3): 3, (2, 6): 3, (3, 2): 3, (3, 3): 2}
 #: The benchmark's tame automorphism pool: generator seed and maps per rung.
 TAME_POOL_SEED = 2018
 TAME_MAPS_PER_RUNG = 4
@@ -47,30 +41,9 @@ gaussians = st.builds(GaussianRational, rationals, rationals)
 
 
 @functools.cache
-def _generators():
-    """The benchmark's map generators, loaded by path."""
-    spec = importlib.util.spec_from_file_location("bench_generators", GENERATORS)
-    generators = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = generators  # its dataclasses look the module up
-    spec.loader.exec_module(generators)
-    return generators
-
-
-@functools.cache
-def _dense_texts() -> dict[str, str]:
-    """The map texts of the benchmark's dense pool, by key (e.g. ``"3x3#1"``)."""
-    rng = random.Random(DENSE_POOL_SEED)
-    return {
-        f"{n}x{d}#{m}": _generators().dense_map(rng, n, d).text()
-        for (n, d), count in DENSE_POOL.items()
-        for m in range(count)
-    }
-
-
-@functools.cache
 def _tame_pool() -> dict[tuple[int, int, int], object]:
     """The benchmark's tame automorphisms, by (n, d, m): the m-th map of rung (n, d)."""
-    gen = _generators()
+    gen = bench_generators()
     pool = {}
     for n, d in gen.TAME_LADDER:
         rng = random.Random(f"{TAME_POOL_SEED}/{n}x{d}")
@@ -82,7 +55,7 @@ def _tame_pool() -> dict[tuple[int, int, int], object]:
 @functools.cache
 def _tame_texts() -> dict[str, str]:
     """The map texts of the benchmark's tame automorphism pool, by key (e.g. ``"2x4#3"``)."""
-    gen = _generators()
+    gen = bench_generators()
     return {
         f"{n}x{d}#{m}": gen.map_text(gen.VARS[:n], tame.forward_texts())
         for (n, d, m), tame in _tame_pool().items()
@@ -91,7 +64,7 @@ def _tame_texts() -> dict[str, str]:
 
 def _dense_map(key: str) -> PolyMap:
     """A freshly parsed map of the dense pool, with no plan built yet."""
-    return parse_map_text(_dense_texts()[key])
+    return parse_map_text(dense_pool()[key][0])
 
 
 def _per_target_histogram(f: PolyMap, n_samples: int, seed: int) -> tuple[dict, int]:
@@ -203,14 +176,14 @@ def test_geometric_degree_matches_per_target_on_dense_maps(key):
 def test_batched_fibers_match_solve_fiber(name, special, monkeypatch):
     """One batch of generic and special targets gives each target's own fiber."""
     texts = {"x-xy": X_XY_TEXT, "example-3-6": EXAMPLE_3_6_TEXT}
-    f = parse_map_text(texts[name] if name in texts else _dense_texts()[name])
+    f = parse_map_text(texts[name] if name in texts else dense_pool()[name][0])
     rng = np.random.default_rng(17)
     ys = [sample_target(rng, f.target_dim) for _ in range(8)]
     for k, y in enumerate(special):
         ys.insert(3 * k + 1, y)
     fibers = _planned_fibers(f, ys, 1e-8)
     assert len(fibers) == len(ys)
-    fresh = parse_map_text(texts[name] if name in texts else _dense_texts()[name])
+    fresh = parse_map_text(texts[name] if name in texts else dense_pool()[name][0])
     for y, fiber in zip(ys, fibers):
         try:
             want = solve_fiber(fresh, y)  # no plan on the map: the per-target path
@@ -371,7 +344,7 @@ def test_tame_fibers_at_generic_targets_are_the_inverse_image():
     instead.  The benchmark does not see these targets: its targets are
     images of points with |x0| <= 1/2.
     """
-    gen = _generators()
+    gen = bench_generators()
     wrong = []
     for (n, d, m), tame in _tame_pool().items():
         names = gen.VARS[:n]
