@@ -4,9 +4,15 @@ The pipeline is exact elimination first, floating point second: the target
 y enters the coefficient field exactly (floats are rationals), the system is
 cascaded down to one variable, and only root extraction, back-substitution,
 and Newton refinement run in floating point.  Extraneous candidates that
-resultants introduce are screened out before Newton by their relative
+resultant stages introduce are screened out before Newton by their relative
 residual (:data:`SCREEN_RESIDUAL`), and what is left is checked by the final
 residual test against the full system.
+
+A triangular :class:`TargetPlan` skips the floating-point steps: when every
+stage substitutes and the one final is linear in the last variable, as for
+tame automorphisms, the fiber is one simple point, computed exactly from
+the plan and rounded once per coordinate (:meth:`TargetPlan.exact_point`).
+Its residual is reported, not tested.
 
 The floating-point steps work on batches of targets, one target for
 :func:`solve_fiber` and all sampled targets of a map for
@@ -45,16 +51,18 @@ use and kept on the map.  :func:`geometric_degree` samples 50 targets of
 one map, so it builds the plan and eliminates once per map.
 :func:`solve_fiber` and :func:`fiber_count` use the plan when the map
 already holds a usable one and take the per-target path otherwise: they
-never build a plan, which costs more than one per-target cascade.  At each
-target its stage pivots and finals are specialised exactly
-(:class:`polyproper.poly.Specialisation`); the finals of all targets are
-rooted in one call, and all targets go through the same back-substitution
-and Newton code as one batch.  A target is solved on the
-per-target path instead, on its own, when the plan is inconsistent,
-degenerate, leaves a variable free, has no finals or is over budget; when
-every final or some pivot vanishes at the target; and when one of its
-branches degenerates during back-substitution.  A nonzero constant final
-means the fiber is empty.
+never build a plan themselves.  A triangular plan gives each target's point
+exactly; a target where its final's leading coefficient A(y') vanishes or a
+coordinate overflows a float, and every target of any other plan, has its
+stage pivots and finals specialised exactly
+(:class:`polyproper.poly.Specialisation`); the finals of all such targets
+are rooted in one call, and they go through the same back-substitution and
+Newton code as one batch.  A target is solved on the per-target path
+instead, on its own, when the plan is inconsistent, degenerate, leaves a
+variable free, has no finals or is over budget; when every final or some
+pivot vanishes at the target; and when one of its branches degenerates
+during back-substitution.  A nonzero constant final means the fiber is
+empty.
 
 The plan is built under an exact-work budget,
 :data:`polyproper.elimination.MAX_SYMBOLIC_WORK` term pairs of the product
@@ -82,7 +90,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .elimination import MAX_SYMBOLIC_WORK, EliminationResult, as_univariate, eliminate
+from .elimination import (
+    MAX_SYMBOLIC_WORK,
+    EliminationResult,
+    as_univariate,
+    eliminate,
+    linear_solution,
+)
 from .numeric import ROUNDOFF, MapEvaluator, TermTable, power_tables
 from .numlin import RootSet, poly_to_coeffs, roots_of_each, univariate_roots
 from .poly import (
@@ -90,6 +104,7 @@ from .poly import (
     RowEchelon,
     Specialisation,
     WorkLimitExceeded,
+    _sum_terms,
     stored_values,
     work_limit,
 )
@@ -213,10 +228,11 @@ class TargetPlan:
     ``targets``, which name y', or None when the cascade needed more than
     :data:`MAX_SYMBOLIC_WORK` (``reason`` then says so).  A usable plan
     (consistent, not degenerate, no free variables, some finals) is
-    specialised at numeric targets y by :meth:`at`.
+    specialised at numeric targets y by :meth:`at`; a triangular one also
+    gives the one point of each fiber exactly (:meth:`exact_point`).
     """
 
-    __slots__ = ("targets", "echelon", "result", "reason", "_specialisation")
+    __slots__ = ("targets", "echelon", "result", "reason", "_specialisation", "_triangular")
 
     def __init__(
         self,
@@ -230,6 +246,7 @@ class TargetPlan:
         self.result = result
         self.reason = reason
         self._specialisation = None
+        self._triangular = None
 
     @property
     def usable(self) -> bool:
@@ -257,6 +274,76 @@ class TargetPlan:
         values = spec.at_stored(*self.echelon.apply(*stored_values([complex(v) for v in y])))
         return values[: len(stages)], values[len(stages) :]
 
+    def exact_point(self, y: Sequence[complex]) -> tuple[complex, ...] | None:
+        """The one point of the fiber over y of a triangular plan, exact and rounded once.
+
+        A usable plan is triangular when every stage substitutes, its pivot
+        c_k·v_k + R_k with c_k a nonzero constant, and its one final is
+        A(y')·z + B(y') with z the last source variable.  These n
+        polynomials generate the ideal of g - y', so where A(y') != 0 the
+        fiber is the single point z = -B/A, v_k = -R_k/c_k in reverse stage
+        order, and the point is simple: each generator is linear in a
+        variable of its own.  The coordinates are computed from y' = M·y on
+        the exact numerators of y, in the stored form over one common
+        denominator, and each is rounded once by int true division.  None
+        when the plan is not usable or not triangular, when A(y') = 0 and
+        when a coordinate overflows a float.  Compiled on first use
+        (:meth:`_compile_triangular`).
+        """
+        route = self._triangular
+        if route is None:
+            route = self._triangular = self._compile_triangular()
+        if not route:
+            return None
+        n, final, images = route
+        d, ys = self.echelon.apply(*stored_values([complex(v) for v in y]))
+        nums = {n + j: c for j, c in ys.items()}  # the values of all variables, over d
+        a, b = final.at_stored(d, nums)
+        if a.is_zero():
+            return None
+        ar, ai = a.nums[0]
+        # z = -B/A = -(br + i·bi)·(ar - i·ai)·den_A / (den_B·|A|^2)
+        z = {
+            n - 1: (-(br * ar + bi * ai) * a.den, (br * ai - bi * ar) * a.den)
+            for br, bi in b.nums.values()
+        }
+        d, nums = _sum_terms(d, nums, b.den * (ar * ar + ai * ai), z, 1)
+        for k, image in images:
+            (v,) = image.at_stored(d, nums)
+            d, nums = _sum_terms(d, nums, v.den, {k: c for c in v.nums.values()}, 1)
+        coordinates = (nums.get(k, (0, 0)) for k in range(n))
+        try:
+            return tuple(complex(re / d, im / d) for re, im in coordinates)
+        except OverflowError:
+            return None
+
+    def _compile_triangular(self) -> tuple | bool:
+        """(n, A and B compiled, (column, -R_k/c_k compiled) per stage in reverse order), or False.
+
+        Every polynomial is compiled with all its variables trailing
+        (:class:`Specialisation` with ``head=0``), source and target alike.
+        False when the plan is not usable or not triangular.
+        """
+        res = self.result
+        if not self.usable or len(res.finals) != 1:
+            return False
+        if any(stage.mode != "substitution" for stage in res.stages):
+            return False
+        (final,) = res.finals
+        n = len(final.vars) - len(self.targets)
+        if final.degree_in(final.vars[n - 1]) != 1:
+            return False
+        by_power = as_univariate(final, final.vars[n - 1])
+        column = {v: k for k, v in enumerate(final.vars)}
+        return (
+            n,
+            Specialisation([by_power[1], by_power.get(0, Polynomial.zero(final.vars))], 0),
+            [
+                (column[stage.var], Specialisation([linear_solution(stage.pivot, stage.var)], 0))
+                for stage in reversed(res.stages)
+            ],
+        )
+
 
 def target_plan(f: PolyMap) -> TargetPlan:
     """The map's :class:`TargetPlan`, built on first use and kept on the map.
@@ -281,20 +368,28 @@ def _planned_fibers(
 ) -> list[list[FiberSolution] | PositiveDimensionalFiberError]:
     """The fiber over each target in ``ys``, solved as one batch through the :class:`TargetPlan`.
 
-    The plan is specialised at every target exactly, the finals of all of
-    them are rooted in one :func:`roots_of_each` call and their
-    back-substitution and Newton run as one batch.  A nonzero constant
-    final means the fiber is empty.  A target goes to the per-target path
-    (:func:`_cascade_fiber`) on its own when the plan is not usable, when
-    every final or some pivot vanishes at it, or when one of its branches
-    degenerates during back-substitution; the error of a
-    positive-dimensional fiber takes its place in the list.
+    Where the plan is triangular, a target's fiber is its one exact point
+    (:meth:`TargetPlan.exact_point`), whose residual is computed, by one
+    evaluation of f at all such points, and reported, not tested.  The
+    other targets are specialised exactly, the finals of all of them are
+    rooted in one :func:`roots_of_each` call and their back-substitution
+    and Newton run as one batch.  A nonzero constant final means the fiber
+    is empty.  A target goes to the per-target path (:func:`_cascade_fiber`)
+    on its own when the plan is not usable, when every final or some pivot
+    vanishes at it, or when one of its branches degenerates during
+    back-substitution; the error of a positive-dimensional fiber takes its
+    place in the list.
     """
     out: list = [None] * len(ys)
     plan = target_plan(f)
     if plan.usable:
+        exact: dict[int, tuple[complex, ...]] = {}
         batch, pivots, finals = [], [], []
         for i, y in enumerate(ys):
+            point = plan.exact_point(y)
+            if point is not None:
+                exact[i] = point
+                continue
             stage_pivots, nonzero = plan.at(y)
             nonzero = [p for p in nonzero if p]
             if not nonzero or not all(stage_pivots):
@@ -305,9 +400,17 @@ def _planned_fibers(
             batch.append(i)
             pivots.append(stage_pivots)
             finals.append(_final_coeffs(f, nonzero))
+        if exact:
+            ev = f.evaluator()
+            vals, _ = ev.values(ev.powers(np.array(list(exact.values()), dtype=complex)))
+            targets = np.array([ys[i] for i in exact], dtype=complex).reshape(vals.shape)
+            residuals = np.linalg.norm(vals - targets, axis=1).tolist()
+            for (i, point), residual in zip(exact.items(), residuals):
+                out[i] = [FiberSolution(point, residual, multiple=False)]
         if batch:
             stages = [
-                (stage.var, [p[k] for p in pivots]) for k, stage in enumerate(plan.result.stages)
+                (stage.var, stage.mode, [p[k] for p in pivots])
+                for k, stage in enumerate(plan.result.stages)
             ]
             fibers, degenerate = _back_substitute(
                 f, [ys[i] for i in batch], stages, roots_of_each(finals), tol
@@ -327,18 +430,23 @@ def _planned_fibers(
 def solve_fiber(
     f: PolyMap, y: Sequence[complex], tol: float = 1e-8
 ) -> list[FiberSolution]:
-    """All isolated solutions of f(x) = y, Newton-refined and deduplicated.
+    """All isolated solutions of f(x) = y, exact or Newton-refined and deduplicated.
 
     Raises :class:`PositiveDimensionalFiberError` when the elimination
-    detects a non-isolated fiber.  Every returned solution has
-    ||f(x) - y|| < tol, or a residual within the round-off of evaluating f
-    at it (:data:`polyproper.numeric.ROUNDOFF` times its term-magnitude
-    sum), where no Newton step can lower it.
+    detects a non-isolated fiber.
 
     When the map already holds a usable :class:`TargetPlan`, the fiber is
     solved through it (:func:`_planned_fibers`); otherwise, and where the
     plan does not apply at y, on the per-target path.  No plan is built
-    here: one costs more than one per-target cascade.
+    here.
+
+    A triangular plan gives the fiber's one point exactly
+    (:meth:`TargetPlan.exact_point`): the point is simple, each coordinate
+    is the exact value rounded once, and its residual ||f(x) - y|| is
+    reported, not tested against ``tol``.  Every other returned solution,
+    refined by Newton, has ||f(x) - y|| < tol, or a residual within the
+    round-off of evaluating f at it (:data:`polyproper.numeric.ROUNDOFF`
+    times its term-magnitude sum), where no Newton step can lower it.
     """
     _check_scale(f)
     if len(y) != f.target_dim:
@@ -373,7 +481,7 @@ def _cascade_fiber(f: PolyMap, y: Sequence[complex], tol: float) -> list[FiberSo
         raise PositiveDimensionalFiberError(
             f"no equation constrains {retained!r} on this fiber"
         )
-    stages = [(stage.var, [stage.pivot]) for stage in res.stages]
+    stages = [(stage.var, stage.mode, [stage.pivot]) for stage in res.stages]
     roots = univariate_roots(_final_coeffs(f, res.finals))
     (solutions,), (degenerate,) = _back_substitute(f, [y], stages, [roots], tol)
     if not solutions and degenerate:
@@ -391,23 +499,24 @@ def _final_coeffs(f: PolyMap, finals: Sequence[Polynomial]) -> list[complex]:
 def _back_substitute(
     f: PolyMap,
     ys: Sequence[Sequence[complex]],
-    stages: Sequence[tuple[str, Sequence[Polynomial]]],
+    stages: Sequence[tuple[str, str, Sequence[Polynomial]]],
     roots: Sequence[RootSet],
     tol: float,
 ) -> tuple[list[list[FiberSolution]], list[bool]]:
     """The fiber points that the cascades at a batch of targets lead to.
 
     ``ys`` are the targets and ``roots`` the roots of each target's final
-    in the last source variable.  ``stages`` are (variable, pivots) pairs
-    in elimination order, one pivot per target with its y folded in.  Each
-    candidate row carries the index of its target and of the root of the
-    final it descends from; the rows are extended through the stages in
-    reverse, each stage specialising all of them in one kernel call and
-    rooting them in one :func:`roots_of_each` call.  Where a root of the
-    final has several candidates, those a resultant stage brought in off the
-    fiber are dropped (:func:`_screened`), so they are neither refined nor
-    counted as branches that a solution absorbed.  The rest are refined by
-    one Newton run and filtered per target.  Returns each target's solutions
+    in the last source variable.  ``stages`` are (variable, mode, pivots)
+    triples in elimination order, one pivot per target with its y folded
+    in.  Each candidate row carries the index of its target and of the root
+    of the final it descends from; the rows are extended through the stages
+    in reverse, each stage specialising all of them in one kernel call and
+    rooting them in one :func:`roots_of_each` call.  Where some stage is a
+    resultant and a root of the final has several candidates, those the
+    resultant brought in off the fiber are dropped (:func:`_screened`), so
+    they are neither refined nor counted as branches that a solution
+    absorbed; without a resultant stage every candidate lies on the fiber.
+    The rest are refined by one Newton run and filtered per target.  Returns each target's solutions
     and whether some branch of it degenerated (its pivot vanished
     identically at the branch's partial point).
     """
@@ -419,7 +528,7 @@ def _back_substitute(
     mults = [r.multiplicity for rs in roots for r in rs.roots]
 
     degenerate = [False] * len(ys)
-    for var, pivots in reversed(stages):
+    for var, _, pivots in reversed(stages):
         if not mults:
             break
         extended, rows = [], []
@@ -442,7 +551,8 @@ def _back_substitute(
 
     ev = f.evaluator()
     y_rows = np.array(ys, dtype=complex).reshape(len(ys), f.target_dim)[owner]
-    if len(final_root) and np.bincount(final_root).max() > 1:
+    resultant = any(mode == "resultant" for _, mode, _ in stages)
+    if resultant and len(final_root) and np.bincount(final_root).max() > 1:
         keep = _screened(ev, y_rows, points, final_root)
         y_rows, points, owner = y_rows[keep], points[keep], owner[keep]
         mults = [mults[k] for k in keep.tolist()]

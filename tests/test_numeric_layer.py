@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from polyproper import GaussianRational, PolyMap, Polynomial, univariate_roots
 from polyproper import solver
+from polyproper.corpus import example_3_6_map
 from polyproper.numeric import ROUNDOFF, MapEvaluator
 from polyproper.numlin import _cluster
 from polyproper.solver import _deduplicated, _newton_batch, sample_target, solve_fiber
@@ -145,8 +146,14 @@ def test_newton_returns_the_roundoff_floor_at_the_best_iterate(shear_map):
     assert (res <= floor).any() and (res > floor).any()
 
 
-def test_shear_fiber_stops_at_the_roundoff_floor(shear_map, monkeypatch):
-    """Newton evaluates example-3-6 a handful of times per candidate, not 40+."""
+def test_shear_fiber_stops_at_the_roundoff_floor(monkeypatch):
+    """Newton evaluates example-3-6 a handful of times per candidate, not 40+.
+
+    The map is parsed afresh, so it holds no plan and its fibers are solved
+    on the per-target path, through Newton; the plan's triangular route
+    would solve them exactly.
+    """
+    shear_map = example_3_6_map()
     rows, candidates = [0], [0]
     values, newton = MapEvaluator.values, solver._newton_batch
 

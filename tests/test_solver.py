@@ -142,6 +142,28 @@ class TestScreen:
         assert seen["rows"] == count == 2 * seen["final_roots"]
         assert geometric_degree(f, n_samples=50, seed=0).histogram == {count: 50}
 
+    def test_no_screen_without_a_resultant_stage(self, x2_y, monkeypatch):
+        """x2-y has one ``single`` stage: both candidates of each root lie on the fiber."""
+
+        def screened(*args):
+            raise AssertionError("screened a cascade without a resultant stage")
+
+        monkeypatch.setattr(solver, "_screened", screened)
+        assert solve_fiber(x2_y, (4, 5)) and fiber_count(x2_y, (1.25 + 0.5j, -0.75)) == 2
+        assert geometric_degree(x2_y, n_samples=50, seed=0).histogram == {2: 50}
+
+    @pytest.mark.xfail(strict=True, reason="each branch inherits the multiplicity of its root")
+    def test_simple_points_of_a_square_final_are_not_multiple(self):
+        """|det Jf| >= 6.2 at each of the 8 points, yet each root of the final has multiplicity 2.
+
+        The final in y is a square, so every branch inherits that
+        multiplicity and every point is flagged ``multiple``.
+        """
+        f = PolyMap.from_exprs(V2, ["x^2 + y^2", "x^4 + y^3 + y"])
+        fiber = solve_fiber(f, sample_target(np.random.default_rng(3), 2))
+        assert len(fiber) == 8
+        assert not any(s.multiple for s in fiber)
+
     @pytest.mark.parametrize("key", DENSE_KEYS)
     def test_dense_pool_counts(self, key):
         text, count = dense_pool()[key]

@@ -9,6 +9,7 @@ including the fallbacks and the work budget.
 import functools
 import random
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -359,3 +360,63 @@ def test_tame_fibers_at_generic_targets_are_the_inverse_image():
             if len(points) != 1 or gap > 1e-6 * (1 + np.abs(x).max()):
                 wrong.append((f"{n}x{d}#{m}", y, len(points)))
     assert not wrong, f"{len(wrong)} of 200 fibers wrong: {wrong}"
+
+
+def _no_newton(*args):
+    raise AssertionError("Newton ran on a fiber the plan solves exactly")
+
+
+def test_tame_fibers_at_bench_targets_are_exact(monkeypatch):
+    """With its plan built, each tame pool map solves y = f(x0) to x0 itself, bit for bit.
+
+    As in the benchmark, x0 lies on the 1/16 grid and y is its exact image,
+    exact in double precision.  Every plan of the pool is triangular, so
+    the point is computed exactly and rounded once, and Newton never runs.
+    """
+    monkeypatch.setattr(solver, "_newton_batch", _no_newton)
+    for (n, d, m), tame in _tame_pool().items():
+        f = parse_map_text(_tame_texts()[f"{n}x{d}#{m}"])
+        target_plan(f)
+        rng = random.Random(f"exact/{n}x{d}#{m}")
+        for _ in range(5):
+            x0 = [
+                (Fraction(rng.randint(-8, 8), 16), Fraction(rng.randint(-8, 8), 16))
+                for _ in range(n)
+            ]
+            y = tuple(complex(float(re), float(im)) for re, im in tame.forward_exact(x0))
+            (point,) = solve_fiber(f, y)
+            assert point.point == tuple(complex(float(re), float(im)) for re, im in x0)
+            assert not point.multiple
+
+
+def test_triangular_route_leaves_special_targets_to_the_numeric_path(monkeypatch):
+    """Where A(y') = 0 or a coordinate overflows a float, the target takes the numeric path."""
+    f = PolyMap.from_exprs(("x", "y"), ["x", "x*y"])  # final y1*y - y2: A = y1
+    plan = target_plan(f)
+    assert plan.exact_point((3, 6)) == (3, 2)
+    assert plan.exact_point((0, 1)) is None and plan.exact_point((0, 0)) is None
+    monkeypatch.setattr(solver, "_newton_batch", _no_newton)
+    assert solve_fiber(f, (0, 1)) == []
+    with pytest.raises(PositiveDimensionalFiberError):
+        solve_fiber(f, (0, 0))
+    shear = PolyMap.from_exprs(("x", "y"), ["x", "y + x^10"])
+    # y = -x^10 rounded once, from the exact value of the float 1e30
+    assert target_plan(shear).exact_point((1e30, 0)) == (1e30, -(int(1e30) ** 10) / 1)
+    assert target_plan(shear).exact_point((1e31, 0)) is None  # y = -1e310
+
+
+@pytest.mark.parametrize("name, count", [("x2-y", 2), ("2x6#0", 24)])
+def test_plans_that_are_not_triangular_take_the_numeric_route(name, count, monkeypatch):
+    """x2-y has a ``single`` stage of degree 2 and 2x6#0 a resultant stage: Newton refines both."""
+    f = parse_map_text(X2_Y_TEXT if name == "x2-y" else dense_pool()[name][0])
+    plan = target_plan(f)
+    assert plan.usable
+    y = sample_target(np.random.default_rng([1, 2, 6, 0]), 2)
+    assert plan.exact_point(y) is None
+    rows = []
+    newton = solver._newton_batch
+    monkeypatch.setattr(
+        solver, "_newton_batch", lambda ev, y, x: rows.append(len(x)) or newton(ev, y, x)
+    )
+    assert len(solve_fiber(f, y)) == count
+    assert rows and rows[0] >= count
