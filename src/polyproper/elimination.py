@@ -444,6 +444,13 @@ class EliminationStage:
 
 @dataclass
 class EliminationResult:
+    """The outcome of :func:`eliminate`; ``finals`` is a list, as any system is accepted.
+
+    Every stage takes one equation away, so n equations over n - 1 kill
+    variables, as the solver and the locus eliminate, end with one final
+    at most unless a kill variable is free.
+    """
+
     finals: list[Polynomial] = field(default_factory=list)
     stages: list[EliminationStage] = field(default_factory=list)
     free_vars: list[str] = field(default_factory=list)
@@ -453,6 +460,19 @@ class EliminationResult:
     @property
     def degenerate(self) -> bool:
         return self.degenerate_var is not None
+
+    @property
+    def problem(self) -> str | None:
+        """Why the cascade does not end with exactly one final, or None when it does."""
+        if self.inconsistent:
+            return "elimination reached an inconsistency"
+        if self.degenerate:
+            return f"elimination degenerated to zero at variable {self.degenerate_var!r}"
+        if self.free_vars:
+            return f"variables {self.free_vars} are unconstrained"
+        if len(self.finals) != 1:
+            return f"{len(self.finals) or 'no'} equations are left"
+        return None
 
 
 def _substitute_var(p: Polynomial, var: str, image: Polynomial) -> Polynomial:

@@ -5,9 +5,11 @@ preimage closure; the failure points form the nonproperness locus, which for
 a dominant map is empty or a hypersurface.  This module computes a defining
 polynomial for that hypersurface by elimination: for each source variable
 x_i, the other source variables are eliminated from (f_1 - y_1, ...,
-f_n - y_n), and the vanishing of the leading coefficient (in x_i) of the
-resulting relation marks targets where a preimage coordinate escapes to
-infinity.
+f_n - y_n), which ends with one relation φ_i(y, x_i), and the vanishing of
+the leading coefficient (in x_i) of its primitive part marks targets where
+a preimage coordinate escapes to infinity (Jelonek 1993; Stasica, "An
+effective description of the Jelonek set", 2002).  The content of φ_i in
+C[y] is no part of the locus.
 
 Every elimination runs on g - y', where g = M·f is the row echelon form of
 the components (:meth:`polyproper.polymap.PolyMap.row_echelon`) and
@@ -49,6 +51,7 @@ import numpy as np
 
 from .elimination import (
     MAX_SYMBOLIC_WORK,
+    _content_primitive,
     eliminate,
     exact_div,
     gcd_poly,
@@ -270,8 +273,8 @@ def nonproperness_set(
     """Defining data for the nonproperness locus of a dominant square map.
 
     Dominance is checked by sampling (geometric degree > 0) unless a
-    precomputed estimate is supplied.  Degenerate eliminations yield an
-    ``unknown`` result rather than an exception.
+    precomputed estimate is supplied.  An elimination that does not end with
+    one relation in its coordinate yields an ``unknown`` result that says why.
     """
     if not f.is_square:
         raise ValueError("the nonproperness locus is computed for square maps")
@@ -296,21 +299,16 @@ def nonproperness_set(
                     res = eliminate(symbolic_system(f), [v for v in f.vars if v != x_i])
             except WorkLimitExceeded as exc:
                 return Hypersurface.unknown(targets, f"symbolic elimination: {exc}")
-        if res.inconsistent:
-            return Hypersurface.unknown(targets, "elimination reached an inconsistency")
-        if res.degenerate:
-            return Hypersurface.unknown(
-                targets, f"elimination degenerated to zero at {res.degenerate_var!r}"
-            )
-        relations = [p for p in res.finals if p.degree_in(x_i) > 0]
-        if not relations:
+        if res.problem:
+            return Hypersurface.unknown(targets, res.problem)
+        (phi,) = res.finals
+        if phi.degree_in(x_i) < 1:
             return Hypersurface.unknown(
                 targets, f"no relation ties {x_i!r} to the target coordinates"
             )
-        low = min(p.degree_in(x_i) for p in relations)
-        lowest = [p for p in relations if p.degree_in(x_i) == low]
-        phi = lowest[0] if len(lowest) == 1 else min(lowest, key=str)  # printed only to break ties
         lead = lead_in(phi, x_i)[1]
+        if not lead.is_constant():  # the content in C[y'] is no part of the locus
+            lead = lead_in(_content_primitive(phi, x_i)[1], x_i)[1]
         if lead.is_constant():
             continue
         lead_t = f.row_echelon().pullback(lead.in_context(targets))  # y' = M·y

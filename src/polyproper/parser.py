@@ -257,7 +257,7 @@ class _PolynomialAlgebra:
         return Polynomial.constant(self.vars, n)
 
     def imaginary(self) -> Polynomial:
-        return Polynomial.constant(self.vars, GaussianRational(0, 1))
+        return Polynomial.constant(self.vars, 1j)
 
     def variable(self, name: str, pos: int) -> Polynomial:
         if name not in self.vars:
@@ -291,7 +291,7 @@ class _LaurentAlgebra:
         return LaurentPoly(self.var, {0: n})
 
     def imaginary(self) -> LaurentPoly:
-        return LaurentPoly(self.var, {0: GaussianRational(0, 1)})
+        return LaurentPoly(self.var, {0: 1j})
 
     def variable(self, name: str, pos: int) -> LaurentPoly:
         if name != self.var:

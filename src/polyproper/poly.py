@@ -44,9 +44,10 @@ polynomials at exact values, for many values in turn: each polynomial is
 compiled once to its numerators split by (leading exponents, trailing
 exponents), so one set of values costs int powers of the values and one
 reduction per result.  Exact evaluation (:meth:`Polynomial.evaluate_exact`)
-is the specialisation of every variable.  Values enter in the stored form
-too (:func:`stored_values`): one denominator over Gaussian-integer
-numerators, read from floats by ``as_integer_ratio``.
+is the specialisation of every variable.  Scalars enter the stored form one
+way (:func:`stored_values`), for the constructors and for specialisation
+alike: one denominator over Gaussian-integer numerators, each part read by
+``as_integer_ratio``.
 
 :class:`RowEchelon` is the reduced row echelon form g = M·p of a set of
 polynomials over their monomials; it applies M to values in the stored form,
@@ -107,24 +108,6 @@ def _unpack(key: int, n: int) -> Exponents:
 
 def _scalar(den: int, re: int, im: int) -> GaussianRational:
     return GaussianRational(Fraction(re, den), Fraction(im, den))
-
-
-def _from_scalars(coeffs: Mapping) -> tuple[int, dict]:
-    """The stored form of {key: GaussianRational}.
-
-    Over the lcm of the reduced denominators the numerators already share
-    no factor with it, so no reduction is needed.
-    """
-    den = lcm(*(part.denominator for c in coeffs.values() for part in (c.re, c.im)))
-    nums = {}
-    for k, c in coeffs.items():
-        if c:
-            re, im = c.re, c.im
-            nums[k] = (
-                re.numerator * (den // re.denominator),
-                im.numerator * (den // im.denominator),
-            )
-    return den, nums
 
 
 def _reduced(den: int, nums: dict) -> tuple[int, dict]:
@@ -218,15 +201,14 @@ class Polynomial(_Sparse):
         if IMAGINARY_UNIT in vs:
             raise ValueError(f"{IMAGINARY_UNIT!r} is reserved for the imaginary unit")
         n = len(vs)
-        coeffs: dict[int, GaussianRational] = {}
-        for exps, coeff in terms.items():
+        keys = []
+        for exps in terms:
             e = tuple(exps)
             if len(e) != n or any((not isinstance(k, int)) or k < 0 for k in e):
                 raise ValueError(f"bad exponent tuple {e} for {n} variables")
-            key = _pack(e)
-            c = GaussianRational.coerce(coeff)
-            coeffs[key] = coeffs[key] + c if key in coeffs else c
-        _init(self, ("vars", vs), *_from_scalars(coeffs))
+            keys.append(_pack(e))
+        d, nums = stored_values(list(terms.values()))
+        _init(self, ("vars", vs), *_reduced(d, {keys[j]: c for j, c in nums.items()}))
 
     # -- constructors ---------------------------------------------------
 
@@ -403,7 +385,7 @@ class Polynomial(_Sparse):
 
     def evaluate_exact(self, point: Sequence[ScalarLike]) -> GaussianRational:
         """Exact evaluation at Gaussian-rational coordinates: every variable specialised."""
-        values = [GaussianRational.coerce(p) for p in point]
+        values = list(point)
         if len(values) != len(self.vars):
             raise ValueError(f"point has dimension {len(values)}, expected {len(self.vars)}")
         return Specialisation([self], 0).at(values)[0].constant_value()
@@ -706,16 +688,19 @@ def _compose(den: int, terms: list, images: Sequence, one):
 def stored_values(values: Sequence[ScalarLike]) -> tuple[int, dict]:
     """Exact scalars as one denominator d and numerators {index: (re, im)}, zeros left out.
 
-    A float or complex part is read exactly by ``as_integer_ratio``; other
-    scalars go through :meth:`GaussianRational.coerce`.
+    The real and imaginary parts of an int, Fraction, float, complex or
+    ``GaussianRational`` are read exactly by ``as_integer_ratio``; any other
+    type raises ``TypeError``.
     """
     parts = []
     for v in values:
-        if isinstance(v, (float, complex)):
-            parts.append((v.real.as_integer_ratio(), v.imag.as_integer_ratio()))
+        if isinstance(v, GaussianRational):
+            re, im = v.re, v.im
+        elif isinstance(v, (int, Fraction, float, complex)):
+            re, im = v.real, v.imag
         else:
-            c = GaussianRational.coerce(v)
-            parts.append((c.re.as_integer_ratio(), c.im.as_integer_ratio()))
+            raise TypeError(f"cannot coerce {type(v).__name__} to GaussianRational")
+        parts.append((re.as_integer_ratio(), im.as_integer_ratio()))
     d = lcm(*(den for part in parts for _, den in part))
     return d, {
         j: (re * (d // rd), im * (d // idn))
@@ -934,12 +919,12 @@ class LaurentPoly(_Sparse):
     __slots__ = ("var", "den", "nums", "_terms", "_hash")
 
     def __init__(self, var: str, terms: Mapping[int, ScalarLike]):
-        coeffs: dict[int, GaussianRational] = {}
-        for e, c in terms.items():
+        keys = list(terms)
+        for e in keys:
             if not isinstance(e, int):
                 raise ValueError(f"Laurent exponent must be an integer, got {e!r}")
-            coeffs[e] = GaussianRational.coerce(c)
-        _init(self, ("var", var), *_from_scalars(coeffs))
+        d, nums = stored_values(list(terms.values()))
+        _init(self, ("var", var), *_reduced(d, {keys[j]: c for j, c in nums.items()}))
 
     @classmethod
     def zero(cls, var: str = "t") -> "LaurentPoly":

@@ -52,17 +52,17 @@ one map, so it builds the plan and eliminates once per map.
 :func:`solve_fiber` and :func:`fiber_count` use the plan when the map
 already holds a usable one and take the per-target path otherwise: they
 never build a plan themselves.  A triangular plan gives each target's point
-exactly; a target where its final's leading coefficient A(y') vanishes or a
-coordinate overflows a float, and every target of any other plan, has its
-stage pivots and finals specialised exactly
-(:class:`polyproper.poly.Specialisation`); the finals of all such targets
-are rooted in one call, and they go through the same back-substitution and
-Newton code as one batch.  A target is solved on the per-target path
-instead, on its own, when the plan is inconsistent, degenerate, leaves a
-variable free, has no finals or is over budget; when every final or some
-pivot vanishes at the target; and when one of its branches degenerates
-during back-substitution.  A nonzero constant final means the fiber is
-empty.
+exactly, and a ``ValueError`` when a coordinate of it overflows a float; a
+target where its final's leading coefficient A(y') vanishes, and every
+target of any other plan, has its stage pivots and final specialised
+exactly (:class:`polyproper.poly.Specialisation`); the finals of all such
+targets are rooted in one call, and they go through the same
+back-substitution and Newton code as one batch.  A target is solved on the
+per-target path instead, on its own, when the plan's cascade has a
+problem (:attr:`polyproper.elimination.EliminationResult.problem`) or is
+over budget; when its final or some pivot vanishes at the target; and when
+one of its branches degenerates during back-substitution.  A nonzero
+constant final means the fiber is empty.
 
 The plan is built under an exact-work budget,
 :data:`polyproper.elimination.MAX_SYMBOLIC_WORK` term pairs of the product
@@ -227,7 +227,7 @@ class TargetPlan:
     :class:`EliminationResult` over the source variables followed by
     ``targets``, which name y', or None when the cascade needed more than
     :data:`MAX_SYMBOLIC_WORK` (``reason`` then says so).  A usable plan
-    (consistent, not degenerate, no free variables, some finals) is
+    (its cascade ends with one final, with no ``problem``) is
     specialised at numeric targets y by :meth:`at`; a triangular one also
     gives the one point of each fiber exactly (:meth:`exact_point`).
     """
@@ -250,14 +250,7 @@ class TargetPlan:
 
     @property
     def usable(self) -> bool:
-        res = self.result
-        return (
-            res is not None
-            and not res.inconsistent
-            and not res.degenerate
-            and not res.free_vars
-            and bool(res.finals)
-        )
+        return self.result is not None and self.result.problem is None
 
     def at(self, y: Sequence[complex]) -> tuple[list[Polynomial], list[Polynomial]]:
         """The stage pivots and the finals with y' = M·y substituted exactly.
@@ -325,9 +318,7 @@ class TargetPlan:
         False when the plan is not usable or not triangular.
         """
         res = self.result
-        if not self.usable or len(res.finals) != 1:
-            return False
-        if any(stage.mode != "substitution" for stage in res.stages):
+        if not self.usable or any(stage.mode != "substitution" for stage in res.stages):
             return False
         (final,) = res.finals
         n = len(final.vars) - len(self.targets)
@@ -375,10 +366,11 @@ def _planned_fibers(
     rooted in one :func:`roots_of_each` call and their back-substitution
     and Newton run as one batch.  A nonzero constant final means the fiber
     is empty.  A target goes to the per-target path (:func:`_cascade_fiber`)
-    on its own when the plan is not usable, when every final or some pivot
+    on its own when the plan is not usable, when its final or some pivot
     vanishes at it, or when one of its branches degenerates during
     back-substitution; the error of a positive-dimensional fiber takes its
-    place in the list.
+    place in the list.  Raises ``ValueError`` when a triangular plan's final
+    is linear at a target but the point overflows a float.
     """
     out: list = [None] * len(ys)
     plan = target_plan(f)
@@ -390,16 +382,17 @@ def _planned_fibers(
             if point is not None:
                 exact[i] = point
                 continue
-            stage_pivots, nonzero = plan.at(y)
-            nonzero = [p for p in nonzero if p]
-            if not nonzero or not all(stage_pivots):
+            stage_pivots, (final,) = plan.at(y)
+            if plan._triangular and final.degree_in(f.vars[-1]) == 1:  # A(y') != 0
+                raise ValueError(f"the fiber point over {tuple(y)} lies beyond float range")
+            if not final or not all(stage_pivots):
                 continue
-            if any(p.is_constant() for p in nonzero):
+            if final.is_constant():
                 out[i] = []
                 continue
             batch.append(i)
             pivots.append(stage_pivots)
-            finals.append(_final_coeffs(f, nonzero))
+            finals.append(poly_to_coeffs(final))
         if exact:
             ev = f.evaluator()
             vals, _ = ev.values(ev.powers(np.array(list(exact.values()), dtype=complex)))
@@ -433,7 +426,8 @@ def solve_fiber(
     """All isolated solutions of f(x) = y, exact or Newton-refined and deduplicated.
 
     Raises :class:`PositiveDimensionalFiberError` when the elimination
-    detects a non-isolated fiber.
+    detects a non-isolated fiber, and ``ValueError`` when the one point of a
+    triangular plan's fiber lies beyond float range.
 
     When the map already holds a usable :class:`TargetPlan`, the fiber is
     solved through it (:func:`_planned_fibers`); otherwise, and where the
@@ -451,8 +445,7 @@ def solve_fiber(
     _check_scale(f)
     if len(y) != f.target_dim:
         raise ValueError(f"target has dimension {len(y)}, expected {f.target_dim}")
-    plan = f._target_plan
-    if plan is None or not plan.usable:
+    if f._target_plan is None:
         return _cascade_fiber(f, y, tol)
     (fiber,) = _planned_fibers(f, [y], tol)
     if isinstance(fiber, PositiveDimensionalFiberError):
@@ -462,38 +455,19 @@ def solve_fiber(
 
 def _cascade_fiber(f: PolyMap, y: Sequence[complex], tol: float) -> list[FiberSolution]:
     """The fiber over y on the per-target path: the cascade of (f - y) at y."""
-    system = _shifted_system(f, y)
-    retained = f.vars[-1]
-    kill = list(f.vars[:-1])
-    res = eliminate(system, kill)
-
+    res = eliminate(_shifted_system(f, y), list(f.vars[:-1]))
     if res.inconsistent:
         return []
-    if res.degenerate:
-        raise PositiveDimensionalFiberError(
-            f"elimination degenerated to zero at variable {res.degenerate_var!r}"
-        )
-    if res.free_vars:
-        raise PositiveDimensionalFiberError(
-            f"variables {res.free_vars} are unconstrained on this fiber"
-        )
-    if not res.finals:
-        raise PositiveDimensionalFiberError(
-            f"no equation constrains {retained!r} on this fiber"
-        )
+    if res.problem:
+        raise PositiveDimensionalFiberError(res.problem)
     stages = [(stage.var, stage.mode, [stage.pivot]) for stage in res.stages]
-    roots = univariate_roots(_final_coeffs(f, res.finals))
+    roots = univariate_roots(poly_to_coeffs(res.finals[0]))
     (solutions,), (degenerate,) = _back_substitute(f, [y], stages, [roots], tol)
     if not solutions and degenerate:
         raise PositiveDimensionalFiberError(
             "all candidate branches degenerated during back-substitution"
         )
     return solutions
-
-
-def _final_coeffs(f: PolyMap, finals: Sequence[Polynomial]) -> list[complex]:
-    """Coefficients of the final of least degree in the last source variable."""
-    return poly_to_coeffs(min(finals, key=lambda p: p.degree_in(f.vars[-1])))
 
 
 def _back_substitute(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from polyproper import (
+    DegreeEstimate,
     GaussianRational,
     Hypersurface,
     PolyMap,
@@ -27,6 +28,7 @@ from conftest import random_nonzero_polynomial, random_scalar
 from oracles import sampling_clearance
 
 T2 = ("y1", "y2")
+MU_ONE = DegreeEstimate(mu=1, histogram={1: 1}, samples=1, seed=0, degenerate=0, box=2.0)
 
 
 class TestLocusComputation:
@@ -87,6 +89,20 @@ class TestLocusComputation:
         locus = nonproperness_set(f, seed=0)
         assert locus.is_hypersurface
         assert str(locus.poly) == "y1 - i"
+
+    def test_cascade_problem_makes_the_locus_unknown(self):
+        """(x, x) is not dominant: eliminating y for x's relation finds y free."""
+        f = PolyMap.from_exprs(("x", "y"), ["x", "x"])
+        locus = nonproperness_set(f, degree_estimate=MU_ONE)
+        assert locus.is_unknown
+        assert locus.reason == "variables ['y'] are unconstrained"
+
+    def test_relation_free_of_its_coordinate_makes_the_locus_unknown(self):
+        """(x + y, (x + y)^2): the one final for x is y1^2 - y2, which x does not enter."""
+        f = PolyMap.from_exprs(("x", "y"), ["x + y", "(x + y)^2"])
+        locus = nonproperness_set(f, degree_estimate=MU_ONE)
+        assert locus.is_unknown
+        assert locus.reason == "no relation ties 'x' to the target coordinates"
 
 
 class TestSampleDiagnostic:

@@ -202,6 +202,37 @@ class TestEvaluation:
             P("x", V2).evaluate((1,))
 
 
+scalars = st.one_of(
+    st.integers(-(10**20), 10**20),
+    rationals,
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.complex_numbers(allow_nan=False, allow_infinity=False),
+    gaussians,
+)
+
+
+class TestConstruction:
+    """Both constructors read every scalar type exactly into the stored form."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.dictionaries(st.tuples(*[st.integers(0, 4)] * 3), scalars, max_size=6))
+    def test_polynomial_terms_are_the_coerced_coefficients(self, terms):
+        expected = {e: GaussianRational.coerce(c) for e, c in terms.items()}
+        assert Polynomial(V3, terms).terms == {e: c for e, c in expected.items() if c}
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.dictionaries(st.integers(-6, 6), scalars, max_size=6))
+    def test_laurent_terms_are_the_coerced_coefficients(self, terms):
+        expected = {e: GaussianRational.coerce(c) for e, c in terms.items()}
+        assert LaurentPoly("t", terms).terms == {e: c for e, c in expected.items() if c}
+
+    def test_other_scalar_types_are_rejected(self):
+        with pytest.raises(TypeError):
+            Polynomial(V2, {(0, 0): "1"})
+        with pytest.raises(TypeError):
+            LaurentPoly("t", {0: None})
+
+
 class TestPrinting:
     def test_zero_prints_as_zero(self):
         assert str(Polynomial.zero(V2)) == "0"

@@ -15,7 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyproper import GaussianRational, PolyMap, Polynomial, geometric_degree, nonproperness_set
+from polyproper import (
+    DegreeEstimate,
+    GaussianRational,
+    PolyMap,
+    Polynomial,
+    geometric_degree,
+    nonproperness_set,
+)
 from polyproper.corpus import EXAMPLE_3_6_TEXT, X2_Y_TEXT, X_XY_TEXT
 from polyproper.elimination import normalized, poly_matrix_det
 from polyproper.polymap import parse_map_text
@@ -213,11 +220,12 @@ def test_target_affine_invariance(name, seed):
     reason="ROADMAP item 2 (exact certification): a source-side change inflates mu",
 )
 def test_source_shear_of_example_3_6():
-    """example-3-6 ∘ (x + z, y, z) is an automorphism, yet gives mu 7 and the locus {y2 = 0}.
+    """example-3-6 ∘ (x + z, y, z) is an automorphism, yet gives mu 7.
 
     Row reduction does not help: the components keep their monomials apart.
     The extra points lie next to the true preimage, at |x| ~ 1e2, with
-    residuals that pass at the round-off floor.
+    residuals that pass at the round-off floor.  The locus is empty
+    (:func:`test_source_shear_locus_is_empty`); mu alone fails.
     """
     f = parse_map_text(EXAMPLE_3_6_TEXT)
     x, y, z = (Polynomial.variable(NAMES, v) for v in NAMES)
@@ -225,3 +233,20 @@ def test_source_shear_of_example_3_6():
     estimate = geometric_degree(sheared, 50, seed=0)
     locus = nonproperness_set(sheared, degree_estimate=estimate)
     assert (estimate.mu, locus.is_empty) == (1, True)
+
+
+def test_source_shear_locus_is_empty():
+    """The relations of x and z have the lead y2^12 but the primitive lead -64 and 64.
+
+    Their content y2^12 in C[y'] is no part of the locus, so no factor is
+    left to probe, whether the estimate is the sampled one (mu 7) or mu 1.
+    """
+    f = parse_map_text(EXAMPLE_3_6_TEXT)
+    x, y, z = (Polynomial.variable(NAMES, v) for v in NAMES)
+    sheared = f.compose(PolyMap(NAMES, [x + z, y, z]))
+    sampled = geometric_degree(sheared, 50, seed=0)
+    assert sampled.histogram == {1: 38, 7: 8, 6: 1, 2: 2, 3: 1}
+    one = DegreeEstimate(mu=1, histogram={1: 1}, samples=1, seed=0, degenerate=0, box=2.0)
+    for estimate in (sampled, one):
+        locus = nonproperness_set(sheared, degree_estimate=estimate)
+        assert locus.is_empty and locus.notes == ()

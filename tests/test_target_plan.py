@@ -16,9 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyproper import GaussianRational, PolyMap, Polynomial, solver
+from polyproper import GaussianRational, PolyMap, Polynomial, nonproper, solver
 from polyproper.corpus import EXAMPLE_3_6_TEXT, X2_Y_TEXT, X_XY_TEXT
-from polyproper.nonproper import nonproperness_set
+from polyproper.nonproper import fiber_count_diagnostic, nonproperness_set
 from polyproper.poly import Specialisation, WorkLimitExceeded, work_limit
 from polyproper.polymap import parse_map_text
 from polyproper.solver import (
@@ -405,10 +405,33 @@ def test_triangular_route_leaves_special_targets_to_the_numeric_path(monkeypatch
     assert target_plan(shear).exact_point((1e31, 0)) is None  # y = -1e310
 
 
-@pytest.mark.parametrize("name, count", [("x2-y", 2), ("2x6#0", 24)])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_triangular_fiber_beyond_float_range_raises():
+    """Over (1e31, 0) the one point of (x, y + x^10) has y = -1e310: no float holds it.
+
+    The final is still linear at the target, so the fiber is not empty; the
+    numeric route would overflow and report none.
+    """
+    f = PolyMap.from_exprs(("x", "y"), ["x", "y + x^10"])
+    assert target_plan(f).exact_point((1e31, 0)) is None
+    with pytest.raises(ValueError, match="beyond float range"):
+        solve_fiber(f, (1e31, 0))
+    assert fiber_count_diagnostic(f, (1e31, 0), 1).verdict == "undetermined"
+
+
+@pytest.mark.parametrize("name, count", [("x2-y", 2), ("2x6#0", 24), ("x, y^2 + x", 2)])
 def test_plans_that_are_not_triangular_take_the_numeric_route(name, count, monkeypatch):
-    """x2-y has a ``single`` stage of degree 2 and 2x6#0 a resultant stage: Newton refines both."""
-    f = parse_map_text(X2_Y_TEXT if name == "x2-y" else dense_pool()[name][0])
+    """Newton refines the fibers of plans that are not triangular.
+
+    x2-y has a ``single`` stage of degree 2 and 2x6#0 a resultant stage.
+    (x, y^2 + x) has one stage, which substitutes, but its final
+    y^2 - y2' has degree 2 in y.
+    """
+    if name == "x, y^2 + x":
+        f = PolyMap.from_exprs(("x", "y"), ["x", "y^2 + x"])
+        assert [s.mode for s in target_plan(f).result.stages] == ["substitution"]
+    else:
+        f = parse_map_text(X2_Y_TEXT if name == "x2-y" else dense_pool()[name][0])
     plan = target_plan(f)
     assert plan.usable
     y = sample_target(np.random.default_rng([1, 2, 6, 0]), 2)
@@ -420,3 +443,56 @@ def test_plans_that_are_not_triangular_take_the_numeric_route(name, count, monke
     )
     assert len(solve_fiber(f, y)) == count
     assert rows and rows[0] >= count
+
+
+def _known_maps() -> dict[str, tuple[str, int]]:
+    """Text and geometric degree of the corpus maps and the dense and tame pool maps."""
+    maps = {"example-3-6": (EXAMPLE_3_6_TEXT, 1), "x-xy": (X_XY_TEXT, 1), "x2-y": (X2_Y_TEXT, 2)}
+    maps.update((f"dense {key}", entry) for key, entry in dense_pool().items())
+    maps.update((f"tame {key}", (text, 1)) for key, text in _tame_texts().items())
+    return maps
+
+
+def _recorded_cascades(f: PolyMap, mu: int, y, monkeypatch) -> list:
+    """Every cascade the solver and the locus run on f, as they run.
+
+    The plan, each coordinate's relation in ``nonproperness_set`` (with its
+    validation probes) and the per-target cascade at y.
+    """
+    results = []
+    for module in (solver, nonproper):
+        run = module.eliminate
+        monkeypatch.setattr(
+            module, "eliminate", lambda *a, run=run: results.append(run(*a)) or results[-1]
+        )
+    target_plan(f)
+    estimate = DegreeEstimate(mu=mu, histogram={mu: 1}, samples=1, seed=0, degenerate=0, box=2.0)
+    nonproperness_set(f, degree_estimate=estimate)
+    try:
+        solver._cascade_fiber(f, y, 1e-8)
+    except PositiveDimensionalFiberError:
+        pass
+    return results
+
+
+def _assert_one_final_or_a_problem(results: list) -> None:
+    for res in results:
+        # every stage takes one equation away: two finals only with a free variable
+        assert len(res.finals) <= 1 or res.free_vars
+        assert (res.problem is None) == (len(res.finals) == 1)
+
+
+@pytest.mark.parametrize("name", list(_known_maps()))
+def test_each_cascade_ends_with_one_final_or_says_why_not(name, monkeypatch):
+    text, mu = _known_maps()[name]
+    f = parse_map_text(text)
+    y = sample_target(np.random.default_rng(29), f.target_dim)
+    _assert_one_final_or_a_problem(_recorded_cascades(f, mu, y, monkeypatch))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_maps())
+def test_each_cascade_of_a_small_map_ends_with_one_final_or_says_why_not(case):
+    f, y = case
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _assert_one_final_or_a_problem(_recorded_cascades(f, 1, y, monkeypatch))
