@@ -142,8 +142,9 @@ def _roots_of_degree(coeffs: np.ndarray, norms: np.ndarray) -> list[RootSet]:
     k, deg = coeffs.shape[0], coeffs.shape[1] - 1
     arr = coeffs / norms[:, None]
     if deg == 1:
-        values = -coeffs[:, 0] / coeffs[:, 1]
-        residuals = np.abs(_horner(arr, values)) * norms
+        with np.errstate(over="ignore", invalid="ignore"):  # a root beyond float range
+            values = -coeffs[:, 0] / coeffs[:, 1]
+            residuals = np.abs(_horner(arr, values)) * norms
         return [
             RootSet((Root(z, 1, r),), 1, n)
             for z, r, n in zip(values.tolist(), residuals.tolist(), norms.tolist())

@@ -4,9 +4,9 @@ The pipeline is exact elimination first, floating point second: the target
 y enters the coefficient field exactly (floats are rationals), the system is
 cascaded down to one variable, and only root extraction, back-substitution,
 and Newton refinement run in floating point.  Extraneous candidates that
-resultant stages introduce are screened out before Newton by their relative
-residual (:data:`SCREEN_RESIDUAL`), and what is left is checked by the final
-residual test against the full system.
+resultant stages introduce are dropped at Newton's first evaluation by their
+relative residual (:data:`SCREEN_RESIDUAL`), and what is left is checked by
+the final residual test against the full system.
 
 A triangular :class:`TargetPlan` skips the floating-point steps: when every
 stage substitutes and the one final is linear in the last variable, as for
@@ -85,6 +85,7 @@ are scheduled.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -114,8 +115,8 @@ MAX_DIM = 3
 MAX_COMPONENT_DEGREE = 10
 DEDUP_RADIUS = 1e-6
 #: Back-substitution candidates whose relative residual
-#: ||f(x) - y|| / ||Σ|terms| + |y||| lies above this are dropped before
-#: Newton, unless they are the best candidate from their root of the final.
+#: ||f(x) - y|| / ||Σ|terms| + |y||| lies above this are dropped at Newton's
+#: first evaluation, where a cascade has a resultant stage.
 #: A resultant stage keeps every root of its pivot, but only the common
 #: roots with the partner polynomial lie on the fiber (Cox, Little and
 #: O'Shea, *Using Algebraic Geometry*, ch. 3).  Over the dense bench pool at
@@ -138,7 +139,7 @@ class PositiveDimensionalFiberError(Exception):
 class FiberSolution:
     point: tuple[complex, ...]
     residual: float  # ||f(point) - y||
-    multiple: bool  # solution absorbed several root branches (not screened-out extraneous ones)
+    multiple: bool  # several branches, or a multiple root of the final or a pivot, led here
 
 
 @dataclass(frozen=True)
@@ -397,7 +398,7 @@ def _planned_fibers(
             ev = f.evaluator()
             vals, _ = ev.values(ev.powers(np.array(list(exact.values()), dtype=complex)))
             targets = np.array([ys[i] for i in exact], dtype=complex).reshape(vals.shape)
-            residuals = np.linalg.norm(vals - targets, axis=1).tolist()
+            residuals = np.hypot.reduce(np.abs(vals - targets), axis=1).tolist()
             for (i, point), residual in zip(exact.items(), residuals):
                 out[i] = [FiberSolution(point, residual, multiple=False)]
         if batch:
@@ -454,14 +455,21 @@ def solve_fiber(
 
 
 def _cascade_fiber(f: PolyMap, y: Sequence[complex], tol: float) -> list[FiberSolution]:
-    """The fiber over y on the per-target path: the cascade of (f - y) at y."""
+    """The fiber over y on the per-target path: the cascade of (f - y) at y.
+
+    Raises ``ValueError`` when the final is linear but its root lies beyond
+    float range.
+    """
     res = eliminate(_shifted_system(f, y), list(f.vars[:-1]))
     if res.inconsistent:
         return []
     if res.problem:
         raise PositiveDimensionalFiberError(res.problem)
     stages = [(stage.var, stage.mode, [stage.pivot]) for stage in res.stages]
-    roots = univariate_roots(poly_to_coeffs(res.finals[0]))
+    coeffs = poly_to_coeffs(res.finals[0])
+    if len(coeffs) == 2 and not abs(coeffs[0]) <= abs(coeffs[1]) * sys.float_info.max:
+        raise ValueError(f"the fiber point over {tuple(y)} lies beyond float range")
+    roots = univariate_roots(coeffs)
     (solutions,), (degenerate,) = _back_substitute(f, [y], stages, [roots], tol)
     if not solutions and degenerate:
         raise PositiveDimensionalFiberError(
@@ -482,21 +490,19 @@ def _back_substitute(
     ``ys`` are the targets and ``roots`` the roots of each target's final
     in the last source variable.  ``stages`` are (variable, mode, pivots)
     triples in elimination order, one pivot per target with its y folded
-    in.  Each candidate row carries the index of its target and of the root
-    of the final it descends from; the rows are extended through the stages
-    in reverse, each stage specialising all of them in one kernel call and
-    rooting them in one :func:`roots_of_each` call.  Where some stage is a
-    resultant and a root of the final has several candidates, those the
-    resultant brought in off the fiber are dropped (:func:`_screened`), so
-    they are neither refined nor counted as branches that a solution
-    absorbed; without a resultant stage every candidate lies on the fiber.
-    The rest are refined by one Newton run and filtered per target.  Returns each target's solutions
-    and whether some branch of it degenerated (its pivot vanished
-    identically at the branch's partial point).
+    in.  Each candidate row carries the index of its target; the rows are
+    extended through the stages in reverse, each stage specialising all of
+    them in one kernel call and rooting them in one :func:`roots_of_each`
+    call.  One Newton run refines them, and the rows are filtered per
+    target.  Where some stage is a resultant, Newton first drops the
+    candidates that the resultant brought in off the fiber, so they are
+    neither refined nor counted as branches that a solution absorbed;
+    without a resultant stage every candidate lies on the fiber.  Returns
+    each target's solutions and whether some branch of it degenerated (its
+    pivot vanished identically at the branch's partial point).
     """
     column = {v: i for i, v in enumerate(f.vars)}
     owner = np.array([t for t, rs in enumerate(roots) for _ in rs.roots], dtype=np.intp)
-    final_root = np.arange(len(owner))  # the root of the final each row descends from
     points = np.zeros((len(owner), f.source_dim), dtype=complex)
     points[:, column[f.vars[-1]]] = [r.value for rs in roots for r in rs.roots]
     mults = [r.multiplicity for rs in roots for r in rs.roots]
@@ -519,18 +525,13 @@ def _back_substitute(
         points[:, column[var]] = [r.value for rs in root_sets for r in rs.roots]
         mults = [mults[k] * r.multiplicity for k, rs in zip(extended, root_sets) for r in rs.roots]
         owner = owner[parent]
-        final_root = final_root[parent]
         if len(owner) and np.bincount(owner).max() > _CANDIDATE_CAP:
             raise RuntimeError("candidate explosion; system outside desk scale")
 
     ev = f.evaluator()
     y_rows = np.array(ys, dtype=complex).reshape(len(ys), f.target_dim)[owner]
-    resultant = any(mode == "resultant" for _, mode, _ in stages)
-    if resultant and len(final_root) and np.bincount(final_root).max() > 1:
-        keep = _screened(ev, y_rows, points, final_root)
-        y_rows, points, owner = y_rows[keep], points[keep], owner[keep]
-        mults = [mults[k] for k in keep.tolist()]
-    best, best_res, floors = _newton_batch(ev, y_rows, points)
+    screen = any(mode == "resultant" for _, mode, _ in stages)
+    best, best_res, floors = _newton_batch(ev, y_rows, points, screen)
     # a residual within the round-off of evaluating f, where Newton stops,
     # is as small as any step can make it
     accepted = (best_res < tol) | ((best_res <= floors) & np.isfinite(floors))
@@ -541,27 +542,6 @@ def _back_substitute(
         if ok:
             refined[t].append((tuple(point), residual, mult))
     return [_deduplicated(candidates) for candidates in refined], degenerate
-
-
-def _screened(
-    ev: MapEvaluator, y: np.ndarray, x: np.ndarray, final_root: np.ndarray
-) -> np.ndarray:
-    """Indices of the candidates worth refining, in order.
-
-    A candidate's relative residual is ρ = ||f(x) - y|| / ||Σ|terms| + |y|||,
-    over the sums of Newton's round-off floor.  A candidate is dropped when
-    ρ > :data:`SCREEN_RESIDUAL` and another candidate from the same root of
-    the final has a smaller ρ, so every root keeps one candidate.
-    """
-    vals, sums = ev.values(ev.powers(x))
-    scale = np.linalg.norm(sums + np.abs(y), axis=1)
-    rho = np.linalg.norm(vals - y, axis=1) / np.maximum(scale, np.finfo(float).tiny)
-    order = np.lexsort((rho, final_root))
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = final_root[order][1:] != final_root[order][:-1]
-    keep = rho <= SCREEN_RESIDUAL
-    keep[order[first]] = True
-    return np.flatnonzero(keep)
 
 
 class _UnivariateView:
@@ -659,7 +639,9 @@ def _deduplicated(candidates: list[tuple[tuple[complex, ...], float, int]]) -> l
     ]
 
 
-def _newton_batch(ev: MapEvaluator, y: np.ndarray, x: np.ndarray, iters: int = 40):
+def _newton_batch(
+    ev: MapEvaluator, y: np.ndarray, x: np.ndarray, screen: bool = False, iters: int = 40
+):
     """Newton's method on a batch of candidates at once.
 
     ``y`` is one target for every row of ``x`` or one target per row.
@@ -668,7 +650,10 @@ def _newton_batch(ev: MapEvaluator, y: np.ndarray, x: np.ndarray, iters: int = 4
     candidate stops once its residual is below 1e-15 * (1 + ||y||) or at
     most that floor, or when its Jacobian is singular or its step is not
     finite; the others go on.  The Jacobian is evaluated only at candidates
-    that take a step.
+    that take a step.  With ``screen``, a start whose relative residual
+    ||f(x) - y|| / ||sum |terms| + |y||| exceeds :data:`SCREEN_RESIDUAL` is
+    dropped at the first evaluation: it is never stepped, and its residual
+    and floor stay infinite.
     """
     x = x.copy()
     best = x.copy()
@@ -686,6 +671,9 @@ def _newton_batch(ev: MapEvaluator, y: np.ndarray, x: np.ndarray, iters: int = 4
         r = vals - y[live]
         res = np.linalg.norm(r, axis=1)
         floor = ROUNDOFF * np.linalg.norm(sums + abs_y[live], axis=1)
+        if screen and not it:
+            off = ~(res * ROUNDOFF <= SCREEN_RESIDUAL * floor)
+            res[off] = floor[off] = np.inf
         better = res < best_res[live]
         best[live[better]] = x[live[better]]
         best_res[live[better]] = res[better]

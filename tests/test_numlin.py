@@ -87,6 +87,12 @@ class TestUnivariateRoots:
         with pytest.raises(ValueError):
             univariate_roots([5])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_linear_root_beyond_float_range(self):
+        """The root of 1 + 1e-310 z is -1e310: it comes back not finite, with no warning."""
+        (root,) = univariate_roots([1, 1e-310]).roots
+        assert not np.isfinite(root.value)
+
     def test_random_monic_recovery(self):
         rng = random.Random(19)
         for _ in range(50):

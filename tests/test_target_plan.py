@@ -389,8 +389,13 @@ def test_tame_fibers_at_bench_targets_are_exact(monkeypatch):
             assert not point.multiple
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_triangular_route_leaves_special_targets_to_the_numeric_path(monkeypatch):
-    """Where A(y') = 0 or a coordinate overflows a float, the target takes the numeric path."""
+    """Where A(y') = 0 or a coordinate overflows a float, the target takes the numeric path.
+
+    Over (1e30, 0) the point of (x, y + x^10) fits a float, and so does its
+    residual, though f - y there is about 1e284, whose square overflows.
+    """
     f = PolyMap.from_exprs(("x", "y"), ["x", "x*y"])  # final y1*y - y2: A = y1
     plan = target_plan(f)
     assert plan.exact_point((3, 6)) == (3, 2)
@@ -402,6 +407,8 @@ def test_triangular_route_leaves_special_targets_to_the_numeric_path(monkeypatch
     shear = PolyMap.from_exprs(("x", "y"), ["x", "y + x^10"])
     # y = -x^10 rounded once, from the exact value of the float 1e30
     assert target_plan(shear).exact_point((1e30, 0)) == (1e30, -(int(1e30) ** 10) / 1)
+    (point,) = solve_fiber(shear, (1e30, 0))
+    assert point.point == (1e30, -(int(1e30) ** 10) / 1) and 0 < point.residual < 1e285
     assert target_plan(shear).exact_point((1e31, 0)) is None  # y = -1e310
 
 
@@ -410,8 +417,15 @@ def test_triangular_fiber_beyond_float_range_raises():
     """Over (1e31, 0) the one point of (x, y + x^10) has y = -1e310: no float holds it.
 
     The final is still linear at the target, so the fiber is not empty; the
-    numeric route would overflow and report none.
+    numeric route would overflow and report none.  A fresh map, which holds
+    no plan, raises on the per-target path too, also where the final's
+    leading coefficient underflows once the coefficients are scaled.
     """
+    for target in ((1e31, 0), (1e40, 0)):
+        fresh = PolyMap.from_exprs(("x", "y"), ["x", "y + x^10"])
+        with pytest.raises(ValueError, match="beyond float range"):
+            solve_fiber(fresh, target)
+        assert fresh._target_plan is None
     f = PolyMap.from_exprs(("x", "y"), ["x", "y + x^10"])
     assert target_plan(f).exact_point((1e31, 0)) is None
     with pytest.raises(ValueError, match="beyond float range"):
@@ -438,9 +452,12 @@ def test_plans_that_are_not_triangular_take_the_numeric_route(name, count, monke
     assert plan.exact_point(y) is None
     rows = []
     newton = solver._newton_batch
-    monkeypatch.setattr(
-        solver, "_newton_batch", lambda ev, y, x: rows.append(len(x)) or newton(ev, y, x)
-    )
+
+    def counted_newton(ev, y, x, *args):
+        rows.append(len(x))
+        return newton(ev, y, x, *args)
+
+    monkeypatch.setattr(solver, "_newton_batch", counted_newton)
     assert len(solve_fiber(f, y)) == count
     assert rows and rows[0] >= count
 
