@@ -12,7 +12,9 @@ A triangular :class:`TargetPlan` skips the floating-point steps: when every
 stage substitutes and the one final is linear in the last variable, as for
 tame automorphisms, the fiber is one simple point, computed exactly from
 the plan and rounded once per coordinate (:meth:`TargetPlan.exact_point`).
-Its residual is reported, not tested.
+Its residual is reported, not tested.  :func:`geometric_degree` reads only
+the count, so it computes no point there: it counts such a fiber from the
+final's leading coefficient A(y') alone (:meth:`TargetPlan.single_point_at`).
 
 The floating-point steps work on batches of targets, one target for
 :func:`solve_fiber` and all sampled targets of a map for
@@ -51,18 +53,20 @@ use and kept on the map.  :func:`geometric_degree` samples 50 targets of
 one map, so it builds the plan and eliminates once per map.
 :func:`solve_fiber` and :func:`fiber_count` use the plan when the map
 already holds a usable one and take the per-target path otherwise: they
-never build a plan themselves.  A triangular plan gives each target's point
-exactly, and a ``ValueError`` when a coordinate of it overflows a float; a
-target where its final's leading coefficient A(y') vanishes, and every
-target of any other plan, has its stage pivots and final specialised
-exactly (:class:`polyproper.poly.Specialisation`); the finals of all such
-targets are rooted in one call, and they go through the same
-back-substitution and Newton code as one batch.  A target is solved on the
-per-target path instead, on its own, when the plan's cascade has a
-problem (:attr:`polyproper.elimination.EliminationResult.problem`) or is
-over budget; when its final or some pivot vanishes at the target; and when
-one of its branches degenerates during back-substitution.  A nonzero
-constant final means the fiber is empty.
+never build a plan themselves.  A triangular plan counts one point at each
+target where its final's leading coefficient A(y') is nonzero; there
+:func:`solve_fiber` and :func:`fiber_count` compute the point exactly, and
+raise ``ValueError`` when a coordinate of it overflows a float.  A target
+where A(y') vanishes, and every target of any other plan, has its stage
+pivots and final specialised exactly
+(:class:`polyproper.poly.Specialisation`); the finals of all such targets
+are rooted in one call, and they go through the same back-substitution and
+Newton code as one batch.  A target is solved on the per-target path
+instead, on its own, when the plan's cascade has a problem
+(:attr:`polyproper.elimination.EliminationResult.problem`) or is over
+budget; when its final or some pivot vanishes at the target; and when one
+of its branches degenerates during back-substitution.  A nonzero constant
+final means the fiber is empty.
 
 The plan is built under an exact-work budget,
 :data:`polyproper.elimination.MAX_SYMBOLIC_WORK` term pairs of the product
@@ -230,7 +234,9 @@ class TargetPlan:
     :data:`MAX_SYMBOLIC_WORK` (``reason`` then says so).  A usable plan
     (its cascade ends with one final, with no ``problem``) is
     specialised at numeric targets y by :meth:`at`; a triangular one also
-    gives the one point of each fiber exactly (:meth:`exact_point`).
+    tells from A(y') alone where a fiber is one point
+    (:meth:`single_point_at`) and gives that point exactly
+    (:meth:`exact_point`).
     """
 
     __slots__ = ("targets", "echelon", "result", "reason", "_specialisation", "_triangular")
@@ -268,6 +274,19 @@ class TargetPlan:
         values = spec.at_stored(*self.echelon.apply(*stored_values([complex(v) for v in y])))
         return values[: len(stages)], values[len(stages) :]
 
+    def single_point_at(self, y: Sequence[complex]) -> bool:
+        """Whether the fiber over y is one simple point, read from A(y') alone.
+
+        True when the plan is triangular (:meth:`exact_point`) and its
+        final's leading coefficient A(y') is nonzero.  No point is computed,
+        and where A is a constant not even y' = M·y.
+        """
+        route = self._triangular_route()
+        if not route:
+            return False
+        n, lead, _, _ = route
+        return isinstance(lead, Polynomial) or not lead.at_stored(*self._image(n, y))[0].is_zero()
+
     def exact_point(self, y: Sequence[complex]) -> tuple[complex, ...] | None:
         """The one point of the fiber over y of a triangular plan, exact and rounded once.
 
@@ -281,20 +300,18 @@ class TargetPlan:
         the exact numerators of y, in the stored form over one common
         denominator, and each is rounded once by int true division.  None
         when the plan is not usable or not triangular, when A(y') = 0 and
-        when a coordinate overflows a float.  Compiled on first use
-        (:meth:`_compile_triangular`).
+        when a coordinate overflows a float; B is evaluated only once
+        A(y') != 0.  Compiled on first use (:meth:`_triangular_route`).
         """
-        route = self._triangular
-        if route is None:
-            route = self._triangular = self._compile_triangular()
+        route = self._triangular_route()
         if not route:
             return None
-        n, final, images = route
-        d, ys = self.echelon.apply(*stored_values([complex(v) for v in y]))
-        nums = {n + j: c for j, c in ys.items()}  # the values of all variables, over d
-        a, b = final.at_stored(d, nums)
+        n, lead, rest, images = route
+        d, nums = self._image(n, y)  # the values of all variables, over d
+        a = lead if isinstance(lead, Polynomial) else lead.at_stored(d, nums)[0]
         if a.is_zero():
             return None
+        (b,) = rest.at_stored(d, nums)
         ar, ai = a.nums[0]
         # z = -B/A = -(br + i·bi)·(ar - i·ai)·den_A / (den_B·|A|^2)
         z = {
@@ -311,12 +328,25 @@ class TargetPlan:
         except OverflowError:
             return None
 
+    def _image(self, n: int, y: Sequence[complex]) -> tuple[int, dict]:
+        """y' = M·y from the exact numerators of y: the values of variables n.., over one d."""
+        d, ys = self.echelon.apply(*stored_values([complex(v) for v in y]))
+        return d, {n + j: c for j, c in ys.items()}
+
+    def _triangular_route(self) -> tuple | bool:
+        """:meth:`_compile_triangular`, run on first use and kept."""
+        if self._triangular is None:
+            self._triangular = self._compile_triangular()
+        return self._triangular
+
     def _compile_triangular(self) -> tuple | bool:
-        """(n, A and B compiled, (column, -R_k/c_k compiled) per stage in reverse order), or False.
+        """(n, A, B compiled, (column, -R_k/c_k compiled) per stage in reverse order), or False.
 
         Every polynomial is compiled with all its variables trailing
         (:class:`Specialisation` with ``head=0``), source and target alike.
-        False when the plan is not usable or not triangular.
+        A is compiled apart from B, and a constant A is kept as its value,
+        so that it costs nothing per target.  False when the plan is not
+        usable or not triangular.
         """
         res = self.result
         if not self.usable or any(stage.mode != "substitution" for stage in res.stages):
@@ -326,10 +356,14 @@ class TargetPlan:
         if final.degree_in(final.vars[n - 1]) != 1:
             return False
         by_power = as_univariate(final, final.vars[n - 1])
+        lead = Specialisation([by_power[1]], 0)
+        if by_power[1].is_constant():
+            (lead,) = lead.at_stored(1, {})
         column = {v: k for k, v in enumerate(final.vars)}
         return (
             n,
-            Specialisation([by_power[1], by_power.get(0, Polynomial.zero(final.vars))], 0),
+            lead,
+            Specialisation([by_power.get(0, Polynomial.zero(final.vars))], 0),
             [
                 (column[stage.var], Specialisation([linear_solution(stage.pivot, stage.var)], 0))
                 for stage in reversed(res.stages)
@@ -370,8 +404,9 @@ def _planned_fibers(
     on its own when the plan is not usable, when its final or some pivot
     vanishes at it, or when one of its branches degenerates during
     back-substitution; the error of a positive-dimensional fiber takes its
-    place in the list.  Raises ``ValueError`` when a triangular plan's final
-    is linear at a target but the point overflows a float.
+    place in the list.  Raises ``ValueError`` when A(y') != 0 at a target
+    of a triangular plan (:meth:`TargetPlan.single_point_at`) but the point
+    overflows a float.
     """
     out: list = [None] * len(ys)
     plan = target_plan(f)
@@ -383,9 +418,9 @@ def _planned_fibers(
             if point is not None:
                 exact[i] = point
                 continue
-            stage_pivots, (final,) = plan.at(y)
-            if plan._triangular and final.degree_in(f.vars[-1]) == 1:  # A(y') != 0
+            if plan.single_point_at(y):  # A(y') != 0, so the point overflows
                 raise ValueError(f"the fiber point over {tuple(y)} lies beyond float range")
+            stage_pivots, (final,) = plan.at(y)
             if not final or not all(stage_pivots):
                 continue
             if final.is_constant():
@@ -735,10 +770,15 @@ def geometric_degree(
     targets; for a map that restricts to a cover off its nonproperness set,
     generic targets all attain it.  Degenerate samples (positive-dimensional
     fibers) are tallied separately; it is an error if every sample
-    degenerates or no sample has a nonzero count.  The sampled fibers are
-    solved as one batch through the map's :class:`TargetPlan`; a target
-    where the plan does not apply falls back to the per-target cascade on
-    its own, so the counts are those of :func:`fiber_count`.
+    degenerates or no sample has a nonzero count.  Where the map's
+    :class:`TargetPlan` is triangular and the final's leading coefficient
+    A(y') is nonzero, the fiber is one simple point and is counted as such,
+    with no point computed (:meth:`TargetPlan.single_point_at`).  The other
+    sampled fibers are solved as one batch through the plan; a target where
+    the plan does not apply falls back to the per-target cascade on its own.
+    So the counts are those of :func:`fiber_count`, except where the one
+    point of a triangular fiber lies beyond float range: ``fiber_count``
+    raises ``ValueError`` there, and this counts 1.
     """
     _check_scale(f)
     if n_samples < 1:
@@ -747,9 +787,12 @@ def geometric_degree(
         sample_target(np.random.default_rng(child), f.target_dim)
         for child in np.random.SeedSequence(seed).spawn(n_samples)
     ]
-    histogram: dict[int, int] = {}
+    plan = target_plan(f)
+    rest = [y for y in ys if not plan.single_point_at(y)]
+    single = len(ys) - len(rest)
+    histogram: dict[int, int] = {1: single} if single else {}
     degenerate = 0
-    for fiber in _planned_fibers(f, ys, tol):
+    for fiber in _planned_fibers(f, rest, tol):
         if isinstance(fiber, PositiveDimensionalFiberError):
             degenerate += 1
             continue

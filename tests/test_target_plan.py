@@ -433,6 +433,47 @@ def test_triangular_fiber_beyond_float_range_raises():
     assert fiber_count_diagnostic(f, (1e31, 0), 1).verdict == "undetermined"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_geometric_degree_counts_a_fiber_beyond_float_range():
+    """Where A(y') != 0 the fiber is one point, whether or not a float holds it.
+
+    Every fiber of (x, y + 10^308 x^10) over the sample box has its point
+    at |y| up to about 1e311; the degree is still 1.  ``solve_fiber``
+    still raises at such a target: it returns the point, and no float
+    holds it.
+    """
+    f = PolyMap.from_exprs(("x", "y"), ["x", "y + 10^308*x^10"])
+    est = geometric_degree(f)
+    assert (est.mu, est.histogram, est.degenerate) == (1, {1: 50}, 0)
+    with pytest.raises(ValueError, match="beyond float range"):
+        solve_fiber(f, (1.5, 0))
+
+
+def _no_point(*args):
+    raise AssertionError("a fiber point was computed where A(y') != 0 settles the count")
+
+
+@pytest.mark.parametrize("name", ["example-3-6", "x-xy"] + list(_tame_texts()))
+def test_geometric_degree_of_a_triangular_plan_computes_no_point(name, monkeypatch):
+    """Each sampled target of a triangular plan is counted from A(y') alone.
+
+    example-3-6 and every tame pool map have a constant A; x-xy has
+    A = y1', nonzero at every sampled target.
+    """
+    texts = {"example-3-6": EXAMPLE_3_6_TEXT, "x-xy": X_XY_TEXT}
+    f = parse_map_text(texts.get(name) or _tame_texts()[name])
+    for target in (
+        (solver.TargetPlan, "exact_point"),
+        (solver.TargetPlan, "at"),
+        (solver, "_newton_batch"),
+        (solver, "roots_of_each"),
+        (solver, "_cascade_fiber"),
+    ):
+        monkeypatch.setattr(*target, _no_point)
+    est = geometric_degree(f)
+    assert (est.mu, est.histogram, est.degenerate) == (1, {1: 50}, 0)
+
+
 @pytest.mark.parametrize("name, count", [("x2-y", 2), ("2x6#0", 24), ("x, y^2 + x", 2)])
 def test_plans_that_are_not_triangular_take_the_numeric_route(name, count, monkeypatch):
     """Newton refines the fibers of plans that are not triangular.
