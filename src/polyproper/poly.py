@@ -27,7 +27,10 @@ result once with ``math.gcd``: sums (:func:`_sum_terms`), products
 rows, in two (:func:`int_rows`, with :func:`from_int_row` the way back),
 and :class:`Specialisation`.  Composition (:func:`_compose`) and the
 substitutions of :mod:`polyproper.elimination` are Horner's rule over ring
-operations (:func:`_horner`).  ``GaussianRational`` coefficients and
+operations (:func:`_horner`).  :func:`composition_equals` decides whether
+a composition equals given polynomials without expanding it: one Kronecker
+image of each side, a big-integer Horner evaluation, is exact under a
+degree bound and a coefficient bound.  ``GaussianRational`` coefficients and
 exponent tuples are built only at the boundary: the ``terms`` view (built on
 first use and kept), printing and :meth:`Polynomial.stored_terms`, which
 the numeric layer reads.
@@ -59,7 +62,8 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
+from operator import getitem, mul
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -683,6 +687,138 @@ def _compose(den: int, terms: list, images: Sequence, one):
         groups.setdefault(e[0], []).append((e[1:], re, im))
     rest = images[1:]
     return _horner({k: _compose(den, t, rest, one) for k, t in groups.items()}, images[0])
+
+
+#: The largest Kronecker image, in bits, that :func:`composition_equals` evaluates.
+KRONECKER_MAX_BITS = 1 << 24
+
+
+def _gaussian_horner(terms: list, values: Sequence[tuple[int, int]]) -> tuple[int, int]:
+    """sum of (re + i*im) * prod_i values[i]^e[i] over ``terms`` (e, re, im), as (re, im).
+
+    The values are Gaussian integers (re, im).  Horner's rule in the first
+    value, whose coefficients are evaluated the same way in the others, as
+    in :func:`_compose`; real operands skip the imaginary products.
+    """
+    if not terms:
+        return 0, 0
+    if not values:
+        return sum(re for _, re, _ in terms), sum(im for _, _, im in terms)
+    groups: dict[int, list] = {}
+    for e, re, im in terms:
+        groups.setdefault(e[0], []).append((e[1:], re, im))
+    (xr, xi), rest = values[0], values[1:]
+    d = max(groups)
+    ar, ai = _gaussian_horner(groups[d], rest)
+    for k in range(d - 1, -1, -1):
+        if xi:
+            ar, ai = ar * xr - ai * xi, ar * xi + ai * xr
+        else:
+            ar = ar * xr
+            if ai:
+                ai = ai * xr
+        t = groups.get(k)
+        if t is not None:
+            cr, ci = _gaussian_horner(t, rest)
+            ar, ai = ar + cr, ai + ci
+    return ar, ai
+
+
+def _kronecker_bound(
+    outer: Sequence[Polynomial], images: Sequence[Polynomial], expected: Sequence[Polynomial]
+) -> tuple[int, list[int], list[int]]:
+    """(Q, degrees, bounds) for the cleared differences H_j of :func:`composition_equals`.
+
+    With ``images`` g_i = G_i / Q over their common denominator Q, and
+    outer[j] = F_j / a_j of total degree d_j and expected[j] = E_j / c_j,
+    H_j = c_j * sum_a F_a * prod_i G_i^a_i * Q^(d_j - |a|) - a_j * Q^d_j * E_j
+    is a polynomial over the Gaussian integers that vanishes iff
+    outer[j](images) = expected[j].  ``degrees[v]`` bounds deg_v of every
+    H_j and ``bounds[j]`` bounds |Re| and |Im| of every coefficient of H_j:
+    the 1-norm |re| + |im| of Gaussian integers is submultiplicative, so
+    sum_a |F_a|_1 * prod_i |G_i|_1^a_i * Q^(d_j - |a|) bounds the first sum.
+    """
+    vs = images[0].vars
+    q = lcm(*(g.den for g in images))
+    columns = [[max(g.degree_in(v), 0) for g in images] for v in vs]  # [v][i]: deg_v(g_i)
+    norms = [q // g.den * sum(abs(re) + abs(im) for re, im in g.nums.values()) for g in images]
+    degrees = [0] * len(vs)
+    bounds = []
+    for p, e in zip(outer, expected):
+        terms = p.stored_terms()
+        d = max((sum(a) for a, _, _ in terms), default=0)
+        powers = [[x**k for k in range(d + 1)] for x in norms]
+        q_powers = [q**k for k in range(d + 1)]
+        size = sum(
+            (abs(re) + abs(im)) * q_powers[d - sum(a)] * prod(map(getitem, powers, a))
+            for a, re, im in terms
+        )
+        for v, column in enumerate(columns):
+            degrees[v] = max(
+                degrees[v],
+                e.degree_in(vs[v]),
+                *(sum(map(mul, a, column)) for a, _, _ in terms),
+            )
+        e_norm = sum(abs(re) + abs(im) for re, im in e.nums.values())
+        bounds.append(e.den * size + p.den * q_powers[d] * e_norm)
+    return q, degrees, bounds
+
+
+def composition_equals(
+    outer: Sequence[Polynomial], images: Sequence[Polynomial], expected: Sequence[Polynomial]
+) -> bool | None:
+    """True iff outer[j](images) == expected[j] for every j, decided without expanding.
+
+    ``outer`` are polynomials in as many variables as there are ``images``,
+    which, like ``expected``, share one context x_1..x_m.  Each outer[j] is
+    cleared of denominators into the Gaussian-integer difference H_j of
+    :func:`_kronecker_bound`, which vanishes iff outer[j](images) equals
+    expected[j].  With deg_v H_j <= D_v and mixed-radix weights
+    w_v = prod_{u<v} (D_u + 1), x_v -> t^w_v is injective on the monomials
+    of H_j (Kronecker substitution), so H_j(t^w_1, ..., t^w_m) is a
+    univariate polynomial with the same coefficients.  These lie below
+    2^(B-1) in absolute value, so it is zero iff its value at t = 2^B is
+    zero: a nonzero one is, at its lowest term, a nonzero int below 2^B
+    modulo 2^B.  So one big-integer evaluation of each side at
+    x_v = 2^(B*w_v), by Horner's rule, decides the equality exactly; the
+    big-integer products do the work and nothing is decoded.  See Harvey,
+    "Faster polynomial multiplication via multipoint Kronecker
+    substitution", J. Symb. Comp. 44 (2009).
+
+    Returns None, with nothing evaluated, when the image would take more
+    than :data:`KRONECKER_MAX_BITS` bits (B * prod_v (D_v + 1)), as for
+    sparse maps of high degree; the caller then expands instead.
+    """
+    q, degrees, bounds = _kronecker_bound(outer, images, expected)
+    slot = max(bounds).bit_length() + 1  # B: every coefficient is below 2^(B-1)
+    weights = [1]
+    for dv in degrees:
+        weights.append(weights[-1] * (dv + 1))
+    if slot * weights[-1] > KRONECKER_MAX_BITS:
+        return None
+    shifts = [slot * w for w in weights[:-1]]
+
+    def image(p: Polynomial, scale: int) -> tuple[int, int]:
+        """scale * p at x_v = 2^(B*w_v), p's numerators over the cleared denominator."""
+        re_sum = im_sum = 0
+        for e, re, im in p.stored_terms():
+            s = sum(map(mul, e, shifts))
+            re_sum += (re * scale) << s
+            im_sum += (im * scale) << s
+        return re_sum, im_sum
+
+    values = [image(g, q // g.den) for g in images]
+    if q != 1:
+        values.append((q, 0))
+    for p, e in zip(outer, expected):
+        terms = p.stored_terms()
+        d = max((sum(a) for a, _, _ in terms), default=0)
+        if q != 1:
+            terms = [(a + (d - sum(a),), re, im) for a, re, im in terms]
+        re, im = _gaussian_horner(terms, values)
+        if (e.den * re, e.den * im) != image(e, p.den * q**d):
+            return False
+    return True
 
 
 def stored_values(values: Sequence[ScalarLike]) -> tuple[int, dict]:

@@ -18,7 +18,7 @@ import numpy as np
 from .elimination import poly_matrix_det
 from .numeric import MapEvaluator
 from .parser import parse_polynomial
-from .poly import Polynomial, RowEchelon
+from .poly import Polynomial, RowEchelon, composition_equals
 from .scalar import GaussianRational
 
 
@@ -217,16 +217,32 @@ class NonsingularityVerdict:
 
 
 def verify_inverse(f: PolyMap, g: PolyMap) -> bool:
-    """True iff f and g are exact two-sided inverses, decided by expanding f(g(x)).
+    """True iff f and g are exact two-sided inverses, decided from f(g(x)) = x alone.
 
     One composition suffices: f o g = id makes g injective, and an injective
     polynomial self-map of C^n is an automorphism (Bialynicki-Birula and
     Rosenlicht 1962; Bass, Connell and Wright, Bull. AMS 7, 1982), so its
     inverse f also satisfies g o f = id.
+
+    f o g = id is tested without expanding f o g, by
+    :func:`polyproper.poly.composition_equals`.  Each f_j(g) - x_j, cleared
+    of denominators, is a polynomial over the Gaussian integers.  Two
+    conditions make its Kronecker image exact.  Its degree in each x_v is
+    at most D_v, so x_v -> t^(w_v) with w_v = prod_{u<v} (D_u + 1) sends
+    distinct monomials to distinct powers of t.  Its coefficients lie below
+    2^(B-1) in absolute value, so the univariate image vanishes at t = 2^B
+    only when it is zero.  One big-integer Horner evaluation per component
+    then decides f_j(g) = x_j (Kronecker substitution; Harvey, J. Symb.
+    Comp. 44, 2009).  An image above ``KRONECKER_MAX_BITS`` bits, as for
+    sparse maps of high degree, falls back to expanding f o g.
     """
     if not (f.is_square and g.is_square) or f.source_dim != g.source_dim:
         raise ValueError("inverse verification requires square maps of equal dimension")
-    return f.compose(g) == PolyMap.identity(g.vars)
+    identity = PolyMap.identity(g.vars)
+    same = composition_equals(f.components, g.components, identity.components)
+    if same is None:
+        same = f.compose(g) == identity
+    return same
 
 
 def parse_map_text(text: str) -> PolyMap:

@@ -7,7 +7,14 @@ from pathlib import Path
 
 import pytest
 
-from polyproper import PolyMap, parse_map_text, parse_polynomial, verify_inverse
+from polyproper import (
+    PolyMap,
+    Polynomial,
+    parse_map_text,
+    parse_polynomial,
+    polymap,
+    verify_inverse,
+)
 from conftest import random_map, random_point
 
 V2 = ("x", "y")
@@ -115,8 +122,8 @@ def test_verify_inverse(shear_map, shear_inverse):
     assert not verify_inverse(shear_map, PolyMap.identity(("p", "q", "r")))
 
 
-def test_verify_inverse_expands_one_composition(monkeypatch):
-    """f o g = id already proves g o f = id, so a tame pair costs one compose."""
+def test_verify_inverse_decides_one_kronecker_image(monkeypatch):
+    """f o g = id already proves g o f = id, and it is decided without expanding f o g."""
     spec = importlib.util.spec_from_file_location("bench_generators", GENERATORS)
     generators = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, generators)  # its dataclasses look it up
@@ -128,18 +135,23 @@ def test_verify_inverse_expands_one_composition(monkeypatch):
     g = parse_map_text(generators.map_text(names, inverse))
     g_bad = parse_map_text(generators.map_text(names, [inverse[0] + " + 1", *inverse[1:]]))
 
+    def expansion(*args):
+        raise AssertionError("verify_inverse expanded a composition")
+
+    monkeypatch.setattr(PolyMap, "compose", expansion)
+    monkeypatch.setattr(Polynomial, "substitute", expansion)
     calls = []
-    compose = PolyMap.compose
+    kernel = polymap.composition_equals
 
-    def counting_compose(self, inner):
-        calls.append((self, inner))
-        return compose(self, inner)
+    def recording_kernel(outer, images, expected):
+        calls.append((tuple(outer), tuple(images)))
+        return kernel(outer, images, expected)
 
-    monkeypatch.setattr(PolyMap, "compose", counting_compose)
-    assert verify_inverse(f, g)
-    assert calls == [(f, g)]
-    assert not verify_inverse(f, g_bad)
-    assert calls == [(f, g), (f, g_bad)]
+    monkeypatch.setattr(polymap, "composition_equals", recording_kernel)
+    assert verify_inverse(f, g) is True
+    assert calls == [(f.components, g.components)]
+    assert verify_inverse(f, g_bad) is False
+    assert calls == [(f.components, g.components), (f.components, g_bad.components)]
 
 
 def test_verify_inverse_implies_nonsingular(shear_map, shear_inverse):
