@@ -50,23 +50,19 @@ given target.  The map's :class:`TargetPlan` is the cascade of (g - y') with
 y' = M·y symbolic that kills x_1..x_{n-1}, the same one ``nonproperness_set``
 reads the last coordinate's relation from (Jelonek 1993), built on first
 use and kept on the map.  :func:`geometric_degree` samples 50 targets of
-one map, so it builds the plan and eliminates once per map.
-:func:`solve_fiber` and :func:`fiber_count` use the plan when the map
-already holds a usable one and take the per-target path otherwise: they
-never build a plan themselves.  A triangular plan counts one point at each
-target where its final's leading coefficient A(y') is nonzero; there
-:func:`solve_fiber` and :func:`fiber_count` compute the point exactly, and
-raise ``ValueError`` when a coordinate of it overflows a float.  A target
-where A(y') vanishes, and every target of any other plan, has its stage
-pivots and final specialised exactly
-(:class:`polyproper.poly.Specialisation`); the finals of all such targets
-are rooted in one call, and they go through the same back-substitution and
-Newton code as one batch.  A target is solved on the per-target path
-instead, on its own, when the plan's cascade has a problem
-(:attr:`polyproper.elimination.EliminationResult.problem`) or is over
-budget; when its final or some pivot vanishes at the target; and when one
-of its branches degenerates during back-substitution.  A nonzero constant
-final means the fiber is empty.
+one map, so it builds the plan and eliminates once per map.  Each sampled
+target that A(y') does not count has its stage pivots and final
+specialised exactly (:class:`polyproper.poly.Specialisation`); their
+finals are rooted in one call, and they go through back-substitution and
+Newton as one batch.  A target goes to the per-target path on its own when
+the plan has a ``problem`` or is over budget, when its final or some pivot
+vanishes at it, or when one of its branches degenerates or overflows
+during back-substitution.  A nonzero constant final means the fiber is
+empty.  :func:`solve_fiber` and :func:`fiber_count` build no plan and take
+the per-target path, except where the map holds a triangular plan and
+A(y') is nonzero: there they return its exact point, or raise
+``ValueError`` when a coordinate of it overflows a float.  A batch of one
+target gives the per-target fiber bit for bit.
 
 The plan is built under an exact-work budget,
 :data:`polyproper.elimination.MAX_SYMBOLIC_WORK` term pairs of the product
@@ -233,10 +229,11 @@ class TargetPlan:
     ``targets``, which name y', or None when the cascade needed more than
     :data:`MAX_SYMBOLIC_WORK` (``reason`` then says so).  A usable plan
     (its cascade ends with one final, with no ``problem``) is
-    specialised at numeric targets y by :meth:`at`; a triangular one also
-    tells from A(y') alone where a fiber is one point
-    (:meth:`single_point_at`) and gives that point exactly
-    (:meth:`exact_point`).
+    specialised at numeric targets y by :meth:`at`, for the batch of
+    :func:`geometric_degree` only.  A triangular one also tells from A(y')
+    alone where a fiber is one point (:meth:`single_point_at`), which
+    :func:`geometric_degree` counts, and gives that point exactly
+    (:meth:`exact_point`), which :func:`solve_fiber` returns.
     """
 
     __slots__ = ("targets", "echelon", "result", "reason", "_specialisation", "_triangular")
@@ -394,32 +391,22 @@ def _planned_fibers(
 ) -> list[list[FiberSolution] | PositiveDimensionalFiberError]:
     """The fiber over each target in ``ys``, solved as one batch through the :class:`TargetPlan`.
 
-    Where the plan is triangular, a target's fiber is its one exact point
-    (:meth:`TargetPlan.exact_point`), whose residual is computed, by one
-    evaluation of f at all such points, and reported, not tested.  The
-    other targets are specialised exactly, the finals of all of them are
-    rooted in one :func:`roots_of_each` call and their back-substitution
-    and Newton run as one batch.  A nonzero constant final means the fiber
-    is empty.  A target goes to the per-target path (:func:`_cascade_fiber`)
-    on its own when the plan is not usable, when its final or some pivot
-    vanishes at it, or when one of its branches degenerates during
+    It serves :func:`geometric_degree` alone, which counts the targets where
+    a triangular plan's A(y') is nonzero before the batch.  Each target is
+    specialised exactly, the finals of all of them are rooted in one
+    :func:`roots_of_each` call and their back-substitution and Newton run
+    as one batch.  A nonzero constant final means the fiber is empty.  A
+    target goes to the per-target path (:func:`_cascade_fiber`) on its own
+    when the plan is not usable, when its final or some pivot vanishes at
+    it, or when one of its branches degenerates or overflows during
     back-substitution; the error of a positive-dimensional fiber takes its
-    place in the list.  Raises ``ValueError`` when A(y') != 0 at a target
-    of a triangular plan (:meth:`TargetPlan.single_point_at`) but the point
-    overflows a float.
+    place in the list.
     """
     out: list = [None] * len(ys)
     plan = target_plan(f)
     if plan.usable:
-        exact: dict[int, tuple[complex, ...]] = {}
         batch, pivots, finals = [], [], []
         for i, y in enumerate(ys):
-            point = plan.exact_point(y)
-            if point is not None:
-                exact[i] = point
-                continue
-            if plan.single_point_at(y):  # A(y') != 0, so the point overflows
-                raise ValueError(f"the fiber point over {tuple(y)} lies beyond float range")
             stage_pivots, (final,) = plan.at(y)
             if not final or not all(stage_pivots):
                 continue
@@ -429,23 +416,16 @@ def _planned_fibers(
             batch.append(i)
             pivots.append(stage_pivots)
             finals.append(poly_to_coeffs(final))
-        if exact:
-            ev = f.evaluator()
-            vals, _ = ev.values(ev.powers(np.array(list(exact.values()), dtype=complex)))
-            targets = np.array([ys[i] for i in exact], dtype=complex).reshape(vals.shape)
-            residuals = np.hypot.reduce(np.abs(vals - targets), axis=1).tolist()
-            for (i, point), residual in zip(exact.items(), residuals):
-                out[i] = [FiberSolution(point, residual, multiple=False)]
         if batch:
             stages = [
                 (stage.var, stage.mode, [p[k] for p in pivots])
                 for k, stage in enumerate(plan.result.stages)
             ]
-            fibers, degenerate = _back_substitute(
+            fibers, failures = _back_substitute(
                 f, [ys[i] for i in batch], stages, roots_of_each(finals), tol
             )
-            for i, fiber, bad in zip(batch, fibers, degenerate):
-                if not bad:
+            for i, fiber, failure in zip(batch, fibers, failures):
+                if not failure:
                     out[i] = fiber
     for i, y in enumerate(ys):
         if out[i] is None:
@@ -462,38 +442,42 @@ def solve_fiber(
     """All isolated solutions of f(x) = y, exact or Newton-refined and deduplicated.
 
     Raises :class:`PositiveDimensionalFiberError` when the elimination
-    detects a non-isolated fiber, and ``ValueError`` when the one point of a
-    triangular plan's fiber lies beyond float range.
+    detects a non-isolated fiber, and ``ValueError`` when a point of the
+    fiber lies beyond float range.
 
-    When the map already holds a usable :class:`TargetPlan`, the fiber is
-    solved through it (:func:`_planned_fibers`); otherwise, and where the
-    plan does not apply at y, on the per-target path.  No plan is built
-    here.
-
-    A triangular plan gives the fiber's one point exactly
+    When the map already holds a triangular :class:`TargetPlan` and A(y')
+    is nonzero, the fiber is the plan's one point, computed exactly
     (:meth:`TargetPlan.exact_point`): the point is simple, each coordinate
     is the exact value rounded once, and its residual ||f(x) - y|| is
-    reported, not tested against ``tol``.  Every other returned solution,
-    refined by Newton, has ||f(x) - y|| < tol, or a residual within the
-    round-off of evaluating f at it (:data:`polyproper.numeric.ROUNDOFF`
-    times its term-magnitude sum), where no Newton step can lower it.
+    reported, not tested against ``tol``.  Every other fiber is solved on
+    the per-target path (:func:`_cascade_fiber`), and no plan is built
+    here.  Each of its solutions, refined by Newton, has ||f(x) - y|| <
+    tol, or a residual within the round-off of evaluating f at it
+    (:data:`polyproper.numeric.ROUNDOFF` times its term-magnitude sum),
+    where no Newton step can lower it.
     """
     _check_scale(f)
     if len(y) != f.target_dim:
         raise ValueError(f"target has dimension {len(y)}, expected {f.target_dim}")
-    if f._target_plan is None:
-        return _cascade_fiber(f, y, tol)
-    (fiber,) = _planned_fibers(f, [y], tol)
-    if isinstance(fiber, PositiveDimensionalFiberError):
-        raise fiber
-    return fiber
+    plan = f._target_plan
+    if plan is not None:
+        point = plan.exact_point(y)
+        if point is not None:
+            ev = f.evaluator()
+            (vals,), _ = ev.values(ev.powers(np.array([point], dtype=complex)))
+            residual = float(np.hypot.reduce(np.abs(vals - np.array(y, dtype=complex))))
+            return [FiberSolution(point, residual, multiple=False)]
+        if plan.single_point_at(y):  # A(y') != 0, so the point overflows
+            raise _beyond_float_range(y)
+    return _cascade_fiber(f, y, tol)
 
 
 def _cascade_fiber(f: PolyMap, y: Sequence[complex], tol: float) -> list[FiberSolution]:
     """The fiber over y on the per-target path: the cascade of (f - y) at y.
 
     Raises ``ValueError`` when the final is linear but its root lies beyond
-    float range.
+    float range, or when no branch survives and some pivot overflowed
+    during back-substitution.
     """
     res = eliminate(_shifted_system(f, y), list(f.vars[:-1]))
     if res.inconsistent:
@@ -503,14 +487,16 @@ def _cascade_fiber(f: PolyMap, y: Sequence[complex], tol: float) -> list[FiberSo
     stages = [(stage.var, stage.mode, [stage.pivot]) for stage in res.stages]
     coeffs = poly_to_coeffs(res.finals[0])
     if len(coeffs) == 2 and not abs(coeffs[0]) <= abs(coeffs[1]) * sys.float_info.max:
-        raise ValueError(f"the fiber point over {tuple(y)} lies beyond float range")
+        raise _beyond_float_range(y)
     roots = univariate_roots(coeffs)
-    (solutions,), (degenerate,) = _back_substitute(f, [y], stages, [roots], tol)
-    if not solutions and degenerate:
-        raise PositiveDimensionalFiberError(
-            "all candidate branches degenerated during back-substitution"
-        )
+    (solutions,), (failure,) = _back_substitute(f, [y], stages, [roots], tol)
+    if not solutions and failure:
+        raise failure
     return solutions
+
+
+def _beyond_float_range(y: Sequence[complex]) -> ValueError:
+    return ValueError(f"the fiber point over {tuple(y)} lies beyond float range")
 
 
 def _back_substitute(
@@ -519,7 +505,7 @@ def _back_substitute(
     stages: Sequence[tuple[str, str, Sequence[Polynomial]]],
     roots: Sequence[RootSet],
     tol: float,
-) -> tuple[list[list[FiberSolution]], list[bool]]:
+) -> tuple[list[list[FiberSolution]], list[Exception | None]]:
     """The fiber points that the cascades at a batch of targets lead to.
 
     ``ys`` are the targets and ``roots`` the roots of each target's final
@@ -533,8 +519,11 @@ def _back_substitute(
     candidates that the resultant brought in off the fiber, so they are
     neither refined nor counted as branches that a solution absorbed;
     without a resultant stage every candidate lies on the fiber.  Returns
-    each target's solutions and whether some branch of it degenerated (its
-    pivot vanished identically at the branch's partial point).
+    each target's solutions and what its fiber raises should none survive:
+    :class:`PositiveDimensionalFiberError` when some branch degenerated (its
+    pivot vanished identically at the branch's partial point), else
+    ``ValueError`` when some branch's pivot overflowed a float there, else
+    None.
     """
     column = {v: i for i, v in enumerate(f.vars)}
     owner = np.array([t for t, rs in enumerate(roots) for _ in rs.roots], dtype=np.intp)
@@ -542,7 +531,7 @@ def _back_substitute(
     points[:, column[f.vars[-1]]] = [r.value for rs in roots for r in rs.roots]
     mults = [r.multiplicity for rs in roots for r in rs.roots]
 
-    degenerate = [False] * len(ys)
+    failures: list[Exception | None] = [None] * len(ys)
     for var, _, pivots in reversed(stages):
         if not mults:
             break
@@ -550,7 +539,11 @@ def _back_substitute(
         view = _UnivariateView(pivots, var)
         for k, (t, coeffs) in enumerate(zip(owner.tolist(), view.specialize(points, owner))):
             if coeffs is None:
-                degenerate[t] = True
+                failures[t] = PositiveDimensionalFiberError(
+                    "all candidate branches degenerated during back-substitution"
+                )
+            elif not coeffs:  # the pivot overflowed at the branch's partial point
+                failures[t] = failures[t] or _beyond_float_range(ys[t])
             elif len(coeffs) > 1:  # a nonzero constant: the branch has no extension
                 extended.append(k)
                 rows.append(coeffs)
@@ -576,7 +569,7 @@ def _back_substitute(
     ):
         if ok:
             refined[t].append((tuple(point), residual, mult))
-    return [_deduplicated(candidates) for candidates in refined], degenerate
+    return [_deduplicated(candidates) for candidates in refined], failures
 
 
 class _UnivariateView:
@@ -609,14 +602,16 @@ class _UnivariateView:
         trimmed while it is within round-off of its own term-magnitude sum;
         an entry is None when the whole polynomial collapses to zero
         relative to the largest term that was summed (a degenerate
-        specialization).
+        specialization), and empty when some term overflows a float.
         """
-        mono = self.table.monomials(power_tables(points, self.table.degrees))
-        abs_mono = np.abs(mono)
-        values = np.einsum("rt,trk->rk", mono, self.coeffs[:, owner]).tolist()
-        sums = np.einsum("rt,trk->rk", abs_mono, self.abs_coeffs[:, owner]).tolist()
-        bounds = (abs_mono * self.max_abs[:, owner].T).max(axis=1).tolist()
-        return [_trim(*row) for row in zip(values, sums, bounds)]
+        with np.errstate(over="ignore", invalid="ignore"):  # a point beyond float range
+            mono = self.table.monomials(power_tables(points, self.table.degrees))
+            abs_mono = np.abs(mono)
+            values = np.einsum("rt,trk->rk", mono, self.coeffs[:, owner]).tolist()
+            sums = np.einsum("rt,trk->rk", abs_mono, self.abs_coeffs[:, owner])
+            bounds = (abs_mono * self.max_abs[:, owner].T).max(axis=1).tolist()
+        rows = zip(values, sums.tolist(), bounds)
+        return [_trim(*row) if ok else [] for row, ok in zip(rows, np.isfinite(sums).all(axis=1))]
 
 
 def _trim(coeffs: list[complex], sums: list[float], bound: float) -> list[complex] | None:
@@ -697,15 +692,16 @@ def _newton_batch(
     live = np.arange(len(x))
     y = np.broadcast_to(y, x.shape)
     abs_y = np.abs(y)
-    exact_floor = 1e-15 * (1.0 + np.linalg.norm(y, axis=1))
+    # hypot does not square its entries, so a norm overflows only where an entry does
+    exact_floor = 1e-15 * (1.0 + np.hypot.reduce(abs_y, axis=1))
     for it in range(iters + 1):
         if not live.size:
             break
         tables = ev.powers(x[live])
         vals, sums = ev.values(tables)
         r = vals - y[live]
-        res = np.linalg.norm(r, axis=1)
-        floor = ROUNDOFF * np.linalg.norm(sums + abs_y[live], axis=1)
+        res = np.hypot.reduce(np.abs(r), axis=1)
+        floor = ROUNDOFF * np.hypot.reduce(sums + abs_y[live], axis=1)
         if screen and not it:
             off = ~(res * ROUNDOFF <= SCREEN_RESIDUAL * floor)
             res[off] = floor[off] = np.inf

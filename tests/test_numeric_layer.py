@@ -127,7 +127,10 @@ class TestBatchedNewton:
 
 
 def test_newton_returns_the_roundoff_floor_at_the_best_iterate(shear_map):
-    """The floor _newton_batch returns is ROUNDOFF * ||sums + |y||| recomputed at its best iterate."""
+    """The floor _newton_batch returns is ROUNDOFF * ||sums + |y||| recomputed at its best iterate.
+
+    Both norms are taken by hypot, which does not square the entries.
+    """
     rng = np.random.default_rng(11)
     x0 = rng.standard_normal((24, 3)) + 1j * rng.standard_normal((24, 3))
     x0[:, 2] *= np.repeat([1.0, 1e3, 1e7], 8)  # up to where the floor exceeds 1e-8
@@ -138,10 +141,10 @@ def test_newton_returns_the_roundoff_floor_at_the_best_iterate(shear_map):
     starts = x0 + noise * np.tile([1e-3, 0.3], 12)[:, None] * np.abs(x0)
     best, res, floor = _newton_batch(ev, y, starts)
     vals, sums = ev.values(ev.powers(best))
-    assert np.array_equal(res, np.linalg.norm(vals - y, axis=1))
+    assert np.array_equal(res, np.hypot.reduce(np.abs(vals - y), axis=1))
     # one matmul over the whole batch may round its last bit unlike the live subsets
     np.testing.assert_allclose(
-        floor, ROUNDOFF * np.linalg.norm(sums + np.abs(y), axis=1), rtol=1e-14, atol=0
+        floor, ROUNDOFF * np.hypot.reduce(sums + np.abs(y), axis=1), rtol=1e-14, atol=0
     )
     assert (res <= floor).any() and (res > floor).any()
 

@@ -31,7 +31,7 @@ from polyproper.solver import (
     solve_fiber,
     target_plan,
 )
-from conftest import bench_generators, dense_pool
+from conftest import DENSE_KEYS, bench_generators, dense_pool
 
 #: The benchmark's tame automorphism pool: generator seed and maps per rung.
 TAME_POOL_SEED = 2018
@@ -251,7 +251,57 @@ def test_solve_fiber_counts_same_with_and_without_a_plan(name, special, monkeypa
     cascade = solver._cascade_fiber
     monkeypatch.setattr(solver, "_cascade_fiber", lambda *a: cascades.append(a[1]) or cascade(*a))
     assert _fiber_counts(f, ys) == before
-    assert all(y in special for y in cascades)
+    # the cascade runs exactly where the plan has no exact point: at every
+    # target of x2-y, at the special targets of x-xy and nowhere else
+    assert cascades == [y for y in ys if target_plan(f).exact_point(y) is None]
+    assert cascades == (ys if name == "x2-y" else special)
+
+
+@pytest.mark.parametrize("name", ["x2-y"] + DENSE_KEYS)
+def test_solve_fiber_gives_equal_fibers_with_and_without_a_plan(name):
+    """A plan without an exact point at y leaves solve_fiber's fiber as it was, bit for bit."""
+    f = parse_map_text(X2_Y_TEXT if name == "x2-y" else dense_pool()[name][0])
+    rng = np.random.default_rng(37)
+    ys = [sample_target(rng, f.target_dim) for _ in range(12)]
+    before = [solve_fiber(f, y) for y in ys]
+    target_plan(f)
+    assert [solve_fiber(f, y) for y in ys] == before
+
+
+def _no_batch(*args):
+    raise AssertionError("solve_fiber solved its one target as a batch through the plan")
+
+
+@pytest.mark.parametrize(
+    "name, special",
+    [("example-3-6", []), ("x-xy", [(0, 1), (0, 0)]), ("x2-y", []), ("2x6#0", []), ("3x3#1", [])],
+)
+def test_solve_fiber_with_a_plan_never_takes_the_batch(name, special, monkeypatch):
+    """The plan gives solve_fiber its exact point or nothing; 3x3#1's plan is over budget."""
+    texts = {"example-3-6": EXAMPLE_3_6_TEXT, "x-xy": X_XY_TEXT, "x2-y": X2_Y_TEXT}
+    f = parse_map_text(texts.get(name) or dense_pool()[name][0])
+    target_plan(f)
+    monkeypatch.setattr(solver, "_planned_fibers", _no_batch)
+    monkeypatch.setattr(solver.TargetPlan, "at", _no_batch)
+    rng = np.random.default_rng(41)
+    ys = special + [sample_target(rng, f.target_dim) for _ in range(3)]
+    counts = _fiber_counts(f, ys)
+    assert counts[: len(special)] == [0, "positive-dimensional"][: len(special)]
+    assert all(isinstance(c, int) and c > 0 for c in counts[len(special) :])
+
+
+def test_planned_fibers_computes_no_exact_point(monkeypatch):
+    """geometric_degree counts the targets with an exact point before its batch.
+
+    So the batch solves every target it is given through the specialised
+    plan, also where a triangular plan would have an exact point.
+    """
+    f = parse_map_text(X_XY_TEXT)
+    for name in ("exact_point", "single_point_at"):
+        monkeypatch.setattr(solver.TargetPlan, name, _no_point)
+    empty, line, (point,) = _planned_fibers(f, [(0, 1), (0, 0), (3, 6)], 1e-8)
+    assert empty == [] and isinstance(line, PositiveDimensionalFiberError)
+    assert max(abs(a - b) for a, b in zip(point.point, (3, 2))) < 1e-12
 
 
 def test_over_budget_plan_gives_same_histogram(monkeypatch):
@@ -304,6 +354,21 @@ def test_dense_map_over_budget_falls_back_to_per_target():
     est = geometric_degree(f, n_samples=3, seed=5)
     assert target_plan(f).result is None
     assert (est.histogram, est.degenerate) == _per_target_histogram(_dense_map("3x3#1"), 3, 5)
+
+
+@pytest.mark.xfail(
+    strict=True, reason="a point is lost next to the final's six-fold factor: ROADMAP items 2-3"
+)
+def test_dense_3x3_1_fiber_of_the_seed_1915_bench_target():
+    """The benchmark's second dense-fibers target of 3x3#1 at seed 1915 has 14 points.
+
+    13 are found, none flagged ``multiple``; bench/frozen.json lists it as
+    a known defect of the dense-fibers workload.
+    """
+    f = _dense_map("3x3#1")
+    rng = np.random.default_rng([1915, 3, 3, 1])
+    sample_target(rng, 3)
+    assert fiber_count(f, sample_target(rng, 3)) == 14
 
 
 def test_dense_fiber_keeps_root_with_small_leading_coefficient():
@@ -419,18 +484,40 @@ def test_triangular_fiber_beyond_float_range_raises():
     The final is still linear at the target, so the fiber is not empty; the
     numeric route would overflow and report none.  A fresh map, which holds
     no plan, raises on the per-target path too, also where the final's
-    leading coefficient underflows once the coefficients are scaled.
+    leading coefficient underflows once the coefficients are scaled.  On
+    (y, x + y^10) the final y - y1 is fine and the point's x = -y1^10
+    overflows during back-substitution; the per-target path raised
+    "all candidate branches degenerated" there.
     """
-    for target in ((1e31, 0), (1e40, 0)):
-        fresh = PolyMap.from_exprs(("x", "y"), ["x", "y + x^10"])
-        with pytest.raises(ValueError, match="beyond float range"):
-            solve_fiber(fresh, target)
-        assert fresh._target_plan is None
+    for exprs in (["x", "y + x^10"], ["y", "x + y^10"]):
+        for target in ((1e31, 0), (1e40, 0)):
+            fresh = PolyMap.from_exprs(("x", "y"), exprs)
+            with pytest.raises(ValueError, match="beyond float range"):
+                solve_fiber(fresh, target)
+            assert fresh._target_plan is None
     f = PolyMap.from_exprs(("x", "y"), ["x", "y + x^10"])
     assert target_plan(f).exact_point((1e31, 0)) is None
     with pytest.raises(ValueError, match="beyond float range"):
         solve_fiber(f, (1e31, 0))
     assert fiber_count_diagnostic(f, (1e31, 0), 1).verdict == "undetermined"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_newton_near_float_range_keeps_its_point():
+    """Over (2e30, 1) the point of (y, x + y^10) has x = 1 - y1^10, about -1.024e303.
+
+    Newton's residual and round-off floor there square entries of about
+    1e303 if taken by ``np.linalg.norm``; the floor overflowed to inf, the
+    point was rejected and a fresh map's fiber came back empty.
+    """
+    fresh = PolyMap.from_exprs(("x", "y"), ["y", "x + y^10"])
+    (point,) = solve_fiber(fresh, (2e30, 1))
+    assert fresh._target_plan is None
+    f = PolyMap.from_exprs(("x", "y"), ["y", "x + y^10"])
+    target_plan(f)
+    (exact,) = solve_fiber(f, (2e30, 1))
+    assert exact.point == ((1 - int(2e30) ** 10) / 1, 2e30)
+    np.testing.assert_allclose(point.point, exact.point, rtol=1e-15, atol=0)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
