@@ -63,7 +63,11 @@ class TermTable:
         for j, p in enumerate(polys):
             den = p.den
             for e, re, im in p.stored_terms():
-                entries.append((rows.setdefault(e, len(rows)), j, complex(re / den, im / den)))
+                try:
+                    c = complex(re / den, im / den)
+                except OverflowError:
+                    raise ValueError("a coefficient lies beyond float range") from None
+                entries.append((rows.setdefault(e, len(rows)), j, c))
         coeffs = np.zeros((len(rows), len(polys)), dtype=complex)
         for t, j, c in entries:
             coeffs[t, j] = c

@@ -9,15 +9,20 @@ map (one row), it reduces to the Euclidean norm of the gradient.
 Root finding uses companion-matrix eigenvalues with Newton polishing and
 cluster merging, which is robust through the desk-scale degrees (~30) this
 package targets.  It works on batches: :func:`roots_of_each` solves many
-polynomials at once, a degree-1 row in closed form and the rows of each
-higher degree with one eigensolve of their stacked companion matrices and
-one vectorised Horner polish of all their roots; only rows with roots
-within each other's rounding reach go through the per-row cluster merge.
-:func:`univariate_roots` is a batch of one.  Every polynomial value and
-derivative, in the polish, the isolation test and the cluster merge, comes
-from one vectorised Horner evaluator (:func:`_horner`, :func:`_derivative`),
-and the isolation test and the merge take a root's reach from one formula
-(:func:`_rounding_radii`), so they see the same reach.
+polynomials at once.  A row whose k lowest coefficients are exactly zero
+gets the root 0 with multiplicity k, exactly, and only the shifted row goes
+on: the per-target finals of the solver carry such a factor z^k where
+every target shares roots at infinity, and rooted numerically it would
+take the cluster merge below.  A degree-1 row is solved in closed form
+and the rows of each higher degree with one eigensolve of their stacked
+companion matrices and one vectorised Horner polish of all their roots;
+only rows with roots within each other's rounding reach go through the
+per-row cluster merge.  :func:`univariate_roots` is a batch of one.  Every
+polynomial value and derivative, in the polish, the isolation test and the
+cluster merge, comes from one vectorised Horner evaluator (:func:`_horner`,
+:func:`_derivative`), and the isolation test and the merge take a root's
+reach from one formula (:func:`_rounding_radii`), so they see the same
+reach.
 """
 
 from __future__ import annotations
@@ -66,7 +71,7 @@ def smallest_singular_value(matrix) -> float:
 class Root:
     value: complex
     multiplicity: int
-    residual: float  # |p(value)|, unnormalized
+    residual: float  # |q(value)|, unnormalized, q the row without its zero low coefficients
 
 
 @dataclass(frozen=True)
@@ -102,8 +107,11 @@ def univariate_roots(coeffs: Sequence[complex]) -> RootSet:
 def roots_of_each(rows: Sequence[Sequence[complex]]) -> list[RootSet]:
     """The :class:`RootSet` of each row of ascending coefficients, found as one batch.
 
-    Every row must stay nonconstant once trailing zeros are trimmed.  The
-    root of a degree-1 row is -c0/c1.  The rows of each higher degree are
+    Every row must stay nonconstant once trailing zeros are trimmed.  A row
+    z^k * q(z) with q(0) != 0, its k lowest coefficients exactly zero, has
+    the root 0 of multiplicity exactly k, with residual 0, and the roots of
+    q found as those of a row of its own; a constant q adds none.  The
+    root of a degree-1 q is -c0/c1.  The rows q of each higher degree are
     solved together: one eigensolve of their stacked companion matrices,
     then Newton polishing of all their roots at once (:func:`_polish`).
     Polished roots closer than :data:`CLUSTER_RADIUS` merge into one root,
@@ -114,15 +122,24 @@ def roots_of_each(rows: Sequence[Sequence[complex]]) -> list[RootSet]:
     does not depend on the other rows of the batch.
     """
     trimmed = [_trimmed(c) for c in rows]
+    # c = z^k * q(z) with q(0) != 0: the root 0 is exact, and only q is solved
+    zeros = [0 if c[0] else next(k for k, x in enumerate(c) if x) for c in trimmed]
     by_degree: dict[int, list[int]] = {}
-    for i, c in enumerate(trimmed):
-        by_degree.setdefault(len(c) - 1, []).append(i)
+    for i, (c, k) in enumerate(zip(trimmed, zeros)):
+        by_degree.setdefault(len(c) - k - 1, []).append(i)
     out: list = [None] * len(trimmed)
-    for members in by_degree.values():
-        coeffs = np.array([trimmed[i] for i in members], dtype=complex)
-        norms = np.array([max(map(abs, trimmed[i])) for i in members])
-        for i, root_set in zip(members, _roots_of_degree(coeffs, norms)):
-            out[i] = root_set
+    for deg, members in by_degree.items():
+        shifted = [trimmed[i][zeros[i] :] for i in members]
+        norms = [max(map(abs, q)) for q in shifted]
+        if deg:
+            found = _roots_of_degree(np.array(shifted, dtype=complex), np.array(norms))
+        else:
+            found = [[] for _ in members]
+        for i, roots, norm in zip(members, found, norms):
+            if zeros[i]:
+                roots.append(Root(0j, zeros[i], 0.0))
+            roots.sort(key=lambda r: (r.value.real, r.value.imag))
+            out[i] = RootSet(tuple(roots), len(trimmed[i]) - 1, norm)
     return out
 
 
@@ -137,18 +154,15 @@ def _trimmed(coeffs: Sequence[complex]) -> list[complex]:
     return c
 
 
-def _roots_of_degree(coeffs: np.ndarray, norms: np.ndarray) -> list[RootSet]:
-    """The root sets of the rows of a k x (deg + 1) coefficient array, max |c| ``norms``."""
+def _roots_of_degree(coeffs: np.ndarray, norms: np.ndarray) -> list[list[Root]]:
+    """The roots of each row of a k x (deg + 1) coefficient array, max |c| ``norms``."""
     k, deg = coeffs.shape[0], coeffs.shape[1] - 1
     arr = coeffs / norms[:, None]
     if deg == 1:
         with np.errstate(over="ignore", invalid="ignore"):  # a root beyond float range
             values = -coeffs[:, 0] / coeffs[:, 1]
             residuals = np.abs(_horner(arr, values)) * norms
-        return [
-            RootSet((Root(z, 1, r),), 1, n)
-            for z, r, n in zip(values.tolist(), residuals.tolist(), norms.tolist())
-        ]
+        return [[Root(z, 1, r)] for z, r in zip(values.tolist(), residuals.tolist())]
     # companion matrices of the monic normalizations
     comp = np.zeros((k, deg, deg), dtype=complex)
     comp[:, 1:, :-1] = np.eye(deg - 1)
@@ -163,16 +177,13 @@ def _roots_of_degree(coeffs: np.ndarray, norms: np.ndarray) -> list[RootSet]:
     close = (dist < CLUSTER_RADIUS) | (dist <= np.minimum(reach[:, :, None], reach[:, None, :]))
     close[:, np.arange(deg), np.arange(deg)] = False
     isolated = (np.isfinite(polished).all(axis=1) & ~close.any(axis=(1, 2))).tolist()
-    out = []
     rows_out = zip(arr, polished.tolist(), residuals, norms.tolist(), isolated)
-    for row, points, res, norm, alone in rows_out:
-        if alone:
-            roots = [Root(z, 1, r) for z, r in zip(points, res)]
-        else:
-            roots = _clustered_roots(row, points, norm)
-        roots.sort(key=lambda r: (r.value.real, r.value.imag))
-        out.append(RootSet(tuple(roots), deg, norm))
-    return out
+    return [
+        [Root(z, 1, r) for z, r in zip(points, res)]
+        if alone
+        else _clustered_roots(row, points, norm)
+        for row, points, res, norm, alone in rows_out
+    ]
 
 
 def _clustered_roots(arr: np.ndarray, polished: list[complex], norm: float) -> list[Root]:

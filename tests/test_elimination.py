@@ -13,6 +13,7 @@ from polyproper.elimination import (
     exact_div,
     gcd_poly,
     lead_in,
+    linear_solution,
     normalized,
     poly_matrix_det,
     pseudo_rem,
@@ -356,3 +357,95 @@ class TestCascade:
         res = eliminate(system, ["x"])
         assert len(res.finals) == 1
         assert normalized(res.finals[0]) == normalized(P("2*y^2 - 1"))
+
+
+class TestIteratedResultantFactor:
+    """A stage kills x with a*x + b and two partners; the next kills y from their two resultants.
+
+    Res_y(Res_x(p, g2), Res_x(p, g3)) has the factor Res_y(a, b)^(d2*d3),
+    d2 and d3 the partners' degrees in x (Busé and Mourrain, Math. Comp. 78,
+    2009); the cascade's final is the iterated resultant with it divided out.
+    """
+
+    @staticmethod
+    def iterated(p: Polynomial, g2: Polynomial, g3: Polynomial) -> Polynomial:
+        """Res_y(Res_x(p, g2), Res_x(p, g3)) from Sylvester determinants."""
+        r2, r3 = (poly_matrix_det(sylvester_matrix(p, g, "x")) for g in (g2, g3))
+        return poly_matrix_det(sylvester_matrix(r2, r3, "y"))
+
+    @staticmethod
+    def cascade(system, monkeypatch) -> tuple:
+        """Kill x then y: the result, its stages and (resultant, quotient) per division tried."""
+        divided = []
+
+        def spy(r, *args):
+            quotient = without_extraneous(r, *args)
+            divided.append((r, quotient))
+            return quotient
+
+        without_extraneous = elimination._without_extraneous
+        with monkeypatch.context() as m:
+            m.setattr(elimination, "_without_extraneous", spy)
+            res = eliminate(system, ["x", "y"])
+        stages = [(s.var, s.mode) for s in res.stages]
+        return res, stages, divided
+
+    def test_final_times_the_factor_is_the_iterated_resultant(self, monkeypatch):
+        rng = random.Random(29)
+        x = Polynomial.variable(V3, "x")
+        checked = 0
+        for _ in range(1000):
+            a, b = (random_nonzero_polynomial(rng, ("y", "z"), 2, 3) for _ in range(2))
+            g2, g3 = (random_nonzero_polynomial(rng, V3, 3, 4) for _ in range(2))
+            if min(a.degree_in("y"), b.degree_in("y"), g2.degree_in("x"), g3.degree_in("x")) < 1:
+                continue
+            factor = poly_matrix_det(sylvester_matrix(a, b, "y"))
+            p = _lift_yz(a) * x + _lift_yz(b)
+            if factor.is_constant() or any(linear_solution(q, v) for q in (p, g2, g3) for v in V3):
+                continue  # no substitution or inter-reduction runs before the first stage
+            res, stages, divided = self.cascade([p, g2, g3], monkeypatch)
+            if stages != [("x", "resultant"), ("y", "resultant")] or not divided or res.problem:
+                continue  # the resultants of the first stage were reduced before the second
+            (final,) = res.finals
+            k = g2.degree_in("x") * g3.degree_in("x")
+            assert divided == [(final * _lift_yz(factor) ** k, final)]
+            assert normalized(final * _lift_yz(factor) ** k) == normalized(self.iterated(p, g2, g3))
+            checked += 1
+        assert checked >= 20
+
+    def test_constant_factor_divides_nothing(self, monkeypatch):
+        """Res_y(y + z, y + z + 1) = 1: a and b never vanish together."""
+        p = P("(y + z)*x + y + z + 1", V3)
+        g2 = P("x^2*y + z^2 - 3*y^2 + 2", V3)
+        g3 = P("x*y^2 - z^2*x + 5*y*z - 1/2", V3)
+        res, stages, divided = self.cascade([p, g2, g3], monkeypatch)
+        assert stages == [("x", "resultant"), ("y", "resultant")]
+        (final,) = res.finals
+        assert divided == [(final, final)]
+        assert normalized(final) == normalized(self.iterated(p, g2, g3))
+
+    def test_common_root_at_infinity_keeps_the_resultant_whole(self, monkeypatch):
+        """a = (z - 2)*y + z - 1 and b = (z - 2)*(z + 1 - y): both leads in y vanish at z = 2.
+
+        Res_y(a, b) = (z - 2)*(z^2 - 3); (z^2 - 3)^2 divides the iterated
+        resultant, but z - 2 does not, so nothing is divided.
+        """
+        p = P("((z - 2)*y + z - 1)*x + (z - 2)*(z + 1 - y)", V3)
+        g2 = P("x*z^3 + x*y*z + x*z^2 - y*z", V3)
+        g3 = P("x^2*z + y^2*z + z^2 + 1", V3)
+        res, stages, divided = self.cascade([p, g2, g3], monkeypatch)
+        assert stages == [("x", "resultant"), ("y", "resultant")]
+        (final,) = res.finals
+        assert divided == [(final, final)]
+        assert normalized(final) == normalized(self.iterated(p, g2, g3))
+        assert exact_div(final, P("(z^2 - 3)^2", V3)).degree_in("z") == 19
+
+    def test_dense_3x3_1_final_has_degree_mu(self):
+        """Its final was A*B^6 with deg A = 14 and deg B = 2; B^6 is Res_y(a, b)^(3*2)."""
+        text, count = dense_pool()["3x3#1"]
+        f = parse_map_text(text)
+        rng = np.random.default_rng([1, 3, 3, 1])
+        for _ in range(4):
+            system = _shifted_system(f, sample_target(rng, 3))
+            (final,) = eliminate(system, list(f.vars[:-1])).finals
+            assert final.degree_in("z") == count == 14

@@ -16,8 +16,13 @@ from polyproper import (
     smallest_singular_value,
     univariate_roots,
 )
+from polyproper import numlin
+from polyproper.elimination import eliminate
 from polyproper.numeric import TermTable
-from polyproper.numlin import poly_to_coeffs, roots_of_each
+from polyproper.numlin import Root, RootSet, poly_to_coeffs, roots_of_each
+from polyproper.polymap import parse_map_text
+from polyproper.solver import _shifted_system, sample_target, solve_fiber
+from conftest import dense_pool
 from oracles import fraction_route_coeffs, min_gram_eigenvalue, scalar_univariate_roots
 
 
@@ -138,18 +143,29 @@ class TestRootsOfEach:
         st.integers(0, 2**32 - 1),
         st.lists(st.integers(1, 30), min_size=1, max_size=12),
         st.lists(st.sampled_from(range(len(MULTIPLE_ROOT_CASES))), max_size=4),
+        st.lists(st.integers(1, 3), max_size=4),
     )
-    def test_mixed_batch_matches_scalar_oracle(self, seed, degrees, multiple):
+    def test_mixed_batch_matches_scalar_oracle(self, seed, degrees, multiple, zeros):
+        """Each row as if alone; rows z^k times one of the others, k in ``zeros``, ride along."""
         rng = np.random.default_rng(seed)
         rows = [rng.normal(size=d + 1) + 1j * rng.normal(size=d + 1) for d in degrees]
         rows += [np.polynomial.polynomial.polyfromroots(MULTIPLE_ROOT_CASES[k]) for k in multiple]
+        shifted = [(k, rows[j % len(rows)]) for j, k in enumerate(zeros)]
+        rows += [[0] * k + list(row) for k, row in shifted]
         order = rng.permutation(len(rows))
         rows = [rows[i] for i in order]
         batch = roots_of_each(rows)
         assert len(batch) == len(rows)
         for row, got in zip(rows, batch):
-            _assert_same_roots(got, scalar_univariate_roots(row))
+            if row[0]:
+                _assert_same_roots(got, scalar_univariate_roots(row))
             assert roots_of_each([row])[0] == got  # as if alone, to the bit
+        for k, row in shifted:  # the root 0, exact, and the roots of the row alone
+            (alone,) = roots_of_each([row])
+            (got,) = roots_of_each([[0] * k + list(row)])
+            want = alone.roots + (Root(0j, k, 0.0),)
+            assert got.roots == tuple(sorted(want, key=lambda r: (r.value.real, r.value.imag)))
+            assert (got.degree, got.coeff_norm) == (alone.degree + k, alone.coeff_norm)
 
     def test_degree_one_in_closed_form(self, monkeypatch):
         def no_eigensolve(*args):
@@ -170,12 +186,47 @@ class TestRootsOfEach:
             assert abs(got.roots[0].value - root) <= 4 * 2.0**-52 * abs(root)
             _assert_same_roots(got, scalar_univariate_roots(row))
 
+    def test_a_monomial_has_only_the_root_zero(self, monkeypatch):
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "eigvals", _no_call("eigvals"))
+            assert roots_of_each([[0, 0, 0, 2j], [0, -3.5]]) == [
+                RootSet((Root(0j, 3, 0.0),), 3, 2.0),
+                RootSet((Root(0j, 1, 0.0),), 1, 3.5),
+            ]
+
+    @pytest.mark.parametrize("key, zeros", [("2x6#0", 4), ("3x2#0", 2)])
+    def test_dense_finals_at_infinity_skip_the_cluster_path(self, key, zeros, monkeypatch):
+        """Their finals carry z^k, the roots at infinity every target shares.
+
+        At the seed-1 bench targets the root 0 comes back exact, and neither
+        the finals nor the back-substituted pivots reach the cluster merge.
+        """
+        text, count = dense_pool()[key]
+        f = parse_map_text(text)
+        rng = np.random.default_rng([1, int(key[0]), int(key[2]), int(key[-1])])
+        for _ in range(4):
+            y = sample_target(rng, f.target_dim)
+            (final,) = eliminate(_shifted_system(f, y), list(f.vars[:-1])).finals
+            with monkeypatch.context() as m:
+                m.setattr(numlin, "_clustered_roots", _no_call("_clustered_roots"))
+                roots = univariate_roots(poly_to_coeffs(final))
+                assert len(solve_fiber(f, y)) == count
+            assert [(r.value, r.multiplicity) for r in roots.roots if r.value == 0] == [(0j, zeros)]
+            assert all(r.multiplicity == 1 for r in roots.roots if r.value != 0)
+
     def test_rejects_constant_rows_in_a_batch(self):
         with pytest.raises(ValueError):
             roots_of_each([[1, 2], [0, 0]])
         with pytest.raises(ValueError):
             roots_of_each([[1, 2, 3], [5, 0]])
         assert roots_of_each([]) == []
+
+
+def _no_call(name):
+    def fail(*args):
+        raise AssertionError(f"{name} was called")
+
+    return fail
 
 
 def _separated_roots(rng, count, min_dist=0.25):
@@ -241,7 +292,7 @@ def test_term_table_gives_the_fraction_route_floats(parts):
     try:
         want = {e: c.to_complex() for e, c in p.terms.items()}
     except OverflowError:
-        with pytest.raises(OverflowError):
+        with pytest.raises(ValueError, match="beyond float range"):
             TermTable([p], 2)
         return
     table = TermTable([p], 2)

@@ -356,19 +356,33 @@ def test_dense_map_over_budget_falls_back_to_per_target():
     assert (est.histogram, est.degenerate) == _per_target_histogram(_dense_map("3x3#1"), 3, 5)
 
 
-@pytest.mark.xfail(
-    strict=True, reason="a point is lost next to the final's six-fold factor: ROADMAP items 2-3"
-)
 def test_dense_3x3_1_fiber_of_the_seed_1915_bench_target():
     """The benchmark's second dense-fibers target of 3x3#1 at seed 1915 has 14 points.
 
-    13 are found, none flagged ``multiple``; bench/frozen.json lists it as
-    a known defect of the dense-fibers workload.
+    Its final was A·B⁶ with deg A = 14, and a point was lost next to the
+    six-fold factor: 13 came back, none flagged ``multiple``.
+    bench/frozen.json still lists it as a known defect of the dense-fibers
+    workload.  The cascade now divides B⁶ out (Res_y(a, b)^(3·2) of its
+    first pivot a·x + b), and all 14 points come back.
     """
     f = _dense_map("3x3#1")
     rng = np.random.default_rng([1915, 3, 3, 1])
     sample_target(rng, 3)
     assert fiber_count(f, sample_target(rng, 3)) == 14
+
+
+def test_dense_3x3_1_fibers_of_seeds_1900_to_1919_are_whole_and_simple():
+    """Every bench target of 3x3#1 at these seeds has 14 points, none flagged ``multiple``.
+
+    With the six-fold factor of the final in place, seed 1915 lost a point
+    and seed 1905 flagged one.
+    """
+    f = _dense_map("3x3#1")
+    for seed in range(1900, 1920):
+        rng = np.random.default_rng([seed, 3, 3, 1])
+        for _ in range(4):
+            fiber = solve_fiber(f, sample_target(rng, 3))
+            assert (len(fiber), sum(s.multiple for s in fiber)) == (14, 0), seed
 
 
 def test_dense_fiber_keeps_root_with_small_leading_coefficient():
@@ -534,6 +548,19 @@ def test_geometric_degree_counts_a_fiber_beyond_float_range():
     assert (est.mu, est.histogram, est.degenerate) == (1, {1: 50}, 0)
     with pytest.raises(ValueError, match="beyond float range"):
         solve_fiber(f, (1.5, 0))
+
+
+def test_coefficient_beyond_float_range_raises_value_error():
+    """The Jacobian entry 10^309·y^9 of (y^2, x + 10^308·y^10) holds no float.
+
+    Building the map's evaluator raised a bare ``OverflowError`` from the
+    int division.
+    """
+    f = PolyMap.from_exprs(("x", "y"), ["y^2", "x + 10^308*y^10"])
+    with pytest.raises(ValueError, match="beyond float range"):
+        solve_fiber(f, (1, 1))
+    with pytest.raises(ValueError, match="beyond float range"):
+        geometric_degree(f, 20)
 
 
 def _no_point(*args):
