@@ -124,8 +124,8 @@ def _check_sf(f: PolyMap, cfg: AnalysisConfig, report: dict) -> dict:
         report["certificates"].append(cert.to_dict())
     if not f.nonsingularity().is_nonsingular:
         report["warnings"].append(
-            "nonproperness candidates on a singular map were validated by "
-            "shrinking-ball probes; fiber-count drops are diagnostic only"
+            "on a singular map the nonproperness locus is every elimination "
+            "factor, unsampled; fiber-count drops are diagnostic only"
         )
     return {
         "status": locus.status,

@@ -35,10 +35,13 @@ two lie in the powers (a, b)^d2 and (a, b)^d3 of the ideal of a and b, so
 at each common zero of a and b their resultant vanishes to d2*d3 times the
 order of Res_w(a, b) at least.  A factor of Res_w(a, b) that comes from a
 common root of a and b at infinity need not divide it; where the power
-does not divide, the resultant is kept whole.  On dense 3x3#1 of the bench
-pool the division strips B^6 from the per-target final A*B^6 (degree 26 =
-14 + 2*6), which leaves the fiber's 14 points.  The solver, the plan and
-the locus all eliminate here, so all three divide it.
+does not divide, the factors Res_w(a, b) shares with the gcd of the leading
+coefficients of a and b in w are taken out of it and the division is tried
+once more, and only where that fails too is the resultant kept whole.  On
+dense 3x3#1 of the bench pool the division strips B^6 from the per-target
+final A*B^6 (degree 26 = 14 + 2*6), which leaves the fiber's 14 points.
+The solver, the plan and the locus all eliminate here, so all three divide
+it.
 
 Views of a polynomial in one variable come from one helper set:
 ``Polynomial.degree_in`` (-1 for zero) and, from :mod:`polyproper.poly`,
@@ -628,14 +631,29 @@ def eliminate(
 
 
 def _without_extraneous(r: Polynomial, a: Polynomial, b: Polynomial, k: int, w: str) -> Polynomial:
-    """r / Res_w(a, b)^k, exactly; r itself where that is not a polynomial division.
+    """r / Res_w(a, b)^k, exactly, or r / c^k for c the finite part of Res_w(a, b).
 
-    Nothing is divided where Res_w(a, b) is a constant, zero included, or
-    where its power does not divide r: a factor of Res_w(a, b) that comes
-    from a common root of a and b at infinity, where both leading
-    coefficients in w vanish, need not divide r.
+    Nothing is divided where Res_w(a, b) is a constant, zero included.  A
+    factor of Res_w(a, b) that comes from a common root of a and b at
+    infinity, where both leading coefficients in w vanish, need not divide
+    r.  So where the full power does not divide, c is Res_w(a, b) with every
+    factor it shares with gcd(lc_w a, lc_w b) taken out, and r / c^k is
+    tried once; r itself is returned where that is no polynomial division
+    either.
     """
     factor = resultant(a, b, w)
+    if factor.is_constant():
+        return r
+    try:
+        return exact_div(r, factor**k)
+    except NotDivisibleError:
+        pass
+    shared = gcd_poly(factor, gcd_poly(lead_in(a, w)[1], lead_in(b, w)[1]))
+    if shared.is_constant():
+        return r
+    while not shared.is_constant():
+        factor = exact_div(factor, shared)
+        shared = gcd_poly(factor, shared)
     if factor.is_constant():
         return r
     try:

@@ -22,12 +22,13 @@ Every symbolic elimination runs under the exact-work budget
 an ``unknown`` locus whose reason names the budget, within about a second,
 where it would otherwise run for minutes.
 
-Resultant-based elimination can introduce extraneous factors, so every
-candidate component is validated numerically: for a map with constant
-nonzero Jacobian determinant a fiber-count drop against the geometric degree
-is decisive, otherwise a direct probe checks that preimages of a shrinking
-ball are unbounded.  Unvalidated factors are dropped and noted on the
-result.
+On a singular map the locus is the union of the zero sets of those
+leading coefficients, exactly (Jelonek 1993): it is their gcd-free basis,
+with no sampling.  On a map with constant nonzero Jacobian determinant every
+fiber point is simple, so a fiber count below the geometric degree happens
+exactly on the locus; a factor kept there would answer the Jacobian
+conjecture, so each one is checked by a count drop at points on its zero
+set, and one that shows none is dropped and noted on the result.
 
 Two consequences are packaged as certificates:
 
@@ -66,15 +67,15 @@ from .polymap import PolyMap
 from .solver import (
     DegreeEstimate,
     PositiveDimensionalFiberError,
+    _check_scale,
     fiber_count,
     geometric_degree,
     sample_target,
-    solve_fiber,
     symbolic_system,
     target_plan,
     target_variables,
 )
-from .numlin import norm2, poly_to_coeffs, univariate_roots
+from .numlin import poly_to_coeffs, univariate_roots
 
 EMPTY = "empty"
 HYPERSURFACE = "hypersurface"
@@ -244,25 +245,6 @@ def _points_on_zero_set(poly: Polynomial, rng: np.random.Generator) -> list[tupl
     return points
 
 
-def _unbounded_preimage_probe(
-    f: PolyMap, y0: tuple[complex, ...], rng: np.random.Generator, tol: float
-) -> bool:
-    """Check that preimages blow up as targets shrink toward y0."""
-    direction = rng.normal(size=2 * len(y0))
-    u = np.array([complex(direction[2 * k], direction[2 * k + 1]) for k in range(len(y0))])
-    u = u / norm2(u)
-    norms = []
-    for eps in (1e-2, 1e-4, 1e-6):
-        target = tuple(np.array(y0, dtype=complex) + eps * u)
-        try:
-            sols = solve_fiber(f, target, max(tol, 1e-6))
-        except PositiveDimensionalFiberError:
-            continue
-        if sols:
-            norms.append(max(norm2(s.point) for s in sols))
-    return len(norms) >= 2 and all(b > a for a, b in zip(norms, norms[1:])) and norms[-1] >= 50 * norms[0]
-
-
 def nonproperness_set(
     f: PolyMap,
     seed: int = 0,
@@ -272,18 +254,19 @@ def nonproperness_set(
 ) -> Hypersurface:
     """Defining data for the nonproperness locus of a dominant square map.
 
-    Dominance is checked by sampling (geometric degree > 0) unless a
-    precomputed estimate is supplied.  An elimination that does not end with
-    one relation in its coordinate yields an ``unknown`` result that says why.
+    The locus is the gcd-free basis of the primitive leading-coefficient
+    factors.  On a nonsingular map each factor is kept only where a fiber
+    count at a point on it falls below mu, the geometric degree: the
+    supplied estimate, or else one sampled from ``samples`` targets, and only
+    when there is a factor to check.  Without an estimate, dominance is
+    checked exactly: a zero Jacobian determinant raises ``ValueError``.  An
+    elimination that does not end with one relation in its coordinate
+    yields an ``unknown`` result that says why.
     """
-    if not f.is_square:
-        raise ValueError("the nonproperness locus is computed for square maps")
-    if f.source_dim > 3:
-        raise ValueError("desk-scale contract: dimension must be at most 3")
+    _check_scale(f)
     targets = target_variables(f)
-    if degree_estimate is None:
-        degree_estimate = geometric_degree(f, n_samples=samples, seed=seed, tol=tol)
-    mu = degree_estimate.mu
+    if degree_estimate is None and f.nonsingularity().determinant.is_zero():
+        raise ValueError("the Jacobian determinant is zero: the map is not dominant")
 
     n = f.source_dim
     candidates: list[Polynomial] = []
@@ -318,28 +301,22 @@ def nonproperness_set(
     if not candidates:
         return Hypersurface.empty(targets)
 
-    basis = gcd_free_basis(candidates)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5F]))
-    nonsingular = f.nonsingularity().is_nonsingular
-    kept: list[Polynomial] = []
+    kept = gcd_free_basis(candidates)
     notes: list[str] = []
-    for cand in basis:
-        validated = False
-        points = _points_on_zero_set(cand, rng)
-        for y0 in points:
-            if nonsingular:
-                diag = fiber_count_diagnostic(f, y0, mu, tol)
-                if diag.verdict == "in-locus":
-                    validated = True
-                    break
+    if f.nonsingularity().is_nonsingular:
+        if degree_estimate is None:
+            degree_estimate = geometric_degree(f, n_samples=samples, seed=seed, tol=tol)
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5F]))
+        checked = []
+        for cand in kept:
+            if any(
+                fiber_count_diagnostic(f, y0, degree_estimate.mu, tol).verdict == "in-locus"
+                for y0 in _points_on_zero_set(cand, rng)
+            ):
+                checked.append(cand)
             else:
-                if _unbounded_preimage_probe(f, y0, rng, tol):
-                    validated = True
-                    break
-        if validated:
-            kept.append(cand)
-        else:
-            notes.append(f"dropped unvalidated elimination factor: {cand}")
+                notes.append(f"dropped unvalidated elimination factor: {cand}")
+        kept = checked
 
     if not kept:
         return Hypersurface.empty(targets, notes)

@@ -373,7 +373,3 @@ def _shifted_float(num: int, den: int, shift: int) -> float:
     if shift >= 0:
         return (num << shift) / den
     return num / (den << -shift)
-
-
-def norm2(vector) -> float:
-    return float(math.sqrt(sum(abs(x) ** 2 for x in vector)))

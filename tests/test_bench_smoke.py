@@ -33,8 +33,9 @@ def test_traced_bindings_resolve():
     """Every traced function is still bound where the spans patch it.
 
     A binding that no longer resolves drops that layer from the per-layer
-    numbers without an error; the only stale one is the deleted
-    ``PolyMatrix.evaluate``.
+    numbers without an error; the only stale ones are the deleted
+    ``PolyMatrix.evaluate`` and ``nonproper.solve_fiber`` (the locus solves
+    no fiber).
     """
     stale = set()
     for name, sites in _load_spans().layer_sites():
@@ -42,4 +43,4 @@ def test_traced_bindings_resolve():
             bound = vars(owner).get(attr) if isinstance(owner, type) else getattr(owner, attr, None)
             if not callable(bound):
                 stale.add(name)
-    assert stale == {"polymap.PolyMatrix.evaluate"}
+    assert stale == {"polymap.PolyMatrix.evaluate", "nonproper.solve_fiber"}

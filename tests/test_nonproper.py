@@ -17,14 +17,15 @@ from polyproper import (
     hyperplane_clearance,
     is_cylinder,
     nonproperness_set,
+    parse_map_text,
     parse_polynomial,
     target_variables,
     verify_inverse,
 )
-from polyproper import nonproper
+from polyproper import nonproper, solver
 from polyproper.elimination import gcd_poly
 from polyproper.nonproper import _points_on_zero_set, _varieties_intersect, gcd_free_basis
-from conftest import random_nonzero_polynomial, random_scalar
+from conftest import dense_pool, random_nonzero_polynomial, random_scalar
 from oracles import sampling_clearance
 
 T2 = ("y1", "y2")
@@ -103,6 +104,70 @@ class TestLocusComputation:
         locus = nonproperness_set(f, degree_estimate=MU_ONE)
         assert locus.is_unknown
         assert locus.reason == "no relation ties 'x' to the target coordinates"
+
+
+#: The loci of the dense bench pool at seed 0 with the frozen mu.  Every pool
+#: map is singular, so each is the gcd-free basis of its elimination factors;
+#: the fiber length over F_p is below mu on each line (3 of 6 on 2x3#1's,
+#: 21 and 17 of 24 on y1 = 3/2 and y2 = 1 for 2x6#2).
+DENSE_LOCI = {
+    "2x3#0": "empty",
+    "2x3#1": "{ y1 + 4/15*y2 + 83/10 = 0 }",
+    "2x3#2": "empty",
+    "2x6#0": "{ y1 = 0 }",
+    "2x6#1": "empty",
+    "2x6#2": "{ y1*y2 - y1 - 3/2*y2 + 3/2 = 0 }",
+    "3x2#0": "{ y1 - 2/3*y2 - 4/3 = 0 }",
+    "3x2#1": "{ y1 + 4/3*y2 - 197/27 = 0 }",
+    "3x2#2": "unknown (elimination degenerated to zero at variable 'z')",
+    "3x3#0": "unknown (symbolic elimination: exact work exceeds the budget of 500000 term pairs)",
+    "3x3#1": "unknown (symbolic elimination: exact work exceeds the budget of 500000 term pairs)",
+}
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("no fiber is solved or sampled here")
+
+
+class TestSingularLocus:
+    """A singular map's locus is its elimination factors, with no fiber solved."""
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_slowly_escaping_preimages_are_kept(self, k):
+        """(x, x*y^k + y): as y1 -> 0, k - 1 preimages escape like |y1|^(-1/(k-1))."""
+        f = PolyMap.from_exprs(("x", "y"), ["x", f"x*y^{k} + y"])
+        locus = nonproperness_set(f, seed=0)
+        assert (str(locus), locus.notes) == ("{ y1 = 0 }", ())
+
+    @pytest.mark.parametrize("key", sorted(DENSE_LOCI))
+    def test_dense_pool_loci(self, key):
+        text, count = dense_pool()[key]
+        mu = DegreeEstimate(mu=count, histogram={count: 1}, samples=1, seed=0, degenerate=0, box=2.0)
+        locus = nonproperness_set(parse_map_text(text), seed=0, degree_estimate=mu)
+        assert (str(locus), locus.notes) == (DENSE_LOCI[key], ())
+
+    def test_no_fiber_is_solved_or_sampled(self, monkeypatch):
+        for owner, name in ((nonproper, "fiber_count"), (nonproper, "geometric_degree"), (solver, "solve_fiber")):
+            monkeypatch.setattr(owner, name, _refuse)
+        cases = [
+            (PolyMap.from_exprs(("x", "y"), ["x", "x*y"]), "{ y1 = 0 }"),
+            (PolyMap.from_exprs(("x", "y"), ["x^2", "x*y"]), "{ y1 = 0 }"),
+            (parse_map_text(dense_pool()["2x3#1"][0]), DENSE_LOCI["2x3#1"]),
+        ]
+        for f, expected in cases:
+            assert str(nonproperness_set(f, seed=0)) == expected
+
+    def test_zero_determinant_without_estimate_raises_before_sampling(self, monkeypatch):
+        for owner, name in ((nonproper, "fiber_count"), (nonproper, "geometric_degree"), (solver, "solve_fiber")):
+            monkeypatch.setattr(owner, name, _refuse)
+        f = PolyMap.from_exprs(("x", "y"), ["x*y", "x*y"])
+        with pytest.raises(ValueError, match="Jacobian determinant is zero"):
+            nonproperness_set(f, seed=0)
+
+    def test_component_degree_above_the_contract_is_rejected(self):
+        f = PolyMap.from_exprs(("x", "y"), ["x", "x*y^11"])
+        with pytest.raises(ValueError, match="desk-scale"):
+            nonproperness_set(f, seed=0)
 
 
 class TestSampleDiagnostic:

@@ -217,7 +217,7 @@ def test_target_affine_invariance(name, seed):
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
-    reason="ROADMAP item 2 (exact certification): a source-side change inflates mu",
+    reason="ROADMAP item 1 (the F_p fiber length gives mu): a source-side change inflates mu",
 )
 def test_source_shear_of_example_3_6():
     """example-3-6 ∘ (x + z, y, z) is an automorphism, yet gives mu 7.
@@ -239,7 +239,7 @@ def test_source_shear_locus_is_empty():
     """The relations of x and z have the lead y2^12 but the primitive lead -64 and 64.
 
     Their content y2^12 in C[y'] is no part of the locus, so no factor is
-    left to probe, whether the estimate is the sampled one (mu 7) or mu 1.
+    left to check, whether the estimate is the sampled one (mu 7) or mu 1.
     """
     f = parse_map_text(EXAMPLE_3_6_TEXT)
     x, y, z = (Polynomial.variable(NAMES, v) for v in NAMES)

@@ -628,8 +628,9 @@ def _known_maps() -> dict[str, tuple[str, int]]:
 def _recorded_cascades(f: PolyMap, mu: int, y, monkeypatch) -> list:
     """Every cascade the solver and the locus run on f, as they run.
 
-    The plan, each coordinate's relation in ``nonproperness_set`` (with its
-    validation probes) and the per-target cascade at y.
+    The plan, each coordinate's relation in ``nonproperness_set`` (with the
+    count checks of a nonsingular map's factors) and the per-target cascade
+    at y.
     """
     results = []
     for module in (solver, nonproper):
