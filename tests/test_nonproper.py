@@ -132,6 +132,11 @@ def _refuse(*args, **kwargs):
 class TestSingularLocus:
     """A singular map's locus is its elimination factors, with no fiber solved."""
 
+    @pytest.fixture
+    def no_fibers(self, monkeypatch):
+        for owner, name in ((nonproper, "fiber_count"), (nonproper, "geometric_degree"), (solver, "solve_fiber")):
+            monkeypatch.setattr(owner, name, _refuse)
+
     @pytest.mark.parametrize("k", range(2, 7))
     def test_slowly_escaping_preimages_are_kept(self, k):
         """(x, x*y^k + y): as y1 -> 0, k - 1 preimages escape like |y1|^(-1/(k-1))."""
@@ -146,9 +151,7 @@ class TestSingularLocus:
         locus = nonproperness_set(parse_map_text(text), seed=0, degree_estimate=mu)
         assert (str(locus), locus.notes) == (DENSE_LOCI[key], ())
 
-    def test_no_fiber_is_solved_or_sampled(self, monkeypatch):
-        for owner, name in ((nonproper, "fiber_count"), (nonproper, "geometric_degree"), (solver, "solve_fiber")):
-            monkeypatch.setattr(owner, name, _refuse)
+    def test_no_fiber_is_solved_or_sampled(self, no_fibers):
         cases = [
             (PolyMap.from_exprs(("x", "y"), ["x", "x*y"]), "{ y1 = 0 }"),
             (PolyMap.from_exprs(("x", "y"), ["x^2", "x*y"]), "{ y1 = 0 }"),
@@ -157,9 +160,7 @@ class TestSingularLocus:
         for f, expected in cases:
             assert str(nonproperness_set(f, seed=0)) == expected
 
-    def test_zero_determinant_without_estimate_raises_before_sampling(self, monkeypatch):
-        for owner, name in ((nonproper, "fiber_count"), (nonproper, "geometric_degree"), (solver, "solve_fiber")):
-            monkeypatch.setattr(owner, name, _refuse)
+    def test_zero_determinant_without_estimate_raises_before_sampling(self, no_fibers):
         f = PolyMap.from_exprs(("x", "y"), ["x*y", "x*y"])
         with pytest.raises(ValueError, match="Jacobian determinant is zero"):
             nonproperness_set(f, seed=0)
