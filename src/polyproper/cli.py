@@ -111,8 +111,9 @@ def _degree_for(f: PolyMap, cfg: AnalysisConfig, report: dict) -> DegreeEstimate
 def _locus_for(f: PolyMap, cfg: AnalysisConfig, report: dict) -> Hypersurface:
     cache = report.setdefault("_cache", {})
     if "locus" not in cache:
+        # the locus samples the same 50 targets itself, and only where a count decides
         cache["locus"] = nonproperness_set(
-            f, seed=cfg.seed, tol=cfg.residual_tol, degree_estimate=_degree_for(f, cfg, report)
+            f, seed=cfg.seed, samples=50, tol=cfg.residual_tol, degree_estimate=cache.get("degree")
         )
     return cache["locus"]
 

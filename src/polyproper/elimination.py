@@ -27,7 +27,15 @@ subresultant sequence runs on the polynomials.
 
 Iterated resultants carry factors the system does not (Busé and Mourrain,
 "Explicit factors of some iterated resultants and discriminants", Math.
-Comp. 78, 2009).  When a resultant stage kills v with a pivot a*v + b whose
+Comp. 78, 2009).  A resultant stage therefore kills the kill variable that
+occurs in the fewest equations, ties broken by kill order.  Where some kill
+variable is missing from an equation, killing it first leaves that equation
+as it is, and the next stage takes the resultant of it and a resultant, not
+of two resultants.  On dense 3x3#1 of the bench pool y is missing from the
+first equation: killing y, then x, gives a final of degree 14, the fiber's
+length, where killing x first gave A*B^6 (degree 26 = 14 + 2*6).  Where
+every kill variable occurs in every equation, the extraneous factor is
+divided out.  When a resultant stage kills v with a pivot a*v + b whose
 a is not a constant and with exactly two partners, of degrees d2 and d3 in
 v, and the next stage takes the resultant in w of exactly those two
 resultants, that resultant is divided exactly by Res_w(a, b)^(d2*d3): the
@@ -37,11 +45,9 @@ order of Res_w(a, b) at least.  A factor of Res_w(a, b) that comes from a
 common root of a and b at infinity need not divide it; where the power
 does not divide, the factors Res_w(a, b) shares with the gcd of the leading
 coefficients of a and b in w are taken out of it and the division is tried
-once more, and only where that fails too is the resultant kept whole.  On
-dense 3x3#1 of the bench pool the division strips B^6 from the per-target
-final A*B^6 (degree 26 = 14 + 2*6), which leaves the fiber's 14 points.
-The solver, the plan and the locus all eliminate here, so all three divide
-it.
+once more, and only where that fails too is the resultant kept whole.  The
+solver, the plan and the locus all eliminate here, so all three share the
+order and the division.
 
 Views of a polynomial in one variable come from one helper set:
 ``Polynomial.degree_in`` (-1 for zero) and, from :mod:`polyproper.poly`,
@@ -545,8 +551,12 @@ def eliminate(
     2. use an equation that is linear with constant leading coefficient in a
        *retained* variable to rewrite the other equations (the pivot itself
        stays; this is an ideal-preserving inter-reduction);
-    3. eliminate the first remaining kill-variable by resultants against a
-       minimal-degree pivot.
+    3. eliminate the remaining kill-variable that occurs in the fewest
+       equations, the first in kill order among equals, by resultants
+       against a minimal-degree pivot.  An equation that lacks it passes
+       to the next stage as it is, so where some kill variable is missing
+       from an equation this forms no resultant of two resultants, and no
+       extraneous factor.
 
     A resultant stage whose pivot is a*v + b, with a not a constant, and
     whose two partners, of degrees d2 and d3 in v, are all the equations
@@ -599,8 +609,9 @@ def eliminate(
             )
             continue
 
-        # 3. resultant elimination of the first remaining kill-variable
-        v = remaining.pop(0)
+        # 3. resultant elimination of the kill-variable in the fewest equations
+        v = min(remaining, key=lambda u: sum(p.degree_in(u) > 0 for p in eqs))
+        remaining.remove(v)
         involving = [(i, p) for i, p in enumerate(eqs) if p.degree_in(v) > 0]
         if not involving:
             result.free_vars.append(v)

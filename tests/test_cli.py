@@ -114,6 +114,34 @@ def test_one_degree_estimate_per_run(tmp_path, monkeypatch):
     assert report["results"]["clearance"]["intersects"] == "no"
 
 
+def test_locus_of_a_singular_map_samples_no_fiber(tmp_path, monkeypatch):
+    """Without the degree check, the locus samples mu only where a count decides."""
+    from polyproper import cli, nonproper
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a fiber was sampled for a singular map's locus")
+
+    monkeypatch.setattr(cli, "geometric_degree", refused)
+    monkeypatch.setattr(nonproper, "geometric_degree", refused)
+    path = tmp_path / "m.map"
+    path.write_text(X_XY_TEXT)
+    code, out, _ = run_cli(["--map", str(path), "--checks", "sf,cylinder", "--drop", "2"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["results"]["sf"]["polynomial"] == "y1"
+    assert report["results"]["cylinder"]["is_cylinder"] is True
+
+
+def test_locus_of_a_zero_determinant_map_says_so(tmp_path):
+    path = tmp_path / "m.map"
+    path.write_text("vars: x y\nf1 = x*y\nf2 = x*y\n")
+    code, out, _ = run_cli(["--map", str(path), "--checks", "degree,sf"])
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert "non-dominant" in results["degree"]["error"]
+    assert results["sf"] == {"error": "the Jacobian determinant is zero: the map is not dominant"}
+
+
 def test_empty_checks_is_usage_error(shear_file):
     code, _, err = run_cli(["--map", shear_file])
     assert code == 1

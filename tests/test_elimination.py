@@ -246,7 +246,7 @@ class TestResultant:
 
 
 def test_dense_3x3_cascade_is_the_same_by_values_and_by_prs(monkeypatch):
-    """The heaviest bench pair: the (6, 6) second stage of dense 3x3#1."""
+    """Both resultant stages of dense 3x3#1: a (2, 2) stage in y, then a (3, 6) stage in x."""
     text, count = dense_pool()["3x3#1"]
     f = parse_map_text(text)
     y = sample_target(np.random.default_rng([1, 3, 3, 1]), 3)
@@ -358,6 +358,25 @@ class TestCascade:
         assert len(res.finals) == 1
         assert normalized(res.finals[0]) == normalized(P("2*y^2 - 1"))
 
+    def test_kill_variable_in_fewest_equations_goes_first(self):
+        """y is missing from the first equation, so it goes before x, against kill order.
+
+        The final is then Res_x(e1, Res_y(e2, e3)), with no resultant of two
+        resultants and so no extraneous factor.
+        """
+        e1, e2, e3 = (P(t, V3) for t in ("x^2 + z^2 - 1", "x*y^2 + z*y - 2", "y^2 + x*z^2 - 3"))
+        res = eliminate([e1, e2, e3], ["x", "y"])
+        assert [(s.var, s.mode) for s in res.stages] == [("y", "resultant"), ("x", "resultant")]
+        inner = poly_matrix_det(sylvester_matrix(e2, e3, "y"))
+        (final,) = res.finals
+        assert normalized(final) == normalized(poly_matrix_det(sylvester_matrix(e1, inner, "x")))
+
+    @pytest.mark.parametrize("kill", [["x", "y"], ["y", "x"]])
+    def test_tie_keeps_kill_order(self, kill):
+        system = [P(t, V3) for t in ("x^2 + y^2 - z", "x*y^2 + z*x^2 - 2", "y^2*z + x*z^2 - 3")]
+        res = eliminate(system, kill)
+        assert [(s.var, s.mode) for s in res.stages] == [(v, "resultant") for v in kill]
+
 
 class TestIteratedResultantFactor:
     """A stage kills x with a*x + b and two partners; the next kills y from their two resultants.
@@ -443,7 +462,7 @@ class TestIteratedResultantFactor:
         assert final.degree_in("z") == 19
 
     def test_dense_3x3_1_final_has_degree_mu(self):
-        """Its final was A*B^6 with deg A = 14 and deg B = 2; B^6 is Res_y(a, b)^(3*2)."""
+        """Killing x first gave A*B^6, deg A = 14 and B^6 = Res_y(a, b)^(3*2); killing y first gives A."""
         text, count = dense_pool()["3x3#1"]
         f = parse_map_text(text)
         rng = np.random.default_rng([1, 3, 3, 1])
@@ -451,3 +470,18 @@ class TestIteratedResultantFactor:
             system = _shifted_system(f, sample_target(rng, 3))
             (final,) = eliminate(system, list(f.vars[:-1])).finals
             assert final.degree_in("z") == count == 14
+
+    def test_dense_3x3_1_kills_y_first_and_divides_nothing(self, monkeypatch):
+        """y is missing from the first equation, so no stage takes a resultant of two resultants."""
+        f = parse_map_text(dense_pool()["3x3#1"][0])
+        rng = np.random.default_rng([1, 3, 3, 1])
+        monkeypatch.setattr(elimination, "_without_extraneous", _refuse_division)
+        for _ in range(4):
+            res = eliminate(_shifted_system(f, sample_target(rng, 3)), list(f.vars[:-1]))
+            assert [(s.var, s.mode) for s in res.stages] == [("y", "resultant"), ("x", "resultant")]
+            (final,) = res.finals
+            assert final.degree_in("z") == 14
+
+
+def _refuse_division(*args):
+    raise AssertionError("the cascade divided out an iterated resultant's factor")

@@ -12,6 +12,7 @@ from polyproper import (
     PolyMap,
     Polynomial,
     automorphism_from_empty_locus,
+    fiber_count,
     fiber_count_diagnostic,
     geometric_degree,
     hyperplane_clearance,
@@ -150,6 +151,19 @@ class TestSingularLocus:
         mu = DegreeEstimate(mu=count, histogram={count: 1}, samples=1, seed=0, degenerate=0, box=2.0)
         locus = nonproperness_set(parse_map_text(text), seed=0, degree_estimate=mu)
         assert (str(locus), locus.notes) == (DENSE_LOCI[key], ())
+
+    def test_locus_killing_the_rarer_variable_first_fits_the_budget(self):
+        """y is missing from the second equation; killing x first ran over the exact-work budget.
+
+        Over F_p, the fiber length at points of y3 = 0 is L = 9 < mu = 12,
+        and the numeric counts agree.
+        """
+        exprs = ["-5*x^2*y + 5*y^2*z - x", "4*x^2*z - 5/3", "2*x*y^2 + 3*y^3 - 2/3*y"]
+        f = PolyMap.from_exprs(("x", "y", "z"), exprs)
+        locus = nonproperness_set(f, seed=0)
+        assert (str(locus), locus.notes) == ("{ y3 = 0 }", ())
+        assert fiber_count(f, (0.5 + 0.25j, -1.25 + 0.5j, 0.75 - 1j)) == 12
+        assert fiber_count(f, (0.5 + 0.25j, -1.25 + 0.5j, 0)) == 9
 
     def test_no_fiber_is_solved_or_sampled(self, no_fibers):
         cases = [

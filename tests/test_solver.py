@@ -197,6 +197,48 @@ class TestScreen:
         }
 
 
+class TestKillOrder:
+    """Random 3-variable maps whose fibers killing y before x mended.
+
+    In each, y is missing from one equation; killing x first formed a
+    resultant of two resultants.  Every count below equals the fiber length
+    over F_p.
+    """
+
+    V3 = ("x", "y", "z")
+
+    @pytest.mark.parametrize("j", [0, 1])
+    def test_no_point_at_infinity_is_accepted(self, j):
+        """Killing x first, two points with |x| ~ 3e16 and residual 8 passed at the round-off floor."""
+        exprs = ["5*y*z^2 - 3/2*x*y + 2/3", "4/3*x*z^2 - 1/2*x - 2", "2*x*y^2 + 13/2"]
+        f = PolyMap.from_exprs(self.V3, exprs)
+        fiber = solve_fiber(f, sample_target(np.random.default_rng([276, j]), 3))
+        assert len(fiber) == 8
+        assert all(np.isfinite(c) and abs(c) < 1e6 for s in fiber for c in s.point)
+
+    @pytest.mark.parametrize(
+        "seed, exprs, count",
+        [
+            (61, ["-y*z - y + 5*z - 3", "6*x^2 - 4*z + 7/3", "x*y - 2*z + 1"], 4),
+            (
+                176,
+                [
+                    "-1/3*x^2 - 4*z - 6",
+                    "-2/3*x*z + 5*y*z - 2/3*y - 1/3",
+                    "5/3*y^2 - 1/3*y*z - 5/2*z^2 - 23/6",
+                ],
+                8,
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("j", [0, 1])
+    def test_simple_points_are_not_flagged(self, seed, exprs, count, j):
+        """Killing x first flagged every point of these fibers ``multiple``."""
+        f = PolyMap.from_exprs(self.V3, exprs)
+        fiber = solve_fiber(f, sample_target(np.random.default_rng([seed, j]), 3))
+        assert (len(fiber), sum(s.multiple for s in fiber)) == (count, 0)
+
+
 class TestFiberCount:
     def test_hand_solved_counts(self, x_xy):
         assert fiber_count(x_xy, (3, 6)) == 1

@@ -277,7 +277,7 @@ def _no_batch(*args):
     [("example-3-6", []), ("x-xy", [(0, 1), (0, 0)]), ("x2-y", []), ("2x6#0", []), ("3x3#1", [])],
 )
 def test_solve_fiber_with_a_plan_never_takes_the_batch(name, special, monkeypatch):
-    """The plan gives solve_fiber its exact point or nothing; 3x3#1's plan is over budget."""
+    """The plan gives solve_fiber its exact point or nothing, 3x3#1's plan included."""
     texts = {"example-3-6": EXAMPLE_3_6_TEXT, "x-xy": X_XY_TEXT, "x2-y": X2_Y_TEXT}
     f = parse_map_text(texts.get(name) or dense_pool()[name][0])
     target_plan(f)
@@ -349,10 +349,16 @@ def test_dense_locus_over_budget_is_unknown_within_seconds():
     assert locus.is_unknown and "budget" in locus.reason
 
 
-def test_dense_map_over_budget_falls_back_to_per_target():
+def test_dense_3x3_1_plan_fits_and_its_batch_matches_per_target():
+    """Killing y, which the first equation lacks, before x keeps the plan within budget.
+
+    Killing x first formed a resultant of two resultants, and the plan ran
+    over budget; the over-budget fallback is held by the tests above, with
+    the budget lowered.
+    """
     f = _dense_map("3x3#1")
     est = geometric_degree(f, n_samples=3, seed=5)
-    assert target_plan(f).result is None
+    assert target_plan(f).result is not None and est.histogram == {14: 3}
     assert (est.histogram, est.degenerate) == _per_target_histogram(_dense_map("3x3#1"), 3, 5)
 
 
