@@ -201,8 +201,8 @@ class TestKillOrder:
     """Random 3-variable maps whose fibers killing y before x mended.
 
     In each, y is missing from one equation; killing x first formed a
-    resultant of two resultants.  Every count below equals the fiber length
-    over F_p.
+    resultant of two resultants.  Every count below is the map's sampled
+    geometric degree, so a fiber of that many points has only simple ones.
     """
 
     V3 = ("x", "y", "z")
