@@ -6,22 +6,26 @@ coordinates such that, as t -> infinity,
 * ||x(t)|| diverges (some coordinate has positive degree: exact check),
 * g(x(t)) converges (every composed component has nonpositive degree; the
   limit is the exact vector of constant terms), and
-* the smallest singular value of the Jacobian of g at x(t) decays to below
-  a tolerance along a geometric grid of t values.
+* the smallest singular value of the Jacobian J(t) of g at x(t) tends to 0
+  (exact check: sigma_min ~ c * t^(D_r - D_(r-1)), D_k the largest degree
+  of the k x k minors of J(t) with r rows, by the Smith-McMillan form at
+  infinity; Kailath, *Linear Systems*, 1980, section 6.5).
 
 The accepted limit is then a member of the asymptotic critical set of g
 (the set of target values reachable with gradient degeneration at
 infinity), which in particular refutes any claim that this set is empty.
 
-Jacobian entries are composed with the path symbolically before any number
-is produced, so the huge cancellations typical of these curves happen
-exactly and the numeric decay rates are clean.
+Jacobian entries are composed with the path symbolically before any minor
+is taken, so the huge cancellations typical of these curves happen exactly;
+singular values sampled on a grid of t are evidence, not part of a verdict.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
+from itertools import combinations
 from typing import Sequence
 
 from .numlin import smallest_singular_value
@@ -30,12 +34,9 @@ from .poly import LaurentPoly
 from .polymap import PolyMap
 from .scalar import GaussianRational
 
-DEFAULT_TOL = 1e-3
 DEFAULT_T_MAX = 1e4
 #: Ratio of consecutive t values on the witness grid, and its first value.
 GRID_RATIO = 10.0
-#: Relative slack for the strict-decrease test on sampled singular values.
-DECREASE_SLACK = 1e-9
 
 
 class LaurentPath:
@@ -153,8 +154,6 @@ def witness_grid(t_max: float = DEFAULT_T_MAX) -> list[float]:
 
 
 def _path_jacobian_entries(g: PolyMap, path: LaurentPath):
-    if path.dim != g.source_dim:
-        raise ValueError("path dimension does not match the map")
     jac = g.jacobian()
     rows, cols = jac.shape
     return [
@@ -163,19 +162,43 @@ def _path_jacobian_entries(g: PolyMap, path: LaurentPath):
     ]
 
 
-def _sample_sigma(entries, t: float) -> tuple[float, float]:
-    """(sigma_min, numerical floor) at one t; sigma is inf on overflow.
+def _sample_sigma(entries, t: float) -> float:
+    """sigma_min of the path Jacobian at one t; inf where evaluation overflows."""
+    try:
+        return smallest_singular_value([[e.evaluate(t) for e in row] for row in entries])
+    except (OverflowError, ValueError):  # entries past float range, or inf - inf
+        return math.inf
 
-    The floor is the absolute accuracy double-precision SVD can promise,
-    a modest multiple of machine epsilon times the largest entry; values at
-    or below it are indistinguishable from zero.
+
+def _sigma_order(entries) -> int | None:
+    """D_r - D_(r-1) for a Laurent matrix of r rows (D_0 = 0); None if sigma_min is 0.
+
+    Each minor is expanded once, along its first row.
     """
-    matrix = [[e.evaluate(t) for e in row] for row in entries]
-    flat = [x for row in matrix for x in row]
-    if not all(math.isfinite(x.real) and math.isfinite(x.imag) for x in flat):
-        return math.inf, 0.0
-    scale = max(abs(x) for x in flat)
-    return smallest_singular_value(matrix), 20.0 * math.ulp(1.0) * scale
+    rows, cols = len(entries), len(entries[0])
+    if rows > cols:
+        raise ValueError(f"expected no more rows than columns, got {rows}x{cols}")
+    var = entries[0][0].var
+
+    @cache
+    def minor(rs: tuple, cs: tuple) -> LaurentPoly:
+        if len(rs) <= 1:
+            return entries[rs[0]][cs[0]] if rs else LaurentPoly.one(var)
+        total = LaurentPoly.zero(var)
+        for j, c in enumerate(cs):
+            if entries[rs[0]][c]:
+                term = entries[rs[0]][c] * minor(rs[1:], cs[:j] + cs[j + 1 :])
+                total = total - term if j % 2 else total + term
+        return total
+
+    def top_degree(k: int) -> int | None:
+        col_sets = list(combinations(range(cols), k))
+        ms = (minor(rs, cs) for rs in combinations(range(rows), k) for cs in col_sets)
+        return max((m.degree() for m in ms if not m.is_zero()), default=None)
+
+    full = top_degree(rows)
+    # a nonzero r x r minor expands into a nonzero (r-1) x (r-1) one
+    return None if full is None else full - top_degree(rows - 1)
 
 
 @dataclass(frozen=True)
@@ -188,7 +211,7 @@ class RabierWitness:
     nu_samples: tuple[tuple[float, float], ...]
     divergence_coordinates: tuple[int, ...]
     decay_order: int | None
-    tol: float
+    sigma_order: int | None  # sigma_min ~ c * t^sigma_order; None if it is identically 0
     t_max: float
 
     accepted = True
@@ -210,17 +233,14 @@ class Rejection:
 
 
 def check_rabier_witness(
-    g: PolyMap,
-    path: LaurentPath,
-    tol: float = DEFAULT_TOL,
-    t_max: float = DEFAULT_T_MAX,
+    g: PolyMap, path: LaurentPath, t_max: float = DEFAULT_T_MAX
 ) -> RabierWitness | Rejection:
     """Accept or reject a path as an asymptotic-critical-value witness.
 
-    Acceptance requires all of: the path diverges in norm (exact), the image
-    limit is finite (exact), and the sampled smallest singular values on the
-    geometric grid up to t_max strictly decrease to below tol.  Rejections
-    name the first failed clause.
+    Acceptance requires all of, each exact: the path diverges in norm, the
+    image limit is finite, and sigma_min of the Jacobian along the path has
+    a negative order in t or is identically 0.  Rejections name the first
+    failed clause.  sigma_min sampled on the grid up to t_max is evidence.
     """
     div = path_diverges(path)
     if not div:
@@ -233,36 +253,18 @@ def check_rabier_witness(
             {"component": lim.diverging_component},
         )
     entries = _path_jacobian_entries(g, path)
-    grid = witness_grid(t_max)
-    sampled = [_sample_sigma(entries, t) for t in grid]
-    samples = [(t, nu) for t, (nu, _) in zip(grid, sampled)]
-    for t, nu in samples:
-        if not math.isfinite(nu):
-            return Rejection("evaluation overflow", "singular value decay", {"t": t})
-    for (a, _), (b, floor_b) in zip(sampled, sampled[1:]):
-        # strict decrease, except below the SVD's absolute accuracy floor,
-        # where consecutive samples can both flush to zero
-        if not b < max(a * (1 - DECREASE_SLACK), floor_b):
-            return Rejection(
-                "singular values not strictly decreasing",
-                "singular value decay",
-                {"samples": samples},
-            )
-    final = samples[-1][1]
-    if not final < tol:
-        return Rejection(
-            "final singular value above tolerance",
-            "singular value decay",
-            {"final": final, "tol": tol},
-        )
+    order = _sigma_order(entries)
+    if order is not None and order >= 0:
+        details = {"sigma_order": order}
+        return Rejection("singular values do not tend to 0", "singular value decay", details)
     return RabierWitness(
         map=g,
         path=path,
         limit=lim.value,
-        nu_samples=tuple(samples),
+        nu_samples=tuple((t, _sample_sigma(entries, t)) for t in witness_grid(t_max)),
         divergence_coordinates=div.coordinates,
         decay_order=lim.decay_order,
-        tol=tol,
+        sigma_order=order,
         t_max=t_max,
     )
 

@@ -6,8 +6,8 @@ int product kernel; two ``Fraction``s per coefficient for the float
 conversion of ``poly_to_coeffs``; a Sylvester matrix for the subresultant
 resultant; the Gram matrix for the smallest singular value; one
 companion eigensolve and scalar Newton polish per polynomial for the
-batched root finder; arbitrary sample grids for the witness check's
-singular values; fiber-count drops on sampled points of {h = 0} for
+batched root finder; numpy's SVD on any sample grid for the witness
+check's singular values and their order; fiber-count drops on sampled points of {h = 0} for
 the symbolic hyperplane-clearance verdict; and a comparison of every
 candidate with every cluster in Python for the solver's deduplication.
 """
@@ -23,7 +23,7 @@ from polyproper.elimination import as_univariate
 from polyproper.numeric import EPS
 from polyproper.numlin import CLUSTER_RADIUS, Root, RootSet, _cluster, _merge_multiple
 from polyproper.nonproper import ClearanceVerdict, _points_on_zero_set, fiber_count_diagnostic
-from polyproper.rabier import LaurentPath, _path_jacobian_entries, _sample_sigma
+from polyproper.rabier import LaurentPath
 from polyproper.scalar import ZERO
 from polyproper.solver import DEDUP_RADIUS, FiberSolution, geometric_degree
 
@@ -141,17 +141,24 @@ def min_gram_eigenvalue(matrix) -> float:
 def sigma_min_along_path(
     g: PolyMap, path: LaurentPath, t_values: Sequence[float]
 ) -> list[tuple[float, float]]:
-    """Smallest singular value of Jac(g) at path(t) for each t.
+    """Smallest singular value of Jac(g) at path(t) for each t, by numpy's SVD.
 
-    The Jacobian entries are simplified exactly along the path first, as in
-    the witness check.  Overflowing samples are reported with value ``inf``
-    rather than raised.
+    Each Jacobian entry is composed with the path exactly first, so the
+    cancellations along the path happen before any float is produced.
+    Overflowing samples are reported with value ``inf`` rather than raised.
     """
     ts = [float(t) for t in t_values]
     if any(t <= 0 for t in ts) or any(b <= a for a, b in zip(ts, ts[1:])):
         raise ValueError("t values must be positive and increasing")
-    entries = _path_jacobian_entries(g, path)
-    return [(t, _sample_sigma(entries, t)[0]) for t in ts]
+    jac = g.jacobian()
+    rows, cols = jac.shape
+    entries = [[jac[i, j].substitute_path(path.coordinates) for j in range(cols)] for i in range(rows)]
+    out = []
+    for t in ts:
+        a = np.array([[e.evaluate(t) for e in row] for row in entries], dtype=complex)
+        sigma = np.linalg.svd(a, compute_uv=False)[-1] if np.isfinite(a).all() else np.inf
+        out.append((t, float(sigma)))
+    return out
 
 
 def sampling_clearance(

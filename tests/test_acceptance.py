@@ -77,16 +77,14 @@ def test_criterion_3_witnesses_and_negative_control():
             (f.drop_component(1), "t, t^-2, t^3"),
         ]
         for g, text in cases:
-            outcome = check_rabier_witness(
-                g, LaurentPath.from_text(text), tol=1e-3, t_max=1e4
-            )
+            outcome = check_rabier_witness(g, LaurentPath.from_text(text), t_max=1e4)
             assert outcome.accepted, getattr(outcome, "reason", None)
             assert [str(v) for v in outcome.limit] == ["0", "0"]  # exact constants
             assert outcome.nu_samples[-1][1] < 1e-3
 
         # the first pairing decays exactly like t^-2
         w = check_rabier_witness(
-            f.drop_component(3), LaurentPath.from_text("t, t^-2, 0"), tol=1e-3, t_max=1e4
+            f.drop_component(3), LaurentPath.from_text("t, t^-2, 0"), t_max=1e4
         )
         for t, nu in w.nu_samples:
             assert nu == pytest.approx(t**-2, rel=1e-9)

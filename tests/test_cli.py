@@ -66,10 +66,37 @@ def test_rabier_check(shear_file):
     assert res["accepted"] is True
     assert res["limit"] == ["0", "0"]
     assert res["nu_samples"][0] == [10.0, pytest.approx(1e-2, rel=1e-9)]
+    assert res["sigma_order"] == -2
+    assert "tol" not in res
     certs = report["certificates"]
     assert len(certs) == 1
     assert certs[0]["claim"] == "asymptotic-critical-set membership"
     assert certs[0]["evidence"]["limit"] == ["0", "0"]
+    assert certs[0]["evidence"]["sigma_order"] == -2
+    assert "exactly" in certs[0]["hypotheses"]["singular value decay"]
+    assert report["config"]["tolerances"] == {"residual": 1e-8}
+
+
+def test_rabier_overflowed_sample_is_null(tmp_path):
+    path = tmp_path / "wide.map"
+    path.write_text("vars: x y z\nf1 = y - z\nf2 = x^10*(y^10 - z^10)\n")
+    code, out, _ = run_cli(["--map", str(path), "--checks", "rabier", "--path", "t^10, t^-1, t^-1"])
+    assert code == 0
+    report = json.loads(out, parse_constant=lambda name: pytest.fail(f"non-JSON constant {name}"))
+    res = report["results"]["rabier"]
+    assert res["accepted"] is True and res["sigma_order"] is None
+    assert res["nu_samples"][-1] == [1e4, None]
+
+
+def test_rabier_rejection_reports_the_order(tmp_path):
+    path = tmp_path / "slow.map"
+    path.write_text("vars: x y\nf1 = y^2 + y/100000\n")
+    code, out, _ = run_cli(["--map", str(path), "--checks", "rabier", "--path", "t, t^-1"])
+    assert code == 0
+    res = json.loads(out)["results"]["rabier"]
+    assert res["accepted"] is False
+    assert res["clause"] == "singular value decay"
+    assert res["details"] == {"sigma_order": 0}
 
 
 def test_rabier_missing_path_is_report_error(shear_file):

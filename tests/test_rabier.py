@@ -1,6 +1,7 @@
 """Asymptotic-critical-value witnesses: divergence, limits, decay, verdicts."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -131,7 +132,7 @@ class TestCheckWitness:
     def test_three_accepted_witnesses(self, shear_map):
         for drop, text in ((3, LAMBDA), (2, GAMMA), (1, DELTA)):
             g = shear_map.drop_component(drop)
-            outcome = check_rabier_witness(g, path(text), tol=1e-3, t_max=1e4)
+            outcome = check_rabier_witness(g, path(text), t_max=1e4)
             assert outcome.accepted, (drop, getattr(outcome, "reason", None))
             assert [str(v) for v in outcome.limit] == ["0", "0"]
             assert outcome.nu_samples[-1][1] < 1e-3
@@ -156,7 +157,8 @@ class TestCheckWitness:
         g = PolyMap(("x", "y"), (PolyMap.identity(("x", "y")).components[1],))
         outcome = check_rabier_witness(g, path("t, 0"))
         assert not outcome.accepted
-        assert "decreasing" in outcome.reason
+        assert outcome.clause == "singular value decay"
+        assert outcome.details["sigma_order"] == 0
 
     def test_witness_clauses_reassertable(self, shear_map):
         g = shear_map.drop_component(3)
@@ -168,7 +170,94 @@ class TestCheckWitness:
         resampled = sigma_min_along_path(w.map, w.path, [t for t, _ in w.nu_samples])
         for (t1, n1), (t2, n2) in zip(resampled, w.nu_samples):
             assert t1 == t2 and n1 == pytest.approx(n2, rel=1e-12)
-        assert w.nu_samples[-1][1] < w.tol
+        assert w.sigma_order < 0
+
+
+class TestSigmaOrder:
+    """The exact decay clause: sigma_min ~ c * t^sigma_order along the path."""
+
+    # (map components, path, first t of the sampled decay check)
+    CASES = [
+        # sigma = 2/t + 1e-5: decreasing on the grid, yet bounded away from 0
+        (["y^2 + y/100000"], "t, t^-1", 1e7),
+        # sigma = 200/t: tends to 0, but stays above 1e-3 up to t = 10^4
+        (["100*y^2"], "t, t^-1", 100.0),
+        (["y"], "t, 0", 100.0),
+    ]
+
+    @staticmethod
+    def order_of(outcome):
+        return outcome.sigma_order if outcome.accepted else outcome.details["sigma_order"]
+
+    def test_slow_bounded_decay_rejected(self):
+        g = PolyMap.from_exprs(("x", "y"), ["y^2 + y/100000"])
+        outcome = check_rabier_witness(g, path("t, t^-1"))
+        assert not outcome.accepted
+        assert outcome.clause == "singular value decay"
+        assert outcome.details["sigma_order"] == 0
+
+    def test_slow_decay_to_zero_accepted(self):
+        g = PolyMap.from_exprs(("x", "y"), ["100*y^2"])
+        outcome = check_rabier_witness(g, path("t, t^-1"))
+        assert outcome.accepted
+        assert outcome.sigma_order == -1
+        assert outcome.nu_samples[-1][1] == pytest.approx(200 / 1e4, rel=1e-12)
+
+    def test_identically_singular_accepted(self):
+        g = PolyMap.from_exprs(("x", "y"), ["x + y", "2*x + 2*y"])
+        outcome = check_rabier_witness(g, path("t, -t"))
+        assert outcome.accepted
+        assert outcome.sigma_order is None
+        assert [str(v) for v in outcome.limit] == ["0", "0"]
+
+    def test_overflowing_sample_is_inf(self):
+        # rank 1 along the path, with Jacobian entries of degree 91 in t
+        g = PolyMap.from_exprs(("x", "y", "z"), ["y - z", "x^10*(y^10 - z^10)"])
+        outcome = check_rabier_witness(g, path("t^10, t^-1, t^-1"))
+        assert outcome.accepted and outcome.sigma_order is None
+        assert outcome.nu_samples[-1] == (1e4, math.inf)
+
+    def test_corpus_orders(self, shear_map):
+        for drop, text, order in ((3, LAMBDA, -2), (2, GAMMA, -2), (1, DELTA, -3)):
+            outcome = check_rabier_witness(shear_map.drop_component(drop), path(text))
+            assert outcome.accepted and outcome.sigma_order == order, drop
+
+    def test_more_rows_than_columns(self):
+        g = PolyMap.from_exprs(("x", "y"), ["x*y", "y", "y^2"])
+        with pytest.raises(ValueError, match="rows"):
+            check_rabier_witness(g, path("t, t^-1"))
+
+    def test_order_matches_sampled_decay(self, shear_map):
+        # the first case leaves its 1/t regime only past t = 2e5, so it is
+        # sampled at 10^7 and 10^8; every other case at 10^2 and 10^3
+        cases = [(PolyMap.from_exprs(("x", "y"), e), text, t) for e, text, t in self.CASES]
+        for d, text in ((3, LAMBDA), (2, GAMMA), (1, DELTA)):
+            cases.append((shear_map.drop_component(d), text, 100.0))
+        for g, text, t in cases:
+            order = self.order_of(check_rabier_witness(g, path(text)))
+            (_, low), (_, high) = sigma_min_along_path(g, path(text), [t, 10 * t])
+            assert round(math.log10(high / low)) == order, (g, text)
+
+    @pytest.mark.parametrize(
+        "a", [((1, 2), (3, 4)), ((Fraction(1, 2), 0), (1, 3)), ((0, 1), (-1, Fraction(1, 3)))]
+    )
+    def test_affine_image_keeps_order(self, shear_map, a):
+        # A o g + b: sigma_min moves by at most the factors sigma_min(A) and ||A||
+        shift = (Fraction(5, 2), -7)
+        for drop, text in ((3, LAMBDA), (2, GAMMA), (1, DELTA)):
+            g = shear_map.drop_component(drop)
+            moved = PolyMap(
+                g.vars,
+                tuple(
+                    row[0] * g.components[0] + row[1] * g.components[1] + b
+                    for row, b in zip(a, shift)
+                ),
+            )
+            w = check_rabier_witness(g, path(text))
+            moved_w = check_rabier_witness(moved, path(text))
+            assert moved_w.accepted and moved_w.sigma_order == w.sigma_order
+            limit = tuple(row[0] * w.limit[0] + row[1] * w.limit[1] + b for row, b in zip(a, shift))
+            assert moved_w.limit == limit
 
 
 def test_sigma_min_vs_row_norm_identity():
