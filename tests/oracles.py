@@ -7,9 +7,10 @@ conversion of ``poly_to_coeffs``; a Sylvester matrix for the subresultant
 resultant; the Gram matrix for the smallest singular value; one
 companion eigensolve and scalar Newton polish per polynomial for the
 batched root finder; numpy's SVD on any sample grid for the witness
-check's singular values and their order; fiber-count drops on sampled points of {h = 0} for
-the symbolic hyperplane-clearance verdict; and a comparison of every
-candidate with every cluster in Python for the solver's deduplication.
+check's singular values and their order in t; fiber-count drops on
+sampled points of {h = 0} for the symbolic hyperplane-clearance verdict;
+and a comparison of every candidate with every cluster in Python for the
+solver's deduplication.
 """
 
 from __future__ import annotations
@@ -155,7 +156,10 @@ def sigma_min_along_path(
     entries = [[jac[i, j].substitute_path(path.coordinates) for j in range(cols)] for i in range(rows)]
     out = []
     for t in ts:
-        a = np.array([[e.evaluate(t) for e in row] for row in entries], dtype=complex)
+        try:
+            a = np.array([[e.evaluate(t) for e in row] for row in entries], dtype=complex)
+        except OverflowError:  # a power of t beyond float range
+            a = np.full((rows, cols), np.inf)
         sigma = np.linalg.svd(a, compute_uv=False)[-1] if np.isfinite(a).all() else np.inf
         out.append((t, float(sigma)))
     return out

@@ -216,6 +216,7 @@ class TestSigmaOrder:
         outcome = check_rabier_witness(g, path("t^10, t^-1, t^-1"))
         assert outcome.accepted and outcome.sigma_order is None
         assert outcome.nu_samples[-1] == (1e4, math.inf)
+        assert sigma_min_along_path(g, path("t^10, t^-1, t^-1"), [1e4]) == [(1e4, math.inf)]
 
     def test_corpus_orders(self, shear_map):
         for drop, text, order in ((3, LAMBDA, -2), (2, GAMMA, -2), (1, DELTA, -3)):
