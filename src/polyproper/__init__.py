@@ -59,7 +59,6 @@ from .rabier import (
     check_rabier_witness,
     image_limit,
     path_diverges,
-    witness_grid,
 )
 
 __version__ = "0.1.0"
@@ -111,6 +110,5 @@ __all__ = [
     "check_rabier_witness",
     "image_limit",
     "path_diverges",
-    "witness_grid",
     "__version__",
 ]

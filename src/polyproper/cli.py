@@ -36,7 +36,7 @@ from .nonproper import (
 )
 from .parser import ParseError, parse_polynomial
 from .polymap import PolyMap, load_map_file
-from .rabier import DEFAULT_T_MAX, LaurentPath, check_rabier_witness
+from .rabier import LaurentPath, check_rabier_witness
 from .solver import DegreeEstimate, geometric_degree
 
 CHECK_NAMES = ("jacobian", "degree", "sf", "rabier", "cylinder", "clearance")
@@ -109,7 +109,7 @@ def _locus_for(f: PolyMap, cfg: AnalysisConfig, report: dict) -> Hypersurface:
     if "locus" not in cache:
         # the locus samples the same 50 targets itself, and only where a count decides
         cache["locus"] = nonproperness_set(
-            f, seed=cfg.seed, samples=50, tol=cfg.residual_tol, degree_estimate=cache.get("degree")
+            f, seed=cfg.seed, tol=cfg.residual_tol, degree_estimate=cache.get("degree")
         )
     return cache["locus"]
 
@@ -142,21 +142,18 @@ def _check_rabier(f: PolyMap, cfg: AnalysisConfig, report: dict) -> dict:
         g = f.drop_component(cfg.drop)
     else:
         g = f
-    outcome = check_rabier_witness(g, path, t_max=DEFAULT_T_MAX)
+    outcome = check_rabier_witness(g, path)
     out: dict = {
         "map_components": [str(c) for c in g.components],
         "dropped_component": cfg.drop,
         "path": str(path),
         "accepted": outcome.accepted,
-        "t_max": DEFAULT_T_MAX,
     }
     if outcome.accepted:
         out.update(
             {
                 "limit": [str(v) for v in outcome.limit],
                 "limit_float": [[v.to_complex().real, v.to_complex().imag] for v in outcome.limit],
-                # an overflowed sample is inf, which strict JSON cannot hold
-                "nu_samples": [[t, nu if math.isfinite(nu) else None] for t, nu in outcome.nu_samples],
                 "divergence_coordinates": list(outcome.divergence_coordinates),
                 "decay_order": outcome.decay_order,
                 "sigma_order": outcome.sigma_order,
@@ -202,9 +199,7 @@ def _check_clearance(f: PolyMap, cfg: AnalysisConfig, report: dict) -> dict:
     except ParseError as exc:
         return {"error": f"cannot parse hyperplane over {targets}: {exc}"}
     locus = _locus_for(f, cfg, report)
-    verdict = hyperplane_clearance(
-        f, h, locus=locus, seed=cfg.seed, tol=cfg.residual_tol
-    )
+    verdict = hyperplane_clearance(f, h, locus=locus)
     if verdict.certificate is not None:
         report["certificates"].append(verdict.certificate.to_dict())
     report["warnings"].extend(verdict.warnings)

@@ -113,7 +113,7 @@ def _run_example_3_6(f: PolyMap, seed: int, tol: float) -> tuple[dict, list, lis
     results["negative_control"] = "accepted" if rejected.accepted else rejected.reason
 
     h = parse_polynomial("y1", target_variables(f))
-    verdict = hyperplane_clearance(f, h, locus=locus, seed=seed, tol=tol)
+    verdict = hyperplane_clearance(f, h, locus=locus)
     results["clearance_y1"] = verdict.intersects
     results["clearance_certificate"] = verdict.certificate is not None
     if verdict.certificate is not None:
@@ -132,10 +132,8 @@ def _run_x_xy(f: PolyMap, seed: int, tol: float) -> tuple[dict, list, list]:
     results["count_at_0_1"] = fiber_count(f, (0, 1), tol)
 
     targets = target_variables(f)
-    v_on = hyperplane_clearance(f, parse_polynomial("y1", targets), locus=locus, seed=seed, tol=tol)
-    v_off = hyperplane_clearance(
-        f, parse_polynomial("y1 - 1", targets), locus=locus, seed=seed, tol=tol
-    )
+    v_on = hyperplane_clearance(f, parse_polynomial("y1", targets), locus=locus)
+    v_off = hyperplane_clearance(f, parse_polynomial("y1 - 1", targets), locus=locus)
     results["clearance_y1"] = v_on.intersects
     results["clearance_y1_minus_1"] = v_off.intersects
     results["clearance_certificates"] = (

@@ -248,7 +248,6 @@ def _points_on_zero_set(poly: Polynomial, rng: np.random.Generator) -> list[tupl
 def nonproperness_set(
     f: PolyMap,
     seed: int = 0,
-    samples: int = 20,
     tol: float = 1e-8,
     degree_estimate: DegreeEstimate | None = None,
 ) -> Hypersurface:
@@ -257,9 +256,10 @@ def nonproperness_set(
     The locus is the gcd-free basis of the primitive leading-coefficient
     factors.  On a nonsingular map each factor is kept only where a fiber
     count at a point on it falls below mu, the geometric degree: the
-    supplied estimate, or else one sampled from ``samples`` targets, and only
-    when there is a factor to check.  Without an estimate, dominance is
-    checked exactly: a zero Jacobian determinant raises ``ValueError``.  An
+    supplied estimate, or else one sampled by :func:`geometric_degree` at its
+    default of 50 targets, and only when there is a factor to check.
+    Without an estimate, dominance is checked exactly: a zero Jacobian
+    determinant raises ``ValueError``.  An
     elimination that does not end with one relation in its coordinate
     yields an ``unknown`` result that says why.
     """
@@ -305,7 +305,7 @@ def nonproperness_set(
     notes: list[str] = []
     if f.nonsingularity().is_nonsingular:
         if degree_estimate is None:
-            degree_estimate = geometric_degree(f, n_samples=samples, seed=seed, tol=tol)
+            degree_estimate = geometric_degree(f, seed=seed, tol=tol)
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5F]))
         checked = []
         for cand in kept:
@@ -388,12 +388,12 @@ def hyperplane_clearance(
     h: Polynomial,
     assert_biregular: bool = False,
     locus: Hypersurface | None = None,
-    seed: int = 0,
-    tol: float = 1e-8,
 ) -> ClearanceVerdict:
     """Test whether the nonproperness locus misses the hypersurface {h = 0}.
 
-    The locus {s = 0} is computed by elimination (unless supplied) and
+    The locus {s = 0} is supplied, or else computed by
+    :func:`nonproperness_set` at its defaults (pass
+    ``locus=nonproperness_set(f, seed=...)`` for another seed), and
     intersected with {h = 0} exactly, by one resultant in a variable v once
     a shear of the other coordinates by multiples of v makes s or h monic in
     v.  The walk over shears ends, as the top-degree form of s cannot vanish
@@ -424,7 +424,7 @@ def hyperplane_clearance(
     biregular = assert_biregular or graph_var is not None
 
     if locus is None:
-        locus = nonproperness_set(f, seed=seed, tol=tol)
+        locus = nonproperness_set(f)
     if locus.is_unknown:
         return ClearanceVerdict(
             "undetermined", None, {"locus": str(locus)}, tuple(warnings)

@@ -16,27 +16,20 @@ The accepted limit is then a member of the asymptotic critical set of g
 infinity), which in particular refutes any claim that this set is empty.
 
 Jacobian entries are composed with the path symbolically before any minor
-is taken, so the huge cancellations typical of these curves happen exactly;
-singular values sampled on a grid of t are evidence, not part of a verdict.
+is taken, so the huge cancellations typical of these curves happen exactly.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
 from typing import Sequence
 
-from .numlin import smallest_singular_value
 from .parser import parse_path
 from .poly import LaurentPoly
 from .polymap import PolyMap
 from .scalar import GaussianRational
-
-DEFAULT_T_MAX = 1e4
-#: Ratio of consecutive t values on the witness grid, and its first value.
-GRID_RATIO = 10.0
 
 
 class LaurentPath:
@@ -66,9 +59,6 @@ class LaurentPath:
     @property
     def dim(self) -> int:
         return len(self.coordinates)
-
-    def evaluate(self, t: complex) -> tuple[complex, ...]:
-        return tuple(c.evaluate(t) for c in self.coordinates)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, LaurentPath):
@@ -111,7 +101,6 @@ class ImageLimit:
     finite: bool
     value: tuple[GaussianRational, ...] | None
     diverging_component: int | None  # 1-based
-    compositions: tuple[LaurentPoly, ...]
     decay_order: int | None  # max degree of (composition - limit); None if identically constant
 
     def value_complex(self) -> tuple[complex, ...]:
@@ -129,28 +118,14 @@ def image_limit(g: PolyMap, path: LaurentPath) -> ImageLimit:
     comps = tuple(c.substitute_path(path.coordinates) for c in g.components)
     for k, comp in enumerate(comps):
         if not comp.is_zero() and comp.degree() >= 1:
-            return ImageLimit(False, None, k + 1, comps, None)
+            return ImageLimit(False, None, k + 1, None)
     limit = tuple(comp.constant_term() for comp in comps)
     decay = None
     for comp, lim in zip(comps, limit):
         tail = comp - LaurentPoly(comp.var, {0: lim})
         if not tail.is_zero():
             decay = tail.degree() if decay is None else max(decay, tail.degree())
-    return ImageLimit(True, limit, None, comps, decay)
-
-
-def witness_grid(t_max: float = DEFAULT_T_MAX) -> list[float]:
-    """Geometric sample grid 10, 100, ... capped at t_max."""
-    if t_max < GRID_RATIO:
-        raise ValueError(f"t_max must be at least {GRID_RATIO}")
-    ts = []
-    t = GRID_RATIO
-    while t <= t_max * (1 + 1e-12):
-        ts.append(float(t))
-        t *= GRID_RATIO
-    if ts[-1] < t_max * (1 - 1e-12):
-        ts.append(float(t_max))
-    return ts
+    return ImageLimit(True, limit, None, decay)
 
 
 def _path_jacobian_entries(g: PolyMap, path: LaurentPath):
@@ -160,14 +135,6 @@ def _path_jacobian_entries(g: PolyMap, path: LaurentPath):
         [jac[i, j].substitute_path(path.coordinates) for j in range(cols)]
         for i in range(rows)
     ]
-
-
-def _sample_sigma(entries, t: float) -> float:
-    """sigma_min of the path Jacobian at one t; inf where evaluation overflows."""
-    try:
-        return smallest_singular_value([[e.evaluate(t) for e in row] for row in entries])
-    except (OverflowError, ValueError):  # entries past float range, or inf - inf
-        return math.inf
 
 
 def _sigma_order(entries) -> int | None:
@@ -208,11 +175,9 @@ class RabierWitness:
     map: PolyMap
     path: LaurentPath
     limit: tuple[GaussianRational, ...]
-    nu_samples: tuple[tuple[float, float], ...]
     divergence_coordinates: tuple[int, ...]
     decay_order: int | None
     sigma_order: int | None  # sigma_min ~ c * t^sigma_order; None if it is identically 0
-    t_max: float
 
     accepted = True
 
@@ -232,15 +197,13 @@ class Rejection:
     accepted = False
 
 
-def check_rabier_witness(
-    g: PolyMap, path: LaurentPath, t_max: float = DEFAULT_T_MAX
-) -> RabierWitness | Rejection:
+def check_rabier_witness(g: PolyMap, path: LaurentPath) -> RabierWitness | Rejection:
     """Accept or reject a path as an asymptotic-critical-value witness.
 
     Acceptance requires all of, each exact: the path diverges in norm, the
     image limit is finite, and sigma_min of the Jacobian along the path has
     a negative order in t or is identically 0.  Rejections name the first
-    failed clause.  sigma_min sampled on the grid up to t_max is evidence.
+    failed clause.
     """
     div = path_diverges(path)
     if not div:
@@ -252,8 +215,7 @@ def check_rabier_witness(
             "image limit",
             {"component": lim.diverging_component},
         )
-    entries = _path_jacobian_entries(g, path)
-    order = _sigma_order(entries)
+    order = _sigma_order(_path_jacobian_entries(g, path))
     if order is not None and order >= 0:
         details = {"sigma_order": order}
         return Rejection("singular values do not tend to 0", "singular value decay", details)
@@ -261,11 +223,9 @@ def check_rabier_witness(
         map=g,
         path=path,
         limit=lim.value,
-        nu_samples=tuple((t, _sample_sigma(entries, t)) for t in witness_grid(t_max)),
         divergence_coordinates=div.coordinates,
         decay_order=lim.decay_order,
         sigma_order=order,
-        t_max=t_max,
     )
 
 

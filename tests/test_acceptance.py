@@ -35,7 +35,7 @@ from polyproper.cli import main
 from polyproper.corpus import example_3_6_inverse, example_3_6_map
 from polyproper.solver import sample_target
 from conftest import random_map, random_polynomial
-from oracles import min_gram_eigenvalue
+from oracles import min_gram_eigenvalue, sigma_min_along_path
 from test_numlin import _separated_roots, coeffs_from_roots
 
 
@@ -77,16 +77,15 @@ def test_criterion_3_witnesses_and_negative_control():
             (f.drop_component(1), "t, t^-2, t^3"),
         ]
         for g, text in cases:
-            outcome = check_rabier_witness(g, LaurentPath.from_text(text), t_max=1e4)
+            outcome = check_rabier_witness(g, LaurentPath.from_text(text))
             assert outcome.accepted, getattr(outcome, "reason", None)
             assert [str(v) for v in outcome.limit] == ["0", "0"]  # exact constants
-            assert outcome.nu_samples[-1][1] < 1e-3
+            assert outcome.sigma_order < 0
 
         # the first pairing decays exactly like t^-2
-        w = check_rabier_witness(
-            f.drop_component(3), LaurentPath.from_text("t, t^-2, 0"), t_max=1e4
-        )
-        for t, nu in w.nu_samples:
+        g, lam = f.drop_component(3), LaurentPath.from_text("t, t^-2, 0")
+        assert check_rabier_witness(g, lam).sigma_order == -2
+        for t, nu in sigma_min_along_path(g, lam, [10.0, 100.0, 1e3, 1e4]):
             assert nu == pytest.approx(t**-2, rel=1e-9)
 
         wrong_pair = PolyMap(f.vars, (f.components[0], f.components[2]))
@@ -98,13 +97,13 @@ def test_criterion_3_witnesses_and_negative_control():
 def test_criterion_4_symbolic_locus_and_cylinder():
     with criterion(4, "nonproperness loci exact; blowdown locus is a cylinder", 1.0):
         x_xy = PolyMap.from_exprs(("x", "y"), ["x", "x*y"])
-        locus = nonproperness_set(x_xy, seed=0, samples=10)
+        locus = nonproperness_set(x_xy, seed=0)
         assert locus.is_hypersurface
         assert str(locus.poly) == "y1"
         assert is_cylinder(locus, 2)
 
         x2_y = PolyMap.from_exprs(("x", "y"), ["x^2", "y"])
-        assert nonproperness_set(x2_y, seed=0, samples=10).is_empty
+        assert nonproperness_set(x2_y, seed=0).is_empty
 
 
 def test_criterion_5_constant_fiber_count():
@@ -126,7 +125,7 @@ def test_criterion_6_generic_counts_off_locus():
             (PolyMap.from_exprs(("x", "y"), ["x", "x*y"]), 1),
         ]
         for f, mu in cases:
-            locus = nonproperness_set(f, seed=0, samples=10)
+            locus = nonproperness_set(f, seed=0)
             rng = np.random.default_rng(SEED_OFF_LOCUS)
             taken = 0
             while taken < 50:

@@ -34,8 +34,9 @@ def test_traced_bindings_resolve():
 
     A binding that no longer resolves drops that layer from the per-layer
     numbers without an error; the only stale ones are the deleted
-    ``PolyMatrix.evaluate`` and ``nonproper.solve_fiber`` (the locus solves
-    no fiber).
+    ``PolyMatrix.evaluate``, ``nonproper.solve_fiber`` (the locus solves no
+    fiber) and ``rabier.smallest_singular_value`` (a witness samples no
+    singular value).
     """
     stale = set()
     for name, sites in _load_spans().layer_sites():
@@ -43,4 +44,8 @@ def test_traced_bindings_resolve():
             bound = vars(owner).get(attr) if isinstance(owner, type) else getattr(owner, attr, None)
             if not callable(bound):
                 stale.add(name)
-    assert stale == {"polymap.PolyMatrix.evaluate", "nonproper.solve_fiber"}
+    assert stale == {
+        "polymap.PolyMatrix.evaluate",
+        "nonproper.solve_fiber",
+        "rabier.smallest_singular_value",
+    }

@@ -65,8 +65,8 @@ def test_rabier_check(shear_file):
     res = report["results"]["rabier"]
     assert res["accepted"] is True
     assert res["limit"] == ["0", "0"]
-    assert res["nu_samples"][0] == [10.0, pytest.approx(1e-2, rel=1e-9)]
     assert res["sigma_order"] == -2
+    assert "nu_samples" not in res and "t_max" not in res
     assert "tol" not in res
     certs = report["certificates"]
     assert len(certs) == 1
@@ -77,7 +77,8 @@ def test_rabier_check(shear_file):
     assert report["config"]["tolerances"] == {"residual": 1e-8}
 
 
-def test_rabier_overflowed_sample_is_null(tmp_path):
+def test_rabier_identically_singular_report_is_strict_json(tmp_path):
+    # Jacobian entries of degree 91 in t: past float range at t = 10^4
     path = tmp_path / "wide.map"
     path.write_text("vars: x y z\nf1 = y - z\nf2 = x^10*(y^10 - z^10)\n")
     code, out, _ = run_cli(["--map", str(path), "--checks", "rabier", "--path", "t^10, t^-1, t^-1"])
@@ -85,7 +86,29 @@ def test_rabier_overflowed_sample_is_null(tmp_path):
     report = json.loads(out, parse_constant=lambda name: pytest.fail(f"non-JSON constant {name}"))
     res = report["results"]["rabier"]
     assert res["accepted"] is True and res["sigma_order"] is None
-    assert res["nu_samples"][-1] == [1e4, None]
+
+
+def test_rabier_cubic_decay_is_reported_exactly(shear_file):
+    # float samples of sigma_min lose this path's t^-3 decay past t = 10^2
+    code, out, _ = run_cli(
+        ["--map", shear_file, "--checks", "rabier", "--drop", "1", "--path", "t, t^-2, t^3"]
+    )
+    assert code == 0
+    res = json.loads(out)["results"]["rabier"]
+    assert res["accepted"] is True
+    assert res["sigma_order"] == -3
+    assert res["limit"] == ["0", "0"]
+    assert sorted(res) == [
+        "accepted",
+        "decay_order",
+        "divergence_coordinates",
+        "dropped_component",
+        "limit",
+        "limit_float",
+        "map_components",
+        "path",
+        "sigma_order",
+    ]
 
 
 def test_rabier_rejection_reports_the_order(tmp_path):

@@ -237,7 +237,7 @@ class TestClearance:
     def test_empty_locus_clears_and_certifies(self, shear_map):
         targets = target_variables(shear_map)
         h = parse_polynomial("y1", targets)
-        verdict = hyperplane_clearance(shear_map, h, seed=0)
+        verdict = hyperplane_clearance(shear_map, h)
         assert verdict.intersects == "no"
         assert verdict.certificate is not None
         assert verdict.certificate.claim == "automorphism"
@@ -246,13 +246,13 @@ class TestClearance:
 
     def test_identical_hypersurface_intersects(self, x_xy):
         h = parse_polynomial("y1", T2)
-        verdict = hyperplane_clearance(x_xy, h, seed=0)
+        verdict = hyperplane_clearance(x_xy, h)
         assert verdict.intersects == "yes"
         assert verdict.certificate is None  # singular map never certifies
 
     def test_parallel_hyperplane_clears_without_certificate(self, x_xy):
         h = parse_polynomial("y1 - 1", T2)
-        verdict = hyperplane_clearance(x_xy, h, seed=0)
+        verdict = hyperplane_clearance(x_xy, h)
         assert verdict.intersects == "no"
         assert verdict.certificate is None
         assert any("singular" in w for w in verdict.warnings)
@@ -272,7 +272,7 @@ class TestClearance:
         ]
         for f, expr, targets in cases:
             h = parse_polynomial(expr, targets)
-            sym = hyperplane_clearance(f, h, seed=0)
+            sym = hyperplane_clearance(f, h)
             samp = sampling_clearance(f, h, seed=0)
             assert sym.intersects == samp.intersects, (str(f), expr)
 
@@ -286,7 +286,7 @@ class TestClearance:
 
     def test_disjoint_variable_supports_always_meet(self, x_xy):
         h = parse_polynomial("y2 - 4", T2)
-        verdict = hyperplane_clearance(x_xy, h, seed=0)
+        verdict = hyperplane_clearance(x_xy, h)
         assert verdict.intersects == "yes"
 
 

@@ -13,7 +13,6 @@ from polyproper import (
     image_limit,
     path_diverges,
     smallest_singular_value,
-    witness_grid,
 )
 from oracles import min_gram_eigenvalue, sigma_min_along_path
 
@@ -24,6 +23,10 @@ DELTA = "t, t^-2, t^3"
 
 def path(text):
     return LaurentPath.from_text(text)
+
+
+def point_at(text, t):
+    return tuple(c.evaluate(t) for c in path(text).coordinates)
 
 
 def jacobian_at(g, pt):
@@ -78,7 +81,7 @@ class TestImageLimit:
             g = shear_map.drop_component(drop)
             lim = image_limit(g, path(text))
             t0 = 1e3
-            numeric = g.evaluate(path(text).evaluate(t0))
+            numeric = g.evaluate(point_at(text, t0))
             for a, b in zip(numeric, lim.value_complex()):
                 assert abs(a - b) <= 10.0 / t0
 
@@ -109,34 +112,24 @@ class TestSigmaAlongPath:
 
     def test_matches_gram_cross_check(self, shear_map):
         g = shear_map.drop_component(3)
-        pts = [path(LAMBDA).evaluate(t) for t in (10.0, 100.0)]
+        pts = [point_at(LAMBDA, t) for t in (10.0, 100.0)]
         samples = sigma_min_along_path(g, path(LAMBDA), [10.0, 100.0])
         for (t, nu), pt in zip(samples, pts):
             gram = min_gram_eigenvalue(jacobian_at(g, pt))
             assert nu**2 == pytest.approx(gram, rel=1e-9, abs=1e-18)
 
 
-class TestWitnessGrid:
-    def test_powers_of_ten(self):
-        assert witness_grid(1e4) == [10.0, 100.0, 1000.0, 10000.0]
-
-    def test_cap_appended(self):
-        assert witness_grid(500.0) == [10.0, 100.0, 500.0]
-
-    def test_too_small(self):
-        with pytest.raises(ValueError):
-            witness_grid(5.0)
-
-
 class TestCheckWitness:
     def test_three_accepted_witnesses(self, shear_map):
         for drop, text in ((3, LAMBDA), (2, GAMMA), (1, DELTA)):
             g = shear_map.drop_component(drop)
-            outcome = check_rabier_witness(g, path(text), t_max=1e4)
+            outcome = check_rabier_witness(g, path(text))
             assert outcome.accepted, (drop, getattr(outcome, "reason", None))
             assert [str(v) for v in outcome.limit] == ["0", "0"]
-            assert outcome.nu_samples[-1][1] < 1e-3
-            values = [nu for _, nu in outcome.nu_samples]
+            assert outcome.sigma_order < 0
+            samples = sigma_min_along_path(g, path(text), [10.0, 100.0, 1e3, 1e4])
+            values = [nu for _, nu in samples]
+            assert values[-1] < 1e-3
             assert all(b < a for a, b in zip(values, values[1:]))
             assert outcome.refutes_rabier_condition
 
@@ -167,10 +160,9 @@ class TestCheckWitness:
         assert path_diverges(w.path).coordinates == w.divergence_coordinates
         lim = image_limit(w.map, w.path)
         assert lim.finite and lim.value == w.limit
-        resampled = sigma_min_along_path(w.map, w.path, [t for t, _ in w.nu_samples])
-        for (t1, n1), (t2, n2) in zip(resampled, w.nu_samples):
-            assert t1 == t2 and n1 == pytest.approx(n2, rel=1e-12)
+        (_, low), (_, high) = sigma_min_along_path(w.map, w.path, [100.0, 1000.0])
         assert w.sigma_order < 0
+        assert round(math.log10(high / low)) == w.sigma_order
 
 
 class TestSigmaOrder:
@@ -201,7 +193,8 @@ class TestSigmaOrder:
         outcome = check_rabier_witness(g, path("t, t^-1"))
         assert outcome.accepted
         assert outcome.sigma_order == -1
-        assert outcome.nu_samples[-1][1] == pytest.approx(200 / 1e4, rel=1e-12)
+        ((_, nu),) = sigma_min_along_path(g, path("t, t^-1"), [1e4])
+        assert nu == pytest.approx(200 / 1e4, rel=1e-12)
 
     def test_identically_singular_accepted(self):
         g = PolyMap.from_exprs(("x", "y"), ["x + y", "2*x + 2*y"])
@@ -211,11 +204,11 @@ class TestSigmaOrder:
         assert [str(v) for v in outcome.limit] == ["0", "0"]
 
     def test_overflowing_sample_is_inf(self):
-        # rank 1 along the path, with Jacobian entries of degree 91 in t
+        # rank 1 along the path, with Jacobian entries of degree 91 in t: the
+        # order is exact where a float sample of sigma_min overflows
         g = PolyMap.from_exprs(("x", "y", "z"), ["y - z", "x^10*(y^10 - z^10)"])
         outcome = check_rabier_witness(g, path("t^10, t^-1, t^-1"))
         assert outcome.accepted and outcome.sigma_order is None
-        assert outcome.nu_samples[-1] == (1e4, math.inf)
         assert sigma_min_along_path(g, path("t^10, t^-1, t^-1"), [1e4]) == [(1e4, math.inf)]
 
     def test_corpus_orders(self, shear_map):
