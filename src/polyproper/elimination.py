@@ -202,7 +202,7 @@ def _subresultant_prs(f: Polynomial, g: Polynomial, var: str, df: int, dg: int) 
         if db == 0:
             num = b**da
             res = num if da <= 1 else exact_div(num, h ** (da - 1))
-            return res.scale(s) if s < 0 else res
+            return res * s if s < 0 else res
 
 
 def _resultant_by_values(f: Polynomial, g: Polynomial, var: str, u: str | None) -> Polynomial:
@@ -381,7 +381,7 @@ def poly_matrix_det(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
             m[i][k] = Polynomial.zero(ctx)
         prev = m[k][k]
     det = m[n - 1][n - 1]
-    return det.scale(-1) if sign < 0 else det
+    return det * -1 if sign < 0 else det
 
 
 # -- gcd and squarefree parts -------------------------------------------------
@@ -392,7 +392,7 @@ def normalized(p: Polynomial) -> Polynomial:
     if p.is_zero():
         return p
     _, c = p.leading_term()
-    return p if c.is_one() else p.scale(ONE / c)
+    return p if c.is_one() else p * (ONE / c)
 
 
 def gcd_poly(p: Polynomial, q: Polynomial) -> Polynomial:

@@ -98,11 +98,6 @@ class TermTable:
         mono = self.monomials(tables)
         return mono @ self.coeffs, np.abs(mono) @ self.abs_coeffs
 
-    def evaluate(self, points) -> np.ndarray:
-        """Values at a k x n batch of points (any array-like of complex)."""
-        pts = np.asarray(points, dtype=complex)
-        return self.values(power_tables(pts, self.degrees))
-
 
 class MapEvaluator:
     """A polynomial map and its Jacobian, compiled for batches of points.

@@ -94,11 +94,10 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 class _Parser:
     """Recursive-descent parser over an algebra of values.
 
-    The algebra argument supplies ``constant``, ``imaginary``, ``variable``,
-    ``divide``, the ``degree`` the parse budget counts, the number of
-    ``monomials`` up to a degree, and whether negative exponents are legal,
-    so one grammar serves both multivariate polynomials and Laurent path
-    coordinates.
+    The algebra argument supplies ``constant``, ``variable``, the ``degree``
+    the parse budget counts, the number of ``monomials`` up to a degree, and
+    whether negative exponents are legal, so one grammar serves both
+    multivariate polynomials and Laurent path coordinates.
     """
 
     def __init__(self, text: str, algebra):
@@ -159,7 +158,12 @@ class _Parser:
                     value = self.multiply(value, rhs, pos)
                 else:
                     self.charge(len(value.nums), len(value.nums), pos)
-                    value = self.algebra.divide(value, rhs, pos)
+                    if not rhs.is_constant():
+                        raise ParseError("division is only allowed by constants", pos)
+                    c = rhs.constant_value()
+                    if c.is_zero():
+                        raise ParseError("division by zero", pos)
+                    value = value * (GaussianRational(1) / c)
             else:
                 return value
 
@@ -238,7 +242,7 @@ class _Parser:
             return self.algebra.constant(int(text))
         if kind == "ident":
             if text == IMAGINARY_UNIT:
-                return self.algebra.imaginary()
+                return self.algebra.constant(1j)
             return self.algebra.variable(text, pos)
         if kind == "op" and text == "(":
             value = self.expression()
@@ -253,11 +257,8 @@ class _PolynomialAlgebra:
     def __init__(self, variables: Sequence[str]):
         self.vars = tuple(variables)
 
-    def constant(self, n: int) -> Polynomial:
+    def constant(self, n: complex) -> Polynomial:
         return Polynomial.constant(self.vars, n)
-
-    def imaginary(self) -> Polynomial:
-        return Polynomial.constant(self.vars, 1j)
 
     def variable(self, name: str, pos: int) -> Polynomial:
         if name not in self.vars:
@@ -271,15 +272,6 @@ class _PolynomialAlgebra:
     def monomials(self, degree: int) -> int:
         return comb(len(self.vars) + degree, degree)
 
-    @staticmethod
-    def divide(value: Polynomial, rhs: Polynomial, pos: int) -> Polynomial:
-        if not rhs.is_constant():
-            raise ParseError("division is only allowed by constants", pos)
-        c = rhs.constant_value()
-        if c.is_zero():
-            raise ParseError("division by zero", pos)
-        return value.scale(GaussianRational(1) / c)
-
 
 class _LaurentAlgebra:
     allow_negative_exponents = True
@@ -287,11 +279,8 @@ class _LaurentAlgebra:
     def __init__(self, var: str):
         self.var = var
 
-    def constant(self, n: int) -> LaurentPoly:
+    def constant(self, n: complex) -> LaurentPoly:
         return LaurentPoly(self.var, {0: n})
-
-    def imaginary(self) -> LaurentPoly:
-        return LaurentPoly(self.var, {0: 1j})
 
     def variable(self, name: str, pos: int) -> LaurentPoly:
         if name != self.var:
@@ -305,15 +294,6 @@ class _LaurentAlgebra:
     @staticmethod
     def monomials(degree: int) -> int:
         return 2 * degree + 1
-
-    @staticmethod
-    def divide(value: LaurentPoly, rhs: LaurentPoly, pos: int) -> LaurentPoly:
-        if set(rhs.nums) - {0}:
-            raise ParseError("division is only allowed by constants", pos)
-        c = rhs.constant_term()
-        if c.is_zero():
-            raise ParseError("division by zero", pos)
-        return value * (GaussianRational(1) / c)
 
 
 def parse_polynomial(text: str, variables: Sequence[str]) -> Polynomial:

@@ -68,7 +68,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .numeric import TermTable
+from .numeric import TermTable, power_tables
 from .scalar import GaussianRational, ScalarLike, _power
 
 Exponents = tuple  # tuple[int, ...], one entry per variable
@@ -152,6 +152,15 @@ class _Sparse:
     def is_zero(self) -> bool:
         return not self.nums
 
+    def is_constant(self) -> bool:
+        return not any(self.nums)
+
+    def constant_value(self) -> GaussianRational:
+        """The scalar value of a constant polynomial (zero included)."""
+        if not self.is_constant():
+            raise ValueError("polynomial is not constant")
+        return _scalar(self.den, *self.nums.get(0, (0, 0)))
+
     def __bool__(self) -> bool:
         return bool(self.nums)
 
@@ -179,9 +188,6 @@ class _Sparse:
         return self._like(*_mul_terms(self.den, self.nums, o.den, o.nums))
 
     __rmul__ = __mul__
-
-    def scale(self, factor: ScalarLike):
-        return self * factor
 
     def _check_product(self, other) -> None:
         """Raise if the product of self and other cannot be stored."""
@@ -249,15 +255,6 @@ class Polynomial(_Sparse):
         return WIDTH * (len(self.vars) - 1 - self._index(var))
 
     # -- basic queries ----------------------------------------------------
-
-    def is_constant(self) -> bool:
-        return not any(self.nums)
-
-    def constant_value(self) -> GaussianRational:
-        """The scalar value of a constant polynomial (zero included)."""
-        if not self.is_constant():
-            raise ValueError("polynomial is not constant")
-        return _scalar(self.den, *self.nums.get(0, (0, 0)))
 
     def total_degree(self) -> int:
         if not self.nums:
@@ -385,7 +382,7 @@ class Polynomial(_Sparse):
         if len(values) != len(self.vars):
             raise ValueError(f"point has dimension {len(values)}, expected {len(self.vars)}")
         table = TermTable([self], len(self.vars))
-        return complex(table.evaluate(np.array([values]))[0, 0])
+        return complex(table.values(power_tables(np.array([values]), table.degrees))[0, 0])
 
     def evaluate_exact(self, point: Sequence[ScalarLike]) -> GaussianRational:
         """Exact evaluation at Gaussian-rational coordinates: every variable specialised."""
@@ -1048,8 +1045,8 @@ class LaurentPoly(_Sparse):
     """Univariate Laurent polynomial: finite map exponent -> nonzero scalar.
 
     Exponents are arbitrary integers and are the keys of the stored form.
-    ``degree`` and ``order`` (max and min exponent) are defined only for
-    nonzero polynomials.
+    ``degree`` (the largest exponent) is defined only for nonzero
+    polynomials.
     """
 
     __slots__ = ("var", "den", "nums", "_terms", "_hash")
@@ -1082,16 +1079,8 @@ class LaurentPoly(_Sparse):
             raise ValueError("degree of the zero Laurent polynomial is undefined")
         return max(self.nums)
 
-    def order(self) -> int:
-        if not self.nums:
-            raise ValueError("order of the zero Laurent polynomial is undefined")
-        return min(self.nums)
-
-    def coefficient(self, exponent: int) -> GaussianRational:
-        return _scalar(self.den, *self.nums.get(exponent, (0, 0)))
-
     def constant_term(self) -> GaussianRational:
-        return self.coefficient(0)
+        return _scalar(self.den, *self.nums.get(0, (0, 0)))
 
     def _operand(self, other) -> "LaurentPoly":
         """``other`` as a Laurent polynomial in this variable; scalars become constants."""
@@ -1112,15 +1101,6 @@ class LaurentPoly(_Sparse):
             ((e, c),) = self.terms.items()
             return LaurentPoly(self.var, {e * exponent: 1 / c ** (-exponent)})
         return _power(self, exponent, LaurentPoly.one(self.var))
-
-    def evaluate(self, t: complex) -> complex:
-        tc = complex(t)
-        if tc == 0 and any(e < 0 for e in self.nums):
-            raise ZeroDivisionError("Laurent polynomial with poles cannot be evaluated at 0")
-        den = self.den
-        return sum(
-            (complex(re / den, im / den) * tc**e for e, (re, im) in sorted(self.nums.items())), 0j
-        )
 
     def __eq__(self, other) -> bool:
         if isinstance(other, LaurentPoly):

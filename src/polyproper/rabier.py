@@ -103,11 +103,6 @@ class ImageLimit:
     diverging_component: int | None  # 1-based
     decay_order: int | None  # max degree of (composition - limit); None if identically constant
 
-    def value_complex(self) -> tuple[complex, ...]:
-        if self.value is None:
-            raise ValueError("image diverges; no limit value")
-        return tuple(v.to_complex() for v in self.value)
-
 
 def image_limit(g: PolyMap, path: LaurentPath) -> ImageLimit:
     """Exact image limit of g along the path as t -> infinity."""
@@ -180,12 +175,6 @@ class RabierWitness:
     sigma_order: int | None  # sigma_min ~ c * t^sigma_order; None if it is identically 0
 
     accepted = True
-
-    @property
-    def refutes_rabier_condition(self) -> bool:
-        """The witness limit lies in the asymptotic critical set, so that
-        set is nonempty and the map cannot satisfy the Rabier condition."""
-        return True
 
 
 @dataclass(frozen=True)

@@ -111,12 +111,6 @@ class GaussianRational:
     def is_one(self) -> bool:
         return self.re == 1 and not self.im
 
-    def is_real(self) -> bool:
-        return not self.im
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
     def to_complex(self) -> complex:
         return complex(float(self.re), float(self.im))
 

@@ -59,10 +59,11 @@ the plan has a ``problem`` or is over budget, when its final or some pivot
 vanishes at it, or when one of its branches degenerates or overflows
 during back-substitution.  A nonzero constant final means the fiber is
 empty.  :func:`solve_fiber` and :func:`fiber_count` build no plan and take
-the per-target path, except where the map holds a triangular plan and
-A(y') is nonzero: there they return its exact point, or raise
-``ValueError`` when a coordinate of it overflows a float.  A batch of one
-target gives the per-target fiber bit for bit.
+the per-target path, except where the map holds a triangular plan with an
+exact point at y: there they return that point.  Where A(y') is nonzero
+but a coordinate of the point overflows a float, the per-target path
+raises ``ValueError``.  A batch of one target gives the per-target fiber
+bit for bit.
 
 The plan is built under an exact-work budget,
 :data:`polyproper.elimination.MAX_SYMBOLIC_WORK` term pairs of the product
@@ -467,8 +468,6 @@ def solve_fiber(
             (vals,), _ = ev.values(ev.powers(np.array([point], dtype=complex)))
             residual = float(np.hypot.reduce(np.abs(vals - np.array(y, dtype=complex))))
             return [FiberSolution(point, residual, multiple=False)]
-        if plan.single_point_at(y):  # A(y') != 0, so the point overflows
-            raise _beyond_float_range(y)
     return _cascade_fiber(f, y, tol)
 
 

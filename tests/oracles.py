@@ -10,16 +10,19 @@ batched root finder; numpy's SVD on any sample grid for the witness
 check's singular values and their order in t; fiber-count drops on
 sampled points of {h = 0} for the symbolic hyperplane-clearance verdict;
 and a comparison of every candidate with every cluster in Python for the
-solver's deduplication.
+solver's deduplication.  :func:`laurent_value` evaluates a Laurent
+polynomial in floats for these checks; the package decides witnesses
+exactly and evaluates no Laurent polynomial in floats.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from polyproper import PolyMap, Polynomial
+from polyproper import LaurentPoly, PolyMap, Polynomial
 from polyproper.elimination import as_univariate
 from polyproper.numeric import EPS
 from polyproper.numlin import CLUSTER_RADIUS, Root, RootSet, _cluster, _merge_multiple
@@ -139,6 +142,18 @@ def min_gram_eigenvalue(matrix) -> float:
     return float(np.min(np.linalg.eigvalsh(gram)))
 
 
+def laurent_value(p: LaurentPoly, t: complex) -> complex:
+    """p(t) in floating point, term by term; ``inf`` where a power of t overflows.
+
+    A pole at t = 0 raises ``ZeroDivisionError``.
+    """
+    tc = complex(t)
+    try:
+        return sum((c.to_complex() * tc**e for e, c in sorted(p.terms.items())), 0j)
+    except OverflowError:
+        return complex(math.inf)
+
+
 def sigma_min_along_path(
     g: PolyMap, path: LaurentPath, t_values: Sequence[float]
 ) -> list[tuple[float, float]]:
@@ -146,7 +161,8 @@ def sigma_min_along_path(
 
     Each Jacobian entry is composed with the path exactly first, so the
     cancellations along the path happen before any float is produced.
-    Overflowing samples are reported with value ``inf`` rather than raised.
+    Overflowing samples are reported with value ``inf`` rather than raised
+    (:func:`laurent_value`).
     """
     ts = [float(t) for t in t_values]
     if any(t <= 0 for t in ts) or any(b <= a for a, b in zip(ts, ts[1:])):
@@ -156,10 +172,7 @@ def sigma_min_along_path(
     entries = [[jac[i, j].substitute_path(path.coordinates) for j in range(cols)] for i in range(rows)]
     out = []
     for t in ts:
-        try:
-            a = np.array([[e.evaluate(t) for e in row] for row in entries], dtype=complex)
-        except OverflowError:  # a power of t beyond float range
-            a = np.full((rows, cols), np.inf)
+        a = np.array([[laurent_value(e, t) for e in row] for row in entries], dtype=complex)
         sigma = np.linalg.svd(a, compute_uv=False)[-1] if np.isfinite(a).all() else np.inf
         out.append((t, float(sigma)))
     return out

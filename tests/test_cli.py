@@ -12,6 +12,7 @@ import pytest
 from polyproper.cli import main
 from polyproper.corpus import EXAMPLE_3_6_TEXT, X_XY_TEXT, corpus_names, run_entry
 from polyproper.solver import geometric_degree
+from conftest import dense_pool
 
 
 @pytest.fixture()
@@ -140,6 +141,46 @@ def test_clearance_check(shear_file):
     assert report["certificates"][0]["claim"] == "automorphism"
 
 
+@pytest.mark.parametrize(
+    "extra, error",
+    [
+        ([], 'the clearance check needs --hyperplane "<expr>"'),
+        (
+            ["--hyperplane", "y1 +"],
+            "cannot parse hyperplane over ('y1', 'y2', 'y3'): "
+            "unexpected end of input (at position 4)",
+        ),
+    ],
+)
+def test_clearance_without_a_usable_hyperplane_is_report_error(shear_file, extra, error):
+    code, out, _ = run_cli(["--map", shear_file, "--checks", "clearance", *extra])
+    assert code == 0
+    assert json.loads(out)["results"] == {"clearance": {"error": error}}
+
+
+def test_cylinder_of_an_unknown_locus_is_report_error(tmp_path):
+    path = tmp_path / "dense.map"
+    path.write_text(dense_pool()["3x2#2"][0])
+    code, out, _ = run_cli(["--map", str(path), "--checks", "cylinder"])
+    assert code == 0
+    assert json.loads(out)["results"]["cylinder"] == {
+        "error": "nonproperness locus is unknown: elimination degenerated to zero at variable 'z'"
+    }
+
+
+def test_unexpected_exception_is_internal_error(shear_file, monkeypatch):
+    from polyproper import cli
+
+    def broken(*args):
+        raise KeyError("boom")
+
+    monkeypatch.setitem(cli._CHECKS, "jacobian", broken)
+    code, out, err = run_cli(["--map", shear_file, "--checks", "jacobian"])
+    assert code == 2
+    assert out == ""
+    assert "internal error: KeyError" in err
+
+
 def test_one_degree_estimate_per_run(tmp_path, monkeypatch):
     """The degree check and the locus share one 50-sample estimate of mu."""
     from polyproper import cli, nonproper
@@ -250,6 +291,14 @@ def test_corpus_all_passes_and_deterministic():
     report = json.loads(out1)
     assert report["pass"] is True
     assert sorted(report["corpus"]) == corpus_names()
+
+
+def test_corpus_all_text_format():
+    code, out, _ = run_cli(["--corpus", "all", "--format", "text"])
+    assert code == 0
+    header, *entries = [line for line in out.splitlines() if not line.startswith(" ")]
+    assert header.startswith("polyproper ")
+    assert entries == ["[example-3-6] ok", "[x-xy] ok", "[x2-y] ok", "corpus pass: True"]
 
 
 def test_unknown_corpus_is_usage_error():

@@ -1,5 +1,6 @@
 """Nonproperness locus, cylinder structure, clearance, and certificates."""
 
+import dataclasses
 import random
 
 import numpy as np
@@ -105,6 +106,26 @@ class TestLocusComputation:
         locus = nonproperness_set(f, degree_estimate=MU_ONE)
         assert locus.is_unknown
         assert locus.reason == "no relation ties 'x' to the target coordinates"
+
+    def test_unvalidated_factor_of_a_nonsingular_map_is_dropped(self, shear_map, monkeypatch):
+        """A spurious factor (y1 - 2)·x + 1 on the x-relation gives the candidate y1 - 2.
+
+        The shear is an automorphism, so no fiber count drops on {y1 = 2}.
+        """
+        eliminate = nonproper.eliminate
+
+        def with_spurious_factor(system, kill):
+            res = eliminate(system, kill)
+            if kill != ["y", "z"]:
+                return res
+            (phi,) = res.finals
+            x, y1 = (Polynomial.variable(phi.vars, v) for v in ("x", "y1"))
+            return dataclasses.replace(res, finals=[phi * ((y1 - 2) * x + 1)])
+
+        monkeypatch.setattr(nonproper, "eliminate", with_spurious_factor)
+        locus = nonproperness_set(shear_map, seed=0)
+        assert locus.is_empty
+        assert locus.notes == ("dropped unvalidated elimination factor: y1 - 2",)
 
 
 #: The loci of the dense bench pool at seed 0 with the frozen mu.  Every pool
@@ -225,7 +246,7 @@ class TestCylinder:
 
     def test_scaling_invariance(self):
         p = parse_polynomial("y1", T2)
-        scaled = p.scale(GaussianRational(3, -2))
+        scaled = p * GaussianRational(3, -2)
         assert is_cylinder(Hypersurface.of(p), 2) == is_cylinder(Hypersurface.of(scaled), 2)
 
     def test_unknown_rejected(self):

@@ -155,6 +155,6 @@ def test_long_chain_of_divisions_fails_on_the_work_budget():
 
 def test_degree_at_the_parse_limit_is_accepted():
     assert parse_polynomial("x^16*y^16", V).total_degree() == MAX_PARSE_DEGREE
-    assert parse_laurent("t^-32").order() == -MAX_PARSE_DEGREE
+    assert min(parse_laurent("t^-32").terms) == -MAX_PARSE_DEGREE
     with pytest.raises(ParseError, match="parse limit"):
         parse_laurent("t^-33")

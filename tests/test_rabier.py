@@ -14,7 +14,7 @@ from polyproper import (
     path_diverges,
     smallest_singular_value,
 )
-from oracles import min_gram_eigenvalue, sigma_min_along_path
+from oracles import laurent_value, min_gram_eigenvalue, sigma_min_along_path
 
 LAMBDA = "t, t^-2, 0"
 GAMMA = "t^-1, t^2, t^-3"
@@ -26,7 +26,7 @@ def path(text):
 
 
 def point_at(text, t):
-    return tuple(c.evaluate(t) for c in path(text).coordinates)
+    return tuple(laurent_value(c, t) for c in path(text).coordinates)
 
 
 def jacobian_at(g, pt):
@@ -82,7 +82,7 @@ class TestImageLimit:
             lim = image_limit(g, path(text))
             t0 = 1e3
             numeric = g.evaluate(point_at(text, t0))
-            for a, b in zip(numeric, lim.value_complex()):
+            for a, b in zip(numeric, (v.to_complex() for v in lim.value)):
                 assert abs(a - b) <= 10.0 / t0
 
 
@@ -127,11 +127,10 @@ class TestCheckWitness:
             assert outcome.accepted, (drop, getattr(outcome, "reason", None))
             assert [str(v) for v in outcome.limit] == ["0", "0"]
             assert outcome.sigma_order < 0
-            samples = sigma_min_along_path(g, path(text), [10.0, 100.0, 1e3, 1e4])
-            values = [nu for _, nu in samples]
-            assert values[-1] < 1e-3
-            assert all(b < a for a, b in zip(values, values[1:]))
-            assert outcome.refutes_rabier_condition
+            # beyond t = 10^2 the float Jacobian of drop1 is round-off (0.0 at 10^4)
+            (_, at_10), (_, at_100) = sigma_min_along_path(g, path(text), [10.0, 100.0])
+            assert at_100 < 1e-3 and at_100 < at_10
+            assert round(math.log10(at_100 / at_10)) == outcome.sigma_order
 
     def test_negative_control_image_diverges(self, shear_map):
         wrong = PolyMap(shear_map.vars, (shear_map.components[0], shear_map.components[2]))

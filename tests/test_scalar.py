@@ -66,11 +66,8 @@ def test_immutability():
         a.re = Fraction(2)
 
 
-def test_conjugate_and_views():
+def test_views():
     a = G(1, -2)
-    assert a.conjugate() == G(1, 2)
     assert a.to_complex() == 1 - 2j
-    assert a.is_real() is False
-    assert G(5).is_real() is True
     assert not G(0)
     assert G(0).is_zero()
