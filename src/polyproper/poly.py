@@ -132,6 +132,7 @@ class _Sparse:
     A subclass sets ``den``, ``nums``, ``_terms`` and ``_hash`` and supplies
     ``_like`` (a stored form in the same ring), ``_operand`` (coercion of the
     other operand) and ``_exponents`` (a key as the ``terms`` view shows it).
+    In both kinds the key 0 is the constant term.
     """
 
     __slots__ = ()
