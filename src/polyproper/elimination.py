@@ -464,6 +464,7 @@ class EliminationStage:
     var: str
     pivot: Polynomial
     mode: str  # "substitution" | "single" | "resultant"
+    image: Polynomial | None = None  # what a substitution put for var: -R/c of pivot c*var + R
 
 
 @dataclass
@@ -588,7 +589,7 @@ def eliminate(
         if action:
             idx, v, image = action
             pivot = eqs.pop(idx)
-            result.stages.append(EliminationStage(v, pivot, "substitution"))
+            result.stages.append(EliminationStage(v, pivot, "substitution", image))
             remaining.remove(v)
             eqs = _admit(result, (_substitute_var(p, v, image) for p in eqs))
             continue

@@ -46,10 +46,9 @@ such a block nothing is counted.
 polynomials at exact values, for many values in turn: each polynomial is
 compiled once to its numerators split by (leading exponents, trailing
 exponents), so one set of values costs int powers of the values and one
-reduction per result.  Exact evaluation (:meth:`Polynomial.evaluate_exact`)
-is the specialisation of every variable.  Scalars enter the stored form one
-way (:func:`stored_values`), for the constructors and for specialisation
-alike: one denominator over Gaussian-integer numerators, each part read by
+reduction per result.  Scalars enter the stored form one way
+(:func:`stored_values`), for the constructors and for specialisation alike:
+one denominator over Gaussian-integer numerators, each part read by
 ``as_integer_ratio``.
 
 :class:`RowEchelon` is the reduced row echelon form g = M·p of a set of
@@ -384,13 +383,6 @@ class Polynomial(_Sparse):
             raise ValueError(f"point has dimension {len(values)}, expected {len(self.vars)}")
         table = TermTable([self], len(self.vars))
         return complex(table.values(power_tables(np.array([values]), table.degrees))[0, 0])
-
-    def evaluate_exact(self, point: Sequence[ScalarLike]) -> GaussianRational:
-        """Exact evaluation at Gaussian-rational coordinates: every variable specialised."""
-        values = list(point)
-        if len(values) != len(self.vars):
-            raise ValueError(f"point has dimension {len(values)}, expected {len(self.vars)}")
-        return Specialisation([self], 0).at(values)[0].constant_value()
 
     # -- comparison and printing --------------------------------------------
 

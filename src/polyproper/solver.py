@@ -8,13 +8,13 @@ resultant stages introduce are dropped at Newton's first evaluation by their
 relative residual (:data:`SCREEN_RESIDUAL`), and what is left is checked by
 the final residual test against the full system.
 
-A triangular :class:`TargetPlan` skips the floating-point steps: when every
-stage substitutes and the one final is linear in the last variable, as for
-tame automorphisms, the fiber is one simple point, computed exactly from
-the plan and rounded once per coordinate (:meth:`TargetPlan.exact_point`).
-Its residual is reported, not tested.  :func:`geometric_degree` reads only
-the count, so it computes no point there: it counts such a fiber from the
-final's leading coefficient A(y') alone (:meth:`TargetPlan.single_point_at`).
+A triangular cascade skips the floating-point steps: when every stage
+substitutes and the one final is linear in the last variable, as for tame
+automorphisms, the fiber is one simple point, computed exactly from the
+stages and rounded once per coordinate.  Its residual is reported, not
+tested.  :func:`geometric_degree` reads only the count, so it computes no
+point there: it counts such a fiber from the leading coefficient A(y') of
+its plan's final alone (:meth:`TargetPlan.single_point_at`).
 
 The floating-point steps work on batches of targets, one target for
 :func:`solve_fiber` and all sampled targets of a map for
@@ -58,12 +58,9 @@ Newton as one batch.  A target goes to the per-target path on its own when
 the plan has a ``problem`` or is over budget, when its final or some pivot
 vanishes at it, or when one of its branches degenerates or overflows
 during back-substitution.  A nonzero constant final means the fiber is
-empty.  :func:`solve_fiber` and :func:`fiber_count` build no plan and take
-the per-target path, except where the map holds a triangular plan with an
-exact point at y: there they return that point.  Where A(y') is nonzero
-but a coordinate of the point overflows a float, the per-target path
-raises ``ValueError``.  A batch of one target gives the per-target fiber
-bit for bit.
+empty.  :func:`solve_fiber` and :func:`fiber_count` take the per-target
+path only, and neither build nor read a plan.  Where a coordinate of a
+triangular cascade's point overflows a float, it raises ``ValueError``.
 
 The plan is built under an exact-work budget,
 :data:`polyproper.elimination.MAX_SYMBOLIC_WORK` term pairs of the product
@@ -97,7 +94,6 @@ from .elimination import (
     EliminationResult,
     as_univariate,
     eliminate,
-    linear_solution,
 )
 from .numeric import ROUNDOFF, MapEvaluator, TermTable, power_tables
 from .numlin import RootSet, poly_to_coeffs, roots_of_each, univariate_roots
@@ -233,11 +229,10 @@ class TargetPlan:
     specialised at numeric targets y by :meth:`at`, for the batch of
     :func:`geometric_degree` only.  A triangular one also tells from A(y')
     alone where a fiber is one point (:meth:`single_point_at`), which
-    :func:`geometric_degree` counts, and gives that point exactly
-    (:meth:`exact_point`), which :func:`solve_fiber` returns.
+    :func:`geometric_degree` counts without computing the point.
     """
 
-    __slots__ = ("targets", "echelon", "result", "reason", "_specialisation", "_triangular")
+    __slots__ = ("targets", "echelon", "result", "reason", "_specialisation", "_lead")
 
     def __init__(
         self,
@@ -251,7 +246,7 @@ class TargetPlan:
         self.result = result
         self.reason = reason
         self._specialisation = None
-        self._triangular = None
+        self._lead = None
 
     @property
     def usable(self) -> bool:
@@ -275,98 +270,41 @@ class TargetPlan:
     def single_point_at(self, y: Sequence[complex]) -> bool:
         """Whether the fiber over y is one simple point, read from A(y') alone.
 
-        True when the plan is triangular (:meth:`exact_point`) and its
-        final's leading coefficient A(y') is nonzero.  No point is computed,
-        and where A is a constant not even y' = M·y.
+        True when the plan is triangular (:func:`_triangular`), with final
+        A(y')·z + B(y'), and A(y') is nonzero.  No point is computed, and
+        where A is a constant not even y' = M·y.  Compiled on first use.
         """
-        route = self._triangular_route()
-        if not route:
+        if self._lead is None:
+            self._lead = self._compile_triangular()
+        lead = self._lead
+        if isinstance(lead, bool):
+            return lead
+        values = self.echelon.apply(*stored_values([complex(v) for v in y]))
+        return not lead.at_stored(*values)[0].is_zero()
+
+    def _compile_triangular(self) -> Specialisation | bool:
+        """A compiled at y', True where A is a constant (so nonzero), False where not triangular."""
+        variables = self.echelon.rows[0].vars
+        if not _triangular(self.result, variables[-1]):
             return False
-        n, lead, _, _ = route
-        return isinstance(lead, Polynomial) or not lead.at_stored(*self._image(n, y))[0].is_zero()
+        lead = as_univariate(self.result.finals[0], variables[-1])[1]
+        return lead.is_constant() or Specialisation([lead], len(variables))
 
-    def exact_point(self, y: Sequence[complex]) -> tuple[complex, ...] | None:
-        """The one point of the fiber over y of a triangular plan, exact and rounded once.
 
-        A usable plan is triangular when every stage substitutes, its pivot
-        c_k·v_k + R_k with c_k a nonzero constant, and its one final is
-        A(y')·z + B(y') with z the last source variable.  These n
-        polynomials generate the ideal of g - y', so where A(y') != 0 the
-        fiber is the single point z = -B/A, v_k = -R_k/c_k in reverse stage
-        order, and the point is simple: each generator is linear in a
-        variable of its own.  The coordinates are computed from y' = M·y on
-        the exact numerators of y, in the stored form over one common
-        denominator, and each is rounded once by int true division.  None
-        when the plan is not usable or not triangular, when A(y') = 0 and
-        when a coordinate overflows a float; B is evaluated only once
-        A(y') != 0.  Compiled on first use (:meth:`_triangular_route`).
-        """
-        route = self._triangular_route()
-        if not route:
-            return None
-        n, lead, rest, images = route
-        d, nums = self._image(n, y)  # the values of all variables, over d
-        a = lead if isinstance(lead, Polynomial) else lead.at_stored(d, nums)[0]
-        if a.is_zero():
-            return None
-        (b,) = rest.at_stored(d, nums)
-        ar, ai = a.nums[0]
-        # z = -B/A = -(br + i·bi)·(ar - i·ai)·den_A / (den_B·|A|^2)
-        z = {
-            n - 1: (-(br * ar + bi * ai) * a.den, (br * ai - bi * ar) * a.den)
-            for br, bi in b.nums.values()
-        }
-        d, nums = _sum_terms(d, nums, b.den * (ar * ar + ai * ai), z, 1)
-        for k, image in images:
-            (v,) = image.at_stored(d, nums)
-            d, nums = _sum_terms(d, nums, v.den, {k: c for c in v.nums.values()}, 1)
-        coordinates = (nums.get(k, (0, 0)) for k in range(n))
-        try:
-            return tuple(complex(re / d, im / d) for re, im in coordinates)
-        except OverflowError:
-            return None
+def _triangular(res: EliminationResult | None, var: str) -> bool:
+    """Whether a cascade leaves one point: every stage substitutes, the one final is linear in var.
 
-    def _image(self, n: int, y: Sequence[complex]) -> tuple[int, dict]:
-        """y' = M·y from the exact numerators of y: the values of variables n.., over one d."""
-        d, ys = self.echelon.apply(*stored_values([complex(v) for v in y]))
-        return d, {n + j: c for j, c in ys.items()}
-
-    def _triangular_route(self) -> tuple | bool:
-        """:meth:`_compile_triangular`, run on first use and kept."""
-        if self._triangular is None:
-            self._triangular = self._compile_triangular()
-        return self._triangular
-
-    def _compile_triangular(self) -> tuple | bool:
-        """(n, A, B compiled, (column, -R_k/c_k compiled) per stage in reverse order), or False.
-
-        Every polynomial is compiled with all its variables trailing
-        (:class:`Specialisation` with ``head=0``), source and target alike.
-        A is compiled apart from B, and a constant A is kept as its value,
-        so that it costs nothing per target.  False when the plan is not
-        usable or not triangular.
-        """
-        res = self.result
-        if not self.usable or any(stage.mode != "substitution" for stage in res.stages):
-            return False
-        (final,) = res.finals
-        n = len(final.vars) - len(self.targets)
-        if final.degree_in(final.vars[n - 1]) != 1:
-            return False
-        by_power = as_univariate(final, final.vars[n - 1])
-        lead = Specialisation([by_power[1]], 0)
-        if by_power[1].is_constant():
-            (lead,) = lead.at_stored(1, {})
-        column = {v: k for k, v in enumerate(final.vars)}
-        return (
-            n,
-            lead,
-            Specialisation([by_power.get(0, Polynomial.zero(final.vars))], 0),
-            [
-                (column[stage.var], Specialisation([linear_solution(stage.pivot, stage.var)], 0))
-                for stage in reversed(res.stages)
-            ],
-        )
+    A substitution's pivot is c·v + R with c a nonzero constant, so where
+    the final A·var + B has A != 0 the stages and the final generate the
+    ideal of the system, each linear in a variable of its own: the zero set
+    is one simple point.
+    """
+    return (
+        res is not None
+        and res.problem is None
+        and all(stage.mode == "substitution" for stage in res.stages)
+        and res.finals[0].degree_in(var) == 1
+    )
 
 
 def target_plan(f: PolyMap) -> TargetPlan:
@@ -446,34 +384,26 @@ def solve_fiber(
     detects a non-isolated fiber, and ``ValueError`` when a point of the
     fiber lies beyond float range.
 
-    When the map already holds a triangular :class:`TargetPlan` and A(y')
-    is nonzero, the fiber is the plan's one point, computed exactly
-    (:meth:`TargetPlan.exact_point`): the point is simple, each coordinate
-    is the exact value rounded once, and its residual ||f(x) - y|| is
-    reported, not tested against ``tol``.  Every other fiber is solved on
-    the per-target path (:func:`_cascade_fiber`), and no plan is built
-    here.  Each of its solutions, refined by Newton, has ||f(x) - y|| <
-    tol, or a residual within the round-off of evaluating f at it
+    The fiber is solved on the per-target path (:func:`_cascade_fiber`),
+    and no plan is built or read here.  Where the cascade at y is
+    triangular (:func:`_triangular`) the fiber is its one simple point,
+    each coordinate the exact value rounded once, and its residual
+    ||f(x) - y|| is reported, not tested against ``tol``.  Every other
+    solution, refined by Newton, has ||f(x) - y|| < tol, or a residual
+    within the round-off of evaluating f at it
     (:data:`polyproper.numeric.ROUNDOFF` times its term-magnitude sum),
     where no Newton step can lower it.
     """
     _check_scale(f)
     if len(y) != f.target_dim:
         raise ValueError(f"target has dimension {len(y)}, expected {f.target_dim}")
-    plan = f._target_plan
-    if plan is not None:
-        point = plan.exact_point(y)
-        if point is not None:
-            ev = f.evaluator()
-            (vals,), _ = ev.values(ev.powers(np.array([point], dtype=complex)))
-            residual = float(np.hypot.reduce(np.abs(vals - np.array(y, dtype=complex))))
-            return [FiberSolution(point, residual, multiple=False)]
     return _cascade_fiber(f, y, tol)
 
 
 def _cascade_fiber(f: PolyMap, y: Sequence[complex], tol: float) -> list[FiberSolution]:
     """The fiber over y on the per-target path: the cascade of (f - y) at y.
 
+    A triangular cascade gives its one point exactly (:func:`_one_point`).
     Raises ``ValueError`` when the final is linear but its root lies beyond
     float range, or when no branch survives and some pivot overflowed
     during back-substitution.
@@ -483,6 +413,8 @@ def _cascade_fiber(f: PolyMap, y: Sequence[complex], tol: float) -> list[FiberSo
         return []
     if res.problem:
         raise PositiveDimensionalFiberError(res.problem)
+    if _triangular(res, f.vars[-1]):
+        return [_one_point(f, y, res)]
     stages = [(stage.var, stage.mode, [stage.pivot]) for stage in res.stages]
     coeffs = poly_to_coeffs(res.finals[0])
     if len(coeffs) == 2 and not abs(coeffs[0]) <= abs(coeffs[1]) * sys.float_info.max:
@@ -492,6 +424,33 @@ def _cascade_fiber(f: PolyMap, y: Sequence[complex], tol: float) -> list[FiberSo
     if not solutions and failure:
         raise failure
     return solutions
+
+
+def _one_point(f: PolyMap, y: Sequence[complex], res: EliminationResult) -> FiberSolution:
+    """The point of a triangular cascade at y, exact and rounded once.
+
+    The final a·z + b gives z = -b/a, and each stage's image gives its
+    variable in reverse stage order.  The coordinates are kept in the
+    stored form over one common denominator and each is rounded once by int
+    true division; ``ValueError`` where one lies beyond float range.
+    """
+    n = f.source_dim
+    final = res.finals[0].nums  # over one denominator, which z = -b/a cancels
+    (ar, ai), (br, bi) = final[max(final)], final.get(0, (0, 0))  # keys: z, then the constant
+    # z = -(br + i·bi)·(ar - i·ai) / |a|^2
+    d, nums = ar * ar + ai * ai, {n - 1: (-(br * ar + bi * ai), br * ai - bi * ar)}
+    column = {v: k for k, v in enumerate(f.vars)}
+    for stage in reversed(res.stages):
+        (v,) = Specialisation([stage.image], 0).at_stored(d, nums)
+        d, nums = _sum_terms(d, nums, v.den, {column[stage.var]: c for c in v.nums.values()}, 1)
+    try:
+        point = tuple(complex(re / d, im / d) for re, im in (nums.get(k, (0, 0)) for k in range(n)))
+    except OverflowError:
+        raise _beyond_float_range(y) from None
+    ev = f.evaluator()
+    (vals,), _ = ev.values(ev.powers(np.array([point], dtype=complex)))
+    residual = float(np.hypot.reduce(np.abs(vals - np.array(y, dtype=complex))))
+    return FiberSolution(point, residual, multiple=False)
 
 
 def _beyond_float_range(y: Sequence[complex]) -> ValueError:
@@ -771,9 +730,10 @@ def geometric_degree(
     with no point computed (:meth:`TargetPlan.single_point_at`).  The other
     sampled fibers are solved as one batch through the plan; a target where
     the plan does not apply falls back to the per-target cascade on its own.
-    So the counts are those of :func:`fiber_count`, except where the one
-    point of a triangular fiber lies beyond float range: ``fiber_count``
-    raises ``ValueError`` there, and this counts 1.
+    So the counts are those of :func:`fiber_count`, which computes the one
+    point of a triangular fiber exactly, except where that point lies
+    beyond float range: ``fiber_count`` raises ``ValueError`` there, and
+    this counts 1.
     """
     _check_scale(f)
     if n_samples < 1:

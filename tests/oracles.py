@@ -13,6 +13,8 @@ and a comparison of every candidate with every cluster in Python for the
 solver's deduplication.  :func:`laurent_value` evaluates a Laurent
 polynomial in floats for these checks; the package decides witnesses
 exactly and evaluates no Laurent polynomial in floats.
+:func:`evaluate_exact` is a polynomial's exact value at a point, the
+specialisation of every variable.
 """
 
 from __future__ import annotations
@@ -27,9 +29,18 @@ from polyproper.elimination import as_univariate
 from polyproper.numeric import EPS
 from polyproper.numlin import CLUSTER_RADIUS, Root, RootSet, _cluster, _merge_multiple
 from polyproper.nonproper import ClearanceVerdict, _points_on_zero_set, fiber_count_diagnostic
+from polyproper.poly import Specialisation
 from polyproper.rabier import LaurentPath
-from polyproper.scalar import ZERO
+from polyproper.scalar import ZERO, GaussianRational, ScalarLike
 from polyproper.solver import DEDUP_RADIUS, FiberSolution, geometric_degree
+
+
+def evaluate_exact(p: Polynomial, point: Sequence[ScalarLike]) -> GaussianRational:
+    """p at Gaussian-rational coordinates, exactly: every variable specialised."""
+    values = list(point)
+    if len(values) != len(p.vars):
+        raise ValueError(f"point has dimension {len(values)}, expected {len(p.vars)}")
+    return Specialisation([p], 0).at(values)[0].constant_value()
 
 
 def schoolbook_product(a: Mapping, b: Mapping) -> dict:

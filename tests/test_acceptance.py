@@ -35,7 +35,7 @@ from polyproper.cli import main
 from polyproper.corpus import example_3_6_inverse, example_3_6_map
 from polyproper.solver import sample_target
 from conftest import random_map, random_polynomial
-from oracles import min_gram_eigenvalue, sigma_min_along_path
+from oracles import evaluate_exact, min_gram_eigenvalue, sigma_min_along_path
 from test_numlin import _separated_roots, coeffs_from_roots
 
 
@@ -131,8 +131,8 @@ def test_criterion_6_generic_counts_off_locus():
             while taken < 50:
                 y = sample_target(rng, 2)
                 if locus.is_hypersurface:
-                    val = locus.poly.evaluate_exact(
-                        tuple(GaussianRational.coerce(v) for v in y)
+                    val = evaluate_exact(
+                        locus.poly, tuple(GaussianRational.coerce(v) for v in y)
                     )
                     if val.is_zero():
                         continue

@@ -28,7 +28,7 @@ from polyproper import nonproper, solver
 from polyproper.elimination import gcd_poly
 from polyproper.nonproper import _points_on_zero_set, _varieties_intersect, gcd_free_basis
 from conftest import dense_pool, random_nonzero_polynomial, random_scalar
-from oracles import sampling_clearance
+from oracles import evaluate_exact, sampling_clearance
 
 T2 = ("y1", "y2")
 MU_ONE = DegreeEstimate(mu=1, histogram={1: 1}, samples=1, seed=0, degenerate=0, box=2.0)
@@ -326,7 +326,7 @@ class TestVarietiesIntersect:
         for variables in [T2, ("y1", "y2", "y3")] * 20:
             point = [random_scalar(rng) for _ in variables]
             s, h = (_random_nonconstant(rng, variables) for _ in range(2))
-            s, h = s - s.evaluate_exact(point), h - h.evaluate_exact(point)
+            s, h = s - evaluate_exact(s, point), h - evaluate_exact(h, point)
             if s.is_zero() or h.is_zero():
                 continue
             verdict, evidence = _varieties_intersect(s, h)
@@ -424,8 +424,8 @@ class TestCertificates:
             while hits < 25:
                 y = sample_target(rng, 2)
                 if locus.is_hypersurface:
-                    exact = locus.poly.evaluate_exact(
-                        tuple(GaussianRational.coerce(v) for v in y)
+                    exact = evaluate_exact(
+                        locus.poly, tuple(GaussianRational.coerce(v) for v in y)
                     )
                     if exact.is_zero():
                         continue

@@ -13,7 +13,7 @@ from polyproper.corpus import example_3_6_map
 from polyproper.numeric import ROUNDOFF, MapEvaluator
 from polyproper.numlin import _cluster
 from polyproper.solver import _deduplicated, _newton_batch, sample_target, solve_fiber
-from oracles import pairwise_deduplicated
+from oracles import evaluate_exact, pairwise_deduplicated
 
 VARS = ("x", "y", "z")
 
@@ -78,12 +78,12 @@ def test_compiled_evaluator_matches_exact(f, data):
     for k, pt in enumerate(points):
         for i, comp in enumerate(f.components):
             bound = term_magnitude(comp, pt)
-            exact = comp.evaluate_exact(pt).to_complex()
+            exact = evaluate_exact(comp, pt).to_complex()
             assert abs(vals[k, i] - exact) <= 1e-12 * bound
             assert sums[k, i] == pytest.approx(bound, rel=1e-12, abs=0.0)
             for j, v in enumerate(f.vars):
                 partial = comp.diff(v)
-                exact = partial.evaluate_exact(pt).to_complex()
+                exact = evaluate_exact(partial, pt).to_complex()
                 assert abs(jac[k, i, j] - exact) <= 1e-12 * term_magnitude(partial, pt)
 
 
@@ -150,13 +150,15 @@ def test_newton_returns_the_roundoff_floor_at_the_best_iterate(shear_map):
 
 
 def test_shear_fiber_stops_at_the_roundoff_floor(monkeypatch):
-    """Newton evaluates example-3-6 a handful of times per candidate, not 40+.
+    """Newton evaluates a shear of example-3-6 a handful of times per candidate, not 40+.
 
-    The map is parsed afresh, so it holds no plan and its fibers are solved
-    on the per-target path, through Newton; the plan's triangular route
-    would solve them exactly.
+    The map is example-3-6 with f2 = y^2.  Its cascade at a target
+    substitutes x and then takes a resultant in y, so it is not triangular
+    and its fibers of 2 points go through Newton.  On example-3-6 itself
+    the cascade is triangular and its point exact.
     """
-    shear_map = example_3_6_map()
+    f1, f2, f3 = example_3_6_map().components
+    shear_map = PolyMap(VARS, [f1, f2**2, f3])
     rows, candidates = [0], [0]
     values, newton = MapEvaluator.values, solver._newton_batch
 
@@ -172,7 +174,7 @@ def test_shear_fiber_stops_at_the_roundoff_floor(monkeypatch):
     monkeypatch.setattr(solver, "_newton_batch", counting_newton)
     rng = np.random.default_rng(7)
     for _ in range(10):
-        assert len(solve_fiber(shear_map, sample_target(rng, 3))) == 1
+        assert len(solve_fiber(shear_map, sample_target(rng, 3))) == 2
     assert candidates[0] >= 10
     assert rows[0] <= 8 * candidates[0]
 

@@ -1,6 +1,8 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and no private helper is dead.
 
-``__init__.py`` is left out: its imports are the public re-exports.
+``__init__.py`` is left out of the import check: its imports are the public
+re-exports.  Every private function, class and method defined in the
+package is referenced by name somewhere in it.
 """
 
 import ast
@@ -57,3 +59,52 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+def _private_definitions(tree: ast.AST) -> dict[str, int]:
+    """Private (single-underscore) functions, classes and methods defined in ``tree``, by line."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return {
+        node.name: node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, kinds) and node.name.startswith("_") and not node.name.endswith("__")
+    }
+
+
+def _referenced_names(tree: ast.AST) -> set[str]:
+    """Names read, attributes taken and names imported anywhere in ``tree``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.split(".")[-1])
+    return names
+
+
+def dead_private_helpers(sources: dict[str, str]) -> list[str]:
+    """The private definitions of the modules ``sources`` (name -> text) that none of them references."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    referenced = set().union(*(_referenced_names(tree) for tree in trees.values()))
+    return sorted(
+        f"{module}: {name} (line {line})"
+        for module, tree in trees.items()
+        for name, line in _private_definitions(tree).items()
+        if name not in referenced
+    )
+
+
+def test_the_check_sees_a_dead_private_helper():
+    sources = {
+        "a.py": "def _used():\n    return 1\n\n\ndef _dead():\n    return _used()\n",
+        "b.py": "from a import _used\n\n\nclass C:\n    def _spare(self):\n        pass\n\n"
+        "    def run(self):\n        return _used()\n",
+    }
+    assert dead_private_helpers(sources) == ["a.py: _dead (line 5)", "b.py: _spare (line 5)"]
+
+
+def test_no_dead_private_helpers():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert dead_private_helpers(sources) == []

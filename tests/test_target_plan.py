@@ -32,6 +32,7 @@ from polyproper.solver import (
     target_plan,
 )
 from conftest import DENSE_KEYS, bench_generators, dense_pool
+from oracles import evaluate_exact
 
 #: The benchmark's tame automorphism pool: generator seed and maps per rung.
 TAME_POOL_SEED = 2018
@@ -130,7 +131,7 @@ def _image(f: PolyMap, y) -> list[GaussianRational]:
     names = solver.target_variables(f)
     values = [GaussianRational.coerce(v) for v in y]
     point = [Polynomial.variable(names, v) for v in names]
-    return [f.row_echelon().pullback(p).evaluate_exact(values) for p in point]
+    return [evaluate_exact(f.row_echelon().pullback(p), values) for p in point]
 
 
 @settings(max_examples=60, deadline=None)
@@ -232,29 +233,43 @@ def _fiber_counts(f: PolyMap, ys) -> list:
     return out
 
 
+def _fibers(f: PolyMap, ys) -> list:
+    out = []
+    for y in ys:
+        try:
+            out.append(solve_fiber(f, y))
+        except PositiveDimensionalFiberError:
+            out.append("positive-dimensional")
+    return out
+
+
 @pytest.mark.parametrize(
     "name, special",
     [("example-3-6", []), ("x-xy", [(0, 1), (0, 0)]), ("x2-y", [])]
     + [(key, []) for key in _tame_texts()],
 )
 def test_solve_fiber_counts_same_with_and_without_a_plan(name, special, monkeypatch):
-    """solve_fiber uses a plan the map already holds and never builds one itself."""
+    """solve_fiber neither builds nor reads a plan: its fibers are equal bit for bit.
+
+    Each target goes through the per-target cascade, which gives the exact
+    point of every generic target of the triangular maps, and of none of
+    x2-y, nor of the special targets of x-xy (an empty fiber and a line).
+    """
     texts = {"example-3-6": EXAMPLE_3_6_TEXT, "x-xy": X_XY_TEXT, "x2-y": X2_Y_TEXT}
     f = parse_map_text(texts.get(name) or _tame_texts()[name])
     rng = np.random.default_rng(23)
     ys = special + [sample_target(rng, f.target_dim) for _ in range(4)]
-    before = _fiber_counts(f, ys)
-    assert f._target_plan is None
-    assert target_plan(f).usable
-    # from here on the plan answers: the per-target cascade runs only where it does not apply
-    cascades = []
-    cascade = solver._cascade_fiber
+    cascades, exact = [], []
+    cascade, one_point = solver._cascade_fiber, solver._one_point
     monkeypatch.setattr(solver, "_cascade_fiber", lambda *a: cascades.append(a[1]) or cascade(*a))
-    assert _fiber_counts(f, ys) == before
-    # the cascade runs exactly where the plan has no exact point: at every
-    # target of x2-y, at the special targets of x-xy and nowhere else
-    assert cascades == [y for y in ys if target_plan(f).exact_point(y) is None]
-    assert cascades == (ys if name == "x2-y" else special)
+    monkeypatch.setattr(solver, "_one_point", lambda *a: exact.append(a[1]) or one_point(*a))
+    before = _fibers(f, ys)
+    assert f._target_plan is None
+    assert cascades == ys
+    assert exact == ([] if name == "x2-y" else ys[len(special) :])
+    assert target_plan(f).usable
+    assert repr(_fibers(f, ys)) == repr(before)
+    assert cascades == ys + ys
 
 
 @pytest.mark.parametrize("name", ["x2-y"] + DENSE_KEYS)
@@ -297,8 +312,8 @@ def test_planned_fibers_computes_no_exact_point(monkeypatch):
     plan, also where a triangular plan would have an exact point.
     """
     f = parse_map_text(X_XY_TEXT)
-    for name in ("exact_point", "single_point_at"):
-        monkeypatch.setattr(solver.TargetPlan, name, _no_point)
+    monkeypatch.setattr(solver.TargetPlan, "single_point_at", _no_point)
+    monkeypatch.setattr(solver, "_one_point", _no_point)
     empty, line, (point,) = _planned_fibers(f, [(0, 1), (0, 0), (3, 6)], 1e-8)
     assert empty == [] and isinstance(line, PositiveDimensionalFiberError)
     assert max(abs(a - b) for a, b in zip(point.point, (3, 2))) < 1e-12
@@ -439,7 +454,7 @@ def test_tame_fibers_at_generic_targets_are_the_inverse_image():
         rng = np.random.default_rng([7, n, d, m])
         for _ in range(10):
             y = sample_target(rng, n)
-            x = np.array([c.evaluate_exact(y).to_complex() for c in g.components])
+            x = np.array([evaluate_exact(c, y).to_complex() for c in g.components])
             points = [s.point for s in solve_fiber(f, y)]
             gap = np.abs(np.array(points[0]) - x).max() if points else np.inf
             if len(points) != 1 or gap > 1e-6 * (1 + np.abs(x).max()):
@@ -448,15 +463,16 @@ def test_tame_fibers_at_generic_targets_are_the_inverse_image():
 
 
 def _no_newton(*args):
-    raise AssertionError("Newton ran on a fiber the plan solves exactly")
+    raise AssertionError("Newton ran on a fiber whose cascade is triangular")
 
 
 def test_tame_fibers_at_bench_targets_are_exact(monkeypatch):
     """With its plan built, each tame pool map solves y = f(x0) to x0 itself, bit for bit.
 
     As in the benchmark, x0 lies on the 1/16 grid and y is its exact image,
-    exact in double precision.  Every plan of the pool is triangular, so
-    the point is computed exactly and rounded once, and Newton never runs.
+    exact in double precision.  Every cascade at these targets is
+    triangular, so the point is computed exactly and rounded once, and
+    Newton never runs; the plan the locus leaves on the map is not read.
     """
     monkeypatch.setattr(solver, "_newton_batch", _no_newton)
     for (n, d, m), tame in _tame_pool().items():
@@ -474,39 +490,66 @@ def test_tame_fibers_at_bench_targets_are_exact(monkeypatch):
             assert not point.multiple
 
 
+@pytest.mark.parametrize("name", ["example-3-6", "x-xy"] + list(_tame_texts()))
+def test_fresh_maps_solve_exact_images_exactly(name, monkeypatch):
+    """A freshly parsed triangular map solves y = f(x0) to x0, with no plan and no Newton.
+
+    x0 lies on the 1/16 grid with no zero coordinate (x-xy's fiber over
+    x = 0 is a line), and y = f(x0) is exact in double precision.  The
+    per-target cascade at y is triangular, so its one point is exact and
+    rounded once; no plan is built or read.
+    """
+    texts = {"example-3-6": EXAMPLE_3_6_TEXT, "x-xy": X_XY_TEXT}
+    f = parse_map_text(texts.get(name) or _tame_texts()[name])
+    monkeypatch.setattr(solver, "_newton_batch", _no_newton)
+    rng = random.Random(f"fresh/{name}")
+    grid = [Fraction(k, 16) for k in range(-8, 9) if k]
+    for _ in range(5):
+        x0 = [GaussianRational(rng.choice(grid), rng.choice(grid)) for _ in f.vars]
+        images = [evaluate_exact(c, x0) for c in f.components]
+        y = tuple(v.to_complex() for v in images)
+        assert [GaussianRational.coerce(v) for v in y] == images
+        (point,) = solve_fiber(f, y)
+        assert point.point == tuple(v.to_complex() for v in x0)
+        assert not point.multiple
+    assert f._target_plan is None
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_triangular_route_leaves_special_targets_to_the_numeric_path(monkeypatch):
-    """Where A(y') = 0 or a coordinate overflows a float, the target takes the numeric path.
+    """Where the final loses its linear term at y, or a coordinate overflows, no point is given.
 
-    Over (1e30, 0) the point of (x, y + x^10) fits a float, and so does its
-    residual, though f - y there is about 1e284, whose square overflows.
+    The cascade of (x, x*y) at y is the substitution x = y1 and the final
+    y1*y - y2: the point (3, 2) over (3, 6), an inconsistency over (0, 1)
+    and a line over (0, 0).  Over (1e30, 0) the point of (x, y + x^10) fits
+    a float, and so does its residual, though f - y there is about 1e284,
+    whose square overflows.
     """
-    f = PolyMap.from_exprs(("x", "y"), ["x", "x*y"])  # final y1*y - y2: A = y1
-    plan = target_plan(f)
-    assert plan.exact_point((3, 6)) == (3, 2)
-    assert plan.exact_point((0, 1)) is None and plan.exact_point((0, 0)) is None
     monkeypatch.setattr(solver, "_newton_batch", _no_newton)
+    f = PolyMap.from_exprs(("x", "y"), ["x", "x*y"])
+    (point,) = solve_fiber(f, (3, 6))
+    assert point.point == (3, 2) and not point.multiple
     assert solve_fiber(f, (0, 1)) == []
     with pytest.raises(PositiveDimensionalFiberError):
         solve_fiber(f, (0, 0))
     shear = PolyMap.from_exprs(("x", "y"), ["x", "y + x^10"])
     # y = -x^10 rounded once, from the exact value of the float 1e30
-    assert target_plan(shear).exact_point((1e30, 0)) == (1e30, -(int(1e30) ** 10) / 1)
     (point,) = solve_fiber(shear, (1e30, 0))
     assert point.point == (1e30, -(int(1e30) ** 10) / 1) and 0 < point.residual < 1e285
-    assert target_plan(shear).exact_point((1e31, 0)) is None  # y = -1e310
+    with pytest.raises(ValueError, match="beyond float range"):
+        solve_fiber(shear, (1e31, 0))  # y = -1e310
+    assert f._target_plan is None and shear._target_plan is None
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_triangular_fiber_beyond_float_range_raises():
     """Over (1e31, 0) the one point of (x, y + x^10) has y = -1e310: no float holds it.
 
-    The final is still linear at the target, so the fiber is not empty; the
-    numeric route would overflow and report none.  A fresh map, which holds
-    no plan, raises on the per-target path too, also where the final's
-    leading coefficient underflows once the coefficients are scaled.  On
-    (y, x + y^10) the final y - y1 is fine and the point's x = -y1^10
-    overflows during back-substitution; the per-target path raised
+    The cascade at the target is triangular, so the fiber is not empty: its
+    one point is computed exactly, and rounding it overflows.  So
+    ``solve_fiber`` raises, on a fresh map and on one that holds a plan,
+    whose count reads the one point from A(y') alone.  On (y, x + y^10) the
+    point's x = -y1^10 overflows; back-substitution through Newton raised
     "all candidate branches degenerated" there.
     """
     for exprs in (["x", "y + x^10"], ["y", "x + y^10"]):
@@ -516,7 +559,7 @@ def test_triangular_fiber_beyond_float_range_raises():
                 solve_fiber(fresh, target)
             assert fresh._target_plan is None
     f = PolyMap.from_exprs(("x", "y"), ["x", "y + x^10"])
-    assert target_plan(f).exact_point((1e31, 0)) is None
+    assert target_plan(f).single_point_at((1e31, 0))  # one point, which no float holds
     with pytest.raises(ValueError, match="beyond float range"):
         solve_fiber(f, (1e31, 0))
     assert fiber_count_diagnostic(f, (1e31, 0), 1).verdict == "undetermined"
@@ -528,16 +571,17 @@ def test_newton_near_float_range_keeps_its_point():
 
     Newton's residual and round-off floor there square entries of about
     1e303 if taken by ``np.linalg.norm``; the floor overflowed to inf, the
-    point was rejected and a fresh map's fiber came back empty.
+    point was rejected and the fiber came back empty.  ``solve_fiber`` now
+    gives this triangular fiber's point exactly, so Newton runs here from a
+    start next to it.
     """
-    fresh = PolyMap.from_exprs(("x", "y"), ["y", "x + y^10"])
-    (point,) = solve_fiber(fresh, (2e30, 1))
-    assert fresh._target_plan is None
     f = PolyMap.from_exprs(("x", "y"), ["y", "x + y^10"])
-    target_plan(f)
     (exact,) = solve_fiber(f, (2e30, 1))
     assert exact.point == ((1 - int(2e30) ** 10) / 1, 2e30)
-    np.testing.assert_allclose(point.point, exact.point, rtol=1e-15, atol=0)
+    start = np.array([[exact.point[0] * (1 + 1e-9), exact.point[1] * (1 + 1e-12)]])
+    best, residual, floor = solver._newton_batch(f.evaluator(), np.array([2e30, 1]), start)
+    assert np.isfinite(floor).all() and residual[0] <= floor[0]
+    np.testing.assert_allclose(best[0], exact.point, rtol=1e-15, atol=0)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -583,7 +627,6 @@ def test_geometric_degree_of_a_triangular_plan_computes_no_point(name, monkeypat
     texts = {"example-3-6": EXAMPLE_3_6_TEXT, "x-xy": X_XY_TEXT}
     f = parse_map_text(texts.get(name) or _tame_texts()[name])
     for target in (
-        (solver.TargetPlan, "exact_point"),
         (solver.TargetPlan, "at"),
         (solver, "_newton_batch"),
         (solver, "roots_of_each"),
@@ -610,7 +653,8 @@ def test_plans_that_are_not_triangular_take_the_numeric_route(name, count, monke
     plan = target_plan(f)
     assert plan.usable
     y = sample_target(np.random.default_rng([1, 2, 6, 0]), 2)
-    assert plan.exact_point(y) is None
+    assert not plan.single_point_at(y)
+    monkeypatch.setattr(solver, "_one_point", _no_point)
     rows = []
     newton = solver._newton_batch
 
