@@ -17,13 +17,39 @@ reduced row echelon form of the components over their monomials
 per equation.  Components that share leading monomials hide linear pivots,
 which the reduction lays bare.  Remaining pivots go through resultants.
 That of a degree-1 pivot, like every substitution, is Horner's rule
-(:func:`polyproper.poly._horner`).  When at most one other variable u
-occurs, as in the last resultant stage of a per-target cascade, the
-resultant is interpolated from scalar subresultant sequences over the
-Gaussian integers at integer values of u (Collins 1971 evaluates modulo
-primes; here the values stay exact integers).  With two or more other
-variables, as in the symbolic eliminations of the plan and the locus, the
-subresultant sequence runs on the polynomials.
+(:func:`polyproper.poly._horner`).  Other resultants run on the int
+numerators, by one of three routes chosen from the input.  A small one, of
+at most :data:`PACK_MAX_BITS` bits packed, is one scalar subresultant
+sequence over the Gaussian integers: Kronecker substitution puts a power of
+2^K for each other variable, and the coefficients are read back as signed
+base-2^K digits (von zur Gathen and Gerhard, *Modern Computer Algebra*,
+ch. 8; the one-node case of Collins, J. ACM 18, 1971).  Every resultant
+stage of the bench's dense pool packs, to 474-5,032 bits.  Above the
+constant, when at most one other variable u occurs, as in the last
+resultant stage of a per-target cascade, the resultant is interpolated from
+scalar subresultant sequences at integer values of u (Collins evaluates
+modulo primes; here the values stay exact integers).  With two or more
+other variables, as in most symbolic eliminations of the plan and the
+locus, the subresultant sequence runs on the polynomials.
+
+The packed sequence runs on integers of K*S bits, and its cost grows
+faster with their size than that of the other routes.  The constant sits
+where it stops winning, timed (best of up to five, on one core of a 2-vCPU
+Xeon) on the stages of degrees 2 or more in the per-target cascades of the
+scale-contract ladder: ``bench/generators.dense_map(random.Random(s), n, d)``
+at the target ``sample_target(default_rng([s, n, d]), n)`` for s = 7, 13
+and 99, n = 2 with d = 3..10 and n = 3 with d = 2..5.  The routes cross
+between 6,000 and 14,000 bits, and no stage under the constant ran more
+than 1 % slower packed:
+
+    =================  ======  ==================
+    K*S bits           stages  old time / packed
+    =================  ======  ==================
+    624 - 3,565        14      2.4 - 6.1
+    5,000 - 7,650      8       0.99 - 3.9
+    8,190 - 15,652     12      0.81 - 1.6
+    22,242 - 243,691   7       0.06 - 0.62
+    =================  ======  ==================
 
 Iterated resultants carry factors the system does not (Busé and Mourrain,
 "Explicit factors of some iterated resultants and discriminants", Math.
@@ -60,7 +86,8 @@ the int rows in two variables (:func:`int_rows`, read back by
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, zip_longest
+from math import prod
 from typing import Iterable, Sequence
 
 from .poly import (
@@ -79,6 +106,10 @@ from .scalar import ONE
 #: Largest work one elimination with symbolic targets may spend, in term
 #: pairs of the exact kernel (see :func:`polyproper.poly.work_limit`).
 MAX_SYMBOLIC_WORK = 500_000
+
+#: Largest K * S, in bits, of a resultant stage that :func:`resultant` packs
+#: into one scalar resultant (see :func:`_resultant_packed`).
+PACK_MAX_BITS = 8_000
 
 
 class NotDivisibleError(ArithmeticError):
@@ -144,11 +175,20 @@ def resultant(f: Polynomial, g: Polynomial, var: str) -> Polynomial:
     """Resultant of f and g with respect to one variable.
 
     Degree-1 inputs short-circuit to the substitution formula
-    Res(a*v + b, g) = a^deg(g) * g(-b/a).  When at most one other variable
-    u occurs, the resultant is interpolated from its values at integer u
-    (:func:`_resultant_by_values`).  Otherwise the subresultant
-    polynomial-remainder-sequence algorithm runs on the polynomials: fraction
-    free, all intermediate divisions exact.
+    Res(a*v + b, g) = a^deg(g) * g(-b/a).  Otherwise the resultant is
+    Res(F, G) / (d_f^deg g * d_g^deg f) over the stored forms f = F/d_f and
+    g = G/d_g, and deg_u Res(F, G) < n_u = min(tdeg f * tdeg g,
+    deg f * deg_u g + deg g * deg_u f) + 1 for each other variable u.  With
+    K = deg g * bitlen(|F|_1) + deg f * bitlen(|G|_1) + 2, |.|_1 the sum of
+    |re| + |im| over the numerators, every coefficient of Res(F, G) = det
+    Syl(F, G) has |re| and |im| below 2^(K - 2): they are at most
+    |F|_1^deg g * |G|_1^deg f, the product of the 1-norms of its rows.  A
+    pair with K * S <= :data:`PACK_MAX_BITS`, S the product of the n_u, is
+    packed into one scalar resultant (:func:`_resultant_packed`); above it,
+    a pair in at most one other variable is interpolated from its values at
+    integer u (:func:`_resultant_by_values`), and otherwise the subresultant
+    polynomial-remainder-sequence algorithm runs on the polynomials:
+    fraction free, all intermediate divisions exact.
     """
     if f.is_zero() or g.is_zero():
         return Polynomial.zero(f.vars)
@@ -165,10 +205,60 @@ def resultant(f: Polynomial, g: Polynomial, var: str) -> Polynomial:
         if df > 1 and (df & 1) and (dg & 1):
             res = -res
         return res
-    others = set(f.support_vars()).union(g.support_vars()) - {var}
-    if len(others) <= 1:
-        return _resultant_by_values(f, g, var, others.pop() if others else None)
+    bezout = f.total_degree() * g.total_degree()
+    sizes = {}
+    for u in f.vars:
+        du, eu = f.degree_in(u), g.degree_in(u)
+        if u != var and (du > 0 or eu > 0):
+            sizes[u] = min(bezout, df * eu + dg * du) + 1
+    k = dg * _norm_bits(f) + df * _norm_bits(g) + 2
+    if k * prod(sizes.values()) <= PACK_MAX_BITS:
+        return _resultant_packed(f, g, var, sizes, k)
+    if len(sizes) <= 1:
+        return _resultant_by_values(f, g, var, sizes)
     return _subresultant_prs(f, g, var, df, dg)
+
+
+def _norm_bits(p: Polynomial) -> int:
+    """The bit length of |P|_1, the sum of |re| + |im| over the numerators of p."""
+    return sum(abs(re) + abs(im) for re, im in p.nums.values()).bit_length()
+
+
+def _resultant_packed(f: Polynomial, g: Polynomial, var: str, sizes: dict, k: int) -> Polynomial:
+    """Res_var(f, g) from one scalar resultant at u = 2^(k * slots[u]) (Kronecker substitution).
+
+    ``sizes`` maps each other variable u to n_u > deg_u Res(F, G), and the
+    slots lay the monomials of Res(F, G) out in the mixed radix of the n_u,
+    S = prod n_u of them.  As every coefficient of Res(F, G) has |re| and
+    |im| below 2^(k - 2) (see :func:`resultant`), its packed value has one
+    signed base-2^k expansion, whose digits are those coefficients; the
+    leading coefficients in ``var``, whose 1-norms are smaller still, pack
+    to nonzero values.  Under :func:`polyproper.poly.work_limit` it is
+    charged S * deg f * deg g.
+    """
+    slots, radix = {}, 1
+    for u, n in sizes.items():
+        slots[u], radix = radix, radix * n
+    charge(radix * f.degree_in(var) * g.degree_in(var))
+    rf, rg = int_rows(f, var, slots), int_rows(g, var, slots)
+    df, dg = len(rf) - 1, len(rg) - 1
+    t = 1 << k
+    re, im = _scalar_resultant([_value(row, t) for row in rf], [_value(row, t) for row in rg])
+    row = list(zip_longest(_signed_digits(re, k), _signed_digits(im, k), fillvalue=0))
+    return from_int_row(f, slots, f.den**dg * g.den**df, row)
+
+
+def _signed_digits(x: int, k: int) -> list[int]:
+    """The digits d_j of x = sum_j d_j * 2^(k*j) with -2^(k-1) <= d_j < 2^(k-1), lowest first."""
+    half, mask = 1 << (k - 1), (1 << k) - 1
+    out = []
+    while x:
+        d = x & mask
+        if d >= half:
+            d -= mask + 1
+        out.append(d)
+        x = (x - d) >> k
+    return out
 
 
 def _subresultant_prs(f: Polynomial, g: Polynomial, var: str, df: int, dg: int) -> Polynomial:
@@ -205,23 +295,24 @@ def _subresultant_prs(f: Polynomial, g: Polynomial, var: str, df: int, dg: int) 
             return res * s if s < 0 else res
 
 
-def _resultant_by_values(f: Polynomial, g: Polynomial, var: str, u: str | None) -> Polynomial:
-    """Res_var(f, g) for f, g in ``var`` and at most one other variable ``u`` (None: none).
+def _resultant_by_values(f: Polynomial, g: Polynomial, var: str, sizes: dict) -> Polynomial:
+    """Res_var(f, g) for f, g in ``var`` and at most one other variable u, with sizes = {u: N}.
 
     Over the stored forms f = F/d_f and g = G/d_g the resultant is
     Res(F, G) / (d_f^deg g * d_g^deg f), degrees in ``var``, and Res(F, G)
     is a polynomial in u of degree below N = min(tdeg f * tdeg g,
-    deg f * deg_u g + deg g * deg_u f) + 1.  It is taken at N consecutive
-    integers u = start, start + 1, ..., past every integer where a leading
-    coefficient in ``var`` vanishes, so each value is the resultant of the
-    Gaussian-integer polynomials F(u), G(u) (:func:`_scalar_resultant`).
+    deg f * deg_u g + deg g * deg_u f) + 1 (N = 1 with ``sizes`` empty).
+    It is taken at N consecutive integers u = start, start + 1, ..., past
+    every integer where a leading coefficient in ``var`` vanishes, so each
+    value is the resultant of the Gaussian-integer polynomials F(u), G(u)
+    (:func:`_scalar_resultant`).
     The real and imaginary parts are interpolated apart (:func:`_interpolated`).
     Under :func:`polyproper.poly.work_limit` it is charged N * deg f * deg g.
     """
-    rf, rg = int_rows(f, var, u), int_rows(g, var, u)
+    slots = dict.fromkeys(sizes, 1)
+    rf, rg = int_rows(f, var, slots), int_rows(g, var, slots)
     df, dg = len(rf) - 1, len(rg) - 1
-    bound = df * (len(rg[0]) - 1) + dg * (len(rf[0]) - 1)
-    n = min(f.total_degree() * g.total_degree(), bound) + 1
+    n = prod(sizes.values())
     charge(n * df * dg)
     start = t = 0
     while t < start + n:
@@ -234,7 +325,7 @@ def _resultant_by_values(f: Polynomial, g: Polynomial, var: str, u: str | None) 
     ]
     re = _interpolated([v[0] for v in values], start)
     im = _interpolated([v[1] for v in values], start)
-    return from_int_row(f, u, f.den**dg * g.den**df, list(zip(re, im)))
+    return from_int_row(f, slots, f.den**dg * g.den**df, list(zip(re, im)))
 
 
 def _interpolated(values: list[int], start: int) -> list[int]:

@@ -24,11 +24,12 @@ result once with ``math.gcd``: sums (:func:`_sum_terms`), products
 (:func:`_mul_terms`, one kernel for scaling and powers too), exact division
 (:func:`_exact_quotient`), the views of a polynomial in one variable
 (:func:`as_univariate`, :func:`lead_in`, :func:`mul_power`) or, as int
-rows, in two (:func:`int_rows`, with :func:`from_int_row` the way back),
-and :class:`Specialisation`.  Composition (:func:`_compose`) and the
-substitutions of :mod:`polyproper.elimination` are Horner's rule over ring
-operations (:func:`_horner`).  :func:`composition_equals` decides whether
-a composition equals given polynomials without expanding it: one Kronecker
+rows, in one variable and a mixed radix of the others (:func:`int_rows`,
+with :func:`from_int_row` the way back), and :class:`Specialisation`.
+Composition (:func:`_compose`) and the substitutions of
+:mod:`polyproper.elimination` are Horner's rule over ring operations
+(:func:`_horner`).  :func:`composition_equals` decides whether a
+composition equals given polynomials without expanding it: one Kronecker
 image of each side, a big-integer Horner evaluation, is exact under a
 degree bound and a coefficient bound.  ``GaussianRational`` coefficients and
 exponent tuples are built only at the boundary: the ``terms`` view (built on
@@ -468,16 +469,24 @@ def mul_power(p: Polynomial, var: str, k: int) -> Polynomial:
     return p._like(p.den, {key + step: c for key, c in p.nums.items()})
 
 
-def int_rows(p: Polynomial, var: str, other: str | None) -> list[list[tuple[int, int]]]:
-    """The numerators of p, in which only ``var`` and ``other`` occur, as rows.
+def int_rows(p: Polynomial, var: str, slots: Mapping[str, int]) -> list[list[tuple[int, int]]]:
+    """The numerators of p, in which only ``var`` and the variables of ``slots`` occur, as rows.
 
-    Entry [k][j] is the numerator (re, im) of the coefficient of
-    var^k * other^j over ``p.den``, with (0, 0) where p has no such term;
-    every row has the length deg_other(p) + 1 (1 when ``other`` is None).
+    Entry [k][s] is the numerator (re, im) of the coefficient of
+    var^k * prod_u u^e_u over ``p.den`` with s = sum_u e_u * slots[u], and
+    (0, 0) where p has no such term.  The slots are a mixed radix: each
+    product e_u * slots[u] stays below the next larger slot, so no two
+    monomials share an entry.  Every row has the length of the largest s
+    plus 1 (1 when ``slots`` is empty).
     """
     s = p._shift(var)
-    t, mask = (0, 0) if other is None else (p._shift(other), MAX_DEGREE)
-    digits = [((key >> s) & MAX_DEGREE, (key >> t) & mask, c) for key, c in p.nums.items()]
+    fields = [(p._shift(u), r) for u, r in slots.items()]
+    digits = []
+    for key, c in p.nums.items():
+        j = 0
+        for t, r in fields:
+            j += ((key >> t) & MAX_DEGREE) * r
+        digits.append(((key >> s) & MAX_DEGREE, j, c))
     width = 1 + max(j for _, j, _ in digits)
     rows = [[(0, 0)] * width for _ in range(1 + max(k for k, _, _ in digits))]
     for k, j, c in digits:
@@ -486,14 +495,27 @@ def int_rows(p: Polynomial, var: str, other: str | None) -> list[list[tuple[int,
 
 
 def from_int_row(
-    p: Polynomial, other: str | None, den: int, row: Sequence[tuple[int, int]]
+    p: Polynomial, slots: Mapping[str, int], den: int, row: Sequence[tuple[int, int]]
 ) -> Polynomial:
-    """sum_j (re_j + i*im_j) / den * other^j in the context of p, for ``row`` = [(re_j, im_j)]."""
-    unit = 0
-    if other is not None:
-        _check_degree(len(row) - 1)
-        unit = (1 << (WIDTH * len(p.vars))) | (1 << p._shift(other))
-    return p._like(*_reduced(den, {j * unit: c for j, c in enumerate(row) if c != (0, 0)}))
+    """The polynomial whose numerators over ``den`` are ``row``, laid out as by :func:`int_rows`.
+
+    Entry s = sum_u e_u * slots[u] of ``row`` = [(re_s, im_s)] is the
+    coefficient of prod_u u^e_u, in the context of p.
+    """
+    top = WIDTH * len(p.vars)
+    units = sorted(((r, (1 << top) | (1 << p._shift(u))) for u, r in slots.items()), reverse=True)
+    nums = {}
+    for s, c in enumerate(row):
+        if c == (0, 0):
+            continue
+        key = 0
+        for r, unit in units:
+            e, s = divmod(s, r)
+            key += e * unit
+        nums[key] = c
+    if nums:
+        _check_degree(max(nums) >> top)
+    return p._like(*_reduced(den, nums))
 
 
 # -- the int kernels ------------------------------------------------------------

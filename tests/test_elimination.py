@@ -24,7 +24,13 @@ from polyproper.nonproper import is_graph_hypersurface
 from polyproper.poly import WorkLimitExceeded, work_limit
 from polyproper.polymap import parse_map_text
 from polyproper.solver import _shifted_system, sample_target, solve_fiber
-from conftest import dense_pool, random_nonzero_polynomial, random_polynomial
+from conftest import (
+    DENSE_POOL,
+    bench_generators,
+    dense_pool,
+    random_nonzero_polynomial,
+    random_polynomial,
+)
 from oracles import sylvester_matrix
 
 V = ("x", "y")
@@ -200,14 +206,16 @@ class TestResultant:
             self.check(f, g, "y")
             checked += 1
 
-    def test_leading_coefficients_vanishing_at_the_first_integers(self):
+    def test_leading_coefficients_vanishing_at_the_first_integers(self, monkeypatch):
         # lc_x(f) = y(y-1)(y-2)(y-3) and lc_x(g) = (y-4)(2y+i): the values start at y = 5
         f = P("y*(y-1)*(y-2)*(y-3)*x^3 + (2*y - 1/3)*x^2 + (i*y^2 + 1)*x - 5*y + 2")
         g = P("(y-4)*(2*y+i)*x^2 + (y^3 - 7/2)*x + 3*i*y - 1")
         assert not self.check(f, g, "x").is_zero()
+        assert not _by_both_routes(f, g, "x", monkeypatch).is_zero()
         # a common factor gives the zero resultant
         common = P("x^2 + (1/2 + i)*y*x - 3")
         assert self.check(f * common, g * common, "x").is_zero()
+        assert _by_both_routes(f * common, g * common, "x", monkeypatch).is_zero()
 
     def test_no_other_variable(self):
         f, g = P("x^3 - (2 + i)*x + 1/3"), P("3/2*x^2 + i*x - 5")
@@ -215,7 +223,8 @@ class TestResultant:
         assert self.check(f * g, g * P("x^2 + 1"), "x").is_zero()
 
     def test_bivariate_pairs_never_reach_the_prs(self, monkeypatch):
-        """The interpolated route takes every pair in two variables, with no silent fallback."""
+        """The packed and interpolated routes take every pair in two variables, with no
+        silent fallback."""
 
         def no_prs(*args):
             raise AssertionError("pseudo_rem called on a bivariate resultant")
@@ -244,26 +253,196 @@ class TestResultant:
             res = resultant(f, g, "x")
         assert res == self.check(f, g, "x")
 
+    def test_values_route_is_metered_as_the_packed_route(self, monkeypatch):
+        f = P("x^6 + y^6*x^3 + 2*y*x - 1")
+        g = P("3*x^6 - y^5*x^2 + y^3 + 7")
+        monkeypatch.setattr(elimination, "PACK_MAX_BITS", 0)
+        charge = (min(9 * 7, 6 * 5 + 6 * 6) + 1) * 6 * 6
+        with pytest.raises(WorkLimitExceeded):
+            with work_limit(charge - 1):
+                resultant(f, g, "x")
+        with work_limit(charge):
+            res = resultant(f, g, "x")
+        assert res == poly_matrix_det(sylvester_matrix(f, g, "x"))
+
+    def test_packed_route_in_two_other_variables_is_metered(self):
+        # S = prod_u (min(tdeg f * tdeg g, deg f * deg_u g + deg g * deg_u f) + 1) slots
+        f = P("x^2*y + z^2*x - 3*y*z + 1", V3)
+        g = P("2*x^3 - y^2*x + z", V3)
+        slots = (min(4 * 3, 2 * 2 + 3 * 1) + 1) * (min(4 * 3, 2 * 1 + 3 * 2) + 1)
+        charge = slots * 2 * 3
+        with pytest.raises(WorkLimitExceeded):
+            with work_limit(charge - 1):
+                resultant(f, g, "x")
+        with work_limit(charge):
+            res = resultant(f, g, "x")
+        assert res == self.check(f, g, "x")
+
+
+class TestPackedResultant:
+    """The packed route against the Sylvester determinant and the route above PACK_MAX_BITS."""
+
+    def test_gaussian_rationals_with_denominators(self, monkeypatch):
+        rng = random.Random(29)
+        checked = 0
+        while checked < 12:
+            f, g = (random_nonzero_polynomial(rng, V, max_degree=4, max_terms=5) for _ in range(2))
+            if f.degree_in("x") < 2 or g.degree_in("x") < 2:
+                continue
+            if f.den == 1 or not any(im for _, im in (*f.nums.values(), *g.nums.values())):
+                continue
+            _by_both_routes(f, g, "x", monkeypatch)
+            checked += 1
+
+    def test_signed_digit_borrows(self, monkeypatch):
+        # Res_x(x^2 + A, x^2 + B) = (B - A)^2 for A, B free of x
+        f = P("x^2 + 3*y^2 - (2 - i)*y + 1/2")
+        g = P("x^2 - (4 - 7*i)*y^3 + (2 + 5*i)*y^2 - 9*y - 3*i")
+        res = _by_both_routes(f, g, "x", monkeypatch)
+        assert res == (g - f) ** 2
+        row = [c for _, c in sorted((e[1], c) for e, c in res.terms.items())]
+        assert len(row) == 7
+        # adjacent digits, and the real and imaginary parts of one digit, of opposite signs
+        assert any(a.re * b.re < 0 for a, b in zip(row, row[1:]))
+        assert any(a.im * b.im < 0 for a, b in zip(row, row[1:]))
+        assert any(c.re * c.im < 0 for c in row)
+
+    def test_two_other_variables(self, monkeypatch):
+        rng = random.Random(53)
+        checked = 0
+        while checked < 12:
+            f, g = (random_nonzero_polynomial(rng, V3, 4, 5) for _ in range(2))
+            if f.degree_in("x") < 2 or g.degree_in("x") < 2:
+                continue
+            if {"y", "z"} <= set(f.support_vars()) | set(g.support_vars()):
+                _by_both_routes(f, g, "x", monkeypatch)
+                checked += 1
+
+
+def _by_both_routes(f: Polynomial, g: Polynomial, var: str, monkeypatch) -> Polynomial:
+    """Res_var(f, g), packed into one scalar resultant, once more by the route above
+    PACK_MAX_BITS, and as the Sylvester determinant; all three must agree."""
+    with monkeypatch.context() as m:
+        calls = _count_scalar_resultants(m)
+        packed = resultant(f, g, var)
+        assert len(calls) == 1
+        m.setattr(elimination, "PACK_MAX_BITS", 0)
+        old = resultant(f, g, var)
+    assert packed == old == poly_matrix_det(sylvester_matrix(f, g, var))
+    return packed
+
+
+def _count_scalar_resultants(monkeypatch) -> list:
+    """A list that gets one entry per call of elimination._scalar_resultant from now on."""
+    calls = []
+    scalar = elimination._scalar_resultant
+
+    def counted(a, b):
+        calls.append(None)
+        return scalar(a, b)
+
+    monkeypatch.setattr(elimination, "_scalar_resultant", counted)
+    return calls
+
+
+def _resultant_stages(f, y, monkeypatch) -> list[tuple[Polynomial, Polynomial, str]]:
+    """The pairs (p, q, v) of degrees >= 2 in v of the per-target cascade of f at y."""
+    stages = []
+    inner = elimination.resultant
+
+    def spy(p, q, v):
+        if p.degree_in(v) >= 2 and q.degree_in(v) >= 2:
+            stages.append((p, q, v))
+        return inner(p, q, v)
+
+    with monkeypatch.context() as m:
+        m.setattr(elimination, "resultant", spy)
+        eliminate(_shifted_system(f, y), list(f.vars[:-1]))
+    return stages
+
+
+def _slots(p: Polynomial, q: Polynomial, v: str) -> int:
+    """S, the product over the other variables u of min(tdeg p * tdeg q, Sylvester bound) + 1."""
+    dp, dq, bezout = p.degree_in(v), q.degree_in(v), p.total_degree() * q.total_degree()
+    out = 1
+    for u in p.vars:
+        if u != v and (p.degree_in(u) > 0 or q.degree_in(u) > 0):
+            out *= min(bezout, dp * q.degree_in(u) + dq * p.degree_in(u)) + 1
+    return out
+
+
+class TestRouteSelection:
+    def test_pool_stage_makes_one_scalar_resultant(self, monkeypatch):
+        f = parse_map_text(dense_pool()["2x6#0"][0])
+        (stage,) = _resultant_stages(f, sample_target(np.random.default_rng(1), 2), monkeypatch)
+        assert _slots(*stage) > 20
+        calls = _count_scalar_resultants(monkeypatch)
+        resultant(*stage)
+        assert len(calls) == 1
+
+    def test_ladder_stage_above_the_constant_makes_one_per_node(self, monkeypatch):
+        text = bench_generators().dense_map(random.Random(13), 2, 10).text()
+        f = parse_map_text(text)
+        y = sample_target(np.random.default_rng([13, 2, 10]), 2)
+        (stage,) = _resultant_stages(f, y, monkeypatch)
+        n = _slots(*stage)
+        calls = _count_scalar_resultants(monkeypatch)
+        monkeypatch.setattr(elimination, "PACK_MAX_BITS", 2 * elimination.PACK_MAX_BITS)
+        by_values = resultant(*stage)
+        assert len(calls) == n > 50
+        monkeypatch.setattr(elimination, "PACK_MAX_BITS", float("inf"))
+        assert resultant(*stage) == by_values
+        assert len(calls) == n + 1
+
+    def test_dense_pool_resultants_are_the_same_on_every_route(self, monkeypatch):
+        """Every resultant stage of the dense-fibers tasks at bench seeds 1-4 is packed and
+        equals the route above PACK_MAX_BITS."""
+        pool, stages = dense_pool(), []
+        for (n, d), count in DENSE_POOL.items():
+            for m in range(count):
+                f = parse_map_text(pool[f"{n}x{d}#{m}"][0])
+                for seed in (1, 2, 3, 4):
+                    targets = np.random.default_rng([seed, n, d, m])
+                    for _ in range(4):
+                        stages += _resultant_stages(f, sample_target(targets, n), monkeypatch)
+        assert len(stages) == 144
+        calls = _count_scalar_resultants(monkeypatch)
+        packed = [resultant(*stage) for stage in stages]
+        assert len(calls) == len(stages)
+        monkeypatch.setattr(elimination, "PACK_MAX_BITS", 0)
+        assert [resultant(*stage) for stage in stages] == packed
+
 
 def test_dense_3x3_cascade_is_the_same_by_values_and_by_prs(monkeypatch):
-    """Both resultant stages of dense 3x3#1: a (2, 2) stage in y, then a (3, 6) stage in x."""
+    """Both resultant stages of dense 3x3#1, a (2, 2) stage in y with x and z left and a
+    (3, 6) stage in x with z left: packed, by values with the PRS on the first, and by the PRS."""
     text, count = dense_pool()["3x3#1"]
     f = parse_map_text(text)
     y = sample_target(np.random.default_rng([1, 3, 3, 1]), 3)
     system = _shifted_system(f, y)
+    first, second = _resultant_stages(f, y, monkeypatch)
+    assert [(p.degree_in(v), q.degree_in(v), v) for p, q, v in (first, second)] == [
+        (2, 2, "y"),
+        (3, 6, "x"),
+    ]
+    calls = _count_scalar_resultants(monkeypatch)
+    packed = eliminate(system, list(f.vars[:-1]))
+    assert len(calls) == 2
+    monkeypatch.setattr(elimination, "PACK_MAX_BITS", 0)
     by_values = eliminate(system, list(f.vars[:-1]))
-    with monkeypatch.context() as m:
-        m.setattr(
-            elimination,
-            "_resultant_by_values",
-            lambda f, g, var, u: elimination._subresultant_prs(
-                f, g, var, f.degree_in(var), g.degree_in(var)
-            ),
-        )
-        by_prs = eliminate(system, list(f.vars[:-1]))
-    assert [s.mode for s in by_values.stages].count("resultant") == 2
-    assert by_values.finals == by_prs.finals
-    assert [s.pivot for s in by_values.stages] == [s.pivot for s in by_prs.stages]
+    assert len(calls) == 2 + _slots(*second)
+    monkeypatch.setattr(
+        elimination,
+        "_resultant_by_values",
+        lambda f, g, var, sizes: elimination._subresultant_prs(
+            f, g, var, f.degree_in(var), g.degree_in(var)
+        ),
+    )
+    by_prs = eliminate(system, list(f.vars[:-1]))
+    assert [s.mode for s in packed.stages].count("resultant") == 2
+    assert packed.finals == by_values.finals == by_prs.finals
+    assert [s.pivot for s in packed.stages] == [s.pivot for s in by_values.stages]
+    assert [s.pivot for s in packed.stages] == [s.pivot for s in by_prs.stages]
     assert len(solve_fiber(f, y)) == count == 14
 
 
