@@ -209,7 +209,6 @@ def _check_clearance(f: PolyMap, cfg: AnalysisConfig, report: dict) -> dict:
         "intersects": verdict.intersects,
         "evidence": {k: v for k, v in sorted(verdict.evidence.items())},
         "certificate_issued": verdict.certificate is not None,
-        "tol": cfg.residual_tol,
     }
 
 

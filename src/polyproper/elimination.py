@@ -32,6 +32,17 @@ modulo primes; here the values stay exact integers).  With two or more
 other variables, as in most symbolic eliminations of the plan and the
 locus, the subresultant sequence runs on the polynomials.
 
+A resultant stage also keeps E, the last element of positive degree in the
+killed variable of the subresultant chain of its pivot and first partner,
+for the solver to back-substitute through (Basu, Pollack and Roy,
+*Algorithms in Real Algebraic Geometry*, ch. 8; González-Vega and El
+Kahoui, J. Complexity 12, 1996).  The packed route reads E back from the
+same scalar sequence, as its coefficients obey the resultant's bounds
+(:func:`resultant`), and the polynomial sequence ends with it; the route by
+values interpolates no E, and where E is the pivot itself, as a linear
+pivot is, the stage keeps none.  E costs no route change and no work
+charge, so no symbolic elimination moves across the budget.
+
 The packed sequence runs on integers of K*S bits, and its cost grows
 faster with their size than that of the other routes.  The constant sits
 where it stops winning, timed (best of up to five, on one core of a 2-vCPU
@@ -189,22 +200,51 @@ def resultant(f: Polynomial, g: Polynomial, var: str) -> Polynomial:
     integer u (:func:`_resultant_by_values`), and otherwise the subresultant
     polynomial-remainder-sequence algorithm runs on the polynomials:
     fraction free, all intermediate divisions exact.
+
+    The same bounds hold for E, the last element of positive degree in
+    ``var`` of the subresultant chain, which :func:`_resultant_and_element`
+    returns as well.  E is f or g itself, or +-S_j(f, g) for some j >= 1,
+    whose coefficient of v^i is the determinant of a Sylvester submatrix of
+    m - j rows of G and n - j rows of F, m = deg f and n = deg g.  Its
+    rows are fewer, so its 1-norm is at most that of Res(F, G), and the
+    column bound drops to (n - j) * deg_u f + (m - j) * deg_u g.  For the
+    total degree, let p = tdeg f and q = tdeg g: the coefficient of v^k in
+    f has total degree at most p - k, so an entry of the row of v^s * f in
+    the column of v^c has at most p + s - c, and summing over the rows and
+    the columns taken (v^(m+n-j-1) .. v^(j+1) and v^i) bounds the total
+    degree of that coefficient by n'p + m'q - n'm' - j(n' + m' - 1) - i,
+    n' = n - j and m' = m - j.  That falls short of pq by
+    (p - m')(q - n') + j(n' + m' - 1) + i >= 0, as p >= m and q >= n.  So
+    E packs under the same K and n_u as the resultant, and is read back
+    from the same scalar sequence.
+    """
+    return _resultant_and_element(f, g, var)[0]
+
+
+def _resultant_and_element(
+    f: Polynomial, g: Polynomial, var: str
+) -> tuple[Polynomial, Polynomial | None]:
+    """Res_var(f, g) and E, the last element of positive degree in ``var`` of their chain.
+
+    E is the linear input where one is linear, and None where a degree in
+    ``var`` is 0, where the resultant is zero and on the route by values;
+    see :func:`resultant` for the routes and the bounds.
     """
     if f.is_zero() or g.is_zero():
-        return Polynomial.zero(f.vars)
+        return Polynomial.zero(f.vars), None
     df, dg = f.degree_in(var), g.degree_in(var)
     if df == 0 and dg == 0:
-        return Polynomial.constant(f.vars, 1)
+        return Polynomial.constant(f.vars, 1), None
     if df == 0:
-        return f**dg
+        return f**dg, None
     if dg == 0:
-        return g**df
+        return g**df, None
     if df == 1 or dg == 1:
         lin, other = (f, g) if df == 1 else (g, f)
         res = _resultant_linear(lin, other, var)
         if df > 1 and (df & 1) and (dg & 1):
             res = -res
-        return res
+        return res, lin
     bezout = f.total_degree() * g.total_degree()
     sizes = {}
     for u in f.vars:
@@ -224,8 +264,10 @@ def _norm_bits(p: Polynomial) -> int:
     return sum(abs(re) + abs(im) for re, im in p.nums.values()).bit_length()
 
 
-def _resultant_packed(f: Polynomial, g: Polynomial, var: str, sizes: dict, k: int) -> Polynomial:
-    """Res_var(f, g) from one scalar resultant at u = 2^(k * slots[u]) (Kronecker substitution).
+def _resultant_packed(
+    f: Polynomial, g: Polynomial, var: str, sizes: dict, k: int
+) -> tuple[Polynomial, Polynomial | None]:
+    """Res_var(f, g) and E from one scalar resultant at u = 2^(k * slots[u]) (Kronecker substitution).
 
     ``sizes`` maps each other variable u to n_u > deg_u Res(F, G), and the
     slots lay the monomials of Res(F, G) out in the mixed radix of the n_u,
@@ -233,8 +275,11 @@ def _resultant_packed(f: Polynomial, g: Polynomial, var: str, sizes: dict, k: in
     |im| below 2^(k - 2) (see :func:`resultant`), its packed value has one
     signed base-2^k expansion, whose digits are those coefficients; the
     leading coefficients in ``var``, whose 1-norms are smaller still, pack
-    to nonzero values.  Under :func:`polyproper.poly.work_limit` it is
-    charged S * deg f * deg g.
+    to nonzero values.  So do the principal coefficients of the chain, and
+    the scalar chain has the shape of the polynomial one: its E is E(F, G)
+    packed, read back one coefficient in ``var`` at a time, with ``var`` as
+    one more slot above the others.  Under
+    :func:`polyproper.poly.work_limit` it is charged S * deg f * deg g.
     """
     slots, radix = {}, 1
     for u, n in sizes.items():
@@ -243,9 +288,25 @@ def _resultant_packed(f: Polynomial, g: Polynomial, var: str, sizes: dict, k: in
     rf, rg = int_rows(f, var, slots), int_rows(g, var, slots)
     df, dg = len(rf) - 1, len(rg) - 1
     t = 1 << k
-    re, im = _scalar_resultant([_value(row, t) for row in rf], [_value(row, t) for row in rg])
-    row = list(zip_longest(_signed_digits(re, k), _signed_digits(im, k), fillvalue=0))
-    return from_int_row(f, slots, f.den**dg * g.den**df, row)
+    pf, pg = [_value(row, t) for row in rf], [_value(row, t) for row in rg]
+    (re, im), e, j = _scalar_resultant(pf, pg)
+    res = from_int_row(f, slots, f.den**dg * g.den**df, _digit_pairs(re, im, k))
+    if e is None:
+        return res, None
+    if e is pf or e is pg:
+        return res, f if e is pf else g
+    row = []
+    for cr, ci in e:
+        digits = _digit_pairs(cr, ci, k)
+        row += digits + [(0, 0)] * (radix - len(digits))
+    slots[var] = radix
+    # E(F, G) = +-S_j(F, G) has n - j rows of F and m - j rows of G
+    return res, from_int_row(f, slots, f.den ** (dg - j) * g.den ** (df - j), row)
+
+
+def _digit_pairs(re: int, im: int, k: int) -> list[tuple[int, int]]:
+    """The signed base-2^k digits of re and im, paired, lowest first."""
+    return list(zip_longest(_signed_digits(re, k), _signed_digits(im, k), fillvalue=0))
 
 
 def _signed_digits(x: int, k: int) -> list[int]:
@@ -261,8 +322,13 @@ def _signed_digits(x: int, k: int) -> list[int]:
     return out
 
 
-def _subresultant_prs(f: Polynomial, g: Polynomial, var: str, df: int, dg: int) -> Polynomial:
-    """Res_var(f, g) by the subresultant PRS on the polynomials; df, dg >= 1 their degrees."""
+def _subresultant_prs(
+    f: Polynomial, g: Polynomial, var: str, df: int, dg: int
+) -> tuple[Polynomial, Polynomial | None]:
+    """Res_var(f, g) and E by the subresultant PRS on the polynomials; df, dg >= 1 their degrees.
+
+    E, the last element of positive degree, is None where the resultant is zero.
+    """
     s = 1
     a, b = f, g
     da, db = df, dg
@@ -282,7 +348,7 @@ def _subresultant_prs(f: Polynomial, g: Polynomial, var: str, df: int, dg: int) 
         da = db
         b = exact_div(r, glc * h**delta)
         if b.is_zero():
-            return Polynomial.zero(f.vars)
+            return Polynomial.zero(f.vars), None
         db = b.degree_in(var)
         glc = lead_in(a, var)[1]
         if delta == 1:
@@ -292,10 +358,12 @@ def _subresultant_prs(f: Polynomial, g: Polynomial, var: str, df: int, dg: int) 
         if db == 0:
             num = b**da
             res = num if da <= 1 else exact_div(num, h ** (da - 1))
-            return res * s if s < 0 else res
+            return res * s if s < 0 else res, a
 
 
-def _resultant_by_values(f: Polynomial, g: Polynomial, var: str, sizes: dict) -> Polynomial:
+def _resultant_by_values(
+    f: Polynomial, g: Polynomial, var: str, sizes: dict
+) -> tuple[Polynomial, None]:
     """Res_var(f, g) for f, g in ``var`` and at most one other variable u, with sizes = {u: N}.
 
     Over the stored forms f = F/d_f and g = G/d_g the resultant is
@@ -308,6 +376,7 @@ def _resultant_by_values(f: Polynomial, g: Polynomial, var: str, sizes: dict) ->
     (:func:`_scalar_resultant`).
     The real and imaginary parts are interpolated apart (:func:`_interpolated`).
     Under :func:`polyproper.poly.work_limit` it is charged N * deg f * deg g.
+    No E is interpolated: it is returned as None.
     """
     slots = dict.fromkeys(sizes, 1)
     rf, rg = int_rows(f, var, slots), int_rows(g, var, slots)
@@ -320,12 +389,12 @@ def _resultant_by_values(f: Polynomial, g: Polynomial, var: str, sizes: dict) ->
             start = t + 1
         t += 1
     values = [
-        _scalar_resultant([_value(row, t) for row in rf], [_value(row, t) for row in rg])
+        _scalar_resultant([_value(row, t) for row in rf], [_value(row, t) for row in rg])[0]
         for t in range(start, start + n)
     ]
     re = _interpolated([v[0] for v in values], start)
     im = _interpolated([v[1] for v in values], start)
-    return from_int_row(f, slots, f.den**dg * g.den**df, list(zip(re, im)))
+    return from_int_row(f, slots, f.den**dg * g.den**df, list(zip(re, im))), None
 
 
 def _interpolated(values: list[int], start: int) -> list[int]:
@@ -406,11 +475,15 @@ def _scalar_prem(a: list, b: list) -> list:
     return r
 
 
-def _scalar_resultant(a: list, b: list) -> tuple[int, int]:
-    """The resultant of two Gaussian-integer coefficient lists (lowest degree first).
+def _scalar_resultant(a: list, b: list) -> tuple[tuple[int, int], list | None, int]:
+    """The resultant of two Gaussian-integer coefficient lists (lowest degree first), E and j.
 
     The loop of :func:`_subresultant_prs` on scalars; both leading entries
-    are nonzero and both degrees positive.
+    are nonzero and both degrees positive.  E is the last element of
+    positive degree of the chain: the list ``a`` or ``b`` itself where no
+    remainder of positive degree comes first, else +-S_j(a, b) with j the
+    degree of the element before it less 1 (the subresultant PRS theorem;
+    Brown, J. ACM 18, 1971).  E is None where the resultant is zero.
     """
     s = 1
     da, db = len(a) - 1, len(b) - 1
@@ -424,9 +497,10 @@ def _scalar_resultant(a: list, b: list) -> tuple[int, int]:
         if da & db & 1:
             s = -s
         r = _scalar_prem(a, b)
+        j = da - 1
         a, da = b, db
         if not r:
-            return (0, 0)
+            return (0, 0), None, j
         b = _gdiv(r, _gmul(glc, _gpow(h, delta)))
         db = len(b) - 1
         glc = a[-1]
@@ -438,7 +512,7 @@ def _scalar_resultant(a: list, b: list) -> tuple[int, int]:
             res = _gpow(b[0], da)
             if da > 1:
                 (res,) = _gdiv([res], _gpow(h, da - 1))
-            return (s * res[0], s * res[1])
+            return (s * res[0], s * res[1]), a, j
 
 
 def _resultant_linear(lin: Polynomial, g: Polynomial, var: str) -> Polynomial:
@@ -550,12 +624,20 @@ def squarefree_part(p: Polynomial) -> Polynomial:
 
 @dataclass(frozen=True)
 class EliminationStage:
-    """One eliminated variable with the pivot equation that constrained it."""
+    """One eliminated variable with the pivot equation that constrained it.
+
+    A resultant stage also keeps ``element``, E of the pivot and its first
+    partner (:func:`_resultant_and_element`), where the route computes one
+    and it is not the pivot itself, as a linear pivot is.  E lies in the
+    ideal of the two, so wherever E does not vanish identically each of
+    their common roots in var is a root of E.
+    """
 
     var: str
     pivot: Polynomial
     mode: str  # "substitution" | "single" | "resultant"
     image: Polynomial | None = None  # what a substitution put for var: -R/c of pivot c*var + R
+    element: Polynomial | None = None
 
 
 @dataclass
@@ -715,9 +797,12 @@ def eliminate(
             continue
         pivot_i, pivot = min(involving, key=lambda ip: (ip[1].degree_in(v), ip[0]))
         keep = [p for p in eqs if p.degree_in(v) == 0]
-        result.stages.append(EliminationStage(v, pivot, "resultant"))
         partners = [p for i, p in involving if i != pivot_i]
-        resultants = (resultant(pivot, p, v) for p in partners)
+        first, element = _resultant_and_element(pivot, partners[0], v)
+        if element is pivot:  # rooting E is rooting the pivot
+            element = None
+        result.stages.append(EliminationStage(v, pivot, "resultant", element=element))
+        resultants = chain([first], (resultant(pivot, p, v) for p in partners[1:]))
         # the last stage's two resultants, with no substitution or inter-reduction since
         if pair and pair[0] is eqs and len(involving) == 2:
             resultants = (_without_extraneous(r, *pair[1:], v) for r in resultants)

@@ -124,6 +124,20 @@ class MapEvaluator:
         """f and its term-magnitude sums at the batch, both k x m."""
         return self.f.values_and_sums(tables)
 
+    def in_range(self, points: np.ndarray) -> np.ndarray:
+        """Whether each row of a k x n batch is finite, with every monomial of f below 2^1023.
+
+        A monomial is bounded by prod_v max(|x_v|, 1)^e_v, which bounds each
+        entry of the power tables and each partial product of a monomial
+        too, so evaluating f and its Jacobian at such a row overflows
+        nowhere before the coefficients apply.
+        """
+        mags = np.abs(points)
+        ok = np.isfinite(mags).all(axis=1)
+        bits = np.log2(np.maximum(mags[ok], 1.0)) @ self.f.exps.T
+        ok[ok] = bits.max(axis=1, initial=0.0) < 1023
+        return ok
+
     def jacobian(self, tables: Sequence[np.ndarray]) -> np.ndarray:
         """The k x m x n Jacobian matrices at the batch."""
         vals = self.jac.values(tables)

@@ -3,10 +3,20 @@
 The pipeline is exact elimination first, floating point second: the target
 y enters the coefficient field exactly (floats are rationals), the system is
 cascaded down to one variable, and only root extraction, back-substitution,
-and Newton refinement run in floating point.  Extraneous candidates that
-resultant stages introduce are dropped at Newton's first evaluation by their
-relative residual (:data:`SCREEN_RESIDUAL`), and what is left is checked by
-the final residual test against the full system.
+and Newton refinement run in floating point.  A resultant stage is
+back-substituted through E, the last element of positive degree of the
+subresultant chain of its pivot and first partner
+(:attr:`polyproper.elimination.EliminationStage.element`): at a root z0 of
+the final, the common roots of the two are roots of E(z0), and where the
+chain ends normally E is S_1, linear, so each branch gets one candidate,
+v = -s_10(z0)/s_11(z0) (Basu, Pollack and Roy, *Algorithms in Real
+Algebraic Geometry*, ch. 4 and 8).  A branch roots the pivot instead where
+the stage keeps no E or E's leading entry vanishes there.  The candidates
+off the fiber that are left, from a rooted pivot, from an E of degree 2 or
+more or from an extraneous root of the final, are dropped at Newton's
+first evaluation by their relative residual (:data:`SCREEN_RESIDUAL`), and
+what is left is checked by the final residual test against the full
+system.
 
 A triangular cascade skips the floating-point steps: when every stage
 substitutes and the one final is linear in the last variable, as for tame
@@ -19,11 +29,12 @@ its plan's final alone (:meth:`TargetPlan.single_point_at`).
 The floating-point steps work on batches of targets, one target for
 :func:`solve_fiber` and all sampled targets of a map for
 :func:`geometric_degree`; each candidate row carries the index of its
-target.  Each back-substitution stage compiles the pivots of all targets,
-viewed as univariate in the stage variable, into one term table with a
-block of columns per target, specializes every row at its own target's
-pivot in one kernel call and roots all of them in one
-:func:`polyproper.numlin.roots_of_each` call.  Newton then runs once on all
+target.  Each back-substitution stage compiles the E (or the pivots) of
+all targets, viewed as univariate in the stage variable, into one term
+table with a block of columns per target, specializes every row at its own
+target's polynomial in one kernel call and roots all of them in one
+:func:`polyproper.numlin.roots_of_each` call; the batch of
+:func:`geometric_degree` specialises the plan's pivots, and keeps no E.  Newton then runs once on all
 rows, each with its own y, through the map's compiled evaluator
 (``PolyMap.evaluator()``, built once per map): each iteration is one
 evaluation of f at the live candidates and one of the Jacobian at those
@@ -114,13 +125,15 @@ DEDUP_RADIUS = 1e-6
 #: Back-substitution candidates whose relative residual
 #: ||f(x) - y|| / ||Σ|terms| + |y||| lies above this are dropped at Newton's
 #: first evaluation, where a cascade has a resultant stage.
-#: A resultant stage keeps every root of its pivot, but only the common
-#: roots with the partner polynomial lie on the fiber (Cox, Little and
-#: O'Shea, *Using Algebraic Geometry*, ch. 3).  Over the dense bench pool at
-#: seeds 0-9, the candidates that are fiber points (Newton ends next to
-#: where they start) start at ρ <= 4e-8 and the extraneous ones at
-#: ρ >= 4.6e-7, 99.9 % of them above 8e-3: this bound is 2 500 times the
-#: worst fiber point's.
+#: A rooted pivot of a resultant stage gives all its roots, but only the
+#: common roots with the partner polynomial lie on the fiber (Cox, Little
+#: and O'Shea, *Using Algebraic Geometry*, ch. 3); an E of degree 2 or
+#: more, or E at an extraneous root of the final, can give roots off it
+#: too.  The bound was set while every pivot was rooted: over the dense
+#: bench pool at seeds 0-9, the candidates that are fiber points (Newton
+#: ends next to where they start) start at ρ <= 4e-8 and the extraneous
+#: ones at ρ >= 4.6e-7, 99.9 % of them above 8e-3, so it is 2 500 times
+#: the worst fiber point's.
 SCREEN_RESIDUAL = 1e-4
 #: Degree-estimation targets have re/im parts in [-SAMPLE_BOX, SAMPLE_BOX].
 SAMPLE_BOX = 2.0
@@ -357,7 +370,7 @@ def _planned_fibers(
             finals.append(poly_to_coeffs(final))
         if batch:
             stages = [
-                (stage.var, stage.mode, [p[k] for p in pivots])
+                (stage.var, stage.mode, [p[k] for p in pivots], None)
                 for k, stage in enumerate(plan.result.stages)
             ]
             fibers, failures = _back_substitute(
@@ -415,7 +428,10 @@ def _cascade_fiber(f: PolyMap, y: Sequence[complex], tol: float) -> list[FiberSo
         raise PositiveDimensionalFiberError(res.problem)
     if _triangular(res, f.vars[-1]):
         return [_one_point(f, y, res)]
-    stages = [(stage.var, stage.mode, [stage.pivot]) for stage in res.stages]
+    stages = [
+        (stage.var, stage.mode, [stage.pivot], None if stage.element is None else [stage.element])
+        for stage in res.stages
+    ]
     coeffs = poly_to_coeffs(res.finals[0])
     if len(coeffs) == 2 and not abs(coeffs[0]) <= abs(coeffs[1]) * sys.float_info.max:
         raise _beyond_float_range(y)
@@ -460,21 +476,27 @@ def _beyond_float_range(y: Sequence[complex]) -> ValueError:
 def _back_substitute(
     f: PolyMap,
     ys: Sequence[Sequence[complex]],
-    stages: Sequence[tuple[str, str, Sequence[Polynomial]]],
+    stages: Sequence[tuple[str, str, Sequence[Polynomial], Sequence[Polynomial] | None]],
     roots: Sequence[RootSet],
     tol: float,
 ) -> tuple[list[list[FiberSolution]], list[Exception | None]]:
     """The fiber points that the cascades at a batch of targets lead to.
 
     ``ys`` are the targets and ``roots`` the roots of each target's final
-    in the last source variable.  ``stages`` are (variable, mode, pivots)
-    triples in elimination order, one pivot per target with its y folded
-    in.  Each candidate row carries the index of its target; the rows are
-    extended through the stages in reverse, each stage specialising all of
-    them in one kernel call and rooting them in one :func:`roots_of_each`
-    call.  One Newton run refines them, and the rows are filtered per
-    target.  Where some stage is a resultant, Newton first drops the
-    candidates that the resultant brought in off the fiber, so they are
+    in the last source variable.  ``stages`` are (variable, mode, pivots,
+    elements) in elimination order, one pivot per target with its y folded
+    in; ``elements`` holds each target's E of a resultant stage
+    (:attr:`EliminationStage.element`), or is None.  Each candidate row
+    carries the index of its target; the rows are extended through the
+    stages in reverse, each stage specialising all of them in one kernel
+    call and rooting them in one :func:`roots_of_each` call.  A row roots
+    E, whose roots hold the common roots of the pivot and its first
+    partner, where E's leading entry survives its specialisation there;
+    E is then usually linear, one candidate per row.  A row roots the
+    pivot where the stage has no E or E's leading entry is trimmed.  One
+    Newton run refines the rows, and they are filtered per target.  Where
+    some stage is a resultant, Newton first drops the candidates off the
+    fiber, where E or a pivot had more roots than lie on it, so they are
     neither refined nor counted as branches that a solution absorbed;
     without a resultant stage every candidate lies on the fiber.  Returns
     each target's solutions and what its fiber raises should none survive:
@@ -490,12 +512,23 @@ def _back_substitute(
     mults = [r.multiplicity for rs in roots for r in rs.roots]
 
     failures: list[Exception | None] = [None] * len(ys)
-    for var, _, pivots in reversed(stages):
+    for var, _, pivots, elements in reversed(stages):
         if not mults:
             break
+        specialised: list = [None] * len(owner)
+        if elements is not None:  # E, where its leading entry survives
+            tops = [e.degree_in(var) for e in elements]
+            by_e = _UnivariateView(elements, var).specialize(points, owner)
+            for k, (t, coeffs) in enumerate(zip(owner.tolist(), by_e)):
+                if coeffs and len(coeffs) > tops[t]:
+                    specialised[k] = coeffs
+        by_pivot = [k for k, coeffs in enumerate(specialised) if coeffs is None]
+        if by_pivot:
+            view = _UnivariateView(pivots, var)
+            for k, coeffs in zip(by_pivot, view.specialize(points[by_pivot], owner[by_pivot])):
+                specialised[k] = coeffs
         extended, rows = [], []
-        view = _UnivariateView(pivots, var)
-        for k, (t, coeffs) in enumerate(zip(owner.tolist(), view.specialize(points, owner))):
+        for k, (t, coeffs) in enumerate(zip(owner.tolist(), specialised)):
             if coeffs is None:
                 failures[t] = PositiveDimensionalFiberError(
                     "all candidate branches degenerated during back-substitution"
@@ -516,7 +549,7 @@ def _back_substitute(
 
     ev = f.evaluator()
     y_rows = np.array(ys, dtype=complex).reshape(len(ys), f.target_dim)[owner]
-    screen = any(mode == "resultant" for _, mode, _ in stages)
+    screen = any(mode == "resultant" for _, mode, _, _ in stages)
     best, best_res, floors = _newton_batch(ev, y_rows, points, screen)
     # a residual within the round-off of evaluating f, where Newton stops,
     # is as small as any step can make it
@@ -637,8 +670,11 @@ def _newton_batch(
     evaluation's round-off floor there, ROUNDOFF * ||sum |terms| + |y|||.  A
     candidate stops once its residual is below 1e-15 * (1 + ||y||) or at
     most that floor, or when its Jacobian is singular or its step is not
-    finite; the others go on.  The Jacobian is evaluated only at candidates
-    that take a step.  With ``screen``, a start whose relative residual
+    finite, or when it would reach an iterate where some monomial of f
+    overflows (:meth:`MapEvaluator.in_range`): a diverging iterate is
+    frozen before its power tables overflow.  The others go on.  The
+    Jacobian is evaluated only at candidates that take a step.  With
+    ``screen``, a start whose relative residual
     ||f(x) - y|| / ||sum |terms| + |y||| exceeds :data:`SCREEN_RESIDUAL` is
     dropped at the first evaluation: it is never stepped, and its residual
     and floor stay infinite.
@@ -676,7 +712,7 @@ def _newton_batch(
         jac = ev.jacobian([t[step] for t in tables])
         delta, solved = _solve_each(jac, r)
         moved = x[live] - delta
-        ok = solved & np.isfinite(moved).all(axis=1)
+        ok = solved & ev.in_range(moved)
         x[live[ok]] = moved[ok]
         live = live[ok]
     return best, best_res, best_floor

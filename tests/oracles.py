@@ -3,14 +3,14 @@
 Each oracle computes a quantity the package also computes, by a different
 route: the schoolbook product, one exact scalar per pair of terms, for the
 int product kernel; two ``Fraction``s per coefficient for the float
-conversion of ``poly_to_coeffs``; a Sylvester matrix for the subresultant
-resultant; the Gram matrix for the smallest singular value; one
-companion eigensolve and scalar Newton polish per polynomial for the
-batched root finder; numpy's SVD on any sample grid for the witness
-check's singular values and their order in t; fiber-count drops on
-sampled points of {h = 0} for the symbolic hyperplane-clearance verdict;
-and a comparison of every candidate with every cluster in Python for the
-solver's deduplication.  :func:`laurent_value` evaluates a Laurent
+conversion of ``poly_to_coeffs``; a Sylvester matrix for the resultant and
+determinants of its submatrices for the subresultants; the Gram matrix for
+the smallest singular value; one companion eigensolve and scalar Newton
+polish per polynomial for the batched root finder; numpy's SVD on any
+sample grid for the witness check's singular values and their order in t;
+fiber-count drops on sampled points of {h = 0} for the symbolic
+hyperplane-clearance verdict; and a comparison of every candidate with
+every cluster in Python for the solver's deduplication.  :func:`laurent_value` evaluates a Laurent
 polynomial in floats for these checks; the package decides witnesses
 exactly and evaluates no Laurent polynomial in floats.
 :func:`evaluate_exact` is a polynomial's exact value at a point, the
@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from polyproper import LaurentPoly, PolyMap, Polynomial
-from polyproper.elimination import as_univariate
+from polyproper.elimination import as_univariate, poly_matrix_det
 from polyproper.numeric import EPS
 from polyproper.numlin import CLUSTER_RADIUS, Root, RootSet, _cluster, _merge_multiple
 from polyproper.nonproper import ClearanceVerdict, _points_on_zero_set, fiber_count_diagnostic
@@ -80,6 +80,33 @@ def sylvester_matrix(f: Polynomial, g: Polynomial, var: str) -> list[list[Polyno
             row[shift + dg - k] = c
         rows.append(row)
     return rows
+
+
+def subresultant(f: Polynomial, g: Polynomial, var: str, j: int) -> Polynomial:
+    """S_j(f, g), the j-th subresultant in ``var``, from determinants of Sylvester submatrices.
+
+    With m = deg f and n = deg g, 0 <= j < min(m, n) or j = n < m, the
+    rows are the n - j shifts var^s * f and the m - j shifts var^s * g
+    over the powers var^(m+n-j-1) .. var^0; the coefficient of var^i,
+    i <= j, is the determinant of their first m + n - 2j - 1 columns and
+    the column of var^i.  S_0 is the resultant.
+    """
+    fu, gu = as_univariate(f, var), as_univariate(g, var)
+    m, n = max(fu), max(gu)
+    zero = Polynomial.zero(f.vars)
+    width = m + n - j  # column c holds var^(width - 1 - c)
+    rows = []
+    for u, shifts in ((fu, n - j), (gu, m - j)):
+        for s in range(shifts - 1, -1, -1):
+            row = [zero] * width
+            for k, c in u.items():
+                row[width - 1 - (k + s)] = c
+            rows.append(row)
+    out = zero
+    for i in range(j + 1):
+        minor = [row[: width - j - 1] + [row[width - 1 - i]] for row in rows]
+        out = out + poly_matrix_det(minor) * Polynomial.variable(f.vars, var) ** i
+    return out
 
 
 def scalar_univariate_roots(coeffs: Sequence[complex]) -> RootSet:

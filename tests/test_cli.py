@@ -138,6 +138,7 @@ def test_clearance_check(shear_file):
     assert code == 0
     assert report["results"]["clearance"]["intersects"] == "no"
     assert report["results"]["clearance"]["certificate_issued"] is True
+    assert "tol" not in report["results"]["clearance"]
     assert report["certificates"][0]["claim"] == "automorphism"
 
 

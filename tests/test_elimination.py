@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from polyproper import Polynomial, elimination, parse_polynomial
+from polyproper import PolyMap, Polynomial, elimination, parse_polynomial
 from polyproper.elimination import (
     NotDivisibleError,
     as_univariate,
@@ -31,7 +31,7 @@ from conftest import (
     random_nonzero_polynomial,
     random_polynomial,
 )
-from oracles import sylvester_matrix
+from oracles import subresultant, sylvester_matrix
 
 V = ("x", "y")
 V3 = ("x", "y", "z")
@@ -158,7 +158,7 @@ class TestResultant:
         assert res == poly_matrix_det(sylvester_matrix(f, g, var))
         df, dg = f.degree_in(var), g.degree_in(var)
         if df >= 2 and dg >= 2:
-            assert res == elimination._subresultant_prs(f, g, var, df, dg)
+            assert res == elimination._subresultant_prs(f, g, var, df, dg)[0]
         return res
 
     def test_against_sylvester_oracle(self):
@@ -348,7 +348,7 @@ def _count_scalar_resultants(monkeypatch) -> list:
 def _resultant_stages(f, y, monkeypatch) -> list[tuple[Polynomial, Polynomial, str]]:
     """The pairs (p, q, v) of degrees >= 2 in v of the per-target cascade of f at y."""
     stages = []
-    inner = elimination.resultant
+    inner = elimination._resultant_and_element
 
     def spy(p, q, v):
         if p.degree_in(v) >= 2 and q.degree_in(v) >= 2:
@@ -356,7 +356,7 @@ def _resultant_stages(f, y, monkeypatch) -> list[tuple[Polynomial, Polynomial, s
         return inner(p, q, v)
 
     with monkeypatch.context() as m:
-        m.setattr(elimination, "resultant", spy)
+        m.setattr(elimination, "_resultant_and_element", spy)
         eliminate(_shifted_system(f, y), list(f.vars[:-1]))
     return stages
 
@@ -444,6 +444,85 @@ def test_dense_3x3_cascade_is_the_same_by_values_and_by_prs(monkeypatch):
     assert [s.pivot for s in packed.stages] == [s.pivot for s in by_values.stages]
     assert [s.pivot for s in packed.stages] == [s.pivot for s in by_prs.stages]
     assert len(solve_fiber(f, y)) == count == 14
+
+
+class TestChainElement:
+    """E, the last element of positive degree of the subresultant chain, against the
+    determinants of Sylvester submatrices (``oracles.subresultant``)."""
+
+    @staticmethod
+    def check(f, g, var, j, monkeypatch, scalar_calls=1):
+        """E of (f, g) is +-S_j(f, g), on the route that ``scalar_calls`` scalar chains show."""
+        calls = _count_scalar_resultants(monkeypatch)
+        res, e = elimination._resultant_and_element(f, g, var)
+        assert len(calls) == scalar_calls
+        assert res == resultant(f, g, var) == subresultant(f, g, var, 0)
+        assert e.degree_in(var) > 0
+        assert e in (subresultant(f, g, var, j), -subresultant(f, g, var, j))
+        return e
+
+    def test_packed_in_one_other_variable(self, monkeypatch):
+        """Random Gaussian-rational pairs: E is +-S_j for some j >= deg E, one scalar chain each."""
+        rng = random.Random(17)
+        checked = 0
+        while checked < 8:
+            f, g = (random_nonzero_polynomial(rng, V, max_degree=4, max_terms=5) for _ in range(2))
+            df, dg = f.degree_in("x"), g.degree_in("x")
+            if df < 2 or dg < 2 or (f.den == 1 and g.den == 1):
+                continue
+            with monkeypatch.context() as m:
+                calls = _count_scalar_resultants(m)
+                res, e = elimination._resultant_and_element(f, g, "x")
+            if res.is_zero() or e in (f, g):  # no E, or the chain ends at an input
+                continue
+            assert len(calls) == 1 and res == subresultant(f, g, "x", 0)
+            subs = [subresultant(f, g, "x", j) for j in range(e.degree_in("x"), min(df, dg))]
+            assert any(e in (s, -s) for s in subs)
+            checked += 1
+
+    def test_packed_in_two_other_variables(self, monkeypatch):
+        f = P("x^2*y + z^2*x - 3*y*z + 1", V3)
+        g = P("2*x^3 - y^2*x + (1/2 + i)*z", V3)
+        assert self.check(f, g, "x", 1, monkeypatch).support_vars() == V3
+
+    def test_packed_where_the_total_degrees_bound_the_other_degree(self, monkeypatch):
+        """tdeg f * tdeg g = 9 is below the column bound deg f * deg_y g + deg g * deg_y f = 18,
+        so n_y comes from the total degrees, and E still fits in its slots.
+
+        The chain is f, g and the linear 2f - g, so E is S_2, of degree 1.
+        """
+        f, g = P("x^3 + y^3 + 1/2*x*y + 1"), P("2*x^3 - (1 - i)*y^3 + x + y - 3")
+        assert f.total_degree() * g.total_degree() == 9 < 3 * 3 + 3 * 3
+        e = self.check(f, g, "x", 2, monkeypatch)
+        assert e.degree_in("x") == 1 and e.degree_in("y") == 3
+
+    def test_polynomial_prs_route(self, monkeypatch):
+        f = P("x^2*y + z^2*x - 3*y*z + 1", V3)
+        g = P("2*x^3 - y^2*x + (1/2 + i)*z", V3)
+        monkeypatch.setattr(elimination, "PACK_MAX_BITS", 0)
+        self.check(f, g, "x", 1, monkeypatch, scalar_calls=0)
+
+    def test_no_element_by_values(self, monkeypatch):
+        f, g = P("x^3 + y^3 + 1/2*x*y + 1"), P("2*x^3 - (1 - i)*y^3 + x + y - 3")
+        monkeypatch.setattr(elimination, "PACK_MAX_BITS", 0)
+        res, e = elimination._resultant_and_element(f, g, "x")
+        assert res == subresultant(f, g, "x", 0) and e is None
+
+    def test_non_normal_chain_of_the_screen_sibling(self, monkeypatch):
+        """(x^2 + y^2, x^4 + y^3 + y) at a target: the principal coefficient of S_1 vanishes
+        identically, and E, of degree 2, is the pivot, S_2.  The stage keeps no E of its own,
+        as rooting E is rooting the pivot."""
+        f = PolyMap.from_exprs(V, ["x^2 + y^2", "x^4 + y^3 + y"])
+        pivot, partner = _shifted_system(f, sample_target(np.random.default_rng(3), 2))
+        assert subresultant(pivot, partner, "x", 1).degree_in("x") == 0
+        assert self.check(pivot, partner, "x", 2, monkeypatch) is pivot
+        (stage,) = eliminate([pivot, partner], ["x"]).stages
+        assert (stage.mode, stage.pivot, stage.element) == ("resultant", pivot, None)
+
+    def test_linear_pivot_stores_no_element(self):
+        """A pivot a*x + b with a not a constant is its own E, and the stage keeps none."""
+        res = eliminate([P("y*x + 1"), P("x^2 + y^2 - 3")], ["x"])
+        assert [(s.mode, s.element) for s in res.stages] == [("resultant", None)]
 
 
 def _lift_yz(p: Polynomial) -> Polynomial:

@@ -1,6 +1,7 @@
 """Fiber solving, counting, and geometric-degree estimation."""
 
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -116,10 +117,11 @@ class TestScreen:
     def test_extraneous_candidates_do_not_reach_newton(self, monkeypatch):
         """Dense 2x6#0 at its first seed-1 bench target: 24 points, one row per final root.
 
-        Its resultant stage keeps every root of its pivot, so 96 rows reach
-        Newton.  Unscreened, the extraneous ones would converge onto points
-        that others already found and flag them ``multiple``; Newton drops
-        them at its first evaluation and refines 24.
+        Back-substitution roots E, linear here, so 24 rows reach Newton.
+        Rooting the stage's pivot, of degree 4, sent 96, and unscreened the
+        extraneous ones would converge onto points that others already
+        found and flag them ``multiple``; the screen is what keeps the
+        count right wherever a pivot is still rooted.
         """
         text, count = dense_pool()["2x6#0"]
         f = parse_map_text(text)
@@ -129,6 +131,48 @@ class TestScreen:
         assert len(fiber) == count == 24
         assert not any(s.multiple for s in fiber)
         assert seen["rows"] <= seen["final_roots"]
+
+    @pytest.mark.parametrize("key", DENSE_KEYS)
+    def test_one_row_per_point_reaches_newton(self, key, monkeypatch):
+        """At the seed-1 bench targets, the rows that reach Newton are the fiber's points.
+
+        E of each resultant stage is linear at every branch on a root of
+        the final that is a fiber point.  3x2#0 also sends one row from an
+        extraneous root of its final, where E is linear too, and Newton
+        drops it.
+        """
+        text, count = dense_pool()[key]
+        f = parse_map_text(text)
+        n, d, m = (int(part) for part in key.replace("x", "#").split("#"))
+        rng = np.random.default_rng([1, n, d, m])
+        rows, newton = [], solver._newton_batch
+
+        def counted(ev, y, x, screen=False):
+            rows.append(len(x))
+            return newton(ev, y, x, screen)
+
+        monkeypatch.setattr(solver, "_newton_batch", counted)
+        for _ in range(4):
+            assert len(solve_fiber(f, sample_target(rng, n))) == count
+        assert rows == [count + (key == "3x2#0")] * 4
+
+    def test_no_resultant_pivot_is_rooted(self, monkeypatch):
+        """On 2x6#0, whose resultant stage has a pivot of degree 4, every row handed to
+        roots_of_each is linear: E's.  Where E's leading entry vanishes, at the root 0 of
+        the final, the pivot is a nonzero constant and the branch ends there."""
+        text, count = dense_pool()["2x6#0"]
+        f = parse_map_text(text)
+        rng = np.random.default_rng([1, 2, 6, 0])
+        widths, roots_of_each = set(), solver.roots_of_each
+
+        def counted(rows):
+            widths.update(len(row) for row in rows)
+            return roots_of_each(rows)
+
+        monkeypatch.setattr(solver, "roots_of_each", counted)
+        for _ in range(4):
+            assert len(solve_fiber(f, sample_target(rng, 2))) == count
+        assert widths == {2}
 
     @pytest.mark.parametrize(
         "exprs, count",
@@ -195,6 +239,19 @@ class TestScreen:
         assert geometric_degree(parse_map_text(text), n_samples=50, seed=0).histogram == {
             count: 50
         }
+
+
+class TestNewton:
+    def test_diverging_iterate_is_frozen_before_its_powers_overflow(self):
+        """At x = 1 + 1e-150i the Jacobian of (x^3 - 3x + y, y) is nearly singular, and the
+        step lands near 1e149, whose cube overflows the power tables: it is not taken."""
+        ev = PolyMap.from_exprs(V2, ["x^3 - 3*x + y", "y"]).evaluator()
+        y = np.array([0.25, 0.5], dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            best, residual, floor = solver._newton_batch(ev, y, np.array([[1 + 1e-150j, 0.5]]))
+        assert np.isfinite(best).all()
+        assert not (residual[0] < 1e-8 or residual[0] <= floor[0])
 
 
 class TestKillOrder:
