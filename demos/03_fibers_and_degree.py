@@ -21,7 +21,7 @@ print("== a two-sheeted cover ==")
 f = PolyMap.from_exprs(("x", "y"), ["x^2", "y"])
 for sol in solve_fiber(f, (4, 5)):
     print("  solution:", sol.point, "residual:", f"{sol.residual:.1e}")
-est = geometric_degree(f, n_samples=50, seed=0)
+est = geometric_degree(f, seed=0)
 print("geometric degree:", est.mu, "histogram:", est.histogram)
 
 print()
@@ -33,13 +33,13 @@ try:
     fiber_count(g, (0, 0))
 except PositiveDimensionalFiberError as exc:
     print("count at (0, 0): positive-dimensional ->", exc)
-print("geometric degree:", geometric_degree(g, n_samples=50, seed=0).mu)
+print("geometric degree:", geometric_degree(g, seed=0).mu)
 
 print()
 print("== the shear automorphism: every fiber is one point ==")
 shear = example_3_6_map()
 inverse = example_3_6_inverse()
-est = geometric_degree(shear, n_samples=50, seed=0)
+est = geometric_degree(shear, seed=0)
 print("histogram over 50 seeded targets:", est.histogram)
 
 rng = np.random.default_rng(7)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from dataclasses import dataclass
@@ -40,7 +39,6 @@ from .rabier import LaurentPath, check_rabier_witness
 from .solver import DegreeEstimate, geometric_degree
 
 CHECK_NAMES = ("jacobian", "degree", "sf", "rabier", "cylinder", "clearance")
-DEFAULT_RESIDUAL_TOL = 1e-8
 
 
 class UsageError(Exception):
@@ -53,7 +51,6 @@ class AnalysisConfig:
     corpus: str | None
     checks: tuple[str, ...]
     seed: int
-    residual_tol: float
     drop: int | None
     path: str | None
     hyperplane: str | None
@@ -69,7 +66,6 @@ class AnalysisConfig:
             ),
             "checks": list(self.checks),
             "seed": self.seed,
-            "tolerances": {"residual": self.residual_tol},
             "drop": self.drop,
             "path": self.path,
             "hyperplane": self.hyperplane,
@@ -92,25 +88,21 @@ def _check_degree(f: PolyMap, cfg: AnalysisConfig, report: dict) -> dict:
             "degree/count diagnostics on a singular map are generic-count "
             "observations, not properness certificates"
         )
-    out = _degree_for(f, cfg, report).to_dict()
-    out["tol"] = cfg.residual_tol
-    return out
+    return _degree_for(f, cfg, report).to_dict()
 
 
 def _degree_for(f: PolyMap, cfg: AnalysisConfig, report: dict) -> DegreeEstimate:
     cache = report.setdefault("_cache", {})
     if "degree" not in cache:
-        cache["degree"] = geometric_degree(f, n_samples=50, seed=cfg.seed, tol=cfg.residual_tol)
+        cache["degree"] = geometric_degree(f, seed=cfg.seed)
     return cache["degree"]
 
 
 def _locus_for(f: PolyMap, cfg: AnalysisConfig, report: dict) -> Hypersurface:
     cache = report.setdefault("_cache", {})
     if "locus" not in cache:
-        # the locus samples the same 50 targets itself, and only where a count decides
-        cache["locus"] = nonproperness_set(
-            f, seed=cfg.seed, tol=cfg.residual_tol, degree_estimate=cache.get("degree")
-        )
+        # the locus samples the same targets itself, and only where a count decides
+        cache["locus"] = nonproperness_set(f, seed=cfg.seed, degree_estimate=cache.get("degree"))
     return cache["locus"]
 
 
@@ -130,7 +122,6 @@ def _check_sf(f: PolyMap, cfg: AnalysisConfig, report: dict) -> dict:
         "target_vars": list(locus.target_vars),
         "reason": locus.reason,
         "notes": list(locus.notes),
-        "tol": cfg.residual_tol,
     }
 
 
@@ -254,7 +245,7 @@ def run_corpus(cfg: AnalysisConfig) -> dict:
     for name in names:
         if name not in corpus_names():
             raise UsageError(f"unknown corpus id {name!r}; known: {corpus_names()} or 'all'")
-    entries = {name: run_entry(name, seed=cfg.seed, tol=cfg.residual_tol) for name in names}
+    entries = {name: run_entry(name, seed=cfg.seed) for name in names}
     return {
         "schema_version": 1,
         "tool": {"name": "polyproper", "version": __version__},
@@ -305,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--corpus", help=f"built-in corpus id ({', '.join(corpus_names())}) or 'all'")
     p.add_argument("--checks", default="", help="comma-separated: " + ",".join(CHECK_NAMES))
     p.add_argument("--seed", type=int, default=0, help="seed for all sampling (recorded in output)")
-    p.add_argument("--tol", type=float, default=None, help=f"residual tolerance for fiber solutions (default {DEFAULT_RESIDUAL_TOL})")
     p.add_argument("--drop", type=int, default=None, help="component to delete for rabier/cylinder checks (1-based)")
     p.add_argument("--path", default=None, help='Laurent path literal, e.g. "t, t^-2, 0"')
     p.add_argument("--hyperplane", default=None, help="test hypersurface over target coordinates y1..yn")
@@ -321,8 +311,6 @@ def parse_config(argv: list[str]) -> AnalysisConfig:
         raise UsageError("one of --map or --corpus is required")
     if ns.seed < 0:
         raise UsageError(f"--seed must be nonnegative, got {ns.seed}")
-    if ns.tol is not None and not (ns.tol > 0 and math.isfinite(ns.tol)):
-        raise UsageError(f"--tol must be a finite number above 0, got {ns.tol}")
     checks: tuple[str, ...] = ()
     if ns.map_path:
         checks = tuple(c.strip() for c in ns.checks.split(",") if c.strip())
@@ -336,7 +324,6 @@ def parse_config(argv: list[str]) -> AnalysisConfig:
         corpus=ns.corpus,
         checks=checks,
         seed=ns.seed,
-        residual_tol=ns.tol if ns.tol is not None else DEFAULT_RESIDUAL_TOL,
         drop=ns.drop,
         path=ns.path,
         hyperplane=ns.hyperplane,
@@ -363,8 +350,12 @@ def main(argv: list[str] | None = None) -> int:
         else render_text(report) + "\n"
     )
     if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        try:
+            with open(cfg.out, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            print(f"usage error: cannot write report: {exc}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(payload)
     print(f"completed in {time.perf_counter() - started:.2f}s", file=sys.stderr)

@@ -65,8 +65,6 @@ WITNESS_PATHS = {
     "drop1": "t, t^-2, t^3",
 }
 
-DEGREE_SAMPLES = 50
-
 
 def example_3_6_map() -> PolyMap:
     return parse_map_text(EXAMPLE_3_6_TEXT)
@@ -76,17 +74,17 @@ def example_3_6_inverse() -> PolyMap:
     return PolyMap.from_exprs(("p", "q", "r"), EXAMPLE_3_6_INVERSE_EXPRS)
 
 
-def _degree_and_locus(f: PolyMap, seed: int, tol: float, results: dict) -> Hypersurface:
+def _degree_and_locus(f: PolyMap, seed: int, results: dict) -> Hypersurface:
     """Record the sampled degree and the nonproperness locus in ``results``; return the locus."""
-    est = geometric_degree(f, n_samples=DEGREE_SAMPLES, seed=seed, tol=tol)
+    est = geometric_degree(f, seed=seed)
     results["mu"] = est.mu
     results["histogram"] = est.to_dict()["histogram"]
-    locus = nonproperness_set(f, seed=seed, tol=tol, degree_estimate=est)
+    locus = nonproperness_set(f, seed=seed, degree_estimate=est)
     results["locus"] = str(locus)
     return locus
 
 
-def _run_example_3_6(f: PolyMap, seed: int, tol: float) -> tuple[dict, list, list]:
+def _run_example_3_6(f: PolyMap, seed: int) -> tuple[dict, list, list]:
     certificates: list = []
     warnings: list[str] = []
     results: dict = {}
@@ -96,7 +94,7 @@ def _run_example_3_6(f: PolyMap, seed: int, tol: float) -> tuple[dict, list, lis
     results["jacobian_constant"] = str(ns.constant) if ns.constant is not None else None
     results["inverse_verified"] = verify_inverse(f, example_3_6_inverse())
 
-    locus = _degree_and_locus(f, seed, tol, results)
+    locus = _degree_and_locus(f, seed, results)
     cert = automorphism_from_empty_locus(f, locus)
     if cert is not None:
         certificates.append(cert)
@@ -122,14 +120,14 @@ def _run_example_3_6(f: PolyMap, seed: int, tol: float) -> tuple[dict, list, lis
     return results, certificates, warnings
 
 
-def _run_x_xy(f: PolyMap, seed: int, tol: float) -> tuple[dict, list, list]:
+def _run_x_xy(f: PolyMap, seed: int) -> tuple[dict, list, list]:
     warnings: list[str] = []
     results: dict = {}
 
     results["nonsingular"] = f.nonsingularity().is_nonsingular
-    locus = _degree_and_locus(f, seed, tol, results)
+    locus = _degree_and_locus(f, seed, results)
     results["cylinder_k2"] = is_cylinder(locus, 2)
-    results["count_at_0_1"] = fiber_count(f, (0, 1), tol)
+    results["count_at_0_1"] = fiber_count(f, (0, 1))
 
     targets = target_variables(f)
     v_on = hyperplane_clearance(f, parse_polynomial("y1", targets), locus=locus)
@@ -143,14 +141,14 @@ def _run_x_xy(f: PolyMap, seed: int, tol: float) -> tuple[dict, list, list]:
     return results, [], warnings
 
 
-def _run_x2_y(f: PolyMap, seed: int, tol: float) -> tuple[dict, list, list]:
+def _run_x2_y(f: PolyMap, seed: int) -> tuple[dict, list, list]:
     results = {"nonsingular": f.nonsingularity().is_nonsingular}
-    _degree_and_locus(f, seed, tol, results)
+    _degree_and_locus(f, seed, results)
     return results, [], []
 
 
 #: Each entry's map text and the runner of its fixed suite on the parsed map.
-_ENTRIES: dict[str, tuple[str, Callable[[PolyMap, int, float], tuple[dict, list, list]]]] = {
+_ENTRIES: dict[str, tuple[str, Callable[[PolyMap, int], tuple[dict, list, list]]]] = {
     "example-3-6": (EXAMPLE_3_6_TEXT, _run_example_3_6),
     "x-xy": (X_XY_TEXT, _run_x_xy),
     "x2-y": (X2_Y_TEXT, _run_x2_y),
@@ -204,10 +202,10 @@ def corpus_map(name: str) -> PolyMap:
     return parse_map_text(_ENTRIES[name][0])
 
 
-def run_entry(name: str, seed: int = 0, tol: float = 1e-8) -> dict:
+def run_entry(name: str, seed: int = 0) -> dict:
     """Run one corpus entry's fixed suite and diff against expectations."""
     f = corpus_map(name)
-    results, certificates, warnings = _ENTRIES[name][1](f, seed, tol)
+    results, certificates, warnings = _ENTRIES[name][1](f, seed)
     expected = EXPECTATIONS[name]
     mismatches = []
     for fieldname, want in expected.items():

@@ -37,7 +37,7 @@ Two consequences are packaged as certificates:
 * a nonsingular test hypersurface Z = {h = 0} biregular to C^(n-1) that
   misses the locus implies the same (the hyperplane-clearance criterion).
 
-Biregularity of Z is not decidable here; it is caller-asserted, except for
+Biregularity of Z is not decidable here, so the second is issued only for
 graph hypersurfaces h = y_k - p(other targets), which are biregular by
 construction.
 """
@@ -165,9 +165,7 @@ _SINGULAR_WARNING = (
 )
 
 
-def fiber_count_diagnostic(
-    f: PolyMap, y: Sequence[complex], mu: int, tol: float = 1e-8
-) -> SampleDiagnostic:
+def fiber_count_diagnostic(f: PolyMap, y: Sequence[complex], mu: int) -> SampleDiagnostic:
     """Classify a target as on or off the nonproperness locus by count drop.
 
     For a map with constant nonzero Jacobian determinant, a fiber count
@@ -180,7 +178,7 @@ def fiber_count_diagnostic(
     if not f.nonsingularity().is_nonsingular:
         warnings = (_SINGULAR_WARNING,)
     try:
-        count = fiber_count(f, y, tol)
+        count = fiber_count(f, y)
     except PositiveDimensionalFiberError:
         return SampleDiagnostic("in-locus", None, mu, warnings)
     except (ValueError, RuntimeError) as exc:
@@ -248,7 +246,6 @@ def _points_on_zero_set(poly: Polynomial, rng: np.random.Generator) -> list[tupl
 def nonproperness_set(
     f: PolyMap,
     seed: int = 0,
-    tol: float = 1e-8,
     degree_estimate: DegreeEstimate | None = None,
 ) -> Hypersurface:
     """Defining data for the nonproperness locus of a dominant square map.
@@ -256,8 +253,8 @@ def nonproperness_set(
     The locus is the gcd-free basis of the primitive leading-coefficient
     factors.  On a nonsingular map each factor is kept only where a fiber
     count at a point on it falls below mu, the geometric degree: the
-    supplied estimate, or else one sampled by :func:`geometric_degree` at its
-    default of 50 targets, and only when there is a factor to check.
+    supplied estimate, or else one sampled by :func:`geometric_degree`, and
+    only when there is a factor to check.
     Without an estimate, dominance is checked exactly: a zero Jacobian
     determinant raises ``ValueError``.  An
     elimination that does not end with one relation in its coordinate
@@ -305,12 +302,12 @@ def nonproperness_set(
     notes: list[str] = []
     if f.nonsingularity().is_nonsingular:
         if degree_estimate is None:
-            degree_estimate = geometric_degree(f, seed=seed, tol=tol)
+            degree_estimate = geometric_degree(f, seed=seed)
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5F]))
         checked = []
         for cand in kept:
             if any(
-                fiber_count_diagnostic(f, y0, degree_estimate.mu, tol).verdict == "in-locus"
+                fiber_count_diagnostic(f, y0, degree_estimate.mu).verdict == "in-locus"
                 for y0 in _points_on_zero_set(cand, rng)
             ):
                 checked.append(cand)
@@ -386,7 +383,7 @@ def is_graph_hypersurface(h: Polynomial) -> str | None:
 def hyperplane_clearance(
     f: PolyMap,
     h: Polynomial,
-    assert_biregular: bool = False,
+    *,
     locus: Hypersurface | None = None,
 ) -> ClearanceVerdict:
     """Test whether the nonproperness locus misses the hypersurface {h = 0}.
@@ -401,10 +398,10 @@ def hyperplane_clearance(
     verdict is "undetermined" only when the locus is unknown.
 
     A "no" verdict yields an automorphism certificate only when the map has
-    constant nonzero Jacobian determinant and the test set is biregular to
-    C^(n-1): asserted by the caller, or automatic for graph hypersurfaces
-    h = y_k - p(other coordinates).  Singular maps still get a verdict, but
-    never a certificate.
+    constant nonzero Jacobian determinant and {h = 0} is a graph
+    hypersurface h = y_k - p(other coordinates), biregular to C^(n-1) by
+    construction.  Singular maps and other test sets still get a verdict,
+    but never a certificate.
     """
     if h.is_constant():
         raise ValueError("the test hypersurface needs a nonconstant polynomial")
@@ -419,9 +416,6 @@ def hyperplane_clearance(
         warnings.append(
             "map is singular: clearance verdicts carry no automorphism claim"
         )
-
-    graph_var = is_graph_hypersurface(h)
-    biregular = assert_biregular or graph_var is not None
 
     if locus is None:
         locus = nonproperness_set(f)
@@ -438,18 +432,14 @@ def hyperplane_clearance(
         evidence["mode"] = "symbolic"
 
     certificate = None
-    if verdict == "no" and ns.is_nonsingular and biregular:
-        how = (
-            f"automatic (graph over the other coordinates in {graph_var})"
-            if graph_var is not None
-            else "asserted by caller"
-        )
+    graph_var = is_graph_hypersurface(h)
+    if verdict == "no" and ns.is_nonsingular and graph_var is not None:
         certificate = Certificate(
             claim="automorphism",
             criterion="hyperplane clearance: nonsingular map whose nonproperness locus misses a test hypersurface biregular to C^(n-1)",
             hypotheses={
                 "jacobian determinant": f"verified constant {ns.constant}",
-                "test set biregular to C^(n-1)": how,
+                "test set biregular to C^(n-1)": f"automatic (graph over the other coordinates in {graph_var})",
                 "locus does not meet test set": f"verified ({evidence.get('mode')})",
             },
             evidence={"test_polynomial": str(h), **{k: str(v) for k, v in evidence.items()}},

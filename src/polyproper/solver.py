@@ -42,9 +42,9 @@ that step.  A candidate stops when its residual reaches the round-off floor
 of the evaluation, a small multiple of machine epsilon times its
 term-magnitude sum (see :mod:`polyproper.numeric`), or when its Jacobian is
 singular or its step is not finite; it keeps its best iterate either way.
-A candidate is a solution when its residual is below ``tol`` or at that
-floor, the accuracy limit of its evaluation; deduplication and the
-candidate cap are per target.
+A candidate is a solution when its residual is below
+:data:`RESIDUAL_TOL` or at that floor, the accuracy limit of its
+evaluation; deduplication and the candidate cap are per target.
 
 The cascade does not eliminate f - y as given.  It eliminates g - M·y,
 where g = M·f is the reduced row echelon form of the components over their
@@ -57,21 +57,22 @@ resultants, or find one vanishing identically.  Newton, the residuals and
 the acceptance test still run on f at y.
 
 Two routes lead to the cascade.  The per-target path eliminates at the
-given target.  The map's :class:`TargetPlan` is the cascade of (g - y') with
-y' = M·y symbolic that kills x_1..x_{n-1}, the same one ``nonproperness_set``
-reads the last coordinate's relation from (Jelonek 1993), built on first
-use and kept on the map.  :func:`geometric_degree` samples 50 targets of
-one map, so it builds the plan and eliminates once per map.  Each sampled
-target that A(y') does not count has its stage pivots and final
-specialised exactly (:class:`polyproper.poly.Specialisation`); their
-finals are rooted in one call, and they go through back-substitution and
-Newton as one batch.  A target goes to the per-target path on its own when
-the plan has a ``problem`` or is over budget, when its final or some pivot
-vanishes at it, or when one of its branches degenerates or overflows
-during back-substitution.  A nonzero constant final means the fiber is
-empty.  :func:`solve_fiber` and :func:`fiber_count` take the per-target
-path only, and neither build nor read a plan.  Where a coordinate of a
-triangular cascade's point overflows a float, it raises ``ValueError``.
+given target.  The map's :class:`TargetPlan` is the cascade of (g - y')
+with y' = M·y symbolic that kills x_1..x_{n-1}, the same one
+``nonproperness_set`` reads the last coordinate's relation from (Jelonek
+1993), built on first use and kept on the map.  :func:`geometric_degree`
+samples :data:`DEGREE_SAMPLES` targets of one map, so it builds the plan
+and eliminates once per map.  Each sampled target that A(y') does not count
+has its stage pivots and final specialised exactly
+(:class:`polyproper.poly.Specialisation`); their finals are rooted in one
+call, and they go through back-substitution and Newton as one batch.  A
+target goes to the per-target path on its own when the plan has a
+``problem`` or is over budget, when its final or some pivot vanishes at it,
+or when one of its branches degenerates or overflows during
+back-substitution.  A nonzero constant final means the fiber is empty.
+:func:`solve_fiber` and :func:`fiber_count` take the per-target path only,
+and neither build nor read a plan.  Where a coordinate of a triangular
+cascade's point overflows a float, it raises ``ValueError``.
 
 The plan is built under an exact-work budget,
 :data:`polyproper.elimination.MAX_SYMBOLIC_WORK` term pairs of the product
@@ -86,14 +87,15 @@ with the large root it brings.
 
 Scale contract: square maps with n <= 3 and component degrees <= 10.
 Targets for degree estimation are drawn from a box with re/im uniform in
-[-2, 2], snapped to a dyadic grid (multiples of 1/4096) so the exact
-elimination never sees 53-bit denominators.  Sampling is seeded and split
-per target, so a fixed seed reproduces the estimate no matter how targets
-are scheduled.
+[-SAMPLE_BOX, SAMPLE_BOX], snapped to a dyadic grid (multiples of 1/4096)
+so the exact elimination never sees 53-bit denominators.  Sampling is
+seeded and split per target, so a fixed seed reproduces the estimate no
+matter how targets are scheduled.
 """
 
 from __future__ import annotations
 
+import cmath
 import sys
 from dataclasses import dataclass
 from typing import Sequence
@@ -137,6 +139,11 @@ DEDUP_RADIUS = 1e-6
 SCREEN_RESIDUAL = 1e-4
 #: Degree-estimation targets have re/im parts in [-SAMPLE_BOX, SAMPLE_BOX].
 SAMPLE_BOX = 2.0
+#: The number of targets :func:`geometric_degree` samples.
+DEGREE_SAMPLES = 50
+#: A Newton-refined point is a solution when ||f(x) - y|| is below this,
+#: or within the round-off of evaluating f at it.
+RESIDUAL_TOL = 1e-8
 _CANDIDATE_CAP = 20000
 _TARGET_PREFIXES = ("y", "w", "u", "tv")
 
@@ -339,7 +346,7 @@ def target_plan(f: PolyMap) -> TargetPlan:
 
 
 def _planned_fibers(
-    f: PolyMap, ys: Sequence[Sequence[complex]], tol: float
+    f: PolyMap, ys: Sequence[Sequence[complex]]
 ) -> list[list[FiberSolution] | PositiveDimensionalFiberError]:
     """The fiber over each target in ``ys``, solved as one batch through the :class:`TargetPlan`.
 
@@ -374,7 +381,7 @@ def _planned_fibers(
                 for k, stage in enumerate(plan.result.stages)
             ]
             fibers, failures = _back_substitute(
-                f, [ys[i] for i in batch], stages, roots_of_each(finals), tol
+                f, [ys[i] for i in batch], stages, roots_of_each(finals)
             )
             for i, fiber, failure in zip(batch, fibers, failures):
                 if not failure:
@@ -382,27 +389,26 @@ def _planned_fibers(
     for i, y in enumerate(ys):
         if out[i] is None:
             try:
-                out[i] = _cascade_fiber(f, y, tol)
+                out[i] = _cascade_fiber(f, y)
             except PositiveDimensionalFiberError as exc:
                 out[i] = exc
     return out
 
 
-def solve_fiber(
-    f: PolyMap, y: Sequence[complex], tol: float = 1e-8
-) -> list[FiberSolution]:
+def solve_fiber(f: PolyMap, y: Sequence[complex]) -> list[FiberSolution]:
     """All isolated solutions of f(x) = y, exact or Newton-refined and deduplicated.
 
     Raises :class:`PositiveDimensionalFiberError` when the elimination
-    detects a non-isolated fiber, and ``ValueError`` when a point of the
-    fiber lies beyond float range.
+    detects a non-isolated fiber, and ``ValueError`` when a coordinate of
+    the target is not finite or a point of the fiber lies beyond float
+    range.
 
     The fiber is solved on the per-target path (:func:`_cascade_fiber`),
     and no plan is built or read here.  Where the cascade at y is
     triangular (:func:`_triangular`) the fiber is its one simple point,
     each coordinate the exact value rounded once, and its residual
-    ||f(x) - y|| is reported, not tested against ``tol``.  Every other
-    solution, refined by Newton, has ||f(x) - y|| < tol, or a residual
+    ||f(x) - y|| is reported, not tested.  Every other solution, refined
+    by Newton, has ||f(x) - y|| < :data:`RESIDUAL_TOL`, or a residual
     within the round-off of evaluating f at it
     (:data:`polyproper.numeric.ROUNDOFF` times its term-magnitude sum),
     where no Newton step can lower it.
@@ -410,10 +416,12 @@ def solve_fiber(
     _check_scale(f)
     if len(y) != f.target_dim:
         raise ValueError(f"target has dimension {len(y)}, expected {f.target_dim}")
-    return _cascade_fiber(f, y, tol)
+    if not all(cmath.isfinite(complex(v)) for v in y):
+        raise ValueError(f"target {tuple(y)} has a coordinate that is not finite")
+    return _cascade_fiber(f, y)
 
 
-def _cascade_fiber(f: PolyMap, y: Sequence[complex], tol: float) -> list[FiberSolution]:
+def _cascade_fiber(f: PolyMap, y: Sequence[complex]) -> list[FiberSolution]:
     """The fiber over y on the per-target path: the cascade of (f - y) at y.
 
     A triangular cascade gives its one point exactly (:func:`_one_point`).
@@ -436,7 +444,7 @@ def _cascade_fiber(f: PolyMap, y: Sequence[complex], tol: float) -> list[FiberSo
     if len(coeffs) == 2 and not abs(coeffs[0]) <= abs(coeffs[1]) * sys.float_info.max:
         raise _beyond_float_range(y)
     roots = univariate_roots(coeffs)
-    (solutions,), (failure,) = _back_substitute(f, [y], stages, [roots], tol)
+    (solutions,), (failure,) = _back_substitute(f, [y], stages, [roots])
     if not solutions and failure:
         raise failure
     return solutions
@@ -478,7 +486,6 @@ def _back_substitute(
     ys: Sequence[Sequence[complex]],
     stages: Sequence[tuple[str, str, Sequence[Polynomial], Sequence[Polynomial] | None]],
     roots: Sequence[RootSet],
-    tol: float,
 ) -> tuple[list[list[FiberSolution]], list[Exception | None]]:
     """The fiber points that the cascades at a batch of targets lead to.
 
@@ -553,7 +560,7 @@ def _back_substitute(
     best, best_res, floors = _newton_batch(ev, y_rows, points, screen)
     # a residual within the round-off of evaluating f, where Newton stops,
     # is as small as any step can make it
-    accepted = (best_res < tol) | ((best_res <= floors) & np.isfinite(floors))
+    accepted = (best_res < RESIDUAL_TOL) | ((best_res <= floors) & np.isfinite(floors))
     refined: list[list] = [[] for _ in ys]
     for t, point, residual, mult, ok in zip(
         owner.tolist(), best.tolist(), best_res.tolist(), mults, accepted.tolist()
@@ -733,34 +740,30 @@ def _solve_each(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return out, solved
 
 
-def fiber_count(f: PolyMap, y: Sequence[complex], tol: float = 1e-8) -> int:
+def fiber_count(f: PolyMap, y: Sequence[complex]) -> int:
     """Cardinality of the isolated solution set of f(x) = y.
 
     Propagates :class:`PositiveDimensionalFiberError` for non-isolated
-    fibers.
+    fibers, and the ``ValueError`` of :func:`solve_fiber`.
     """
-    return len(solve_fiber(f, y, tol))
+    return len(solve_fiber(f, y))
 
 
-def sample_target(rng: np.random.Generator, n: int, box: float = SAMPLE_BOX) -> tuple[complex, ...]:
-    """One target point: re/im uniform in [-box, box] on a dyadic grid."""
-    vals = np.round(rng.uniform(-box, box, size=2 * n) * 4096.0) / 4096.0
+def sample_target(rng: np.random.Generator, n: int) -> tuple[complex, ...]:
+    """One target point: re/im uniform in [-SAMPLE_BOX, SAMPLE_BOX] on a dyadic grid."""
+    vals = np.round(rng.uniform(-SAMPLE_BOX, SAMPLE_BOX, size=2 * n) * 4096.0) / 4096.0
     return tuple(complex(vals[2 * k], vals[2 * k + 1]) for k in range(n))
 
 
-def geometric_degree(
-    f: PolyMap,
-    n_samples: int = 50,
-    seed: int = 0,
-    tol: float = 1e-8,
-) -> DegreeEstimate:
+def geometric_degree(f: PolyMap, *, seed: int = 0) -> DegreeEstimate:
     """Estimate the geometric degree by sampling fiber counts.
 
-    The estimate is the maximum finite fiber count over seeded random
-    targets; for a map that restricts to a cover off its nonproperness set,
-    generic targets all attain it.  Degenerate samples (positive-dimensional
-    fibers) are tallied separately; it is an error if every sample
-    degenerates or no sample has a nonzero count.  Where the map's
+    The estimate is the maximum finite fiber count over
+    :data:`DEGREE_SAMPLES` seeded random targets; for a map that restricts
+    to a cover off its nonproperness set, generic targets all attain it.
+    Degenerate samples (positive-dimensional fibers) are tallied
+    separately; it is an error if every sample degenerates or no sample has
+    a nonzero count.  Where the map's
     :class:`TargetPlan` is triangular and the final's leading coefficient
     A(y') is nonzero, the fiber is one simple point and is counted as such,
     with no point computed (:meth:`TargetPlan.single_point_at`).  The other
@@ -772,18 +775,16 @@ def geometric_degree(
     this counts 1.
     """
     _check_scale(f)
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
     ys = [
         sample_target(np.random.default_rng(child), f.target_dim)
-        for child in np.random.SeedSequence(seed).spawn(n_samples)
+        for child in np.random.SeedSequence(seed).spawn(DEGREE_SAMPLES)
     ]
     plan = target_plan(f)
     rest = [y for y in ys if not plan.single_point_at(y)]
     single = len(ys) - len(rest)
     histogram: dict[int, int] = {1: single} if single else {}
     degenerate = 0
-    for fiber in _planned_fibers(f, rest, tol):
+    for fiber in _planned_fibers(f, rest):
         if isinstance(fiber, PositiveDimensionalFiberError):
             degenerate += 1
             continue
@@ -796,7 +797,7 @@ def geometric_degree(
     return DegreeEstimate(
         mu=mu,
         histogram=histogram,
-        samples=n_samples,
+        samples=DEGREE_SAMPLES,
         seed=seed,
         degenerate=degenerate,
         box=SAMPLE_BOX,

@@ -217,7 +217,7 @@ def sigma_min_along_path(
 
 
 def sampling_clearance(
-    f: PolyMap, h: Polynomial, seed: int = 0, samples: int = 20, tol: float = 1e-8
+    f: PolyMap, h: Polynomial, seed: int = 0, samples: int = 20
 ) -> ClearanceVerdict:
     """Clearance by count drops: does the fiber count fall below mu on {h = 0}?
 
@@ -226,14 +226,14 @@ def sampling_clearance(
     geometric degree; one count drop means "yes".  Decisive only for maps
     with constant nonzero Jacobian determinant.  No certificate is issued.
     """
-    est = geometric_degree(f, n_samples=samples, seed=seed, tol=tol)
+    est = geometric_degree(f, seed=seed)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC1]))
     verdicts = []
     for _ in range(samples):
         pts = _points_on_zero_set(h, rng)
         if not pts:
             continue
-        diag = fiber_count_diagnostic(f, pts[0], est.mu, tol)
+        diag = fiber_count_diagnostic(f, pts[0], est.mu)
         if diag.verdict != "undetermined":
             verdicts.append(diag.verdict)
     if not verdicts:

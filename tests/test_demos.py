@@ -1,6 +1,7 @@
-"""Every demo script runs to completion against the current API."""
+"""Every demo script, and every python block of the README, runs against the current API."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,13 +10,23 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
+
+
+def _run_python(args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(demo)], capture_output=True, text=True, timeout=120, env=env
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
+    _run_python([str(demo)])
+
+
+@pytest.mark.parametrize("block", README_BLOCKS, ids=[f"block{k}" for k in range(len(README_BLOCKS))])
+def test_readme_python_block_runs(block):
+    _run_python(["-c", block])

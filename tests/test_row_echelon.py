@@ -137,7 +137,7 @@ def _combined(f: PolyMap, a, b) -> PolyMap:
 
 def _one_point_everywhere(f: PolyMap):
     start = time.perf_counter()
-    estimate = geometric_degree(f, 50, seed=0)
+    estimate = geometric_degree(f, seed=0)
     locus = nonproperness_set(f, degree_estimate=estimate)
     assert time.perf_counter() - start < 1.0
     assert estimate.histogram == {1: 50}
@@ -204,8 +204,8 @@ def test_target_affine_invariance(name, seed):
     moved = _combined(f, a, b)
     det_a = poly_matrix_det([[Polynomial.constant(f.vars, c) for c in row] for row in a])
     assert moved.jacobian_det() == f.jacobian_det() * det_a
-    estimate = geometric_degree(f, 50, seed=seed)
-    moved_estimate = geometric_degree(moved, 50, seed=seed)
+    estimate = geometric_degree(f, seed=seed)
+    moved_estimate = geometric_degree(moved, seed=seed)
     assert moved_estimate.mu == estimate.mu
     locus = nonproperness_set(f, seed=seed, degree_estimate=estimate)
     moved_locus = nonproperness_set(moved, seed=seed, degree_estimate=moved_estimate)
@@ -230,7 +230,7 @@ def test_source_shear_of_example_3_6():
     f = parse_map_text(EXAMPLE_3_6_TEXT)
     x, y, z = (Polynomial.variable(NAMES, v) for v in NAMES)
     sheared = f.compose(PolyMap(NAMES, [x + z, y, z]))
-    estimate = geometric_degree(sheared, 50, seed=0)
+    estimate = geometric_degree(sheared, seed=0)
     locus = nonproperness_set(sheared, degree_estimate=estimate)
     assert (estimate.mu, locus.is_empty) == (1, True)
 
@@ -244,7 +244,7 @@ def test_source_shear_locus_is_empty():
     f = parse_map_text(EXAMPLE_3_6_TEXT)
     x, y, z = (Polynomial.variable(NAMES, v) for v in NAMES)
     sheared = f.compose(PolyMap(NAMES, [x + z, y, z]))
-    sampled = geometric_degree(sheared, 50, seed=0)
+    sampled = geometric_degree(sheared, seed=0)
     assert sampled.histogram == {1: 38, 7: 8, 6: 1, 2: 2, 3: 1}
     one = DegreeEstimate(mu=1, histogram={1: 1}, samples=1, seed=0, degenerate=0, box=2.0)
     for estimate in (sampled, one):

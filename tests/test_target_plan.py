@@ -7,6 +7,7 @@ including the fallbacks and the work budget.
 """
 
 import functools
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -22,6 +23,7 @@ from polyproper.nonproper import fiber_count_diagnostic, nonproperness_set
 from polyproper.poly import Specialisation, WorkLimitExceeded, work_limit
 from polyproper.polymap import parse_map_text
 from polyproper.solver import (
+    DEGREE_SAMPLES,
     DegreeEstimate,
     PositiveDimensionalFiberError,
     _planned_fibers,
@@ -69,11 +71,11 @@ def _dense_map(key: str) -> PolyMap:
     return parse_map_text(dense_pool()[key][0])
 
 
-def _per_target_histogram(f: PolyMap, n_samples: int, seed: int) -> tuple[dict, int]:
+def _per_target_histogram(f: PolyMap, seed: int) -> tuple[dict, int]:
     """What geometric_degree tallies, with every fiber solved by fiber_count."""
     histogram: dict[int, int] = {}
     degenerate = 0
-    for child in np.random.SeedSequence(seed).spawn(n_samples):
+    for child in np.random.SeedSequence(seed).spawn(DEGREE_SAMPLES):
         y = sample_target(np.random.default_rng(child), f.target_dim)
         try:
             count = fiber_count(f, y)
@@ -152,8 +154,8 @@ def test_plan_pivots_and_finals_match_substitute(case):
 @pytest.mark.parametrize("text", [EXAMPLE_3_6_TEXT, X_XY_TEXT, X2_Y_TEXT], ids=["3-6", "x-xy", "x2-y"])
 @pytest.mark.parametrize("seed", [0, 1, 218638802])
 def test_geometric_degree_matches_per_target_on_corpus(text, seed):
-    est = geometric_degree(parse_map_text(text), n_samples=50, seed=seed)
-    expected = _per_target_histogram(parse_map_text(text), 50, seed)
+    est = geometric_degree(parse_map_text(text), seed=seed)
+    expected = _per_target_histogram(parse_map_text(text), seed)
     assert (est.histogram, est.degenerate) == expected
 
 
@@ -161,9 +163,9 @@ def test_geometric_degree_matches_per_target_on_corpus(text, seed):
     "key", ["2x3#0", "2x3#1", "2x6#0", "2x6#1", "2x6#2", "3x2#0", "3x2#2", "3x3#0"]
 )
 def test_geometric_degree_matches_per_target_on_dense_maps(key):
-    est = geometric_degree(_dense_map(key), n_samples=12, seed=3)
+    est = geometric_degree(_dense_map(key), seed=3)
     assert target_plan(_dense_map(key)).usable
-    assert (est.histogram, est.degenerate) == _per_target_histogram(_dense_map(key), 12, 3)
+    assert (est.histogram, est.degenerate) == _per_target_histogram(_dense_map(key), 3)
 
 
 @pytest.mark.parametrize(
@@ -183,7 +185,7 @@ def test_batched_fibers_match_solve_fiber(name, special, monkeypatch):
     ys = [sample_target(rng, f.target_dim) for _ in range(8)]
     for k, y in enumerate(special):
         ys.insert(3 * k + 1, y)
-    fibers = _planned_fibers(f, ys, 1e-8)
+    fibers = _planned_fibers(f, ys)
     assert len(fibers) == len(ys)
     fresh = parse_map_text(texts[name] if name in texts else dense_pool()[name][0])
     for y, fiber in zip(ys, fibers):
@@ -198,18 +200,19 @@ def test_batched_fibers_match_solve_fiber(name, special, monkeypatch):
             assert gap <= 1e-10 * max(1.0, max(map(abs, w.point))), (y, w)
     if special:
         assert fibers[1] == [] and isinstance(fibers[4], PositiveDimensionalFiberError)
-        # geometric_degree tallies the batch: (0, 0) as degenerate, (0, 1) as count 0
-        targets = iter(ys)
+        # geometric_degree tallies the batch: (0, 0) as degenerate, (0, 1) as
+        # count 0; its 50 samples are five rounds of the 10 targets
+        targets = itertools.cycle(ys)
         monkeypatch.setattr(solver, "sample_target", lambda rng, n: next(targets))
-        est = geometric_degree(f, n_samples=len(ys))
-        assert (est.histogram, est.degenerate) == ({0: 1, 1: len(ys) - 2}, 1)
+        est = geometric_degree(f)
+        assert (est.histogram, est.degenerate) == ({0: 5, 1: 40}, 5)
 
 
 def test_positive_dimensional_fiber_raises_on_both_paths():
     f = PolyMap.from_exprs(("x", "y"), ["x", "x*y"])
     assert target_plan(f).usable
     # at (0, 0) every final vanishes, so the plan falls back and the cascade raises
-    assert isinstance(_planned_fibers(f, [(0, 0)], 1e-8)[0], PositiveDimensionalFiberError)
+    assert isinstance(_planned_fibers(f, [(0, 0)])[0], PositiveDimensionalFiberError)
     with pytest.raises(PositiveDimensionalFiberError):
         solve_fiber(f, (0, 0))
     with pytest.raises(PositiveDimensionalFiberError):
@@ -218,7 +221,7 @@ def test_positive_dimensional_fiber_raises_on_both_paths():
 
 def test_constant_final_gives_empty_fiber_on_both_paths():
     f = PolyMap.from_exprs(("x", "y"), ["x", "x*y"])
-    assert _planned_fibers(f, [(0, 1)], 1e-8)[0] == []
+    assert _planned_fibers(f, [(0, 1)])[0] == []
     assert fiber_count(f, (0, 1)) == 0
     assert fiber_count(PolyMap.from_exprs(("x", "y"), ["x", "x*y"]), (0, 1)) == 0  # no plan
 
@@ -314,17 +317,17 @@ def test_planned_fibers_computes_no_exact_point(monkeypatch):
     f = parse_map_text(X_XY_TEXT)
     monkeypatch.setattr(solver.TargetPlan, "single_point_at", _no_point)
     monkeypatch.setattr(solver, "_one_point", _no_point)
-    empty, line, (point,) = _planned_fibers(f, [(0, 1), (0, 0), (3, 6)], 1e-8)
+    empty, line, (point,) = _planned_fibers(f, [(0, 1), (0, 0), (3, 6)])
     assert empty == [] and isinstance(line, PositiveDimensionalFiberError)
     assert max(abs(a - b) for a, b in zip(point.point, (3, 2))) < 1e-12
 
 
 def test_over_budget_plan_gives_same_histogram(monkeypatch):
     text = EXAMPLE_3_6_TEXT
-    expected = geometric_degree(parse_map_text(text), n_samples=20, seed=1)
+    expected = geometric_degree(parse_map_text(text), seed=1)
     monkeypatch.setattr(solver, "MAX_SYMBOLIC_WORK", 5)
     f = parse_map_text(text)
-    est = geometric_degree(f, n_samples=20, seed=1)
+    est = geometric_degree(f, seed=1)
     plan = target_plan(f)
     assert plan.result is None and "budget" in plan.reason
     assert est == expected
@@ -372,9 +375,9 @@ def test_dense_3x3_1_plan_fits_and_its_batch_matches_per_target():
     the budget lowered.
     """
     f = _dense_map("3x3#1")
-    est = geometric_degree(f, n_samples=3, seed=5)
-    assert target_plan(f).result is not None and est.histogram == {14: 3}
-    assert (est.histogram, est.degenerate) == _per_target_histogram(_dense_map("3x3#1"), 3, 5)
+    est = geometric_degree(f, seed=5)
+    assert target_plan(f).result is not None and est.histogram == {14: 50}
+    assert (est.histogram, est.degenerate) == _per_target_histogram(_dense_map("3x3#1"), 5)
 
 
 def test_dense_3x3_1_fiber_of_the_seed_1915_bench_target():
@@ -610,7 +613,7 @@ def test_coefficient_beyond_float_range_raises_value_error():
     with pytest.raises(ValueError, match="beyond float range"):
         solve_fiber(f, (1, 1))
     with pytest.raises(ValueError, match="beyond float range"):
-        geometric_degree(f, 20)
+        geometric_degree(f)
 
 
 def _no_point(*args):
@@ -692,7 +695,7 @@ def _recorded_cascades(f: PolyMap, mu: int, y, monkeypatch) -> list:
     estimate = DegreeEstimate(mu=mu, histogram={mu: 1}, samples=1, seed=0, degenerate=0, box=2.0)
     nonproperness_set(f, degree_estimate=estimate)
     try:
-        solver._cascade_fiber(f, y, 1e-8)
+        solver._cascade_fiber(f, y)
     except PositiveDimensionalFiberError:
         pass
     return results
