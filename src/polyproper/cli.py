@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from . import __version__
 from .corpus import corpus_names, run_entry
 from .nonproper import (
+    Certificate,
     Hypersurface,
     automorphism_from_empty_locus,
     hyperplane_clearance,
@@ -129,10 +130,7 @@ def _check_rabier(f: PolyMap, cfg: AnalysisConfig, report: dict) -> dict:
     if cfg.path is None:
         return {"error": "the rabier check needs --path \"<laurent exprs>\""}
     path = LaurentPath.from_text(cfg.path)
-    if cfg.drop is not None:
-        g = f.drop_component(cfg.drop)
-    else:
-        g = f
+    g = f if cfg.drop is None else f.drop_component(cfg.drop)
     outcome = check_rabier_witness(g, path)
     out: dict = {
         "map_components": [str(c) for c in g.components],
@@ -150,24 +148,18 @@ def _check_rabier(f: PolyMap, cfg: AnalysisConfig, report: dict) -> dict:
                 "sigma_order": outcome.sigma_order,
             }
         )
-        report["certificates"].append(
+        certificate = Certificate(
+            "asymptotic-critical-set membership",
+            "Laurent-path witness: norm diverges, image converges, "
+            "smallest Jacobian singular value tends to 0",
             {
-                "claim": "asymptotic-critical-set membership",
-                "criterion": "Laurent-path witness: norm diverges, image converges, "
-                "smallest Jacobian singular value tends to 0",
-                "hypotheses": {
-                    "norm divergence": "verified exactly (positive path degree)",
-                    "image limit": "verified exactly (Laurent constant terms)",
-                    "singular value decay": "verified exactly (t-degrees of the Jacobian's minors)",
-                },
-                "evidence": {
-                    "path": str(path),
-                    "limit": [str(v) for v in outcome.limit],
-                    "decay_order": outcome.decay_order,
-                    "sigma_order": outcome.sigma_order,
-                },
-            }
+                "norm divergence": "verified exactly (positive path degree)",
+                "image limit": "verified exactly (Laurent constant terms)",
+                "singular value decay": "verified exactly (t-degrees of the Jacobian's minors)",
+            },
+            {k: out[k] for k in ("path", "limit", "decay_order", "sigma_order")},
         )
+        report["certificates"].append(certificate.to_dict())
     else:
         out.update({"reason": outcome.reason, "clause": outcome.clause, "details": outcome.details})
     return out

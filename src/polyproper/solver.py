@@ -29,20 +29,19 @@ its plan's final alone (:meth:`TargetPlan.single_point_at`).
 The floating-point steps work on batches of targets, one target for
 :func:`solve_fiber` and all sampled targets of a map for
 :func:`geometric_degree`; each candidate row carries the index of its
-target.  Each back-substitution stage compiles the E (or the pivots) of
-all targets, viewed as univariate in the stage variable, into one term
+target.  Each back-substitution stage compiles what all targets root there,
+E or the pivot, viewed as univariate in the stage variable, into one term
 table with a block of columns per target, specializes every row at its own
 target's polynomial in one kernel call and roots all of them in one
-:func:`polyproper.numlin.roots_of_each` call; the batch of
-:func:`geometric_degree` specialises the plan's pivots, and keeps no E.  Newton then runs once on all
-rows, each with its own y, through the map's compiled evaluator
-(``PolyMap.evaluator()``, built once per map): each iteration is one
-evaluation of f at the live candidates and one of the Jacobian at those
-that step.  A candidate stops when its residual reaches the round-off floor
-of the evaluation, a small multiple of machine epsilon times its
-term-magnitude sum (see :mod:`polyproper.numeric`), or when its Jacobian is
-singular or its step is not finite; it keeps its best iterate either way.
-A candidate is a solution when its residual is below
+:func:`polyproper.numlin.roots_of_each` call, on both routes below.
+Newton then runs once on all rows, each with its own y, through the map's
+compiled evaluator (``PolyMap.evaluator()``, built once per map): each
+iteration is one evaluation of f at the live candidates and one of the
+Jacobian at those that step.  A candidate stops when its residual reaches
+the round-off floor of the evaluation, a small multiple of machine epsilon
+times its term-magnitude sum (see :mod:`polyproper.numeric`), or when its
+Jacobian is singular or its step is not finite; it keeps its best iterate
+either way.  A candidate is a solution when its residual is below
 :data:`RESIDUAL_TOL` or at that floor, the accuracy limit of its
 evaluation; deduplication and the candidate cap are per target.
 
@@ -63,12 +62,12 @@ with y' = M·y symbolic that kills x_1..x_{n-1}, the same one
 1993), built on first use and kept on the map.  :func:`geometric_degree`
 samples :data:`DEGREE_SAMPLES` targets of one map, so it builds the plan
 and eliminates once per map.  Each sampled target that A(y') does not count
-has its stage pivots and final specialised exactly
+has its stage pivots, E and final specialised exactly
 (:class:`polyproper.poly.Specialisation`); their finals are rooted in one
 call, and they go through back-substitution and Newton as one batch.  A
 target goes to the per-target path on its own when the plan has a
-``problem`` or is over budget, when its final or some pivot vanishes at it,
-or when one of its branches degenerates or overflows during
+``problem`` or is over budget, when its final, a pivot or an E vanishes at
+it, or when one of its branches degenerates or overflows during
 back-substitution.  A nonzero constant final means the fiber is empty.
 :func:`solve_fiber` and :func:`fiber_count` take the per-target path only,
 and neither build nor read a plan.  Where a coordinate of a triangular
@@ -105,6 +104,7 @@ import numpy as np
 from .elimination import (
     MAX_SYMBOLIC_WORK,
     EliminationResult,
+    EliminationStage,
     as_univariate,
     eliminate,
 )
@@ -272,20 +272,24 @@ class TargetPlan:
     def usable(self) -> bool:
         return self.result is not None and self.result.problem is None
 
-    def at(self, y: Sequence[complex]) -> tuple[list[Polynomial], list[Polynomial]]:
-        """The stage pivots and the finals with y' = M·y substituted exactly.
+    def at(self, y: Sequence[complex]) -> tuple[list[Polynomial], ...]:
+        """The stage pivots, what each stage roots and the finals, at y' = M·y exactly.
 
-        Both live in the source variables.  M·y is taken on the exact
-        numerators of y; the compiled form is built on first use.
+        All live in the source variables; a stage without E roots its pivot,
+        the same object.  M·y is taken on the exact numerators of y; the
+        compiled form is built on first use.
         """
         spec = self._specialisation
-        stages = self.result.stages
+        stages, finals = self.result.stages, self.result.finals
         if spec is None:
-            polys = [stage.pivot for stage in stages] + self.result.finals
+            elements = [s.element for s in stages if s.element is not None]
+            polys = [s.pivot for s in stages] + finals + elements
             spec = Specialisation(polys, len(polys[0].vars) - len(self.targets))
             self._specialisation = spec
         values = spec.at_stored(*self.echelon.apply(*stored_values([complex(v) for v in y])))
-        return values[: len(stages)], values[len(stages) :]
+        m, elements = len(stages), iter(values[len(stages) + len(finals) :])
+        rooted = [p if s.element is None else next(elements) for s, p in zip(stages, values)]
+        return values[:m], rooted, values[m : m + len(finals)]
 
     def single_point_at(self, y: Sequence[complex]) -> bool:
         """Whether the fiber over y is one simple point, read from A(y') alone.
@@ -351,37 +355,35 @@ def _planned_fibers(
     """The fiber over each target in ``ys``, solved as one batch through the :class:`TargetPlan`.
 
     It serves :func:`geometric_degree` alone, which counts the targets where
-    a triangular plan's A(y') is nonzero before the batch.  Each target is
-    specialised exactly, the finals of all of them are rooted in one
-    :func:`roots_of_each` call and their back-substitution and Newton run
-    as one batch.  A nonzero constant final means the fiber is empty.  A
-    target goes to the per-target path (:func:`_cascade_fiber`) on its own
-    when the plan is not usable, when its final or some pivot vanishes at
-    it, or when one of its branches degenerates or overflows during
-    back-substitution; the error of a positive-dimensional fiber takes its
-    place in the list.
+    a triangular plan's A(y') is nonzero before the batch.  Each target's
+    pivots, E and final are specialised exactly (:meth:`TargetPlan.at`),
+    their finals are rooted in one :func:`roots_of_each` call, and
+    back-substitution, rooting E as the per-target path does, and Newton
+    run on all of them as one batch.  A nonzero constant final means the
+    fiber is empty.  A target goes to the per-target path
+    (:func:`_cascade_fiber`) on its own when the plan is not usable, when
+    its final, a pivot or an E vanishes at it, or when one of its branches
+    degenerates or overflows during back-substitution; the error of a
+    positive-dimensional fiber takes its place in the list.
     """
     out: list = [None] * len(ys)
     plan = target_plan(f)
     if plan.usable:
-        batch, pivots, finals = [], [], []
+        batch, pivots, rooted, finals = [], [], [], []
         for i, y in enumerate(ys):
-            stage_pivots, (final,) = plan.at(y)
-            if not final or not all(stage_pivots):
+            stage_pivots, stage_rooted, (final,) = plan.at(y)
+            if not final or not all(stage_pivots) or not all(stage_rooted):
                 continue
             if final.is_constant():
                 out[i] = []
                 continue
             batch.append(i)
             pivots.append(stage_pivots)
+            rooted.append(stage_rooted)
             finals.append(poly_to_coeffs(final))
         if batch:
-            stages = [
-                (stage.var, stage.mode, [p[k] for p in pivots], None)
-                for k, stage in enumerate(plan.result.stages)
-            ]
             fibers, failures = _back_substitute(
-                f, [ys[i] for i in batch], stages, roots_of_each(finals)
+                f, [ys[i] for i in batch], plan.result.stages, pivots, rooted, roots_of_each(finals)
             )
             for i, fiber, failure in zip(batch, fibers, failures):
                 if not failure:
@@ -416,7 +418,11 @@ def solve_fiber(f: PolyMap, y: Sequence[complex]) -> list[FiberSolution]:
     _check_scale(f)
     if len(y) != f.target_dim:
         raise ValueError(f"target has dimension {len(y)}, expected {f.target_dim}")
-    if not all(cmath.isfinite(complex(v)) for v in y):
+    try:
+        finite = all(cmath.isfinite(complex(v)) for v in y)
+    except OverflowError:  # an int beyond float range
+        finite = False
+    if not finite:
         raise ValueError(f"target {tuple(y)} has a coordinate that is not finite")
     return _cascade_fiber(f, y)
 
@@ -436,15 +442,14 @@ def _cascade_fiber(f: PolyMap, y: Sequence[complex]) -> list[FiberSolution]:
         raise PositiveDimensionalFiberError(res.problem)
     if _triangular(res, f.vars[-1]):
         return [_one_point(f, y, res)]
-    stages = [
-        (stage.var, stage.mode, [stage.pivot], None if stage.element is None else [stage.element])
-        for stage in res.stages
-    ]
     coeffs = poly_to_coeffs(res.finals[0])
     if len(coeffs) == 2 and not abs(coeffs[0]) <= abs(coeffs[1]) * sys.float_info.max:
         raise _beyond_float_range(y)
-    roots = univariate_roots(coeffs)
-    (solutions,), (failure,) = _back_substitute(f, [y], stages, [roots])
+    pivots = [s.pivot for s in res.stages]
+    rooted = [p if s.element is None else s.element for s, p in zip(res.stages, pivots)]
+    (solutions,), (failure,) = _back_substitute(
+        f, [y], res.stages, [pivots], [rooted], [univariate_roots(coeffs)]
+    )
     if not solutions and failure:
         raise failure
     return solutions
@@ -484,33 +489,35 @@ def _beyond_float_range(y: Sequence[complex]) -> ValueError:
 def _back_substitute(
     f: PolyMap,
     ys: Sequence[Sequence[complex]],
-    stages: Sequence[tuple[str, str, Sequence[Polynomial], Sequence[Polynomial] | None]],
+    stages: Sequence[EliminationStage],
+    pivots: Sequence[Sequence[Polynomial]],
+    rooted: Sequence[Sequence[Polynomial]],
     roots: Sequence[RootSet],
 ) -> tuple[list[list[FiberSolution]], list[Exception | None]]:
     """The fiber points that the cascades at a batch of targets lead to.
 
     ``ys`` are the targets and ``roots`` the roots of each target's final
-    in the last source variable.  ``stages`` are (variable, mode, pivots,
-    elements) in elimination order, one pivot per target with its y folded
-    in; ``elements`` holds each target's E of a resultant stage
-    (:attr:`EliminationStage.element`), or is None.  Each candidate row
-    carries the index of its target; the rows are extended through the
-    stages in reverse, each stage specialising all of them in one kernel
-    call and rooting them in one :func:`roots_of_each` call.  A row roots
-    E, whose roots hold the common roots of the pivot and its first
-    partner, where E's leading entry survives its specialisation there;
-    E is then usually linear, one candidate per row.  A row roots the
-    pivot where the stage has no E or E's leading entry is trimmed.  One
-    Newton run refines the rows, and they are filtered per target.  Where
-    some stage is a resultant, Newton first drops the candidates off the
-    fiber, where E or a pivot had more roots than lie on it, so they are
-    neither refined nor counted as branches that a solution absorbed;
-    without a resultant stage every candidate lies on the fiber.  Returns
-    each target's solutions and what its fiber raises should none survive:
-    :class:`PositiveDimensionalFiberError` when some branch degenerated (its
-    pivot vanished identically at the branch's partial point), else
-    ``ValueError`` when some branch's pivot overflowed a float there, else
-    None.
+    in the last source variable.  ``stages`` give each stage's variable and
+    mode in elimination order; ``pivots[t]`` and ``rooted[t]`` hold target
+    t's stage pivots and what each stage roots, with its y folded in: E
+    where the stage keeps one (:attr:`EliminationStage.element`), else the
+    pivot itself.  Each candidate row carries the index of its target; the
+    rows are extended through the stages in reverse, each stage
+    specialising all of them in one kernel call and rooting them in one
+    :func:`roots_of_each` call.  A row roots E where E's leading entry
+    survives its specialisation there, and the pivot where it does not; a
+    pivot is rooted as trimmed.  E, whose roots hold the common roots of
+    the pivot and its first partner, is usually linear: one candidate per
+    row.  One Newton run refines the rows, and they are filtered per
+    target.  Where some stage is a resultant, Newton first drops the
+    candidates off the fiber, where E or a pivot had more roots than lie
+    on it, so they are neither refined nor counted as branches that a
+    solution absorbed; without a resultant stage every candidate lies on
+    the fiber.  Returns each target's solutions and what its fiber raises
+    should none survive: :class:`PositiveDimensionalFiberError` when some
+    branch degenerated (its pivot vanished identically at the branch's
+    partial point), else ``ValueError`` when some branch's pivot
+    overflowed a float there, else None.
     """
     column = {v: i for i, v in enumerate(f.vars)}
     owner = np.array([t for t, rs in enumerate(roots) for _ in rs.roots], dtype=np.intp)
@@ -519,23 +526,24 @@ def _back_substitute(
     mults = [r.multiplicity for rs in roots for r in rs.roots]
 
     failures: list[Exception | None] = [None] * len(ys)
-    for var, _, pivots, elements in reversed(stages):
+    for j in reversed(range(len(stages))):
         if not mults:
             break
-        specialised: list = [None] * len(owner)
-        if elements is not None:  # E, where its leading entry survives
-            tops = [e.degree_in(var) for e in elements]
-            by_e = _UnivariateView(elements, var).specialize(points, owner)
-            for k, (t, coeffs) in enumerate(zip(owner.tolist(), by_e)):
-                if coeffs and len(coeffs) > tops[t]:
-                    specialised[k] = coeffs
-        by_pivot = [k for k, coeffs in enumerate(specialised) if coeffs is None]
+        var, owners = stages[j].var, owner.tolist()
+        polys, stage_pivots = [e[j] for e in rooted], [p[j] for p in pivots]
+        view = _UnivariateView(polys, var)
+        specialised = view.specialize(points, owner)
+        by_pivot = [
+            k
+            for k, (t, coeffs) in enumerate(zip(owners, specialised))
+            if polys[t] is not stage_pivots[t] and not (coeffs and len(coeffs) > view.degrees[t])
+        ]
         if by_pivot:
-            view = _UnivariateView(pivots, var)
+            view = _UnivariateView(stage_pivots, var)
             for k, coeffs in zip(by_pivot, view.specialize(points[by_pivot], owner[by_pivot])):
                 specialised[k] = coeffs
         extended, rows = [], []
-        for k, (t, coeffs) in enumerate(zip(owner.tolist(), specialised)):
+        for k, (t, coeffs) in enumerate(zip(owners, specialised)):
             if coeffs is None:
                 failures[t] = PositiveDimensionalFiberError(
                     "all candidate branches degenerated during back-substitution"
@@ -556,7 +564,7 @@ def _back_substitute(
 
     ev = f.evaluator()
     y_rows = np.array(ys, dtype=complex).reshape(len(ys), f.target_dim)[owner]
-    screen = any(mode == "resultant" for _, mode, _, _ in stages)
+    screen = any(stage.mode == "resultant" for stage in stages)
     best, best_res, floors = _newton_batch(ev, y_rows, points, screen)
     # a residual within the round-off of evaluating f, where Newton stops,
     # is as small as any step can make it
@@ -579,11 +587,12 @@ class _UnivariateView:
     kernel call.
     """
 
-    __slots__ = ("table", "coeffs", "abs_coeffs", "max_abs")
+    __slots__ = ("degrees", "table", "coeffs", "abs_coeffs", "max_abs")
 
     def __init__(self, polys: Sequence[Polynomial], var: str):
         views = [as_univariate(p, var) for p in polys]
-        width = max(max(u) for u in views) + 1
+        self.degrees = [max(u) for u in views]
+        width = max(self.degrees) + 1
         zero = Polynomial.zero(polys[0].vars)
         self.table = TermTable(
             [u.get(k, zero) for u in views for k in range(width)], len(polys[0].vars)
@@ -621,9 +630,7 @@ def _trim(coeffs: list[complex], sums: list[float], bound: float) -> list[comple
         return None
     while coeffs and abs(coeffs[-1]) <= 1e-9 * sums[len(coeffs) - 1]:
         coeffs.pop()
-    if not coeffs:
-        return None
-    return coeffs
+    return coeffs or None
 
 
 def _deduplicated(candidates: list[tuple[tuple[complex, ...], float, int]]) -> list[FiberSolution]:
@@ -702,7 +709,8 @@ def _newton_batch(
         vals, sums = ev.values(tables)
         r = vals - y[live]
         res = np.hypot.reduce(np.abs(r), axis=1)
-        floor = ROUNDOFF * np.hypot.reduce(sums + abs_y[live], axis=1)
+        # halving is exact, and the halves' sum cannot overflow
+        floor = 2 * ROUNDOFF * np.hypot.reduce(0.5 * sums + 0.5 * abs_y[live], axis=1)
         if screen and not it:
             off = ~(res * ROUNDOFF <= SCREEN_RESIDUAL * floor)
             res[off] = floor[off] = np.inf

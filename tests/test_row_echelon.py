@@ -22,6 +22,7 @@ from polyproper import (
     Polynomial,
     geometric_degree,
     nonproperness_set,
+    solver,
 )
 from polyproper.corpus import EXAMPLE_3_6_TEXT, X2_Y_TEXT, X_XY_TEXT
 from polyproper.elimination import normalized, poly_matrix_det
@@ -214,38 +215,54 @@ def test_target_affine_invariance(name, seed):
         assert moved_locus.poly == _moved(locus.poly, inverse, b)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="ROADMAP item 1 (the F_p fiber length gives mu): a source-side change inflates mu",
-)
-def test_source_shear_of_example_3_6():
-    """example-3-6 ∘ (x + z, y, z) is an automorphism, yet gives mu 7.
-
-    Row reduction does not help: the components keep their monomials apart.
-    The extra points lie next to the true preimage, at |x| ~ 1e2, with
-    residuals that pass at the round-off floor.  The locus is empty
-    (:func:`test_source_shear_locus_is_empty`); mu alone fails.
-    """
+def _source_shear() -> PolyMap:
+    """example-3-6 ∘ (x + z, y, z), an automorphism."""
     f = parse_map_text(EXAMPLE_3_6_TEXT)
     x, y, z = (Polynomial.variable(NAMES, v) for v in NAMES)
-    sheared = f.compose(PolyMap(NAMES, [x + z, y, z]))
+    return f.compose(PolyMap(NAMES, [x + z, y, z]))
+
+
+def test_source_shear_of_example_3_6():
+    """example-3-6 ∘ (x + z, y, z) is an automorphism: mu 1 and an empty locus.
+
+    Row reduction does not help: the components keep their monomials apart.
+    The sampled fibers are solved through the plan, whose resultant stages
+    are back-substituted through E, not by rooting their pivots of degree
+    7, whose extra roots once passed Newton at the round-off floor and read
+    mu 7.
+    """
+    sheared = _source_shear()
     estimate = geometric_degree(sheared, seed=0)
     locus = nonproperness_set(sheared, degree_estimate=estimate)
     assert (estimate.mu, locus.is_empty) == (1, True)
+
+
+def test_source_shear_sends_one_row_per_target_to_newton(monkeypatch):
+    """The plan's batch roots E, linear here: one Newton row for each of the 50 targets.
+
+    Rooting the pivots instead sent 194 rows.
+    """
+    calls = []
+    newton = solver._newton_batch
+
+    def spied(ev, y, x, *args):
+        calls.append((len(x), len({tuple(row) for row in y.tolist()})))
+        return newton(ev, y, x, *args)
+
+    monkeypatch.setattr(solver, "_newton_batch", spied)
+    assert geometric_degree(_source_shear(), seed=0).histogram == {1: 50}
+    assert calls == [(50, 50)]
 
 
 def test_source_shear_locus_is_empty():
     """The relations of x and z have the lead y2^12 but the primitive lead -64 and 64.
 
     Their content y2^12 in C[y'] is no part of the locus, so no factor is
-    left to check, whether the estimate is the sampled one (mu 7) or mu 1.
+    left to check, whether the estimate is the sampled one or a given mu 1.
     """
-    f = parse_map_text(EXAMPLE_3_6_TEXT)
-    x, y, z = (Polynomial.variable(NAMES, v) for v in NAMES)
-    sheared = f.compose(PolyMap(NAMES, [x + z, y, z]))
+    sheared = _source_shear()
     sampled = geometric_degree(sheared, seed=0)
-    assert sampled.histogram == {1: 38, 7: 8, 6: 1, 2: 2, 3: 1}
+    assert sampled.histogram == {1: 50}
     one = DegreeEstimate(mu=1, histogram={1: 1}, samples=1, seed=0, degenerate=0, box=2.0)
     for estimate in (sampled, one):
         locus = nonproperness_set(sheared, degree_estimate=estimate)

@@ -15,6 +15,7 @@ from polyproper import (
     solve_fiber,
     solver,
 )
+from polyproper.nonproper import fiber_count_diagnostic
 from polyproper.polymap import parse_map_text
 from polyproper.solver import RESIDUAL_TOL, sample_target
 from conftest import DENSE_KEYS, dense_pool, random_map
@@ -119,6 +120,26 @@ class TestSolveFiber:
             with pytest.raises(ValueError) as info:
                 solve(x2_y, (1, bad))
             assert str(info.value) == f"target {(1, bad)} has a coordinate that is not finite"
+
+    def test_int_target_beyond_float_range_is_rejected(self, x2_y):
+        """complex(10**400) overflows: a bare OverflowError once left the finiteness check."""
+        target = (10**400, 0)
+        with pytest.raises(ValueError) as info:
+            solve_fiber(x2_y, target)
+        assert str(info.value) == f"target {target} has a coordinate that is not finite"
+        assert fiber_count_diagnostic(x2_y, target, 2).verdict == "undetermined"
+
+    def test_roundoff_floor_near_float_max_does_not_overflow(self, x2_y):
+        """Over (1e308, 0) the fiber is ±1e154, where the term sum plus |y| is 2e308.
+
+        That sum overflowed in the round-off floor, with a RuntimeWarning,
+        which the test suite turns into a failure; its halves do not.
+        """
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fiber = solve_fiber(x2_y, (1e308, 0))
+        assert {s.point for s in fiber} == {(-1e154, 0), (1e154, 0)}
+        assert not any(s.multiple for s in fiber)
 
 
 class TestScreen:

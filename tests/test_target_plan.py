@@ -139,16 +139,25 @@ def _image(f: PolyMap, y) -> list[GaussianRational]:
 @settings(max_examples=60, deadline=None)
 @given(small_maps())
 def test_plan_pivots_and_finals_match_substitute(case):
-    """The plan at y is its polynomials substituted exactly at y' = M·y."""
+    """The plan at y is its polynomials substituted exactly at y' = M·y.
+
+    A stage's E is specialised with its pivot; a stage without E roots its
+    pivot, the same object.
+    """
     f, y = case
     plan = target_plan(f)
     if not plan.usable:
         return
-    pivots, finals = plan.at(y)
+    pivots, rooted, finals = plan.at(y)
     values = _image(f, y)
     res = plan.result
     assert pivots == [_substituted(s.pivot, f.vars, values) for s in res.stages]
     assert finals == [_substituted(p, f.vars, values) for p in res.finals]
+    for stage, pivot, polynomial in zip(res.stages, pivots, rooted, strict=True):
+        if stage.element is None:
+            assert polynomial is pivot
+        else:
+            assert polynomial == _substituted(stage.element, f.vars, values)
 
 
 @pytest.mark.parametrize("text", [EXAMPLE_3_6_TEXT, X_XY_TEXT, X2_Y_TEXT], ids=["3-6", "x-xy", "x2-y"])
@@ -159,9 +168,7 @@ def test_geometric_degree_matches_per_target_on_corpus(text, seed):
     assert (est.histogram, est.degenerate) == expected
 
 
-@pytest.mark.parametrize(
-    "key", ["2x3#0", "2x3#1", "2x6#0", "2x6#1", "2x6#2", "3x2#0", "3x2#2", "3x3#0"]
-)
+@pytest.mark.parametrize("key", DENSE_KEYS)
 def test_geometric_degree_matches_per_target_on_dense_maps(key):
     est = geometric_degree(_dense_map(key), seed=3)
     assert target_plan(_dense_map(key)).usable
