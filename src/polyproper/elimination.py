@@ -799,7 +799,7 @@ def eliminate(
         keep = [p for p in eqs if p.degree_in(v) == 0]
         partners = [p for i, p in involving if i != pivot_i]
         first, element = _resultant_and_element(pivot, partners[0], v)
-        if element is pivot:  # rooting E is rooting the pivot
+        if element == pivot:  # rooting E is rooting the pivot
             element = None
         result.stages.append(EliminationStage(v, pivot, "resultant", element=element))
         resultants = chain([first], (resultant(pivot, p, v) for p in partners[1:]))

@@ -38,6 +38,8 @@ from .poly import Polynomial
 
 #: Root polishing stops once a Newton step is at most this many ulps of |z|.
 _POLISH_ULPS = 4
+#: Root polishing takes at most this many Newton steps.
+_POLISH_ITERS = 12
 #: Polished roots closer than this are one root with a multiplicity.
 CLUSTER_RADIUS = 1e-6
 
@@ -217,7 +219,7 @@ def _derivative(rows: np.ndarray, order: int = 1) -> np.ndarray:
     return rows
 
 
-def _polish(rows: np.ndarray, z: np.ndarray, iters: int = 12) -> tuple[np.ndarray, np.ndarray]:
+def _polish(rows: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Newton on the polynomial of each row from the matching start in ``z``.
 
     Returns each start's iterate with the least |p| and that |p|.  An
@@ -230,7 +232,7 @@ def _polish(rows: np.ndarray, z: np.ndarray, iters: int = 12) -> tuple[np.ndarra
     fz = _horner(rows, z)
     best, best_val = z.copy(), np.abs(fz)
     live = np.arange(len(z))
-    for _ in range(iters):
+    for _ in range(_POLISH_ITERS):
         dz = _horner(deriv[live], z[live])
         ok = (dz != 0) & np.isfinite(dz) & np.isfinite(fz[live])
         live, dz = live[ok], dz[ok]

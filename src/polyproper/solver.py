@@ -40,10 +40,10 @@ iteration is one evaluation of f at the live candidates and one of the
 Jacobian at those that step.  A candidate stops when its residual reaches
 the round-off floor of the evaluation, a small multiple of machine epsilon
 times its term-magnitude sum (see :mod:`polyproper.numeric`), or when its
-Jacobian is singular or its step is not finite; it keeps its best iterate
-either way.  A candidate is a solution when its residual is below
-:data:`RESIDUAL_TOL` or at that floor, the accuracy limit of its
-evaluation; deduplication and the candidate cap are per target.
+Jacobian is singular, its step is not finite or f overflows a float; it
+keeps its best iterate either way.  A candidate is a solution when its
+residual is below :data:`RESIDUAL_TOL` or at that floor, the accuracy limit
+of its evaluation; deduplication and the candidate cap are per target.
 
 The cascade does not eliminate f - y as given.  It eliminates g - M·y,
 where g = M·f is the reduced row echelon form of the components over their
@@ -55,23 +55,21 @@ pivots from the cascade; on g it substitutes where it would otherwise take
 resultants, or find one vanishing identically.  Newton, the residuals and
 the acceptance test still run on f at y.
 
-Two routes lead to the cascade.  The per-target path eliminates at the
-given target.  The map's :class:`TargetPlan` is the cascade of (g - y')
-with y' = M·y symbolic that kills x_1..x_{n-1}, the same one
-``nonproperness_set`` reads the last coordinate's relation from (Jelonek
-1993), built on first use and kept on the map.  :func:`geometric_degree`
-samples :data:`DEGREE_SAMPLES` targets of one map, so it builds the plan
-and eliminates once per map.  Each sampled target that A(y') does not count
-has its stage pivots, E and final specialised exactly
-(:class:`polyproper.poly.Specialisation`); their finals are rooted in one
-call, and they go through back-substitution and Newton as one batch.  A
-target goes to the per-target path on its own when the plan has a
-``problem`` or is over budget, when its final, a pivot or an E vanishes at
-it, or when one of its branches degenerates or overflows during
+Two routes lead to the cascade, an :class:`EliminationResult` at each
+target on both.  The per-target path eliminates at the given target.  The
+map's :class:`TargetPlan` is the cascade of (g - y') with y' = M·y symbolic
+that kills x_1..x_{n-1}, the same one ``nonproperness_set`` reads the last
+coordinate's relation from (Jelonek 1993), built on first use and kept on
+the map.  :func:`geometric_degree` samples :data:`DEGREE_SAMPLES` targets of
+one map, so it builds the plan and eliminates once per map.  The plan at
+each sampled target that A(y') does not count (:meth:`TargetPlan.at`) has
+its stage pivots, E and final specialised exactly; their finals are rooted
+in one call, and they go through back-substitution and Newton as one batch.
+A target goes to the per-target path on its own where the plan does not
+apply at it, or where one of its branches degenerates or overflows during
 back-substitution.  A nonzero constant final means the fiber is empty.
 :func:`solve_fiber` and :func:`fiber_count` take the per-target path only,
-and neither build nor read a plan.  Where a coordinate of a triangular
-cascade's point overflows a float, it raises ``ValueError``.
+and neither build nor read a plan.
 
 The plan is built under an exact-work budget,
 :data:`polyproper.elimination.MAX_SYMBOLIC_WORK` term pairs of the product
@@ -95,6 +93,7 @@ matter how targets are scheduled.
 from __future__ import annotations
 
 import cmath
+import math
 import sys
 from dataclasses import dataclass
 from typing import Sequence
@@ -145,6 +144,8 @@ DEGREE_SAMPLES = 50
 #: or within the round-off of evaluating f at it.
 RESIDUAL_TOL = 1e-8
 _CANDIDATE_CAP = 20000
+#: Newton takes at most this many steps per candidate.
+_NEWTON_ITERS = 40
 _TARGET_PREFIXES = ("y", "w", "u", "tv")
 
 
@@ -244,12 +245,13 @@ class TargetPlan:
     cascade is that of :func:`symbolic_system`.  ``result`` is the
     :class:`EliminationResult` over the source variables followed by
     ``targets``, which name y', or None when the cascade needed more than
-    :data:`MAX_SYMBOLIC_WORK` (``reason`` then says so).  A usable plan
-    (its cascade ends with one final, with no ``problem``) is
-    specialised at numeric targets y by :meth:`at`, for the batch of
-    :func:`geometric_degree` only.  A triangular one also tells from A(y')
-    alone where a fiber is one point (:meth:`single_point_at`), which
-    :func:`geometric_degree` counts without computing the point.
+    :data:`MAX_SYMBOLIC_WORK` (``reason`` then says so).  :meth:`at` gives
+    the cascade at a numeric target y, an :class:`EliminationResult` of the
+    same shape as the per-target path's, or None where the plan does not
+    apply there; only the batch of :func:`geometric_degree` reads it.  A
+    triangular plan also tells from A(y') alone where a fiber is one point
+    (:meth:`single_point_at`), which :func:`geometric_degree` counts without
+    computing the point.
     """
 
     __slots__ = ("targets", "echelon", "result", "reason", "_specialisation", "_lead")
@@ -272,24 +274,33 @@ class TargetPlan:
     def usable(self) -> bool:
         return self.result is not None and self.result.problem is None
 
-    def at(self, y: Sequence[complex]) -> tuple[list[Polynomial], ...]:
-        """The stage pivots, what each stage roots and the finals, at y' = M·y exactly.
+    def at(self, y: Sequence[complex]) -> EliminationResult | None:
+        """The cascade at y' = M·y, its pivots, E and final specialised exactly.
 
-        All live in the source variables; a stage without E roots its pivot,
-        the same object.  M·y is taken on the exact numerators of y; the
-        compiled form is built on first use.
+        Its stages keep their variables and modes and carry no image.  None
+        where the plan is not usable or a pivot, an E or the final vanishes
+        at y'.  M·y is taken on the exact numerators of y; the compiled form
+        is built on first use.
         """
+        if not self.usable:
+            return None
         spec = self._specialisation
-        stages, finals = self.result.stages, self.result.finals
+        stages = self.result.stages
         if spec is None:
             elements = [s.element for s in stages if s.element is not None]
-            polys = [s.pivot for s in stages] + finals + elements
+            polys = [s.pivot for s in stages] + self.result.finals + elements
             spec = Specialisation(polys, len(polys[0].vars) - len(self.targets))
             self._specialisation = spec
         values = spec.at_stored(*self.echelon.apply(*stored_values([complex(v) for v in y])))
-        m, elements = len(stages), iter(values[len(stages) + len(finals) :])
-        rooted = [p if s.element is None else next(elements) for s, p in zip(stages, values)]
-        return values[:m], rooted, values[m : m + len(finals)]
+        if not all(values):
+            return None
+        m = len(stages)
+        elements = iter(values[m + 1 :])
+        specialised = [  # a stage's symbolic E is None or nonzero
+            EliminationStage(s.var, p, s.mode, element=s.element and next(elements))
+            for s, p in zip(stages, values)
+        ]
+        return EliminationResult(finals=[values[m]], stages=specialised)
 
     def single_point_at(self, y: Sequence[complex]) -> bool:
         """Whether the fiber over y is one simple point, read from A(y') alone.
@@ -355,39 +366,26 @@ def _planned_fibers(
     """The fiber over each target in ``ys``, solved as one batch through the :class:`TargetPlan`.
 
     It serves :func:`geometric_degree` alone, which counts the targets where
-    a triangular plan's A(y') is nonzero before the batch.  Each target's
-    pivots, E and final are specialised exactly (:meth:`TargetPlan.at`),
-    their finals are rooted in one :func:`roots_of_each` call, and
-    back-substitution, rooting E as the per-target path does, and Newton
-    run on all of them as one batch.  A nonzero constant final means the
-    fiber is empty.  A target goes to the per-target path
-    (:func:`_cascade_fiber`) on its own when the plan is not usable, when
-    its final, a pivot or an E vanishes at it, or when one of its branches
+    a triangular plan's A(y') is nonzero before the batch.  The cascades at
+    the targets (:meth:`TargetPlan.at`) have their finals rooted in one
+    :func:`roots_of_each` call and go through back-substitution and Newton
+    as one batch.  A nonzero constant final means the fiber is empty.  A
+    target goes to the per-target path (:func:`_cascade_fiber`) on its own
+    where the plan does not apply at it, or where one of its branches
     degenerates or overflows during back-substitution; the error of a
     positive-dimensional fiber takes its place in the list.
     """
-    out: list = [None] * len(ys)
     plan = target_plan(f)
-    if plan.usable:
-        batch, pivots, rooted, finals = [], [], [], []
-        for i, y in enumerate(ys):
-            stage_pivots, stage_rooted, (final,) = plan.at(y)
-            if not final or not all(stage_pivots) or not all(stage_rooted):
-                continue
-            if final.is_constant():
-                out[i] = []
-                continue
-            batch.append(i)
-            pivots.append(stage_pivots)
-            rooted.append(stage_rooted)
-            finals.append(poly_to_coeffs(final))
-        if batch:
-            fibers, failures = _back_substitute(
-                f, [ys[i] for i in batch], plan.result.stages, pivots, rooted, roots_of_each(finals)
-            )
-            for i, fiber, failure in zip(batch, fibers, failures):
-                if not failure:
-                    out[i] = fiber
+    cascades = [plan.at(y) for y in ys]
+    out: list = [[] if c is not None and c.finals[0].is_constant() else None for c in cascades]
+    batch = [i for i, c in enumerate(cascades) if c is not None and out[i] is None]
+    if batch:
+        cascades = [cascades[i] for i in batch]
+        roots = roots_of_each([poly_to_coeffs(c.finals[0]) for c in cascades])
+        fibers, failures = _back_substitute(f, [ys[i] for i in batch], cascades, roots)
+        for i, fiber, failure in zip(batch, fibers, failures):
+            if not failure:
+                out[i] = fiber
     for i, y in enumerate(ys):
         if out[i] is None:
             try:
@@ -445,11 +443,7 @@ def _cascade_fiber(f: PolyMap, y: Sequence[complex]) -> list[FiberSolution]:
     coeffs = poly_to_coeffs(res.finals[0])
     if len(coeffs) == 2 and not abs(coeffs[0]) <= abs(coeffs[1]) * sys.float_info.max:
         raise _beyond_float_range(y)
-    pivots = [s.pivot for s in res.stages]
-    rooted = [p if s.element is None else s.element for s, p in zip(res.stages, pivots)]
-    (solutions,), (failure,) = _back_substitute(
-        f, [y], res.stages, [pivots], [rooted], [univariate_roots(coeffs)]
-    )
+    (solutions,), (failure,) = _back_substitute(f, [y], [res], [univariate_roots(coeffs)])
     if not solutions and failure:
         raise failure
     return solutions
@@ -489,23 +483,19 @@ def _beyond_float_range(y: Sequence[complex]) -> ValueError:
 def _back_substitute(
     f: PolyMap,
     ys: Sequence[Sequence[complex]],
-    stages: Sequence[EliminationStage],
-    pivots: Sequence[Sequence[Polynomial]],
-    rooted: Sequence[Sequence[Polynomial]],
+    cascades: Sequence[EliminationResult],
     roots: Sequence[RootSet],
 ) -> tuple[list[list[FiberSolution]], list[Exception | None]]:
     """The fiber points that the cascades at a batch of targets lead to.
 
-    ``ys`` are the targets and ``roots`` the roots of each target's final
-    in the last source variable.  ``stages`` give each stage's variable and
-    mode in elimination order; ``pivots[t]`` and ``rooted[t]`` hold target
-    t's stage pivots and what each stage roots, with its y folded in: E
-    where the stage keeps one (:attr:`EliminationStage.element`), else the
-    pivot itself.  Each candidate row carries the index of its target; the
-    rows are extended through the stages in reverse, each stage
-    specialising all of them in one kernel call and rooting them in one
-    :func:`roots_of_each` call.  A row roots E where E's leading entry
-    survives its specialisation there, and the pivot where it does not; a
+    ``ys`` are the targets, ``cascades[t]`` the cascade at target t, with
+    its y folded in, and ``roots[t]`` the roots of its final in the last
+    source variable; the cascades share their stage variables and modes.
+    Each candidate row carries the index of its target; the rows are
+    extended through the stages in reverse, each stage specialising all of
+    them in one kernel call and rooting them in one :func:`roots_of_each`
+    call.  A row roots the stage's E (:attr:`EliminationStage.element`)
+    where E's leading entry survives its specialisation, else the pivot; a
     pivot is rooted as trimmed.  E, whose roots hold the common roots of
     the pivot and its first partner, is usually linear: one candidate per
     row.  One Newton run refines the rows, and they are filtered per
@@ -516,8 +506,8 @@ def _back_substitute(
     the fiber.  Returns each target's solutions and what its fiber raises
     should none survive: :class:`PositiveDimensionalFiberError` when some
     branch degenerated (its pivot vanished identically at the branch's
-    partial point), else ``ValueError`` when some branch's pivot
-    overflowed a float there, else None.
+    partial point), else ``ValueError`` when a branch's pivot overflowed a
+    float there, or f at a candidate, else None.
     """
     column = {v: i for i, v in enumerate(f.vars)}
     owner = np.array([t for t, rs in enumerate(roots) for _ in rs.roots], dtype=np.intp)
@@ -526,20 +516,20 @@ def _back_substitute(
     mults = [r.multiplicity for rs in roots for r in rs.roots]
 
     failures: list[Exception | None] = [None] * len(ys)
-    for j in reversed(range(len(stages))):
+    for j in reversed(range(len(cascades[0].stages))):
         if not mults:
             break
-        var, owners = stages[j].var, owner.tolist()
-        polys, stage_pivots = [e[j] for e in rooted], [p[j] for p in pivots]
-        view = _UnivariateView(polys, var)
+        stages, owners = [c.stages[j] for c in cascades], owner.tolist()
+        var = stages[0].var
+        view = _UnivariateView([s.pivot if s.element is None else s.element for s in stages], var)
         specialised = view.specialize(points, owner)
         by_pivot = [
             k
             for k, (t, coeffs) in enumerate(zip(owners, specialised))
-            if polys[t] is not stage_pivots[t] and not (coeffs and len(coeffs) > view.degrees[t])
+            if stages[t].element is not None and not (coeffs and len(coeffs) > view.degrees[t])
         ]
         if by_pivot:
-            view = _UnivariateView(stage_pivots, var)
+            view = _UnivariateView([s.pivot for s in stages], var)
             for k, coeffs in zip(by_pivot, view.specialize(points[by_pivot], owner[by_pivot])):
                 specialised[k] = coeffs
         extended, rows = [], []
@@ -564,7 +554,7 @@ def _back_substitute(
 
     ev = f.evaluator()
     y_rows = np.array(ys, dtype=complex).reshape(len(ys), f.target_dim)[owner]
-    screen = any(stage.mode == "resultant" for stage in stages)
+    screen = any(stage.mode == "resultant" for stage in cascades[0].stages)
     best, best_res, floors = _newton_batch(ev, y_rows, points, screen)
     # a residual within the round-off of evaluating f, where Newton stops,
     # is as small as any step can make it
@@ -575,6 +565,8 @@ def _back_substitute(
     ):
         if ok:
             refined[t].append((tuple(point), residual, mult))
+        elif math.isnan(residual):  # f overflowed a float at the candidate
+            failures[t] = failures[t] or _beyond_float_range(ys[t])
     return [_deduplicated(candidates) for candidates in refined], failures
 
 
@@ -674,9 +666,7 @@ def _deduplicated(candidates: list[tuple[tuple[complex, ...], float, int]]) -> l
     ]
 
 
-def _newton_batch(
-    ev: MapEvaluator, y: np.ndarray, x: np.ndarray, screen: bool = False, iters: int = 40
-):
+def _newton_batch(ev: MapEvaluator, y: np.ndarray, x: np.ndarray, screen: bool):
     """Newton's method on a batch of candidates at once.
 
     ``y`` is one target for every row of ``x`` or one target per row.
@@ -691,7 +681,8 @@ def _newton_batch(
     ``screen``, a start whose relative residual
     ||f(x) - y|| / ||sum |terms| + |y||| exceeds :data:`SCREEN_RESIDUAL` is
     dropped at the first evaluation: it is never stepped, and its residual
-    and floor stay infinite.
+    and floor stay infinite.  A start where f or its residual overflows a
+    float is not stepped either, and its residual is NaN.
     """
     x = x.copy()
     best = x.copy()
@@ -702,23 +693,27 @@ def _newton_batch(
     abs_y = np.abs(y)
     # hypot does not square its entries, so a norm overflows only where an entry does
     exact_floor = 1e-15 * (1.0 + np.hypot.reduce(abs_y, axis=1))
-    for it in range(iters + 1):
+    for it in range(_NEWTON_ITERS + 1):
         if not live.size:
             break
         tables = ev.powers(x[live])
-        vals, sums = ev.values(tables)
-        r = vals - y[live]
-        res = np.hypot.reduce(np.abs(r), axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):  # f beyond float range
+            vals, sums = ev.values(tables)
+            r = vals - y[live]
+            res = np.hypot.reduce(np.abs(r), axis=1)
         # halving is exact, and the halves' sum cannot overflow
         floor = 2 * ROUNDOFF * np.hypot.reduce(0.5 * sums + 0.5 * abs_y[live], axis=1)
-        if screen and not it:
-            off = ~(res * ROUNDOFF <= SCREEN_RESIDUAL * floor)
-            res[off] = floor[off] = np.inf
+        if not it:
+            lost = ~(np.isfinite(res) & np.isfinite(floor))
+            if screen:
+                off = ~(res * ROUNDOFF <= SCREEN_RESIDUAL * floor)
+                res[off] = floor[off] = np.inf
+            res[lost] = best_res[lost] = np.nan
         better = res < best_res[live]
         best[live[better]] = x[live[better]]
         best_res[live[better]] = res[better]
         best_floor[live[better]] = floor[better]
-        if it == iters:
+        if it == _NEWTON_ITERS:
             break
         step = (res >= exact_floor[live]) & (res > floor)
         live, r = live[step], r[step]

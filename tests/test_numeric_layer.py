@@ -110,7 +110,7 @@ class TestBatchedNewton:
     )
 
     def test_frozen_candidates_keep_their_start(self):
-        best, res, _ = _newton_batch(self.f.evaluator(), self.y, self.starts)
+        best, res, _ = _newton_batch(self.f.evaluator(), self.y, self.starts, False)
         assert np.array_equal(best[1], self.starts[1])
         assert np.array_equal(best[3], self.starts[3])
         assert res[1] == pytest.approx(2**0.5) and res[3] == pytest.approx(1.0)
@@ -119,9 +119,9 @@ class TestBatchedNewton:
 
     def test_each_candidate_as_if_alone(self):
         ev = self.f.evaluator()
-        best, res, _ = _newton_batch(ev, self.y, self.starts)
+        best, res, _ = _newton_batch(ev, self.y, self.starts, False)
         for k in range(len(self.starts)):
-            alone, alone_res, _ = _newton_batch(ev, self.y, self.starts[k : k + 1])
+            alone, alone_res, _ = _newton_batch(ev, self.y, self.starts[k : k + 1], False)
             assert np.array_equal(best[k], alone[0])
             assert res[k] == alone_res[0]
 
@@ -139,7 +139,7 @@ def test_newton_returns_the_roundoff_floor_at_the_best_iterate(shear_map):
     # every other start is too far out to converge in 40 steps
     noise = rng.standard_normal((24, 3)) + 1j * rng.standard_normal((24, 3))
     starts = x0 + noise * np.tile([1e-3, 0.3], 12)[:, None] * np.abs(x0)
-    best, res, floor = _newton_batch(ev, y, starts)
+    best, res, floor = _newton_batch(ev, y, starts, False)
     vals, sums = ev.values(ev.powers(best))
     assert np.array_equal(res, np.hypot.reduce(np.abs(vals - y), axis=1))
     # one matmul over the whole batch may round its last bit unlike the live subsets

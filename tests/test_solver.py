@@ -141,6 +141,21 @@ class TestSolveFiber:
         assert {s.point for s in fiber} == {(-1e154, 0), (1e154, 0)}
         assert not any(s.multiple for s in fiber)
 
+    def test_map_overflowing_at_its_candidates_is_rejected(self):
+        """Over (1e308, 1e308) the candidates of (x^2 + y^2, x*y) lie near 1e154.
+
+        There |x^2| + |y^2| exceeds float max, so f has no residual at
+        them: evaluating it warned of an overflow, and without the warning
+        the fiber came back empty.  It is the ValueError that names the
+        target.
+        """
+        f = PolyMap.from_exprs(V2, ["x^2 + y^2", "x*y"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                solve_fiber(f, (1e308, 1e308))
+        assert str(info.value) == f"the fiber point over {(1e308, 1e308)} lies beyond float range"
+
 
 class TestScreen:
     """Back-substitution candidates off the fiber are dropped before Newton."""
@@ -278,7 +293,8 @@ class TestNewton:
         y = np.array([0.25, 0.5], dtype=complex)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            best, residual, floor = solver._newton_batch(ev, y, np.array([[1 + 1e-150j, 0.5]]))
+            start = np.array([[1 + 1e-150j, 0.5]])
+            best, residual, floor = solver._newton_batch(ev, y, start, False)
         assert np.isfinite(best).all()
         assert not (residual[0] < 1e-8 or residual[0] <= floor[0])
 

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from polyproper import GaussianRational, PolyMap, Polynomial, nonproper, solver
 from polyproper.corpus import EXAMPLE_3_6_TEXT, X2_Y_TEXT, X_XY_TEXT
+from polyproper.elimination import eliminate, normalized
 from polyproper.nonproper import fiber_count_diagnostic, nonproperness_set
 from polyproper.poly import Specialisation, WorkLimitExceeded, work_limit
 from polyproper.polymap import parse_map_text
@@ -141,23 +142,52 @@ def _image(f: PolyMap, y) -> list[GaussianRational]:
 def test_plan_pivots_and_finals_match_substitute(case):
     """The plan at y is its polynomials substituted exactly at y' = M·y.
 
-    A stage's E is specialised with its pivot; a stage without E roots its
-    pivot, the same object.
+    Each stage keeps its variable and mode, and its E is specialised with
+    its pivot; a stage without E has none at y either.  Where a pivot, an E
+    or the final vanishes at y', the plan does not apply there: None.
     """
     f, y = case
     plan = target_plan(f)
     if not plan.usable:
         return
-    pivots, rooted, finals = plan.at(y)
+    cascade = plan.at(y)
     values = _image(f, y)
     res = plan.result
-    assert pivots == [_substituted(s.pivot, f.vars, values) for s in res.stages]
-    assert finals == [_substituted(p, f.vars, values) for p in res.finals]
-    for stage, pivot, polynomial in zip(res.stages, pivots, rooted, strict=True):
-        if stage.element is None:
-            assert polynomial is pivot
-        else:
-            assert polynomial == _substituted(stage.element, f.vars, values)
+    pivots = [_substituted(s.pivot, f.vars, values) for s in res.stages]
+    finals = [_substituted(p, f.vars, values) for p in res.finals]
+    elements = [
+        _substituted(s.element, f.vars, values) for s in res.stages if s.element is not None
+    ]
+    if cascade is None:
+        assert not all(pivots + finals + elements)
+        return
+    assert [s.pivot for s in cascade.stages] == pivots
+    assert cascade.finals == finals
+    assert [s.element for s in cascade.stages if s.element is not None] == elements
+    for stage, special in zip(res.stages, cascade.stages, strict=True):
+        assert (special.var, special.mode) == (stage.var, stage.mode)
+        assert (special.element is None) == (stage.element is None)
+
+
+@pytest.mark.parametrize("name", ["3-6", "x-xy", "x2-y"] + DENSE_KEYS)
+def test_plan_at_a_target_is_the_per_target_cascade(name):
+    """At generic targets the plan's cascade is the one eliminated at the target.
+
+    The stages eliminate the same variables in the same modes, and the
+    finals agree up to a constant factor, so both routes hand the numeric
+    tail the same cascade.
+    """
+    texts = {"3-6": EXAMPLE_3_6_TEXT, "x-xy": X_XY_TEXT, "x2-y": X2_Y_TEXT}
+    f = parse_map_text(texts[name] if name in texts else dense_pool()[name][0])
+    rng = np.random.default_rng(43)
+    for _ in range(5):
+        y = sample_target(rng, f.target_dim)
+        planned = target_plan(f).at(y)
+        direct = eliminate(solver._shifted_system(f, y), list(f.vars[:-1]))
+        assert [(s.var, s.mode) for s in planned.stages] == [
+            (s.var, s.mode) for s in direct.stages
+        ], y
+        assert [normalized(p) for p in planned.finals] == [normalized(p) for p in direct.finals], y
 
 
 @pytest.mark.parametrize("text", [EXAMPLE_3_6_TEXT, X_XY_TEXT, X2_Y_TEXT], ids=["3-6", "x-xy", "x2-y"])
@@ -589,7 +619,7 @@ def test_newton_near_float_range_keeps_its_point():
     (exact,) = solve_fiber(f, (2e30, 1))
     assert exact.point == ((1 - int(2e30) ** 10) / 1, 2e30)
     start = np.array([[exact.point[0] * (1 + 1e-9), exact.point[1] * (1 + 1e-12)]])
-    best, residual, floor = solver._newton_batch(f.evaluator(), np.array([2e30, 1]), start)
+    best, residual, floor = solver._newton_batch(f.evaluator(), np.array([2e30, 1]), start, False)
     assert np.isfinite(floor).all() and residual[0] <= floor[0]
     np.testing.assert_allclose(best[0], exact.point, rtol=1e-15, atol=0)
 
