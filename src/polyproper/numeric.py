@@ -20,7 +20,7 @@ Jacobian entries, built once per map (``PolyMap.evaluator()`` caches it).
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -47,35 +47,42 @@ def power_tables(points: np.ndarray, degrees: Sequence[int]) -> list[np.ndarray]
 class TermTable:
     """Polynomials over one variable context, lowered to arrays once.
 
-    The polynomials are ``Polynomial`` objects, read through
-    ``stored_terms()``; each coefficient (re + i*im) / den becomes a complex
-    by int true division, which rounds correctly.  ``exps`` is the T x n
-    exponent matrix of the distinct monomials, ``coeffs`` the T x m complex
-    coefficient matrix (column j belongs to the j-th polynomial) and
-    ``degrees`` the largest exponent of each variable.
+    Column j holds ``columns[j]``, a polynomial in the stored form of
+    :mod:`polyproper.poly`: a positive int denominator and a dict from packed
+    monomial keys to Gaussian-integer numerators (re, im), which
+    ``exponents`` unpacks to exponent tuples.  Each coefficient
+    (re + i*im) / den becomes a complex by int true division, which rounds
+    correctly.  ``exps`` is the T x n exponent matrix of the distinct
+    monomials, in order of first occurrence, ``coeffs`` the T x m complex
+    coefficient matrix and ``degrees`` the largest exponent of each
+    variable.  :meth:`of` tables ``Polynomial`` objects, one column each.
     """
 
     __slots__ = ("exps", "coeffs", "abs_coeffs", "degrees")
 
-    def __init__(self, polys: Sequence, n_vars: int):
-        rows: dict[tuple, int] = {}
+    def __init__(self, columns: Sequence[tuple[int, Mapping]], exponents: Callable, n_vars: int):
+        rows: dict[int, int] = {}
         entries = []
-        for j, p in enumerate(polys):
-            den = p.den
-            for e, re, im in p.stored_terms():
+        for j, (den, nums) in enumerate(columns):
+            for key, (re, im) in nums.items():
                 try:
                     c = complex(re / den, im / den)
                 except OverflowError:
                     raise ValueError("a coefficient lies beyond float range") from None
-                entries.append((rows.setdefault(e, len(rows)), j, c))
-        coeffs = np.zeros((len(rows), len(polys)), dtype=complex)
+                entries.append((rows.setdefault(key, len(rows)), j, c))
+        coeffs = np.zeros((len(rows), len(columns)), dtype=complex)
         for t, j, c in entries:
             coeffs[t, j] = c
-        exps = np.array(list(rows), dtype=np.intp).reshape(len(rows), n_vars)
+        exps = np.array([exponents(key) for key in rows], dtype=np.intp).reshape(len(rows), n_vars)
         self.exps = exps
         self.coeffs = coeffs
         self.abs_coeffs = np.abs(coeffs)
         self.degrees = tuple(int(d) for d in exps.max(axis=0)) if len(rows) else (0,) * n_vars
+
+    @classmethod
+    def of(cls, polys: Sequence, n_vars: int) -> "TermTable":
+        """The table of ``Polynomial`` objects over one context, one column each."""
+        return cls([(p.den, p.nums) for p in polys], polys[0]._exponents if polys else None, n_vars)
 
     def monomials(self, tables: Sequence[np.ndarray]) -> np.ndarray:
         """The k x T matrix of monomial values; tables from :func:`power_tables`."""
@@ -113,8 +120,8 @@ class MapEvaluator:
     def __init__(self, components: Sequence, jacobian_rows: Sequence[Sequence], n_vars: int):
         self.n_vars = n_vars
         self.n_comps = len(components)
-        self.f = TermTable(components, n_vars)
-        self.jac = TermTable([p for row in jacobian_rows for p in row], n_vars)
+        self.f = TermTable.of(components, n_vars)
+        self.jac = TermTable.of([p for row in jacobian_rows for p in row], n_vars)
 
     def powers(self, points: np.ndarray) -> list[np.ndarray]:
         """Power tables of a k x n complex batch, enough for f and its Jacobian."""

@@ -23,7 +23,8 @@ Every operation works on the stored form in int arithmetic and reduces its
 result once with ``math.gcd``: sums (:func:`_sum_terms`), products
 (:func:`_mul_terms`, one kernel for scaling and powers too), exact division
 (:func:`_exact_quotient`), the views of a polynomial in one variable
-(:func:`as_univariate`, :func:`lead_in`, :func:`mul_power`) or, as int
+(:func:`as_univariate`, :func:`numerators_by_power`, :func:`lead_in`,
+:func:`mul_power`) or, as int
 rows, in one variable and a mixed radix of the others (:func:`int_rows`,
 with :func:`from_int_row` the way back), and :class:`Specialisation`.
 Composition (:func:`_compose`) and the substitutions of
@@ -382,7 +383,7 @@ class Polynomial(_Sparse):
         values = [complex(p) for p in point]
         if len(values) != len(self.vars):
             raise ValueError(f"point has dimension {len(values)}, expected {len(self.vars)}")
-        table = TermTable([self], len(self.vars))
+        table = TermTable.of([self], len(self.vars))
         return complex(table.values(power_tables(np.array([values]), table.degrees))[0, 0])
 
     # -- comparison and printing --------------------------------------------
@@ -434,12 +435,21 @@ def as_univariate(p: Polynomial, var: str) -> dict[int, Polynomial]:
     Coefficients stay in the full variable context (with ``var`` absent from
     their support), so all arithmetic remains in one ring.
     """
+    return {k: p._like(*_reduced(p.den, t)) for k, t in numerators_by_power(p, var).items()}
+
+
+def numerators_by_power(p: Polynomial, var: str) -> dict[int, dict]:
+    """p's numerators bucketed by their power of ``var``, that power taken out of each key.
+
+    Bucket k holds the numerators of the coefficient of var^k over p's own
+    denominator, unreduced, in the order of ``p.nums``.
+    """
     s, top = p._shift(var), WIDTH * len(p.vars)
     buckets: dict[int, dict] = {}
     for key, c in p.nums.items():
         k = (key >> s) & MAX_DEGREE
         buckets.setdefault(k, {})[key - (k << s) - (k << top)] = c
-    return {k: p._like(*_reduced(p.den, t)) for k, t in buckets.items()}
+    return buckets
 
 
 def lead_in(p: Polynomial, var: str) -> tuple[int, Polynomial]:

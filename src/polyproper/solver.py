@@ -24,7 +24,8 @@ automorphisms, the fiber is one simple point, computed exactly from the
 stages and rounded once per coordinate.  Its residual is reported, not
 tested.  :func:`geometric_degree` reads only the count, so it computes no
 point there: it counts such a fiber from the leading coefficient A(y') of
-its plan's final alone (:meth:`TargetPlan.single_point_at`).
+its plan's final alone (:meth:`TargetPlan.single_point_at`), and where A
+is a nonzero constant it draws no target at all.
 
 The floating-point steps work on batches of targets, one target for
 :func:`solve_fiber` and all sampled targets of a map for
@@ -43,7 +44,11 @@ times its term-magnitude sum (see :mod:`polyproper.numeric`), or when its
 Jacobian is singular, its step is not finite or f overflows a float; it
 keeps its best iterate either way.  A candidate is a solution when its
 residual is below :data:`RESIDUAL_TOL` or at that floor, the accuracy limit
-of its evaluation; deduplication and the candidate cap are per target.
+of its evaluation.  The candidate cap is per target.  The solutions of the
+whole batch are sorted once, by target and coordinates; a target whose
+neighbours in that order all lie at least :data:`DEDUP_RADIUS` apart in
+Re x_1 has nothing to merge, and only the others are deduplicated point
+by point (:func:`_solutions`).
 
 The cascade does not eliminate f - y as given.  It eliminates g - M·y,
 where g = M·f is the reduced row echelon form of the components over their
@@ -87,7 +92,8 @@ Targets for degree estimation are drawn from a box with re/im uniform in
 [-SAMPLE_BOX, SAMPLE_BOX], snapped to a dyadic grid (multiples of 1/4096)
 so the exact elimination never sees 53-bit denominators.  Sampling is
 seeded and split per target, so a fixed seed reproduces the estimate no
-matter how targets are scheduled.
+matter how targets are scheduled.  A map whose plan is triangular with a
+nonzero constant A draws none: every fiber is one point.
 """
 
 from __future__ import annotations
@@ -115,6 +121,7 @@ from .poly import (
     Specialisation,
     WorkLimitExceeded,
     _sum_terms,
+    numerators_by_power,
     stored_values,
     work_limit,
 )
@@ -307,23 +314,30 @@ class TargetPlan:
 
         True when the plan is triangular (:func:`_triangular`), with final
         A(y')·z + B(y'), and A(y') is nonzero.  No point is computed, and
-        where A is a constant not even y' = M·y.  Compiled on first use.
+        where A is a constant not even y' = M·y.
         """
-        if self._lead is None:
-            self._lead = self._compile_triangular()
-        lead = self._lead
+        lead = self.lead
         if isinstance(lead, bool):
             return lead
         values = self.echelon.apply(*stored_values([complex(v) for v in y]))
         return not lead.at_stored(*values)[0].is_zero()
 
-    def _compile_triangular(self) -> Specialisation | bool:
-        """A compiled at y', True where A is a constant (so nonzero), False where not triangular."""
-        variables = self.echelon.rows[0].vars
-        if not _triangular(self.result, variables[-1]):
-            return False
-        lead = as_univariate(self.result.finals[0], variables[-1])[1]
-        return lead.is_constant() or Specialisation([lead], len(variables))
+    @property
+    def lead(self) -> Specialisation | bool:
+        """A compiled at y', True where A is a constant (so nonzero), False where not triangular.
+
+        A is the leading coefficient of a triangular plan's final in the last
+        source variable.  Where it is True, every fiber is one simple point.
+        Compiled on first use.
+        """
+        if self._lead is None:
+            variables = self.echelon.rows[0].vars
+            if not _triangular(self.result, variables[-1]):
+                self._lead = False
+            else:
+                lead = as_univariate(self.result.finals[0], variables[-1])[1]
+                self._lead = lead.is_constant() or Specialisation([lead], len(variables))
+        return self._lead
 
 
 def _triangular(res: EliminationResult | None, var: str) -> bool:
@@ -400,14 +414,15 @@ def solve_fiber(f: PolyMap, y: Sequence[complex]) -> list[FiberSolution]:
 
     Raises :class:`PositiveDimensionalFiberError` when the elimination
     detects a non-isolated fiber, and ``ValueError`` when a coordinate of
-    the target is not finite or a point of the fiber lies beyond float
-    range.
+    the target is not finite, a point of the fiber lies beyond float range
+    or the final's coefficients span more than it (:func:`_cascade_fiber`).
 
     The fiber is solved on the per-target path (:func:`_cascade_fiber`),
     and no plan is built or read here.  Where the cascade at y is
     triangular (:func:`_triangular`) the fiber is its one simple point,
     each coordinate the exact value rounded once, and its residual
-    ||f(x) - y|| is reported, not tested.  Every other solution, refined
+    ||f(x) - y|| is reported, not tested; it is inf where evaluating f at
+    the point overflows a float.  Every other solution, refined
     by Newton, has ||f(x) - y|| < :data:`RESIDUAL_TOL`, or a residual
     within the round-off of evaluating f at it
     (:data:`polyproper.numeric.ROUNDOFF` times its term-magnitude sum),
@@ -429,9 +444,12 @@ def _cascade_fiber(f: PolyMap, y: Sequence[complex]) -> list[FiberSolution]:
     """The fiber over y on the per-target path: the cascade of (f - y) at y.
 
     A triangular cascade gives its one point exactly (:func:`_one_point`).
-    Raises ``ValueError`` when the final is linear but its root lies beyond
-    float range, or when no branch survives and some pivot overflowed
-    during back-substitution.
+    Raises ``ValueError`` when the final's leading or constant coefficient
+    is nonzero but 0.0 once :func:`poly_to_coeffs` has scaled the
+    coefficients into float range, where rooting it would take a polynomial
+    of another degree or a false root 0; when the final is linear but its
+    root lies beyond float range; or when no branch survives and some pivot
+    overflowed during back-substitution.
     """
     res = eliminate(_shifted_system(f, y), list(f.vars[:-1]))
     if res.inconsistent:
@@ -440,8 +458,10 @@ def _cascade_fiber(f: PolyMap, y: Sequence[complex]) -> list[FiberSolution]:
         raise PositiveDimensionalFiberError(res.problem)
     if _triangular(res, f.vars[-1]):
         return [_one_point(f, y, res)]
-    coeffs = poly_to_coeffs(res.finals[0])
-    if len(coeffs) == 2 and not abs(coeffs[0]) <= abs(coeffs[1]) * sys.float_info.max:
+    final = res.finals[0]
+    coeffs = poly_to_coeffs(final)
+    lost = coeffs[-1] == 0 or (coeffs[0] == 0 and 0 in final.nums)  # key 0: the constant term
+    if lost or (len(coeffs) == 2 and not abs(coeffs[0]) <= abs(coeffs[1]) * sys.float_info.max):
         raise _beyond_float_range(y)
     (solutions,), (failure,) = _back_substitute(f, [y], [res], [univariate_roots(coeffs)])
     if not solutions and failure:
@@ -455,7 +475,8 @@ def _one_point(f: PolyMap, y: Sequence[complex], res: EliminationResult) -> Fibe
     The final a·z + b gives z = -b/a, and each stage's image gives its
     variable in reverse stage order.  The coordinates are kept in the
     stored form over one common denominator and each is rounded once by int
-    true division; ``ValueError`` where one lies beyond float range.
+    true division; ``ValueError`` where one lies beyond float range.  The
+    residual is inf where evaluating f at the point overflows a float.
     """
     n = f.source_dim
     final = res.finals[0].nums  # over one denominator, which z = -b/a cancels
@@ -471,9 +492,10 @@ def _one_point(f: PolyMap, y: Sequence[complex], res: EliminationResult) -> Fibe
     except OverflowError:
         raise _beyond_float_range(y) from None
     ev = f.evaluator()
-    (vals,), _ = ev.values(ev.powers(np.array([point], dtype=complex)))
-    residual = float(np.hypot.reduce(np.abs(vals - np.array(y, dtype=complex))))
-    return FiberSolution(point, residual, multiple=False)
+    with np.errstate(over="ignore", invalid="ignore"):  # f beyond float range at the point
+        (vals,), _ = ev.values(ev.powers(np.array([point], dtype=complex)))
+        residual = float(np.hypot.reduce(np.abs(vals - np.array(y, dtype=complex))))
+    return FiberSolution(point, math.inf if math.isnan(residual) else residual, multiple=False)
 
 
 def _beyond_float_range(y: Sequence[complex]) -> ValueError:
@@ -498,8 +520,9 @@ def _back_substitute(
     where E's leading entry survives its specialisation, else the pivot; a
     pivot is rooted as trimmed.  E, whose roots hold the common roots of
     the pivot and its first partner, is usually linear: one candidate per
-    row.  One Newton run refines the rows, and they are filtered per
-    target.  Where some stage is a resultant, Newton first drops the
+    row.  One Newton run refines the rows, and the accepted ones are
+    deduplicated with one sort for the whole batch (:func:`_solutions`).
+    Where some stage is a resultant, Newton first drops the
     candidates off the fiber, where E or a pivot had more roots than lie
     on it, so they are neither refined nor counted as branches that a
     solution absorbed; without a resultant stage every candidate lies on
@@ -559,35 +582,72 @@ def _back_substitute(
     # a residual within the round-off of evaluating f, where Newton stops,
     # is as small as any step can make it
     accepted = (best_res < RESIDUAL_TOL) | ((best_res <= floors) & np.isfinite(floors))
-    refined: list[list] = [[] for _ in ys]
-    for t, point, residual, mult, ok in zip(
-        owner.tolist(), best.tolist(), best_res.tolist(), mults, accepted.tolist()
+    for t in owner[np.isnan(best_res)].tolist():  # f overflowed a float at the candidate
+        failures[t] = failures[t] or _beyond_float_range(ys[t])
+    mults = np.array(mults, dtype=np.intp)
+    solutions = _solutions(
+        len(ys), owner[accepted], best[accepted], best_res[accepted], mults[accepted]
+    )
+    return solutions, failures
+
+
+def _solutions(
+    n_targets: int,
+    owner: np.ndarray,
+    points: np.ndarray,
+    residuals: np.ndarray,
+    mults: np.ndarray,
+) -> list[list[FiberSolution]]:
+    """Each target's solutions from its accepted candidates, deduplicated with one sort per batch.
+
+    All rows are sorted once, by target and then by the lexicographic key
+    of :func:`_deduplicated`, stably.  Where a target's adjacent sorted
+    candidates are all at least DEDUP_RADIUS apart in Re x_1, no two of them
+    are as close in the max norm, so none merges: its sorted rows are its
+    solutions, as :func:`_deduplicated` would return them.  Only a target
+    with a closer pair goes through :func:`_deduplicated`, in sorted order,
+    which its stable sort keeps.
+    """
+    keys = [part for col in points.T[::-1] for part in (col.imag, col.real)]
+    order = np.lexsort([*keys, owner])
+    owner, points, residuals, mults = (a[order] for a in (owner, points, residuals, mults))
+    # a close pair may straddle two targets; the few close pairs are matched
+    # in Python, as an int equality ufunc's first call adds 128 KB of peak RSS
+    close = np.diff(points[:, 0].real) < DEDUP_RADIUS
+    crowded = {t for t, u in zip(owner[1:][close].tolist(), owner[:-1][close].tolist()) if t == u}
+    candidates: list[list] = [[] for _ in range(n_targets)]
+    for t, point, residual, mult in zip(
+        owner.tolist(), points.tolist(), residuals.tolist(), mults.tolist()
     ):
-        if ok:
-            refined[t].append((tuple(point), residual, mult))
-        elif math.isnan(residual):  # f overflowed a float at the candidate
-            failures[t] = failures[t] or _beyond_float_range(ys[t])
-    return [_deduplicated(candidates) for candidates in refined], failures
+        candidates[t].append((tuple(point), residual, mult))
+    return [
+        _deduplicated(rows)
+        if t in crowded
+        else [FiberSolution(p, r, multiple=m > 1) for p, r, m in rows]
+        for t, rows in enumerate(candidates)
+    ]
 
 
 class _UnivariateView:
     """Polynomials, one per target, viewed as univariate in ``var`` and compiled once.
 
-    The coefficient polynomials of the powers of ``var`` of all of them
-    form one term table, with one block of columns per polynomial, so
-    specializing a batch of rows, each at its own polynomial, costs one
-    kernel call.
+    The coefficients of the powers of ``var`` of all of them form one term
+    table, with one block of columns per polynomial, so specializing a batch
+    of rows, each at its own polynomial, costs one kernel call.  The table
+    is filled straight from each polynomial's stored form, its numerators
+    bucketed by their power of ``var`` (:func:`numerators_by_power`).
     """
 
     __slots__ = ("degrees", "table", "coeffs", "abs_coeffs", "max_abs")
 
     def __init__(self, polys: Sequence[Polynomial], var: str):
-        views = [as_univariate(p, var) for p in polys]
+        views = [numerators_by_power(p, var) for p in polys]
         self.degrees = [max(u) for u in views]
         width = max(self.degrees) + 1
-        zero = Polynomial.zero(polys[0].vars)
         self.table = TermTable(
-            [u.get(k, zero) for u in views for k in range(width)], len(polys[0].vars)
+            [(p.den, u.get(k, {})) for p, u in zip(polys, views) for k in range(width)],
+            polys[0]._exponents,
+            len(polys[0].vars),
         )
         shape = (len(self.table.coeffs), len(polys), width)  # terms x polys x powers
         self.coeffs = self.table.coeffs.reshape(shape)
@@ -627,6 +687,9 @@ def _trim(coeffs: list[complex], sums: list[float], bound: float) -> list[comple
 
 def _deduplicated(candidates: list[tuple[tuple[complex, ...], float, int]]) -> list[FiberSolution]:
     """One solution per cluster of refined candidates closer than DEDUP_RADIUS.
+
+    It serves the targets of a batch that :func:`_solutions` finds holding
+    a pair of candidates closer than DEDUP_RADIUS in Re x_1.
 
     The candidates are taken in lexicographic order of their coordinates'
     (real, imaginary) parts.  Each joins the first cluster, in order of
@@ -775,23 +838,28 @@ def geometric_degree(f: PolyMap, *, seed: int = 0) -> DegreeEstimate:
     So the counts are those of :func:`fiber_count`, which computes the one
     point of a triangular fiber exactly, except where that point lies
     beyond float range: ``fiber_count`` raises ``ValueError`` there, and
-    this counts 1.
+    this counts 1.  Where A is a nonzero constant, every fiber is one
+    point, and the histogram is {1: DEGREE_SAMPLES} with no target drawn.
     """
     _check_scale(f)
-    ys = [
-        sample_target(np.random.default_rng(child), f.target_dim)
-        for child in np.random.SeedSequence(seed).spawn(DEGREE_SAMPLES)
-    ]
     plan = target_plan(f)
-    rest = [y for y in ys if not plan.single_point_at(y)]
-    single = len(ys) - len(rest)
-    histogram: dict[int, int] = {1: single} if single else {}
+    histogram: dict[int, int] = {}
     degenerate = 0
-    for fiber in _planned_fibers(f, rest):
-        if isinstance(fiber, PositiveDimensionalFiberError):
-            degenerate += 1
-            continue
-        histogram[len(fiber)] = histogram.get(len(fiber), 0) + 1
+    if plan.lead is True:  # every fiber is one simple point, whatever the target
+        histogram[1] = DEGREE_SAMPLES
+    else:
+        ys = [
+            sample_target(np.random.default_rng(child), f.target_dim)
+            for child in np.random.SeedSequence(seed).spawn(DEGREE_SAMPLES)
+        ]
+        rest = [y for y in ys if not plan.single_point_at(y)]
+        if len(rest) < len(ys):
+            histogram[1] = len(ys) - len(rest)
+        for fiber in _planned_fibers(f, rest):
+            if isinstance(fiber, PositiveDimensionalFiberError):
+                degenerate += 1
+                continue
+            histogram[len(fiber)] = histogram.get(len(fiber), 0) + 1
     if not histogram:
         raise ValueError("every sampled fiber was degenerate")
     mu = max(histogram)

@@ -9,10 +9,12 @@ the smallest singular value; one companion eigensolve and scalar Newton
 polish per polynomial for the batched root finder; numpy's SVD on any
 sample grid for the witness check's singular values and their order in t;
 fiber-count drops on sampled points of {h = 0} for the symbolic
-hyperplane-clearance verdict; and a comparison of every candidate with
-every cluster in Python for the solver's deduplication.  :func:`laurent_value` evaluates a Laurent
-polynomial in floats for these checks; the package decides witnesses
-exactly and evaluates no Laurent polynomial in floats.
+hyperplane-clearance verdict; a comparison of every candidate with every
+cluster in Python for the solver's deduplication; and one reduced
+``Polynomial`` per coefficient for the term table of a univariate view.
+:func:`laurent_value` evaluates a Laurent polynomial in floats for these
+checks; the package decides witnesses exactly and evaluates no Laurent
+polynomial in floats.
 :func:`evaluate_exact` is a polynomial's exact value at a point, the
 specialisation of every variable.
 """
@@ -26,7 +28,7 @@ import numpy as np
 
 from polyproper import LaurentPoly, PolyMap, Polynomial
 from polyproper.elimination import as_univariate, poly_matrix_det
-from polyproper.numeric import EPS
+from polyproper.numeric import EPS, TermTable
 from polyproper.numlin import CLUSTER_RADIUS, Root, RootSet, _cluster, _merge_multiple
 from polyproper.nonproper import ClearanceVerdict, _points_on_zero_set, fiber_count_diagnostic
 from polyproper.poly import Specialisation
@@ -302,3 +304,18 @@ def pairwise_deduplicated(
         FiberSolution(point, residual, multiple=(total_mult > 1 or branches > 1))
         for point, residual, total_mult, branches in merged
     ]
+
+
+def univariate_table(polys: Sequence[Polynomial], var: str) -> tuple[TermTable, list[int]]:
+    """The term table and degrees of ``solver._UnivariateView``, built through ``Polynomial`` objects.
+
+    The build the view replaced: one ``as_univariate`` view per polynomial,
+    whose coefficient of each power of ``var`` is a reduced ``Polynomial``,
+    tabled as one column per (polynomial, power).
+    """
+    views = [as_univariate(p, var) for p in polys]
+    degrees = [max(u) for u in views]
+    width = max(degrees) + 1
+    zero = Polynomial.zero(polys[0].vars)
+    columns = [u.get(k, zero) for u in views for k in range(width)]
+    return TermTable.of(columns, len(polys[0].vars)), degrees

@@ -3,6 +3,9 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -374,3 +377,36 @@ def test_map_with_a_large_expansion_is_usage_error(tmp_path):
     assert time.perf_counter() - start < 1.0
     assert code == 1
     assert "terms exceeds the parse limit" in err
+
+
+#: Runs ``polyproper --corpus all`` and one fiber of the map on stdin, then
+#: prints whether ``numpy.ma`` was imported.
+_MA_PROBE = """
+import contextlib, io, sys
+import numpy as np
+from polyproper.cli import main
+from polyproper.polymap import parse_map_text
+from polyproper.solver import sample_target, solve_fiber
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["--corpus", "all"]) == 0
+f = parse_map_text(sys.stdin.read())
+assert solve_fiber(f, sample_target(np.random.default_rng(1), 3))
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_corpus_and_a_dense_fiber_leave_numpy_ma_unimported():
+    """numpy imports ``numpy.ma`` lazily, from ``np.unique`` for one; it costs about 0.9 MB of peak RSS."""
+    env = dict(os.environ)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _MA_PROBE],
+        input=dense_pool()["3x3#1"][0],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -12,8 +12,18 @@ from polyproper import solver
 from polyproper.corpus import example_3_6_map
 from polyproper.numeric import ROUNDOFF, MapEvaluator
 from polyproper.numlin import _cluster
-from polyproper.solver import _deduplicated, _newton_batch, sample_target, solve_fiber
-from oracles import evaluate_exact, pairwise_deduplicated
+from polyproper.elimination import eliminate
+from polyproper.polymap import parse_map_text
+from polyproper.solver import (
+    _deduplicated,
+    _newton_batch,
+    _shifted_system,
+    _UnivariateView,
+    sample_target,
+    solve_fiber,
+)
+from conftest import DENSE_KEYS, dense_pool
+from oracles import evaluate_exact, pairwise_deduplicated, univariate_table
 
 VARS = ("x", "y", "z")
 
@@ -306,3 +316,90 @@ class TestCachedOnTheMap:
         with pytest.raises(AttributeError):
             f.components[0].terms = {}
         assert f.jacobian()[0, 0] == Polynomial(("x",), {(2,): Fraction(3)})
+
+
+def _planted_batch(seed: int):
+    """The dimension and a seeded batch of rows (target, point, residual, mult) of targets 0-5, shuffled.
+
+    Even targets get planted near-duplicates, offsets straddling
+    DEDUP_RADIUS, and a point that shares another's Re x_1 but lies far from
+    it; odd targets get five uniform points of the box [-2, 2]^2n only.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 4))
+    rows = []
+    for t in range(6):
+        points = [tuple(complex(*rng.uniform(-2, 2, 2)) for _ in range(n)) for _ in range(5)]
+        if t % 2 == 0:
+            for offset in (0.0, 1e-8, 4e-7, 9.9e-7, 1e-6, 1.5e-6):
+                base = points[int(rng.integers(len(points)))]
+                points.append(tuple(c + offset * rng.choice([1, -1, 1j, -1j]) for c in base))
+            points.append((points[0][0], *(c + 1 for c in points[0][1:])))
+        for point in points:
+            rows.append((t, point, float(rng.choice([0.0, 1e-12, 3e-10])), int(rng.integers(1, 4))))
+    order = rng.permutation(len(rows))
+    return n, [rows[i] for i in order]
+
+
+def _bits(solutions):
+    return [
+        ([(c.real.hex(), c.imag.hex()) for c in s.point], s.residual.hex(), s.multiple)
+        for s in solutions
+    ]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_batch_deduplication_matches_each_target_alone(seed, monkeypatch):
+    """One sort over the batch gives what ``_deduplicated`` gives per target, bit for bit.
+
+    Only the targets with planted near-duplicates go through
+    ``_deduplicated``; the others take their sorted rows as they are.
+    """
+    n, rows = _planted_batch(seed)
+    owner = np.array([t for t, _, _, _ in rows], dtype=np.intp)
+    points = np.array([p for _, p, _, _ in rows], dtype=complex).reshape(len(rows), n)
+    residuals = np.array([r for _, _, r, _ in rows])
+    mults = np.array([m for _, _, _, m in rows], dtype=np.intp)
+    calls = []
+    monkeypatch.setattr(solver, "_deduplicated", lambda c: calls.append(c) or _deduplicated(c))
+    batch = solver._solutions(7, owner, points, residuals, mults)
+    assert len(calls) == 3
+    alone = [_deduplicated([(p, r, m) for u, p, r, m in rows if u == t]) for t in range(7)]
+    assert [_bits(s) for s in batch] == [_bits(s) for s in alone]
+    merged = [len(alone[t]) < sum(u == t for u, _, _, _ in rows) for t in range(6)]
+    assert merged == [True, False] * 3 and batch[6] == []
+
+
+@pytest.mark.parametrize("key", DENSE_KEYS)
+def test_univariate_view_equals_the_polynomial_build(key):
+    """The view's table, filled from the stored form, is the one built through ``as_univariate``.
+
+    On every stage of the per-target cascades of a dense pool map at its
+    bench targets of seeds 1-4 (four per seed), for each pivot and E alone
+    and for the pivots and the Es of one stage as a batch: the same
+    exponent rows in the same order, the same coefficients bit for bit and
+    the same degrees.
+    """
+    f = parse_map_text(dense_pool()[key][0])
+    n, d, m = (int(k) for k in key.replace("x", " ").replace("#", " ").split())
+    cascades = []
+    for seed in range(1, 5):
+        rng = np.random.default_rng([seed, n, d, m])
+        for _ in range(4):
+            y = sample_target(rng, n)
+            cascades.append(eliminate(_shifted_system(f, y), list(f.vars[:-1])).stages)
+    views = []
+    for j, first in enumerate(cascades[0]):
+        stages = [c[j] for c in cascades if c[j].var == first.var]
+        elements = [s.element for s in stages if s.element is not None]
+        views += [([s.pivot], first.var) for s in stages] + [([e], first.var) for e in elements]
+        views += [([s.pivot for s in stages], first.var)] + ([(elements, first.var)] if elements else [])
+    for polys, var in views:
+        view = _UnivariateView(polys, var)
+        table, degrees = univariate_table(polys, var)
+        assert view.degrees == degrees
+        assert view.table.exps.dtype == table.exps.dtype
+        assert view.table.exps.tolist() == table.exps.tolist()
+        assert view.table.coeffs.shape == table.coeffs.shape
+        assert view.table.coeffs.tobytes() == table.coeffs.tobytes()
+        assert view.table.degrees == table.degrees

@@ -293,9 +293,9 @@ def test_term_table_gives_the_fraction_route_floats(parts):
         want = {e: c.to_complex() for e, c in p.terms.items()}
     except OverflowError:
         with pytest.raises(ValueError, match="beyond float range"):
-            TermTable([p], 2)
+            TermTable.of([p], 2)
         return
-    table = TermTable([p], 2)
+    table = TermTable.of([p], 2)
     got = {tuple(int(k) for k in e): c for e, c in zip(table.exps, table.coeffs[:, 0])}
     assert sorted(want) == sorted(got)
     assert _bits(want[e] for e in sorted(want)) == _bits(got[e] for e in sorted(want))

@@ -1,7 +1,9 @@
 """Fiber solving, counting, and geometric-degree estimation."""
 
+import math
 import random
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -155,6 +157,49 @@ class TestSolveFiber:
             with pytest.raises(ValueError) as info:
                 solve_fiber(f, (1e308, 1e308))
         assert str(info.value) == f"the fiber point over {(1e308, 1e308)} lies beyond float range"
+
+    @pytest.mark.parametrize("scale, count", [(1, 4), (1e100, 4), (1e200, None), (1e300, None)])
+    def test_final_that_loses_a_coefficient_to_scaling_is_rejected(self, scale, count):
+        """Over (s, s) the final of (x^2 + y^2, x*y) is y^4 - s*y^2 + s^2 (up to a constant).
+
+        From s = 1e200 on its coefficients span more than the float range,
+        and scaling them into it flushes the leading 1 to 0.0: rooted so,
+        the final had degree 2 and the fiber came back empty, where its
+        four points lie at |x| = |y| = sqrt(s).  It is the ValueError that
+        names the target.
+        """
+        f = PolyMap.from_exprs(V2, ["x^2 + y^2", "x*y"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if count is not None:
+                assert len(solve_fiber(f, (scale, scale))) == count
+                return
+            with pytest.raises(ValueError) as info:
+                solve_fiber(f, (scale, scale))
+        assert str(info.value) == f"the fiber point over {(scale, scale)} lies beyond float range"
+
+    @pytest.mark.parametrize(
+        "variables, exprs, y",
+        [
+            (V2, ["x", "y + 2*x^2"], (1e154, 1.5e308)),
+            (("x", "y", "z"), ["x", "y + x^2 - z^2", "z"], (1.5e154, 1, 1.5e154)),
+        ],
+    )
+    def test_exact_point_where_f_overflows_has_an_infinite_residual(self, variables, exprs, y):
+        """A triangular fiber's exact point is returned where f overflows a float there.
+
+        At x = 1e154, 2x^2 exceeds float max; at x = z = 1.5e154, x^2 and
+        z^2 do, with opposite signs, so evaluating f gives NaN.  Both read
+        as residual inf, with no RuntimeWarning.
+        """
+        f = PolyMap.from_exprs(variables, exprs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (sol,) = solve_fiber(f, y)
+        x = Fraction(y[0])
+        exact = (x, Fraction(y[1]) - 2 * x * x) if len(y) == 2 else (x, Fraction(1), Fraction(y[2]))
+        assert sol.point == tuple(complex(float(c)) for c in exact)
+        assert sol.residual == math.inf and not sol.multiple
 
 
 class TestScreen:

@@ -661,17 +661,20 @@ def _no_point(*args):
 def test_geometric_degree_of_a_triangular_plan_computes_no_point(name, monkeypatch):
     """Each sampled target of a triangular plan is counted from A(y') alone.
 
-    example-3-6 and every tame pool map have a constant A; x-xy has
-    A = y1', nonzero at every sampled target.
+    example-3-6 and every tame pool map have a constant A, so no target is
+    even drawn; x-xy has A = y1', nonzero at every sampled target.
     """
     texts = {"example-3-6": EXAMPLE_3_6_TEXT, "x-xy": X_XY_TEXT}
     f = parse_map_text(texts.get(name) or _tame_texts()[name])
-    for target in (
+    patched = [
         (solver.TargetPlan, "at"),
         (solver, "_newton_batch"),
         (solver, "roots_of_each"),
         (solver, "_cascade_fiber"),
-    ):
+    ]
+    if name != "x-xy":
+        patched.append((solver, "sample_target"))
+    for target in patched:
         monkeypatch.setattr(*target, _no_point)
     est = geometric_degree(f)
     assert (est.mu, est.histogram, est.degenerate) == (1, {1: 50}, 0)
