@@ -16,7 +16,10 @@ the components (:meth:`polyproper.polymap.PolyMap.row_echelon`) and
 y' = M·y: each leading coefficient is read in y' and written back in y
 before it is split into factors, so the locus lives in y.  The elimination
 for the last coordinate is the map's :class:`polyproper.solver.TargetPlan`,
-shared with ``geometric_degree``.
+shared with ``geometric_degree``.  Where that plan proves a polynomial
+inverse (``TargetPlan.lead is True``: every stage substitutes and the final
+is linear with a constant leading coefficient), the map is proper
+everywhere and the locus is empty with no other elimination.
 Every symbolic elimination runs under the exact-work budget
 :data:`polyproper.elimination.MAX_SYMBOLIC_WORK`; one that exceeds it gives
 an ``unknown`` locus whose reason names the budget, within about a second,
@@ -259,11 +262,25 @@ def nonproperness_set(
     determinant raises ``ValueError``.  An
     elimination that does not end with one relation in its coordinate
     yields an ``unknown`` result that says why.
+
+    Where the map's :class:`polyproper.solver.TargetPlan` has ``lead is
+    True`` the locus is empty, and the other n - 1 eliminations do not run.
+    Every stage of that plan substitutes v = -R/c, c a nonzero constant,
+    and its final is A·z + B with A a nonzero constant: the stages and the
+    final generate the ideal of g - y', each linear in its own variable
+    with a constant coefficient (as in ``solver._triangular``).  So
+    C[x, y']/(g - y') ≅ C[y'], every source coordinate is a polynomial in
+    y', and f has a polynomial inverse: it is proper everywhere, and S_f is
+    empty.  Such a map has a constant nonzero Jacobian determinant, so a
+    singular map skips the test and builds no plan ahead of the relations
+    that may already leave its locus ``unknown``.
     """
     _check_scale(f)
     targets = target_variables(f)
     if degree_estimate is None and f.nonsingularity().determinant.is_zero():
         raise ValueError("the Jacobian determinant is zero: the map is not dominant")
+    if f.nonsingularity().is_nonsingular and target_plan(f).lead is True:
+        return Hypersurface.empty(targets)  # f has a polynomial inverse
 
     n = f.source_dim
     candidates: list[Polynomial] = []

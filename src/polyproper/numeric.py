@@ -15,7 +15,8 @@ Algorithms*, 2002, sec. 5.1), so a residual within :data:`ROUNDOFF` of that
 sum is round-off: no Newton step can shrink it further.
 
 :class:`MapEvaluator` holds the tables of a map's components and of its
-Jacobian entries, built once per map (``PolyMap.evaluator()`` caches it).
+Jacobian entries, built once per map (``PolyMap.evaluator()`` caches it):
+the components' at construction, the Jacobian's on its first use.
 """
 
 from __future__ import annotations
@@ -109,19 +110,22 @@ class TermTable:
 class MapEvaluator:
     """A polynomial map and its Jacobian, compiled for batches of points.
 
-    ``f`` has one column per component; ``jac`` has one column per Jacobian
-    entry, row-major, so entry (i, j) = d f_i / d x_j is column i * n + j.
-    The Jacobian's degrees never exceed the map's, so one set of power
-    tables serves both.
+    ``f`` has one column per component, tabled at construction.  The
+    Jacobian's table has one column per entry, row-major, so entry
+    (i, j) = d f_i / d x_j is column i * n + j; it is built on the first
+    :meth:`jacobian` call, so a caller that only evaluates f, such as the
+    residual of an exact fiber point, never pays for it.  The Jacobian's
+    degrees never exceed the map's, so one set of power tables serves both.
     """
 
-    __slots__ = ("n_vars", "n_comps", "f", "jac")
+    __slots__ = ("n_vars", "n_comps", "f", "_jacobian_rows", "_jac")
 
     def __init__(self, components: Sequence, jacobian_rows: Sequence[Sequence], n_vars: int):
         self.n_vars = n_vars
         self.n_comps = len(components)
         self.f = TermTable.of(components, n_vars)
-        self.jac = TermTable.of([p for row in jacobian_rows for p in row], n_vars)
+        self._jacobian_rows = jacobian_rows
+        self._jac = None
 
     def powers(self, points: np.ndarray) -> list[np.ndarray]:
         """Power tables of a k x n complex batch, enough for f and its Jacobian."""
@@ -146,6 +150,9 @@ class MapEvaluator:
         return ok
 
     def jacobian(self, tables: Sequence[np.ndarray]) -> np.ndarray:
-        """The k x m x n Jacobian matrices at the batch."""
-        vals = self.jac.values(tables)
+        """The k x m x n Jacobian matrices at the batch; the table is built on the first call."""
+        jac = self._jac
+        if jac is None:
+            jac = self._jac = TermTable.of([p for row in self._jacobian_rows for p in row], self.n_vars)
+        vals = jac.values(tables)
         return vals.reshape(vals.shape[0], self.n_comps, self.n_vars)

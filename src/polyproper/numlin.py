@@ -157,7 +157,12 @@ def _trimmed(coeffs: Sequence[complex]) -> list[complex]:
 
 
 def _roots_of_degree(coeffs: np.ndarray, norms: np.ndarray) -> list[list[Root]]:
-    """The roots of each row of a k x (deg + 1) coefficient array, max |c| ``norms``."""
+    """The roots of each row of a k x (deg + 1) coefficient array, max |c| ``norms``.
+
+    A root's residual |p(z)| is inf where evaluating p there overflows a
+    float, with no warning; the polish, the reaches and the cluster merge
+    already treat such values as not finite.
+    """
     k, deg = coeffs.shape[0], coeffs.shape[1] - 1
     arr = coeffs / norms[:, None]
     if deg == 1:
@@ -170,22 +175,23 @@ def _roots_of_degree(coeffs: np.ndarray, norms: np.ndarray) -> list[list[Root]]:
     comp[:, 1:, :-1] = np.eye(deg - 1)
     comp[:, :, -1] = -(arr[:, :-1] / arr[:, -1:])
     rows = arr[np.repeat(np.arange(k), deg)]  # one row per root
-    polished, values = _polish(rows, np.linalg.eigvals(comp).ravel())
-    residuals = (values.reshape(k, deg) * norms[:, None]).tolist()
-    # each root's reach in _merge_multiple, at multiplicity 1
-    reach = 4.0 * _rounding_radii(rows, polished, 1)
-    polished, reach = polished.reshape(k, deg), reach.reshape(k, deg)
-    dist = np.abs(polished[:, :, None] - polished[:, None, :])
-    close = (dist < CLUSTER_RADIUS) | (dist <= np.minimum(reach[:, :, None], reach[:, None, :]))
-    close[:, np.arange(deg), np.arange(deg)] = False
-    isolated = (np.isfinite(polished).all(axis=1) & ~close.any(axis=(1, 2))).tolist()
-    rows_out = zip(arr, polished.tolist(), residuals, norms.tolist(), isolated)
-    return [
-        [Root(z, 1, r) for z, r in zip(points, res)]
-        if alone
-        else _clustered_roots(row, points, norm)
-        for row, points, res, norm, alone in rows_out
-    ]
+    with np.errstate(over="ignore", invalid="ignore"):  # p beyond float range near a root
+        polished, values = _polish(rows, np.linalg.eigvals(comp).ravel())
+        residuals = (values.reshape(k, deg) * norms[:, None]).tolist()
+        # each root's reach in _merge_multiple, at multiplicity 1
+        reach = 4.0 * _rounding_radii(rows, polished, 1)
+        polished, reach = polished.reshape(k, deg), reach.reshape(k, deg)
+        dist = np.abs(polished[:, :, None] - polished[:, None, :])
+        close = (dist < CLUSTER_RADIUS) | (dist <= np.minimum(reach[:, :, None], reach[:, None, :]))
+        close[:, np.arange(deg), np.arange(deg)] = False
+        isolated = (np.isfinite(polished).all(axis=1) & ~close.any(axis=(1, 2))).tolist()
+        rows_out = zip(arr, polished.tolist(), residuals, norms.tolist(), isolated)
+        return [
+            [Root(z, 1, r) for z, r in zip(points, res)]
+            if alone
+            else _clustered_roots(row, points, norm)
+            for row, points, res, norm, alone in rows_out
+        ]
 
 
 def _clustered_roots(arr: np.ndarray, polished: list[complex], norm: float) -> list[Root]:

@@ -59,6 +59,34 @@ def dense_pool() -> dict[str, tuple[str, int]]:
     return pool
 
 
+#: The benchmark's tame automorphism pool (bench/workloads.py): generator
+#: seed and maps per rung of its TAME_LADDER.
+TAME_POOL_SEED = 2018
+TAME_MAPS_PER_RUNG = 4
+
+
+@functools.cache
+def tame_pool() -> dict[tuple[int, int, int], object]:
+    """The benchmark's tame automorphisms, by (n, d, m): the m-th map of rung (n, d)."""
+    gen = bench_generators()
+    pool = {}
+    for n, d in gen.TAME_LADDER:
+        rng = random.Random(f"{TAME_POOL_SEED}/{n}x{d}")
+        for m in range(TAME_MAPS_PER_RUNG):
+            pool[n, d, m] = gen.tame_automorphism(rng, n, d)
+    return pool
+
+
+@functools.cache
+def tame_texts() -> dict[str, str]:
+    """The map texts of the benchmark's tame automorphism pool, by key (e.g. ``"2x4#3"``)."""
+    gen = bench_generators()
+    return {
+        f"{n}x{d}#{m}": gen.map_text(gen.VARS[:n], tame.forward_texts())
+        for (n, d, m), tame in tame_pool().items()
+    }
+
+
 def random_rational(rng: random.Random, span: int = 6) -> Fraction:
     num = rng.randint(-span, span)
     den = rng.randint(1, 4)

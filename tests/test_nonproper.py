@@ -25,9 +25,12 @@ from polyproper import (
     verify_inverse,
 )
 from polyproper import nonproper, solver
+from polyproper.corpus import EXAMPLE_3_6_TEXT
 from polyproper.elimination import gcd_poly
 from polyproper.nonproper import _points_on_zero_set, _varieties_intersect, gcd_free_basis
-from conftest import dense_pool, random_nonzero_polynomial, random_scalar
+from polyproper.poly import Specialisation
+from polyproper.solver import target_plan
+from conftest import dense_pool, random_nonzero_polynomial, random_scalar, tame_texts
 from oracles import evaluate_exact, sampling_clearance
 
 T2 = ("y1", "y2")
@@ -111,6 +114,9 @@ class TestLocusComputation:
         """A spurious factor (y1 - 2)·x + 1 on the x-relation gives the candidate y1 - 2.
 
         The shear is an automorphism, so no fiber count drops on {y1 = 2}.
+        Its plan proves the inverse (``lead is True``), which returns the
+        empty locus before any relation is eliminated, so ``lead`` reads
+        False here and the full route runs.
         """
         eliminate = nonproper.eliminate
 
@@ -123,9 +129,57 @@ class TestLocusComputation:
             return dataclasses.replace(res, finals=[phi * ((y1 - 2) * x + 1)])
 
         monkeypatch.setattr(nonproper, "eliminate", with_spurious_factor)
+        monkeypatch.setattr(solver.TargetPlan, "lead", False)
         locus = nonproperness_set(shear_map, seed=0)
         assert locus.is_empty
         assert locus.notes == ("dropped unvalidated elimination factor: y1 - 2",)
+
+
+class TestLocusOffThePlan:
+    """A plan with ``lead is True`` proves a polynomial inverse, so the locus is empty.
+
+    Such a map's other relations are never eliminated; where ``lead`` reads
+    False (patched), the full route runs and gives the same answer.
+    """
+
+    @staticmethod
+    def _spied(monkeypatch) -> list:
+        calls = []
+        eliminate = nonproper.eliminate
+        monkeypatch.setattr(nonproper, "eliminate", lambda *a: calls.append(a) or eliminate(*a))
+        return calls
+
+    @pytest.mark.parametrize("name", ["example-3-6"] + list(tame_texts()))
+    def test_locus_is_read_off_the_plan(self, name, monkeypatch):
+        text = tame_texts().get(name, EXAMPLE_3_6_TEXT)
+        with monkeypatch.context() as patched:
+            patched.setattr(solver.TargetPlan, "lead", False)
+            full = nonproperness_set(parse_map_text(text), seed=0)
+        calls = self._spied(monkeypatch)
+        f = parse_map_text(text)
+        locus = nonproperness_set(f, seed=0)
+        assert target_plan(f).lead is True
+        assert locus == full and locus.is_empty and locus.notes == ()
+        assert calls == []
+
+    def test_a_lead_that_is_not_constant_takes_the_full_route(self, monkeypatch):
+        """x-xy's plan is triangular, but its A = y1' vanishes on the locus {y1 = 0}."""
+        calls = self._spied(monkeypatch)
+        f = PolyMap.from_exprs(("x", "y"), ["x", "x*y"])
+        locus = nonproperness_set(f, seed=0)
+        assert isinstance(target_plan(f).lead, Specialisation)
+        assert (str(locus), locus.notes) == ("{ y1 = 0 }", ())
+        assert len(calls) == 1  # x's relation; y's is the plan
+
+    @pytest.mark.parametrize("key", ["3x2#2", "3x3#0"])
+    def test_a_singular_map_builds_no_plan_ahead_of_its_relations(self, key):
+        """Only a nonsingular map can have a polynomial inverse.
+
+        These loci are ``unknown`` at the first relation, so no plan is built.
+        """
+        f = parse_map_text(dense_pool()[key][0])
+        assert nonproperness_set(f, seed=0).is_unknown
+        assert f._target_plan is None
 
 
 #: The loci of the dense bench pool at seed 0 with the frozen mu.  Every pool

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from polyproper import GaussianRational, PolyMap, Polynomial, univariate_roots
 from polyproper import solver
 from polyproper.corpus import example_3_6_map
-from polyproper.numeric import ROUNDOFF, MapEvaluator
+from polyproper.numeric import ROUNDOFF, MapEvaluator, TermTable
 from polyproper.numlin import _cluster
 from polyproper.elimination import eliminate
 from polyproper.polymap import parse_map_text
@@ -304,6 +304,38 @@ class TestCachedOnTheMap:
         assert f == g and hash(f) == hash(g)
         assert f.jacobian() is not g.jacobian()
         assert f.nonsingularity().constant == g.nonsingularity().constant == 1
+
+    def test_jacobian_table_is_built_at_its_first_use(self, monkeypatch):
+        """The exact point's residual reads f only; Newton's first step builds the Jacobian's table.
+
+        TermTable.of builds one table per call, with a column per
+        polynomial: 3 for f, 9 for the Jacobian of a map of C^3.
+        """
+        built = []
+        of = TermTable.of.__func__
+        monkeypatch.setattr(
+            TermTable, "of", classmethod(lambda cls, polys, n: built.append(len(polys)) or of(cls, polys, n))
+        )
+        f = example_3_6_map()
+        (point,) = solve_fiber(f, (1, 2, 3))
+        assert built == [3]
+        ev = f.evaluator()
+        start = np.array([point.point]) * (1 + 1e-9)
+        for _ in range(2):
+            _newton_batch(ev, np.array([1, 2, 3], dtype=complex), start, False)
+        assert built == [3, 9]
+
+    @pytest.mark.parametrize("key", DENSE_KEYS)
+    def test_jacobian_values_equal_the_table_built_up_front(self, key):
+        """The Jacobian table built on first use gives, bit for bit, the table of the Jacobian's entries."""
+        f = parse_map_text(dense_pool()[key][0])
+        rng = np.random.default_rng(11)
+        points = rng.uniform(-2, 2, (6, f.source_dim)) + 1j * rng.uniform(-2, 2, (6, f.source_dim))
+        ev = f.evaluator()
+        tables = ev.powers(points)
+        table = TermTable.of([p for row in f.jacobian().entries for p in row], f.source_dim)
+        expected = table.values(tables).reshape(6, f.target_dim, f.source_dim)
+        assert np.array_equal(ev.jacobian(tables), expected)
 
     @pytest.mark.parametrize(
         "name", ["vars", "components", "_jacobian", "_nonsingularity", "_evaluator", "other"]

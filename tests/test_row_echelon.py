@@ -11,6 +11,7 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,14 +21,16 @@ from polyproper import (
     GaussianRational,
     PolyMap,
     Polynomial,
+    fiber_count_diagnostic,
     geometric_degree,
     nonproperness_set,
+    solve_fiber,
     solver,
 )
 from polyproper.corpus import EXAMPLE_3_6_TEXT, X2_Y_TEXT, X_XY_TEXT
 from polyproper.elimination import normalized, poly_matrix_det
 from polyproper.polymap import parse_map_text
-from polyproper.solver import symbolic_system, target_variables
+from polyproper.solver import sample_target, symbolic_system, target_variables
 
 CORPUS = {"example-3-6": EXAMPLE_3_6_TEXT, "x-xy": X_XY_TEXT, "x2-y": X2_Y_TEXT}
 NAMES = ("x", "y", "z")
@@ -235,6 +238,28 @@ def test_source_shear_of_example_3_6():
     estimate = geometric_degree(sheared, seed=0)
     locus = nonproperness_set(sheared, degree_estimate=estimate)
     assert (estimate.mu, locus.is_empty) == (1, True)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP items 4 and 14: copies of one point pass Newton")
+@pytest.mark.parametrize("draw", [1, 9])
+def test_source_shear_fiber_is_one_point(draw):
+    """The source shear is an automorphism, so each fiber is one point; it has 4 and 7 here.
+
+    The targets are the 1st and the 9th draw of
+    ``sample_target(default_rng(7), 3)``; over 40 draws the count is wrong
+    8 times.  At both, the per-target cascade keeps no E at its x stage, so
+    the branch roots the stage's pivot, of degree 7, whose root there is
+    7-fold.  Newton accepts copies of the point: at the 1st draw 4 within
+    1e-5 of each other, at the 9th 7 that lie 2-4 apart at the round-off
+    floor, with residuals 11-29.  So the count-drop diagnostic reads
+    ``in-locus`` at both targets.
+    """
+    sheared = _source_shear()
+    rng = np.random.default_rng(7)
+    for _ in range(draw):
+        y = sample_target(rng, 3)
+    assert len(solve_fiber(sheared, y)) == 1
+    assert fiber_count_diagnostic(sheared, y, 1).verdict == "off-locus"
 
 
 def test_source_shear_sends_one_row_per_target_to_newton(monkeypatch):

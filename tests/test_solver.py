@@ -1,5 +1,6 @@
 """Fiber solving, counting, and geometric-degree estimation."""
 
+import contextlib
 import math
 import random
 import warnings
@@ -17,7 +18,9 @@ from polyproper import (
     solve_fiber,
     solver,
 )
+from polyproper.elimination import eliminate
 from polyproper.nonproper import fiber_count_diagnostic
+from polyproper.numlin import poly_to_coeffs, univariate_roots
 from polyproper.polymap import parse_map_text
 from polyproper.solver import RESIDUAL_TOL, sample_target
 from conftest import DENSE_KEYS, dense_pool, random_map
@@ -200,6 +203,51 @@ class TestSolveFiber:
         exact = (x, Fraction(y[1]) - 2 * x * x) if len(y) == 2 else (x, Fraction(1), Fraction(y[2]))
         assert sol.point == tuple(complex(float(c)) for c in exact)
         assert sol.residual == math.inf and not sol.multiple
+
+    def test_roots_whose_residual_overflows_raise_no_warning(self):
+        """|p| at a root of a final can overflow a float; that root's residual is then inf.
+
+        The final of (x^3 + y^2, xy) over (1e150, 1e10) is
+        y^5 - 1e150·y^3 + 1e30 up to a constant, with roots near ±1e75,
+        where its value times its scale passes float max; rooting warned
+        "overflow encountered in multiply".  On (x^4 + y, xy^2 + x) over
+        (1e250, 1) the polish of the final's roots overflowed too.
+        """
+        f = PolyMap.from_exprs(V2, ["x^3 + y^2", "x*y"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            final = eliminate(solver._shifted_system(f, (1e150, 1e10)), ["x"]).finals[0]
+            roots = univariate_roots(poly_to_coeffs(final)).roots
+            solve_fiber(f, (1e150, 1e10))
+            with contextlib.suppress(PositiveDimensionalFiberError):  # a false verdict, pinned below
+                solve_fiber(PolyMap.from_exprs(V2, ["x^4 + y", "x*y^2 + x"]), (1e250, 1))
+        far = [r for r in roots if abs(r.value) > 1e70]
+        assert len(far) == 2 and all(r.residual == math.inf for r in far)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 12: roots of modulus 1e-40 merge into one")
+    def test_small_roots_of_a_final_with_a_wide_span_are_kept_apart(self):
+        """(x^3 + y^2, xy) over (1e150, 1e10) has 5 points; 2 are returned, silently.
+
+        Its final y^5 - 1e150·y^3 + 1e30 has three roots of modulus 1e-40,
+        the cube roots of 1e-120.  They lie within the absolute
+        ``numlin.CLUSTER_RADIUS`` of each other, so they merge into one
+        triple root 0 with residual 1e30, and its branch gives no point.
+        """
+        f = PolyMap.from_exprs(V2, ["x^3 + y^2", "x*y"])
+        assert len(solve_fiber(f, (1e150, 1e10))) == 5
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 15: a finite fiber read as positive-dimensional")
+    def test_finite_fiber_with_a_far_root_is_not_positive_dimensional(self):
+        """(x^4 + y, xy^2 + x) over (1e250, 1) has 9 points, and none is returned.
+
+        x = 1/(y^2 + 1) leaves (1e250 - y)(y^2 + 1)^4 = 1: one root near
+        1e250 and eight within about 1e-62 of ±i.  The final's coefficients
+        span 250 decades, and its roots come out as one 9-fold root at
+        1e250, so every branch degenerates and ``solve_fiber`` raises
+        ``PositiveDimensionalFiberError``.
+        """
+        f = PolyMap.from_exprs(V2, ["x^4 + y", "x*y^2 + x"])
+        assert len(solve_fiber(f, (1e250, 1))) == 9
 
 
 class TestScreen:

@@ -6,7 +6,6 @@ exact substitution and to the per-target cascade of :func:`fiber_count`,
 including the fallbacks and the work budget.
 """
 
-import functools
 import itertools
 import random
 import time
@@ -34,37 +33,11 @@ from polyproper.solver import (
     solve_fiber,
     target_plan,
 )
-from conftest import DENSE_KEYS, bench_generators, dense_pool
+from conftest import DENSE_KEYS, bench_generators, dense_pool, tame_pool, tame_texts
 from oracles import evaluate_exact
-
-#: The benchmark's tame automorphism pool: generator seed and maps per rung.
-TAME_POOL_SEED = 2018
-TAME_MAPS_PER_RUNG = 4
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=12)
 gaussians = st.builds(GaussianRational, rationals, rationals)
-
-
-@functools.cache
-def _tame_pool() -> dict[tuple[int, int, int], object]:
-    """The benchmark's tame automorphisms, by (n, d, m): the m-th map of rung (n, d)."""
-    gen = bench_generators()
-    pool = {}
-    for n, d in gen.TAME_LADDER:
-        rng = random.Random(f"{TAME_POOL_SEED}/{n}x{d}")
-        for m in range(TAME_MAPS_PER_RUNG):
-            pool[n, d, m] = gen.tame_automorphism(rng, n, d)
-    return pool
-
-
-@functools.cache
-def _tame_texts() -> dict[str, str]:
-    """The map texts of the benchmark's tame automorphism pool, by key (e.g. ``"2x4#3"``)."""
-    gen = bench_generators()
-    return {
-        f"{n}x{d}#{m}": gen.map_text(gen.VARS[:n], tame.forward_texts())
-        for (n, d, m), tame in _tame_pool().items()
-    }
 
 
 def _dense_map(key: str) -> PolyMap:
@@ -286,7 +259,7 @@ def _fibers(f: PolyMap, ys) -> list:
 @pytest.mark.parametrize(
     "name, special",
     [("example-3-6", []), ("x-xy", [(0, 1), (0, 0)]), ("x2-y", [])]
-    + [(key, []) for key in _tame_texts()],
+    + [(key, []) for key in tame_texts()],
 )
 def test_solve_fiber_counts_same_with_and_without_a_plan(name, special, monkeypatch):
     """solve_fiber neither builds nor reads a plan: its fibers are equal bit for bit.
@@ -296,7 +269,7 @@ def test_solve_fiber_counts_same_with_and_without_a_plan(name, special, monkeypa
     x2-y, nor of the special targets of x-xy (an empty fiber and a line).
     """
     texts = {"example-3-6": EXAMPLE_3_6_TEXT, "x-xy": X_XY_TEXT, "x2-y": X2_Y_TEXT}
-    f = parse_map_text(texts.get(name) or _tame_texts()[name])
+    f = parse_map_text(texts.get(name) or tame_texts()[name])
     rng = np.random.default_rng(23)
     ys = special + [sample_target(rng, f.target_dim) for _ in range(4)]
     cascades, exact = [], []
@@ -487,7 +460,7 @@ def test_tame_fibers_at_generic_targets_are_the_inverse_image():
     """
     gen = bench_generators()
     wrong = []
-    for (n, d, m), tame in _tame_pool().items():
+    for (n, d, m), tame in tame_pool().items():
         names = gen.VARS[:n]
         f = parse_map_text(gen.map_text(names, tame.forward_texts()))
         g = parse_map_text(gen.map_text(names, tame.inverse_texts()))
@@ -515,8 +488,8 @@ def test_tame_fibers_at_bench_targets_are_exact(monkeypatch):
     Newton never runs; the plan the locus leaves on the map is not read.
     """
     monkeypatch.setattr(solver, "_newton_batch", _no_newton)
-    for (n, d, m), tame in _tame_pool().items():
-        f = parse_map_text(_tame_texts()[f"{n}x{d}#{m}"])
+    for (n, d, m), tame in tame_pool().items():
+        f = parse_map_text(tame_texts()[f"{n}x{d}#{m}"])
         target_plan(f)
         rng = random.Random(f"exact/{n}x{d}#{m}")
         for _ in range(5):
@@ -530,7 +503,7 @@ def test_tame_fibers_at_bench_targets_are_exact(monkeypatch):
             assert not point.multiple
 
 
-@pytest.mark.parametrize("name", ["example-3-6", "x-xy"] + list(_tame_texts()))
+@pytest.mark.parametrize("name", ["example-3-6", "x-xy"] + list(tame_texts()))
 def test_fresh_maps_solve_exact_images_exactly(name, monkeypatch):
     """A freshly parsed triangular map solves y = f(x0) to x0, with no plan and no Newton.
 
@@ -540,7 +513,7 @@ def test_fresh_maps_solve_exact_images_exactly(name, monkeypatch):
     rounded once; no plan is built or read.
     """
     texts = {"example-3-6": EXAMPLE_3_6_TEXT, "x-xy": X_XY_TEXT}
-    f = parse_map_text(texts.get(name) or _tame_texts()[name])
+    f = parse_map_text(texts.get(name) or tame_texts()[name])
     monkeypatch.setattr(solver, "_newton_batch", _no_newton)
     rng = random.Random(f"fresh/{name}")
     grid = [Fraction(k, 16) for k in range(-8, 9) if k]
@@ -657,7 +630,7 @@ def _no_point(*args):
     raise AssertionError("a fiber point was computed where A(y') != 0 settles the count")
 
 
-@pytest.mark.parametrize("name", ["example-3-6", "x-xy"] + list(_tame_texts()))
+@pytest.mark.parametrize("name", ["example-3-6", "x-xy"] + list(tame_texts()))
 def test_geometric_degree_of_a_triangular_plan_computes_no_point(name, monkeypatch):
     """Each sampled target of a triangular plan is counted from A(y') alone.
 
@@ -665,7 +638,7 @@ def test_geometric_degree_of_a_triangular_plan_computes_no_point(name, monkeypat
     even drawn; x-xy has A = y1', nonzero at every sampled target.
     """
     texts = {"example-3-6": EXAMPLE_3_6_TEXT, "x-xy": X_XY_TEXT}
-    f = parse_map_text(texts.get(name) or _tame_texts()[name])
+    f = parse_map_text(texts.get(name) or tame_texts()[name])
     patched = [
         (solver.TargetPlan, "at"),
         (solver, "_newton_batch"),
@@ -714,7 +687,7 @@ def _known_maps() -> dict[str, tuple[str, int]]:
     """Text and geometric degree of the corpus maps and the dense and tame pool maps."""
     maps = {"example-3-6": (EXAMPLE_3_6_TEXT, 1), "x-xy": (X_XY_TEXT, 1), "x2-y": (X2_Y_TEXT, 2)}
     maps.update((f"dense {key}", entry) for key, entry in dense_pool().items())
-    maps.update((f"tame {key}", (text, 1)) for key, text in _tame_texts().items())
+    maps.update((f"tame {key}", (text, 1)) for key, text in tame_texts().items())
     return maps
 
 
