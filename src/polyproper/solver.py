@@ -90,10 +90,11 @@ with the large root it brings.
 Scale contract: square maps with n <= 3 and component degrees <= 10.
 Targets for degree estimation are drawn from a box with re/im uniform in
 [-SAMPLE_BOX, SAMPLE_BOX], snapped to a dyadic grid (multiples of 1/4096)
-so the exact elimination never sees 53-bit denominators.  Sampling is
-seeded and split per target, so a fixed seed reproduces the estimate no
-matter how targets are scheduled.  A map whose plan is triangular with a
-nonzero constant A draws none: every fiber is one point.
+so the exact elimination never sees 53-bit denominators.  The targets
+of one estimate are drawn in one call of one generator seeded by the
+estimate's seed (:func:`sample_targets`), so a fixed seed reproduces the
+estimate.  A map whose plan is triangular with a nonzero constant A draws
+none: every fiber is one point.
 """
 
 from __future__ import annotations
@@ -815,17 +816,30 @@ def fiber_count(f: PolyMap, y: Sequence[complex]) -> int:
     return len(solve_fiber(f, y))
 
 
+def sample_targets(rng: np.random.Generator, n: int, count: int) -> list[tuple[complex, ...]]:
+    """``count`` target points: re/im uniform in [-SAMPLE_BOX, SAMPLE_BOX] on a dyadic grid.
+
+    The uniforms are drawn in one call and read row by row, each row
+    re(y_1), im(y_1), ..., re(y_n), im(y_n); the generator hands them out in
+    order, so this equals ``count`` successive :func:`sample_target` calls
+    on an equal generator.
+    """
+    vals = np.round(rng.uniform(-SAMPLE_BOX, SAMPLE_BOX, size=(count, 2 * n)) * 4096.0) / 4096.0
+    return [tuple(map(complex, row[0::2], row[1::2])) for row in vals.tolist()]
+
+
 def sample_target(rng: np.random.Generator, n: int) -> tuple[complex, ...]:
-    """One target point: re/im uniform in [-SAMPLE_BOX, SAMPLE_BOX] on a dyadic grid."""
-    vals = np.round(rng.uniform(-SAMPLE_BOX, SAMPLE_BOX, size=2 * n) * 4096.0) / 4096.0
-    return tuple(complex(vals[2 * k], vals[2 * k + 1]) for k in range(n))
+    """One target point, the one-row case of :func:`sample_targets`."""
+    return sample_targets(rng, n, 1)[0]
 
 
 def geometric_degree(f: PolyMap, *, seed: int = 0) -> DegreeEstimate:
     """Estimate the geometric degree by sampling fiber counts.
 
     The estimate is the maximum finite fiber count over
-    :data:`DEGREE_SAMPLES` seeded random targets; for a map that restricts
+    :data:`DEGREE_SAMPLES` random targets, drawn in one
+    :func:`sample_targets` call of ``np.random.default_rng(seed)``, so the
+    estimate is a function of ``seed`` alone; for a map that restricts
     to a cover off its nonproperness set, generic targets all attain it.
     Degenerate samples (positive-dimensional fibers) are tallied
     separately; it is an error if every sample degenerates or no sample has
@@ -848,10 +862,7 @@ def geometric_degree(f: PolyMap, *, seed: int = 0) -> DegreeEstimate:
     if plan.lead is True:  # every fiber is one simple point, whatever the target
         histogram[1] = DEGREE_SAMPLES
     else:
-        ys = [
-            sample_target(np.random.default_rng(child), f.target_dim)
-            for child in np.random.SeedSequence(seed).spawn(DEGREE_SAMPLES)
-        ]
+        ys = sample_targets(np.random.default_rng(seed), f.target_dim, DEGREE_SAMPLES)
         rest = [y for y in ys if not plan.single_point_at(y)]
         if len(rest) < len(ys):
             histogram[1] = len(ys) - len(rest)

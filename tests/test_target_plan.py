@@ -30,6 +30,7 @@ from polyproper.solver import (
     fiber_count,
     geometric_degree,
     sample_target,
+    sample_targets,
     solve_fiber,
     target_plan,
 )
@@ -49,8 +50,7 @@ def _per_target_histogram(f: PolyMap, seed: int) -> tuple[dict, int]:
     """What geometric_degree tallies, with every fiber solved by fiber_count."""
     histogram: dict[int, int] = {}
     degenerate = 0
-    for child in np.random.SeedSequence(seed).spawn(DEGREE_SAMPLES):
-        y = sample_target(np.random.default_rng(child), f.target_dim)
+    for y in sample_targets(np.random.default_rng(seed), f.target_dim, DEGREE_SAMPLES):
         try:
             count = fiber_count(f, y)
         except PositiveDimensionalFiberError:
@@ -178,6 +178,58 @@ def test_geometric_degree_matches_per_target_on_dense_maps(key):
     assert (est.histogram, est.degenerate) == _per_target_histogram(_dense_map(key), 3)
 
 
+def _hex(ys) -> list:
+    return [[(z.real.hex(), z.imag.hex()) for z in y] for y in ys]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("seed", [0, 7, [1, 2, 6, 0], 218638802])
+def test_sample_targets_is_successive_sample_target_calls(n, seed):
+    """One call for k targets reads the generator's stream as k one-target calls do.
+
+    Both equal the one-target rule written out: 2n uniforms per target in
+    the box, each snapped to the 1/4096 grid and paired (re, im) in order.
+    """
+    batch_rng, single_rng, ref_rng = (np.random.default_rng(seed) for _ in range(3))
+    batch = sample_targets(batch_rng, n, 7)
+    singles = [sample_target(single_rng, n) for _ in range(7)]
+    box = solver.SAMPLE_BOX
+    reference = []
+    for _ in range(7):
+        vals = [round(v * 4096.0) / 4096.0 for v in ref_rng.uniform(-box, box, size=2 * n)]
+        reference.append(tuple(complex(vals[2 * k], vals[2 * k + 1]) for k in range(n)))
+    assert _hex(batch) == _hex(singles) == _hex(reference)
+    assert all(type(z) is complex for y in batch for z in y)
+    # all three generators are left at the same place in their streams
+    assert batch_rng.uniform() == single_rng.uniform() == ref_rng.uniform()
+
+
+@pytest.mark.parametrize("text", [X_XY_TEXT, X2_Y_TEXT], ids=["x-xy", "x2-y"])
+@pytest.mark.parametrize("seed", [0, 1, 218638802])
+def test_geometric_degree_draws_its_targets_in_one_call(text, seed, monkeypatch):
+    """The plan sees exactly ``sample_targets(default_rng(seed), n, DEGREE_SAMPLES)``."""
+    f = parse_map_text(text)
+    seen, batched = [], []
+    single_point_at = solver.TargetPlan.single_point_at
+    planned_fibers = solver._planned_fibers
+
+    def spy_single_point_at(plan, y):
+        seen.append(y)
+        return single_point_at(plan, y)
+
+    def spy_planned_fibers(g, ys):
+        batched.append(list(ys))
+        return planned_fibers(g, ys)
+
+    monkeypatch.setattr(solver.TargetPlan, "single_point_at", spy_single_point_at)
+    monkeypatch.setattr(solver, "_planned_fibers", spy_planned_fibers)
+    geometric_degree(f, seed=seed)
+    want = sample_targets(np.random.default_rng(seed), f.target_dim, DEGREE_SAMPLES)
+    assert seen == want
+    plan = target_plan(f)
+    assert batched == [[y for y in want if not single_point_at(plan, y)]]
+
+
 @pytest.mark.parametrize(
     "name, special",
     [
@@ -213,7 +265,9 @@ def test_batched_fibers_match_solve_fiber(name, special, monkeypatch):
         # geometric_degree tallies the batch: (0, 0) as degenerate, (0, 1) as
         # count 0; its 50 samples are five rounds of the 10 targets
         targets = itertools.cycle(ys)
-        monkeypatch.setattr(solver, "sample_target", lambda rng, n: next(targets))
+        monkeypatch.setattr(
+            solver, "sample_targets", lambda rng, n, count: [next(targets) for _ in range(count)]
+        )
         est = geometric_degree(f)
         assert (est.histogram, est.degenerate) == ({0: 5, 1: 40}, 5)
 
@@ -646,7 +700,7 @@ def test_geometric_degree_of_a_triangular_plan_computes_no_point(name, monkeypat
         (solver, "_cascade_fiber"),
     ]
     if name != "x-xy":
-        patched.append((solver, "sample_target"))
+        patched.append((solver, "sample_targets"))
     for target in patched:
         monkeypatch.setattr(*target, _no_point)
     est = geometric_degree(f)
